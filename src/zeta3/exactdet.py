@@ -1,6 +1,6 @@
 """Exact determinants of integer and polynomial matrices.
 
-Three routes live here:
+Four routes live here:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
 * ``det_poly_matrix``  - determinant of a matrix of IntPoly by evaluation at
@@ -10,6 +10,12 @@ Three routes live here:
   word-sized primes (Hessenberg reduction + the standard recurrence) and
   recombined by CRT under a rigorous Hadamard-style coefficient bound.
   Exact integer arithmetic throughout, just carried out residue-wise.
+* ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
+  pattern over G = Z/3 x Z/m (operators.LabelledMatrix).  The lift is
+  block-circulant over G, so the determinant is the product over the 3m
+  characters of G of small twisted determinants; these are taken modulo
+  primes p = 1 (mod 3m), where the characters take values in GF(p), and
+  recombined by the same CRT under the bound char_rev would use on the lift.
 """
 
 from __future__ import annotations
@@ -21,14 +27,16 @@ from math import isqrt
 import numpy as np
 
 from .errors import ExactArithmeticError
-from .polynomials import IntPoly, primes_descending
+from .polynomials import IntPoly, _is_probable_prime, primes_descending
 
 # Primes stay below 2**25 so that a length-n int64 dot product of residues
 # cannot overflow: n * (2**25)**2 < 2**63 for n up to 8192.
 _PRIME_CAP = (1 << 25) - 1
 
 # When enabled (the test suite turns it on), every det_poly_matrix call
-# re-evaluates its result at 5 random integers against det_integer.
+# re-evaluates its result at 5 random integers against det_integer, and every
+# char_rev_factored call compares its result with the dense lifted operator's
+# characteristic polynomial modulo a prime outside its CRT set.
 SELF_CHECK = False
 SELF_CHECK_CALLS = 0
 _selfcheck_rng = random.Random(20240501)
@@ -286,6 +294,105 @@ def char_rev(M):
     trace = sum(dense[i][i] for i in range(n))
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
+    return poly
+
+
+def _primes_with_root(k):
+    """Yield (p, w) for the primes p = 1 (mod k) below _PRIME_CAP, descending,
+    with w an element of exact multiplicative order k in GF(p)."""
+    p = _PRIME_CAP - (_PRIME_CAP - 1) % k
+    while p > 2:
+        if _is_probable_prime(p):
+            for a in range(2, p):
+                w = pow(a, (p - 1) // k, p)
+                if all(pow(w, d, p) != 1 for d in range(1, k) if k % d == 0):
+                    yield p, w
+                    break
+        p -= k
+
+
+def char_rev_factored(pattern, reference=None):
+    """det(I - u*M) as an IntPoly, M the lift of a LabelledMatrix over
+    G = Z/3 x Z/m.
+
+    det(I - uM) is the product over the characters chi of G of
+    det(I - u M_chi), M_chi[i, j] = sum of w * chi(h) over the pattern's
+    entries (i, j, h) of weight w.  Each factor is computed modulo primes
+    p = 1 (mod 3m) and the product is CRT-combined under the bound char_rev
+    takes from the lift's row norms.  ``reference`` returns the dense lifted
+    operator for the self-check (default: the pattern's own lift).
+    """
+    r, m = pattern.r, pattern.m
+    k = 3 * m
+    n = k * r
+    if n == 0:
+        return IntPoly.one()
+    if r >= 4096:
+        # as in char_rev: int64 dot products of residues stay exact below this
+        raise ValueError("char_rev_factored supports patterns below 4096 rows")
+
+    # every lifted row (g, i) holds the weights of the entries (i, *, *)
+    row_norm_sq = [0] * r
+    for (i, _j, _h3, _hm), v in pattern.entries.items():
+        row_norm_sq[i] += v * v
+    radius = isqrt(max(row_norm_sq)) + 1
+    bound = 2 * (1 + radius) ** n
+
+    keys = list(pattern.entries)
+    weights = [pattern.entries[key] for key in keys]
+    rows = np.array([key[0] for key in keys], dtype=np.int64)
+    cols = np.array([key[1] for key in keys], dtype=np.int64)
+    h3 = np.array([key[2] for key in keys], dtype=np.int64)
+    hm = np.array([key[3] for key in keys], dtype=np.int64)
+    # chi_(a,b)(h) = w**(a*m*h3 + 3*b*hm) for w of exact order 3m
+    chars = [(a, b) for a in range(3) for b in range(m)]
+    exponents = np.array([(a * m * h3 + 3 * b * hm) % k for a, b in chars], dtype=np.int64)
+    block_idx = (np.arange(k)[:, None], rows[None, :], cols[None, :])
+
+    primes = []
+    per_prime = []
+    prod = 1
+    for p, w in _primes_with_root(k):
+        powers = np.array([pow(w, e, p) for e in range(k)], dtype=np.int64)
+        wp = np.array([v % p for v in weights], dtype=np.int64)
+        blocks = np.zeros((k, r, r), dtype=np.int64)
+        np.add.at(blocks, block_idx, wp[None, :] * powers[exponents])
+        blocks %= p
+        acc = np.ones(1, dtype=np.int64)
+        for block in blocks:
+            factor = np.array(_charpoly_mod(block, p)[::-1], dtype=np.int64)
+            # each product term is below p**2 < 2**50 and an output coefficient
+            # sums at most r + 1 <= 8192 of them, so int64 cannot overflow
+            acc = np.convolve(acc, factor) % p
+        primes.append(p)
+        per_prime.append(acc)
+        prod *= p
+        if prod > bound:
+            break
+    poly = IntPoly(_crt_symmetric(per_prime, primes))
+
+    trace = k * sum(v for (i, j, t3, tm), v in pattern.entries.items()
+                    if i == j and t3 == 0 and tm == 0)
+    if poly.cf(0) != 1 or poly.cf(1) != -trace:
+        raise ExactArithmeticError("characteristic polynomial consistency check failed")
+
+    if SELF_CHECK:
+        global SELF_CHECK_CALLS
+        SELF_CHECK_CALLS += 1
+        if n >= 4096:
+            raise ValueError("the self-check supports lifts below 4096 rows")
+        dense = _as_int_rows(reference() if reference is not None else pattern.lift())
+        if len(dense) != n:
+            raise ExactArithmeticError(
+                f"char_rev_factored self-check: operator of dimension {len(dense)}, "
+                f"pattern lifts to {n}"
+            )
+        p = next(p for p in primes_descending(_PRIME_CAP) if p % k != 1)
+        direct = _charpoly_mod(np.array(dense, dtype=np.int64) % p, p)[::-1]
+        if any((poly.cf(d) - c) % p for d, c in enumerate(direct)):
+            raise ExactArithmeticError(
+                f"char_rev_factored self-check failed modulo {p}"
+            )
     return poly
 
 

@@ -9,6 +9,10 @@ For presentation-backed complexes the matrices are computed from generator
 bookkeeping (edge (g, x) steps to (g + (1, c(x)), y) for y off the line
 lam(x), and similarly for chambers); for geometric complexes the equivalent
 incidence rules are used.  Both paths are exposed so they can be compared.
+
+Presented complexes also have a voltage-labelled base form of L_E and L_B
+(``LabelledMatrix``): G = Z/3 x Z/m acts freely on them, so each is the lift
+of a small pattern whose entries carry group elements.
 """
 
 from __future__ import annotations
@@ -101,6 +105,51 @@ class SparseIntegerMatrix:
         return [(i, j, v) for (i, j), v in sorted(self.entries.items())]
 
 
+class LabelledMatrix:
+    """Square r x r pattern whose entries carry elements h of G = Z/3 x Z/m.
+
+    ``entries`` maps (i, j, h3, hm) to an integer weight.  The lift is the
+    3mr x 3mr matrix whose entry ((g, i), (g + h, j)) is the weight of
+    (i, j, h), the lifted index of (g, i) being (g3 * m + gm) * r + i.
+    """
+
+    __slots__ = ("r", "m", "entries")
+
+    def __init__(self, r, m, entries=None):
+        self.r = int(r)
+        self.m = int(m)
+        self.entries = {}
+        if entries:
+            for (i, j, h3, hm), v in dict(entries).items():
+                self.add(i, j, (h3, hm), v)
+
+    def add(self, i, j, h, v=1):
+        if not (0 <= i < self.r and 0 <= j < self.r):
+            raise IndexError((i, j))
+        if v == 0:
+            return
+        key = (i, j, h[0] % 3, h[1] % self.m)
+        new = self.entries.get(key, 0) + v
+        if new == 0:
+            del self.entries[key]
+        else:
+            self.entries[key] = new
+
+    def negated(self):
+        return LabelledMatrix(self.r, self.m, {k: -v for k, v in self.entries.items()})
+
+    def lift(self):
+        """The 3mr x 3mr matrix the pattern stands for."""
+        r, m = self.r, self.m
+        out = SparseIntegerMatrix(3 * m * r)
+        for g3 in range(3):
+            for gm in range(m):
+                for (i, j, h3, hm), v in self.entries.items():
+                    tgt = (((g3 + h3) % 3) * m + (gm + hm) % m) * r + j
+                    out.add((g3 * m + gm) * r + i, tgt, v)
+        return out
+
+
 # -- index orderings ----------------------------------------------------------
 
 
@@ -158,6 +207,8 @@ def build_le_geometric(cx: ComplexDescription):
 
 
 def _presented_data(cx):
+    if not isinstance(cx.provenance, Presented):
+        raise ValueError("a presented complex is required")
     pres = cx.provenance.presentation
     volt = cx.provenance.voltage
     return pres, volt, pres.plane.n, volt.m, volt.c
@@ -184,6 +235,21 @@ def build_le_presented(cx: ComplexDescription):
                 for y in off_line[x]:
                     m.add(src, eidx(h3, hm, y))
     return m
+
+
+def build_le_pattern(cx: ComplexDescription):
+    """L_E as a labelled n x n pattern: (x, y) carries (1, c(x)) for every y
+    off lam(x); its lift is build_le_presented up to the order of edges."""
+    cx.require_valid()
+    pres, _volt, n, m_mod, c = _presented_data(cx)
+    line_pts = pres.plane.all_line_points()
+    pattern = LabelledMatrix(n, m_mod)
+    for x in range(n):
+        on_line = line_pts[pres.lam[x]]
+        for y in range(n):
+            if y not in on_line:
+                pattern.add(x, y, (1, c[x]))
+    return pattern
 
 
 def build_le(cx: ComplexDescription):
@@ -249,6 +315,21 @@ def build_lb_presented(cx: ComplexDescription):
             if t[1] != z:
                 m.add(src, pidx[(h3, hm, t)])
     return m
+
+
+def build_lb_pattern(cx: ComplexDescription):
+    """L_B as a labelled pattern over the sorted triples: (t, t') carries
+    (1, c(t0)) when t'0 = t1 and t'1 != t2; its lift is build_lb_presented up
+    to the order of directed chambers."""
+    cx.require_valid()
+    pres, _volt, _n, m_mod, c = _presented_data(cx)
+    triples = pres.sorted_triples()
+    pattern = LabelledMatrix(len(triples), m_mod)
+    for i, t in enumerate(triples):
+        for j, s in enumerate(triples):
+            if s[0] == t[1] and s[1] != t[2]:
+                pattern.add(i, j, (1, c[t[0]]))
+    return pattern
 
 
 def build_lb(cx: ComplexDescription):

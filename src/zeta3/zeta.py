@@ -13,6 +13,12 @@ and the identity checked, in cleared-denominator form, is
 with the cube factor moved to the right-hand side when chi < 0.  The factor
 P_E(u^2) is det(I - L_E^t u^2): reversed characteristic polynomials are
 transpose-invariant, so the type-two edge operator never needs to be built.
+
+For a presented complex, P_E and P_B are products over the characters of
+G = Z/3 x Z/m of small twisted determinants (exactdet.char_rev_factored on
+the voltage-labelled patterns of L_E and L_B); explicit-list complexes and
+injected operators take dense char_rev.  P_A always comes from
+det_poly_matrix on the vertex pencil.
 """
 
 from __future__ import annotations
@@ -22,10 +28,18 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import ComplexDescription
-from .exactdet import char_rev, det_poly_matrix
+from .complexes import ComplexDescription, Presented
+from .exactdet import char_rev, char_rev_factored, det_poly_matrix
 from .errors import ExactArithmeticError
-from .operators import SparseIntegerMatrix, build_a1, build_a2, build_le, build_lb
+from .operators import (
+    SparseIntegerMatrix,
+    build_a1,
+    build_a2,
+    build_lb,
+    build_lb_pattern,
+    build_le,
+    build_le_pattern,
+)
 from .polynomials import IntPoly
 
 
@@ -71,21 +85,28 @@ def zeta_parts(cx: ComplexDescription, operators=None):
     """Build (P_A, P_E, P_B) for a valid complex.
 
     ``operators`` optionally injects prebuilt (A1, A2, LE, LB) matrices; the
-    mutation tests use this to corrupt a single entry.
+    mutation tests use this to corrupt a single entry.  Injected operators
+    always take dense char_rev.
     """
     cx.require_valid()
     n0, n1, n2, chi = cx.counts()
     q = cx.q
-    if operators is None:
+    if operators is not None:
+        a1, a2, le, lb = operators
+        p_e = char_rev(le)
+        p_b = char_rev(lb.negated())
+    else:
         a1 = build_a1(cx)
         a2 = build_a2(cx)
-        le = build_le(cx)
-        lb = build_lb(cx)
-    else:
-        a1, a2, le, lb = operators
+        if isinstance(cx.provenance, Presented):
+            p_e = char_rev_factored(build_le_pattern(cx), lambda: build_le(cx))
+            p_b = char_rev_factored(
+                build_lb_pattern(cx).negated(), lambda: build_lb(cx).negated()
+            )
+        else:
+            p_e = char_rev(build_le(cx))
+            p_b = char_rev(build_lb(cx).negated())
     p_a = det_poly_matrix(vertex_pencil(a1, a2, q), 3 * n0)
-    p_e = char_rev(le)
-    p_b = char_rev(lb.negated())
     if p_a.degree != 3 * n0 or p_a.cf(0) != 1:
         raise ExactArithmeticError("vertex determinant has wrong shape")
     return ZetaParts(q=q, n0=n0, n1=n1, n2=n2, chi=chi, p_a=p_a, p_e=p_e, p_b=p_b)

@@ -11,7 +11,8 @@ from zeta3.construct import (
 
 
 def pytest_configure(config):
-    # every det_poly_matrix call re-checks itself against det_integer
+    # every det_poly_matrix call re-checks itself against det_integer, and
+    # every char_rev_factored call against the dense lifted operator
     exactdet.SELF_CHECK = True
 
 

@@ -3,9 +3,9 @@
 Each test prints a single ``criterion N: PASS ...`` line (visible with -s);
 any failure fails the corresponding test.  The battery is the lex-first base
 quotient plus connected covers drawn from the earliest presentations in
-search order that admit them: every connected m=2 and m=3 cover and one of
-the m=7 covers.  An exhaustive scan shows no q=2 presentation admits a
-nonzero voltage mod 5, so the m=5 slot of the cover grid is provably empty.
+search order that admit them: every connected m=2, m=3 and m=7 cover.  An
+exhaustive scan shows no q=2 presentation admits a nonzero voltage mod 5, so
+the m=5 slot of the cover grid is provably empty.
 """
 
 import time
@@ -70,10 +70,10 @@ def state():
     covers[5] = []
 
     st["covers"] = covers
-    # identity/spectra battery: base, every connected m=2 and m=3 cover, and
-    # one m=7 cover (its 441-dimensional chamber operator dominates runtime;
-    # the remaining m=7 covers still get the cheap regularity checks)
-    battery = [base] + covers[2] + covers[3] + covers[7][:1]
+    # identity/spectra battery: base and every connected m=2, m=3 and m=7
+    # cover; their P_E and P_B are factored over the characters of Z/3 x Z/m,
+    # so the 441-dimensional m=7 chamber operators cost well under a second
+    battery = [base] + covers[2] + covers[3] + covers[7]
     st["battery"] = battery
 
     t0 = time.perf_counter()
@@ -201,6 +201,6 @@ def test_criterion_9_exact_arithmetic_self_check(state):
     zeta_parts(state["base"])
     assert exactdet.SELF_CHECK_CALLS > before
     print(
-        f"criterion 9: PASS - det_poly_matrix 5-point self-check ran on all "
-        f"{exactdet.SELF_CHECK_CALLS} calls in test mode"
+        f"criterion 9: PASS - det_poly_matrix 5-point and char_rev_factored "
+        f"dense mod-p self-checks ran on all {exactdet.SELF_CHECK_CALLS} calls in test mode"
     )

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from zeta3 import exactdet
 from zeta3.errors import ExactArithmeticError
 from zeta3.exactdet import (
+    _PRIME_CAP,
     _lagrange_integer,
+    _primes_with_root,
     char_rev,
+    char_rev_factored,
     char_rev_interpolated,
     det_cofactor,
     det_integer,
     det_poly_matrix,
 )
-from zeta3.polynomials import IntPoly
+from zeta3.operators import LabelledMatrix
+from zeta3.polynomials import IntPoly, _is_probable_prime
 
 
 def square_matrix(n, lo=-9, hi=9, seed=0):
@@ -159,3 +163,59 @@ def test_char_rev_block_multiplicative(seed):
 def test_char_rev_wide_entries():
     m = square_matrix(12, lo=-50, hi=50, seed=77)
     assert char_rev(m) == char_rev_interpolated(m)
+
+
+# -- character-factored reverse characteristic polynomials ------------------
+
+
+@pytest.mark.parametrize("k", [3, 6, 21, 24])
+def test_primes_with_root(k):
+    pairs = []
+    for pair in _primes_with_root(k):
+        pairs.append(pair)
+        if len(pairs) == 12:
+            break
+    primes = [p for p, _w in pairs]
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 12
+    for p, w in pairs:
+        assert _is_probable_prime(p) and p < _PRIME_CAP and p % k == 1
+        assert pow(w, k, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, k))
+
+
+def random_pattern(r, m, seed, nnz=None, lo=-3, hi=3):
+    rng = random.Random(seed)
+    pattern = LabelledMatrix(r, m)
+    for _ in range(nnz or 2 * r):
+        h = (rng.randrange(3), rng.randrange(m))
+        pattern.add(rng.randrange(r), rng.randrange(r), h, rng.randint(lo, hi))
+    return pattern
+
+
+@pytest.mark.parametrize("r,m,seed", [(1, 1, 0), (3, 1, 1), (4, 2, 2), (3, 5, 3), (5, 4, 4)])
+def test_char_rev_factored_vs_dense_lift(r, m, seed):
+    pattern = random_pattern(r, m, seed)
+    assert char_rev_factored(pattern) == char_rev(pattern.lift())
+
+
+def test_char_rev_factored_wide_weights():
+    pattern = random_pattern(4, 3, 9, nnz=12, lo=-60, hi=60)
+    assert char_rev_factored(pattern) == char_rev(pattern.lift())
+
+
+def test_char_rev_factored_empty_pattern():
+    assert char_rev_factored(LabelledMatrix(3, 2)) == IntPoly.one()
+    assert char_rev_factored(LabelledMatrix(0, 2)) == IntPoly.one()
+
+
+def test_char_rev_factored_self_check_counted():
+    before = exactdet.SELF_CHECK_CALLS
+    char_rev_factored(random_pattern(3, 2, 5))
+    assert exactdet.SELF_CHECK_CALLS == before + 1
+
+
+def test_char_rev_factored_self_check_rejects_other_operator():
+    pattern = random_pattern(3, 2, 6)
+    other = pattern.lift().with_increment(0, 1)
+    with pytest.raises(ExactArithmeticError):
+        char_rev_factored(pattern, lambda: other)

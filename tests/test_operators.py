@@ -1,14 +1,18 @@
 import pytest
 
+from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.exactdet import det_integer
 from zeta3.operators import (
+    LabelledMatrix,
     SparseIntegerMatrix,
     build_a1,
     build_a2,
     build_le,
     build_le_geometric,
+    build_le_pattern,
     build_lb,
     build_lb_geometric,
+    build_lb_pattern,
 )
 
 
@@ -25,6 +29,40 @@ def test_sparse_matrix_basics():
     assert m.triplets() == [(0, 1, 2), (2, 2, 1)]
     canceled = m.with_increment(2, 2, -1)
     assert (2, 2) not in canceled.entries
+
+
+def test_labelled_matrix_basics():
+    m = LabelledMatrix(2, 3, {(0, 1, 1, 2): 2})
+    m.add(0, 1, (4, 5), -2)  # labels reduce mod (3, m): cancels the entry
+    assert m.entries == {}
+    m.add(1, 0, (1, 2))
+    assert m.negated().entries == {(1, 0, 1, 2): -1}
+    lift = m.lift()
+    assert lift.n == 18
+    # (g, 1) -> (g + (1, 2), 0), lifted index (g3 * 3 + gm) * 2 + i
+    assert lift.get(1, ((1 * 3 + 2) * 2)) == 1
+    assert sorted(lift.row_sums()) == [0] * 9 + [1] * 9
+
+
+def test_patterns_lift_to_regular_operators(small_battery):
+    for cx in small_battery:
+        q = cx.q
+        le = build_le_pattern(cx).lift()
+        lb = build_lb_pattern(cx).lift()
+        assert le.n == build_le(cx).n and lb.n == build_lb(cx).n
+        assert set(le.row_sums()) == set(le.col_sums()) == {q * q}
+        assert set(lb.row_sums()) == set(lb.col_sums()) == {q}
+
+
+def test_patterns_need_presented_complex(base2):
+    geo = ComplexDescription(
+        q=base2.q, vertices=base2.vertices, edges=base2.edges,
+        chambers=base2.chambers, provenance=Geometric(),
+    )
+    with pytest.raises(ValueError):
+        build_le_pattern(geo)
+    with pytest.raises(ValueError):
+        build_lb_pattern(geo)
 
 
 def test_a1_base_is_seven_times_cycle(base2):

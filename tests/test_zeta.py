@@ -1,9 +1,17 @@
 import pytest
 
+from zeta3 import zeta
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.errors import ExactArithmeticError
-from zeta3.exactdet import det_integer
-from zeta3.operators import build_a1, build_a2, build_le, build_lb
+from zeta3.exactdet import char_rev, char_rev_factored, det_integer
+from zeta3.operators import (
+    build_a1,
+    build_a2,
+    build_lb,
+    build_lb_pattern,
+    build_le,
+    build_le_pattern,
+)
 from zeta3.polynomials import IntPoly
 from zeta3.zeta import (
     counts_from_traces,
@@ -117,6 +125,55 @@ def test_identity_through_geometric_lists(base2, cover_m2):
         parts = zeta_parts(geo)
         assert parts == zeta_parts(cx)
         assert verify_identity(parts).holds
+
+
+def test_factored_parts_match_dense(small_battery):
+    for cx in small_battery:
+        assert char_rev_factored(build_le_pattern(cx)) == char_rev(build_le(cx))
+        assert char_rev_factored(build_lb_pattern(cx).negated()) == char_rev(
+            build_lb(cx).negated()
+        )
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("route must not run")
+
+
+def test_presented_cover_takes_factored_route(cover_m3, monkeypatch):
+    monkeypatch.setattr(zeta, "char_rev", _refuse)
+    assert verify_identity(zeta_parts(cover_m3)).holds
+
+
+def test_stripped_copy_takes_dense_route(cover_m2, monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.n)
+        return char_rev(m)
+
+    monkeypatch.setattr(zeta, "char_rev", counting)
+    monkeypatch.setattr(zeta, "char_rev_factored", _refuse)
+    geo = ComplexDescription(
+        q=cover_m2.q, vertices=cover_m2.vertices, edges=cover_m2.edges,
+        chambers=cover_m2.chambers, provenance=Geometric(),
+    )
+    assert verify_identity(zeta_parts(geo)).holds
+    assert calls == [42, 126]
+
+
+def test_self_check_catches_corrupted_pattern(cover_m2, monkeypatch):
+    # move one entry of the L_E pattern to another group label: the twisted
+    # blocks change, the dense operator the self-check compares with does not
+    def corrupted(cx):
+        pattern = build_le_pattern(cx)
+        (i, j, h3, hm), v = sorted(pattern.entries.items())[0]
+        pattern.add(i, j, (h3, hm), -v)
+        pattern.add(i, j, (h3, hm + 1), v)
+        return pattern
+
+    monkeypatch.setattr(zeta, "build_le_pattern", corrupted)
+    with pytest.raises(ExactArithmeticError, match="self-check failed"):
+        zeta_parts(cover_m2)
 
 
 def test_identity_negative_chi_branch():
