@@ -11,10 +11,21 @@ over the integers first, every factor is root-found with simple roots only,
 and multiplicities are attached afterwards.  This keeps high-multiplicity
 cube-root factors (multiplicity chi-1 can reach dozens on big covers) from
 destroying the accuracy of the numerical step.
+
+Each square-free factor starts from the double-precision roots of
+``np.roots`` and is Newton-refined in fixed point on Python ints: the exact
+integer coefficients are shifted by about 200 bits (the precision of 60
+decimal digits) plus headroom for the growth of |x|**d, f and f' come from one
+Horner pass, and the complex step f/f' is an exact integer division.  A root
+stops when its step is below 10**-50 * max(1, |x|); the refined values are
+rounded once to doubles.  Two refined roots closer than 10**-30 mean two
+starts fell into one basin, and only then does ``mpmath.polyroots`` redo the
+factor at full precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -95,62 +106,102 @@ def _initial_roots(poly):
     return np.roots(coeffs / scale)
 
 
+def _fixed(x, shift):
+    """The double x as a fixed-point int with ``shift`` fraction bits.
+
+    The conversion is exact whenever x has no bits below 2**-shift, so tiny
+    starting points keep their value instead of collapsing to 0.
+    """
+    num, den = float(x).as_integer_ratio()
+    return (num << shift) // den
+
+
+def _horner(cs, xr, xi, shift):
+    """f(x) and f'(x) in one Horner pass, all values fixed point (2**shift)."""
+    br, bi = cs[-1], 0
+    dr = di = 0
+    for c in reversed(cs[:-1]):
+        dr, di = ((dr * xr - di * xi) >> shift) + br, ((dr * xi + di * xr) >> shift) + bi
+        br, bi = ((br * xr - bi * xi) >> shift) + c, (br * xi + bi * xr) >> shift
+    return br, bi, dr, di
+
+
+def _too_close(roots, fixed, one, sep_digits):
+    """Whether two refined roots lie within 10**-sep_digits of each other.
+
+    A double-precision prefilter picks candidate pairs row by row; its
+    threshold grows with the roots' size by more than their rounding error,
+    so every pair the exact rule flags is a candidate.  Candidates are then
+    decided exactly on the fixed-point values.
+    """
+    zs = np.array(roots, dtype=complex)
+    size = np.abs(zs)
+    sep = 10.0 ** -sep_digits
+    bound = one * one
+    scale = 10 ** (2 * sep_digits)
+    for i in range(len(zs) - 1):
+        near = np.abs(zs[i + 1 :] - zs[i]) <= 2 * sep + 2.0 ** -48 * (size[i] + size[i + 1 :])
+        ar, ai = fixed[i]
+        for j in np.flatnonzero(near):
+            br, bi = fixed[i + 1 + j]
+            if ((ar - br) ** 2 + (ai - bi) ** 2) * scale < bound:
+                return True
+    return False
+
+
 def _roots_squarefree(poly, dps=60):
     """All complex roots of a square-free integer polynomial, refined by Newton.
 
-    Raises RootRefinementError when refinement fails to converge.
+    Newton runs in fixed point on Python ints with ``dps`` digits of working
+    precision plus headroom for |x|**d.  Raises RootRefinementError when
+    refinement fails to converge.
     """
     d = poly.degree
     if d <= 0:
         return []
     approx = _initial_roots(poly)
-    with mp.workdps(dps):
-        cs = [mp.mpf(c) for c in poly.coeffs]
-        ds = [mp.mpf(k * c) for k, c in enumerate(poly.coeffs)][1:]
-
-        def horner(coeffs, x):
-            acc = mp.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-
-        refined = []
-        target = mp.mpf(10) ** (-dps + 10)
-        for x0 in approx:
-            x = mp.mpc(x0.real, x0.imag)
-            ok = False
-            for _ in range(80):
-                fx = horner(cs, x)
-                fpx = horner(ds, x)
-                if fpx == 0:
-                    break
-                step = fx / fpx
-                x = x - step
-                if abs(step) <= target * max(1, abs(x)):
-                    ok = True
-                    break
-            if not ok:
-                raise RootRefinementError(
-                    f"Newton refinement failed for degree-{d} factor "
-                    f"{poly.to_list()[:8]}..."
-                )
-            refined.append(x)
-        # square-free: all roots distinct; a collision means two starting
-        # points fell into one basin, so fall back to slow-but-safe polyroots
-        min_sep = min(
-            (abs(a - b) for i, a in enumerate(refined) for b in refined[i + 1 :]),
-            default=mp.mpf(1),
-        )
-        if min_sep < mp.mpf(10) ** (-dps // 2):
+    radius = max(1.0, 1.05 * float(np.max(np.abs(approx))))
+    shift = int(3.33 * dps) + 32 + math.ceil(d * math.log2(radius)) + d.bit_length()
+    one = 1 << shift
+    cs = [c << shift for c in poly.coeffs]
+    tol = 10 ** (2 * (dps - 10))
+    fixed = []
+    for x0 in approx:
+        xr, xi = _fixed(x0.real, shift), _fixed(x0.imag, shift)
+        ok = False
+        for _ in range(80):
+            fr, fi, dr, di = _horner(cs, xr, xi, shift)
+            den = dr * dr + di * di
+            if den == 0:
+                break
+            sr = ((fr * dr + fi * di) << shift) // den
+            si = ((fi * dr - fr * di) << shift) // den
+            xr, xi = xr - sr, xi - si
+            if (sr * sr + si * si) * tol <= max(one * one, xr * xr + xi * xi):
+                ok = True
+                break
+        if not ok:
+            raise RootRefinementError(
+                f"Newton refinement failed for degree-{d} factor "
+                f"{poly.to_list()[:8]}..."
+            )
+        fixed.append((xr, xi))
+    roots = [complex(xr / one, xi / one) for xr, xi in fixed]
+    # square-free: all roots distinct; a collision means two starting
+    # points fell into one basin, so fall back to slow-but-safe polyroots
+    if _too_close(roots, fixed, one, dps // 2):
+        with mp.workdps(dps):
             try:
-                rs = mp.polyroots(list(reversed(cs)), maxsteps=500, extraprec=400)
+                rs = mp.polyroots(
+                    [mp.mpf(c) for c in reversed(poly.coeffs)], maxsteps=500, extraprec=400
+                )
             except Exception as exc:
                 raise RootRefinementError(
                     f"fallback root finder failed for degree-{d} factor "
                     f"{poly.to_list()[:8]}...: {exc}"
                 )
-            refined = [mp.mpc(r) for r in rs]
-        return [complex(x) for x in refined]
+            roots = [complex(r) for r in rs]
+    return roots
 
 
 def zero_moduli(poly):
@@ -377,9 +428,12 @@ def rep_census(parts: ZetaParts, counts):
     principal-series count then follows from dimension bookkeeping.  All
     census identities are asserted and failures collected as diagnostics.
     """
+    return _census(classify(parts.p_b, parts.q, "B"), counts)
+
+
+def _census(spec_b, counts):
+    """The census from an already classified chamber spectrum."""
     n0, n1, n2, _chi = counts
-    q = parts.q
-    spec_b = classify(parts.p_b, q, "B")
     diagnostics = []
     if not spec_b.exact_trivial:
         diagnostics.append("trivial chamber zeros could not be removed exactly")
@@ -424,9 +478,9 @@ def build_spectral_report(cx, parts: ZetaParts):
     counts = cx.counts()
     n0, n1, n2, chi = counts
     rama = ramanujan_verdicts(parts)
-    census = rep_census(parts, counts)
-    steinberg_ok = steinberg_divisibility(parts.p_b, chi) if chi >= 1 else None
     spec_b = rama.spectra["B"]
+    census = _census(spec_b, counts)
+    steinberg_ok = steinberg_divisibility(parts.p_b, chi) if chi >= 1 else None
     report = {
         "q": cx.q,
         "counts": {"N0": n0, "N1": n1, "N2": n2, "chi": chi},

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -160,6 +161,23 @@ def test_spectrum_json_deterministic(base_file, capsys):
     }
     assert payload["input_sha256"]
     assert payload["tolerances"] == {"root": 1e-9, "classification": 1e-6}
+
+
+def test_spectrum_json_golden(base_file, corrupted_file, capsys):
+    # hashes recorded with the earlier mpmath Newton refinement, so a change
+    # of root finder must reproduce its stdout; the rewired complex prints
+    # 54 unclassified display moduli
+    assert main(["spectrum", str(base_file), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9ac0ec80dfd0db4c4165e497b4e1dd7ec7c309e902e9c39d752101c5696af052"
+    )
+    assert main(["spectrum", str(corrupted_file), "--json"]) == 4
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["operators"]["B"]["unclassified"]) == 54
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e3b61e76984ea5f4aa731d2cfa9ecf4e26d7383092cef523d1a8f183499b1b4a"
+    )
 
 
 def test_spectrum_rewired_complex_exit_4(corrupted_file, capsys):

@@ -1,10 +1,16 @@
 import math
+import random
 
+import mpmath as mp
+import numpy as np
 import pytest
 
+from zeta3 import spectra
 from zeta3.errors import Zeta3Error
 from zeta3.polynomials import IntPoly
 from zeta3.spectra import (
+    RootRefinementError,
+    build_spectral_report,
     classify,
     cube_factor_multiplicity,
     ramanujan_verdicts,
@@ -28,6 +34,8 @@ def test_zero_moduli_cube():
 
 def test_zero_moduli_linear():
     assert zero_moduli(IntPoly([1, -4])) == pytest.approx([0.25])
+    # the start point 1e-25 must survive the conversion to fixed point
+    assert zero_moduli(IntPoly([1, -(10 ** 25)])) == [1e-25]
 
 
 def test_zero_moduli_requires_unit_constant():
@@ -50,6 +58,58 @@ def test_zero_moduli_near_collision_fallback():
     mods = zero_moduli(p)
     assert len(mods) == 2
     assert all(abs(m - 1e-20) < 1e-25 for m in mods)
+
+
+def _reference_moduli(poly):
+    with mp.workdps(80):
+        roots = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=400, extraprec=800)
+        return sorted(float(abs(r)) for r in roots)
+
+
+def test_zero_moduli_random_against_polyroots():
+    # seeded random polynomials, times factors with zeros far inside and far
+    # outside the unit circle; the moduli must match a high-precision root finder
+    rng = random.Random(20240611)
+    extras = [
+        IntPoly([1, -(10 ** 25)]),  # a zero of modulus 1e-25
+        IntPoly([1, 0, 5]),  # two zeros inside the unit circle
+        IntPoly([1, -3, 1]),  # one zero inside, one outside
+        IntPoly([1, 0, 0, 0, 1]),  # four zeros on the unit circle
+    ]
+    for k in range(12):
+        bits = rng.choice([3, 30, 100])
+        coeffs = [1] + [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(rng.randint(2, 18))]
+        coeffs[-1] = coeffs[-1] or 1
+        poly = IntPoly(coeffs) * extras[k % len(extras)]
+        got = zero_moduli(poly)
+        want = _reference_moduli(poly)
+        assert len(got) == poly.degree
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+
+
+def test_newton_non_convergence_raises(monkeypatch):
+    # Newton on 2 - 2u + u^3 started at 0 cycles 0 -> 1 -> 0 forever; the
+    # 80-iteration cap must stop it and report the failure
+    calls = []
+    horner = spectra._horner
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(spectra, "_initial_roots", lambda poly: np.zeros(poly.degree, complex))
+    monkeypatch.setattr(spectra, "_horner", counted)
+    with pytest.raises(RootRefinementError, match="Newton refinement failed for degree-3"):
+        spectra._roots_squarefree(IntPoly([2, -2, 0, 1]))
+    assert len(calls) == 80
+
+
+def test_newton_zero_derivative_raises(monkeypatch):
+    # f'(0) = 0 for u^2 - 2: a vanishing derivative is a failure, not a step
+    monkeypatch.setattr(spectra, "_initial_roots", lambda poly: np.zeros(poly.degree, complex))
+    with pytest.raises(RootRefinementError):
+        spectra._roots_squarefree(IntPoly([-2, 0, 1]))
 
 
 def test_pe_base_trivial_moduli(base_parts):
@@ -182,6 +242,28 @@ def test_census_battery(small_battery):
         assert census.e - census.d == n1 - 3 * n0 + 6
         assert 6 * census.a + census.b + census.c + 3 * census.d + 3 * census.e == 3 * n2
         assert census.a + census.b + census.d == n0
+
+
+def test_report_classifies_each_spectrum_once(base2, cover_m2, monkeypatch):
+    tags = []
+    original = spectra.classify
+
+    def counted(poly, q, tag):
+        tags.append(tag)
+        return original(poly, q, tag)
+
+    for cx in (base2, cover_m2):
+        parts = zeta_parts(cx)
+        monkeypatch.setattr(spectra, "classify", counted)
+        tags.clear()
+        report = build_spectral_report(cx, parts)
+        assert tags == ["A", "E", "B"]
+        monkeypatch.setattr(spectra, "classify", original)
+        census = rep_census(parts, cx.counts())
+        assert report["census"] == {
+            "a": census.a, "b": census.b, "c": census.c, "d": census.d, "e": census.e,
+            "consistent": census.consistent, "diagnostics": census.diagnostics,
+        }
 
 
 def test_census_flags_corruption(base2, base_parts):
