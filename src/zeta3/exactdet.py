@@ -1,11 +1,8 @@
 """Exact determinants of integer and polynomial matrices.
 
-Four routes live here:
+Three routes compute determinants:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
-* ``det_poly_matrix``  - determinant of a matrix of IntPoly by evaluation at
-  small integers + exact Lagrange interpolation; the interpolation must clear
-  to integer coefficients, which doubles as a self-check.
 * ``char_rev``         - det(I - u*M) for an integer matrix, computed modulo
   word-sized primes (Hessenberg reduction + the standard recurrence) and
   recombined by CRT under a rigorous Hadamard-style coefficient bound.
@@ -16,6 +13,10 @@ Four routes live here:
   characters of G of small twisted determinants; these are taken modulo
   primes p = 1 (mod 3m), where the characters take values in GF(p), and
   recombined by the same CRT under the bound char_rev would use on the lift.
+
+``det_poly_matrix`` (a matrix of IntPoly, by evaluation at small integers and
+Lagrange interpolation), ``char_rev_interpolated`` and ``det_cofactor`` are
+independent slow routes kept as test references.
 """
 
 from __future__ import annotations
@@ -33,13 +34,26 @@ from .polynomials import IntPoly, _is_probable_prime, primes_descending
 # cannot overflow: n * (2**25)**2 < 2**63 for n up to 8192.
 _PRIME_CAP = (1 << 25) - 1
 
-# When enabled (the test suite turns it on), every det_poly_matrix call
-# re-evaluates its result at 5 random integers against det_integer, and every
-# char_rev_factored call compares its result with the dense lifted operator's
-# characteristic polynomial modulo a prime outside its CRT set.
+# When enabled (the test suite turns it on), every char_rev and
+# det_poly_matrix call re-evaluates its result at 5 random integers against
+# det_integer, and every char_rev_factored call compares its result with the
+# dense operator's characteristic polynomial modulo a prime outside its CRT set.
 SELF_CHECK = False
 SELF_CHECK_CALLS = 0
 _selfcheck_rng = random.Random(20240501)
+
+
+def _check_at_random_points(poly, direct, route):
+    """Self-check: poly(x) == direct(x) at 5 random integers x in [-9, 9]."""
+    global SELF_CHECK_CALLS
+    SELF_CHECK_CALLS += 1
+    for _ in range(5):
+        x = _selfcheck_rng.randint(-9, 9)
+        value, expected = poly(x), direct(x)
+        if value != expected:
+            raise ExactArithmeticError(
+                f"{route} self-check failed at u={x}: {value} != {expected}"
+            )
 
 
 def _as_int_rows(M):
@@ -154,9 +168,10 @@ def _lagrange_integer(xs, ys):
 def det_poly_matrix(M, degree_bound=None):
     """Exact determinant of a square matrix of IntPoly entries.
 
-    Entries must have degree <= 3 (all callers here build cubic operator
-    pencils).  Evaluates the matrix at degree_bound+1 small integers, takes
-    exact integer determinants, and interpolates.
+    Entries must have degree <= 3.  Evaluates the matrix at degree_bound+1
+    small integers, takes exact integer determinants, and interpolates; the
+    interpolation must clear to integer coefficients.  A test reference:
+    P_A is char_rev of the vertex companion (zeta.vertex_companion).
     """
     n = len(M)
     rows = []
@@ -182,16 +197,10 @@ def det_poly_matrix(M, degree_bound=None):
     result = _lagrange_integer(xs, ys)
 
     if SELF_CHECK:
-        global SELF_CHECK_CALLS
-        SELF_CHECK_CALLS += 1
-        for _ in range(5):
-            x = _selfcheck_rng.randint(-9, 9)
-            direct = det_integer([[e(x) for e in row] for row in rows])
-            if result(x) != direct:
-                raise ExactArithmeticError(
-                    f"det_poly_matrix self-check failed at u={x}: "
-                    f"{result(x)} != {direct}"
-                )
+        _check_at_random_points(
+            result, lambda x: det_integer([[e(x) for e in row] for row in rows]),
+            "det_poly_matrix",
+        )
     return result
 
 
@@ -294,6 +303,12 @@ def char_rev(M):
     trace = sum(dense[i][i] for i in range(n))
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
+    if SELF_CHECK:
+        def direct(x):  # det(I - xM)
+            return det_integer([[(1 if i == j else 0) - x * v for j, v in enumerate(row)]
+                                for i, row in enumerate(dense)])
+
+        _check_at_random_points(poly, direct, "char_rev")
     return poly
 
 
@@ -319,8 +334,10 @@ def char_rev_factored(pattern, reference=None):
     det(I - u M_chi), M_chi[i, j] = sum of w * chi(h) over the pattern's
     entries (i, j, h) of weight w.  Each factor is computed modulo primes
     p = 1 (mod 3m) and the product is CRT-combined under the bound char_rev
-    takes from the lift's row norms.  ``reference`` returns the dense lifted
-    operator for the self-check (default: the pattern's own lift).
+    takes from the lift's row norms.  ``reference`` returns the dense operator
+    the self-check compares with, up to a relabelling of rows and columns
+    (default: the pattern's own lift); zeta passes the incidence-rule
+    operator, so the check compares two independent constructions.
     """
     r, m = pattern.r, pattern.m
     k = 3 * m

@@ -5,14 +5,14 @@ operator A1, q^2 for the edge operator, q for the directed-chamber operator.
 Those row sums double as the cross-check that the combinatorial successor
 rules below implement the intended coset actions.
 
-For presentation-backed complexes the matrices are computed from generator
-bookkeeping (edge (g, x) steps to (g + (1, c(x)), y) for y off the line
-lam(x), and similarly for chambers); for geometric complexes the equivalent
-incidence rules are used.  Both paths are exposed so they can be compared.
+Every complex, presented or given by explicit lists, gets L_E and L_B from
+the incidence rules.
 
 Presented complexes also have a voltage-labelled base form of L_E and L_B
-(``LabelledMatrix``): G = Z/3 x Z/m acts freely on them, so each is the lift
-of a small pattern whose entries carry group elements.
+(``LabelledMatrix``, from the generator rules): G = Z/3 x Z/m acts freely on
+them, so each is the lift of a small pattern whose entries carry group
+elements.  The determinants take it; the tests compare its lift with the
+incidence-rule operators.
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ def build_a2(cx: ComplexDescription):
 # -- edge operator ------------------------------------------------------------
 
 
-def build_le_geometric(cx: ComplexDescription):
-    """Edge successor rule: e -> e' when head(e) = tail(e') and no chamber
-    contains both."""
+def build_le(cx: ComplexDescription):
+    """Edge adjacency operator, row sums q^2: e -> e' when head(e) = tail(e')
+    and no chamber contains both."""
     cx.require_valid()
     eidx = edge_index(cx)
     by_tail = {}
@@ -211,37 +211,14 @@ def _presented_data(cx):
         raise ValueError("a presented complex is required")
     pres = cx.provenance.presentation
     volt = cx.provenance.voltage
-    return pres, volt, pres.plane.n, volt.m, volt.c
-
-
-def build_le_presented(cx: ComplexDescription):
-    """Generator rule: (g, x) -> (g + (1, c(x)), y) for every y off lam(x)."""
-    cx.require_valid()
-    pres, _volt, n, m_mod, c = _presented_data(cx)
-    line_pts = pres.plane.all_line_points()
-    off_line = [
-        [y for y in range(n) if y not in line_pts[pres.lam[x]]] for x in range(n)
-    ]
-
-    def eidx(g3, gm, x):
-        return (g3 * m_mod + gm) * n + x
-
-    m = SparseIntegerMatrix(3 * m_mod * n)
-    for g3 in range(3):
-        for gm in range(m_mod):
-            for x in range(n):
-                h3, hm = (g3 + 1) % 3, (gm + c[x]) % m_mod
-                src = eidx(g3, gm, x)
-                for y in off_line[x]:
-                    m.add(src, eidx(h3, hm, y))
-    return m
+    return pres, pres.plane.n, volt.m, volt.c
 
 
 def build_le_pattern(cx: ComplexDescription):
-    """L_E as a labelled n x n pattern: (x, y) carries (1, c(x)) for every y
-    off lam(x); its lift is build_le_presented up to the order of edges."""
+    """L_E as a labelled n x n pattern by the generator rule: (x, y) carries
+    (1, c(x)) for every y off lam(x).  Its lift is build_le entry for entry."""
     cx.require_valid()
-    pres, _volt, n, m_mod, c = _presented_data(cx)
+    pres, n, m_mod, c = _presented_data(cx)
     line_pts = pres.plane.all_line_points()
     pattern = LabelledMatrix(n, m_mod)
     for x in range(n):
@@ -252,19 +229,13 @@ def build_le_pattern(cx: ComplexDescription):
     return pattern
 
 
-def build_le(cx: ComplexDescription):
-    """Edge adjacency operator; row sums q^2."""
-    if isinstance(cx.provenance, Presented):
-        return build_le_presented(cx)
-    return build_le_geometric(cx)
-
-
 # -- directed chamber operator --------------------------------------------
 
 
-def build_lb_geometric(cx: ComplexDescription):
-    """Directed chamber (c, r) steps to (c', r+1) for every chamber c' != c
-    containing the second edge of (c, r) at slot r+1."""
+def build_lb(cx: ComplexDescription):
+    """Directed chamber adjacency operator, row sums q: (c, r) steps to
+    (c', r+1) for every chamber c' != c containing the second edge of (c, r)
+    at slot r+1."""
     cx.require_valid()
     dcs = cx.directed_chambers()
     didx = {dc: k for k, dc in enumerate(dcs)}
@@ -285,44 +256,12 @@ def build_lb_geometric(cx: ComplexDescription):
     return m
 
 
-def build_lb_presented(cx: ComplexDescription):
-    """Generator rule: (g, (x,y,z)) -> (g + (1, c(x)), (y,s,r)) for every
-    triple (y,s,r) with s != z."""
-    cx.require_valid()
-    pres, _volt, n, m_mod, c = _presented_data(cx)
-    triples = pres.sorted_triples()
-    tpos = {t: k for k, t in enumerate(triples)}
-    by_first = {}
-    for t in triples:
-        by_first.setdefault(t[0], []).append(t)
-
-    # pair (g3, gm, triple) of each directed chamber, in canonical order
-    pair_of = []
-    for a in range(m_mod):
-        for t in triples:
-            x, y, z = t
-            pair_of.append((0, a, t))
-            pair_of.append((1, (a + c[x]) % m_mod, (y, z, x)))
-            pair_of.append((2, (a + c[x] + c[y]) % m_mod, (z, x, y)))
-    # canonical order is (chamber id, rotation) = the order generated above,
-    # matching ComplexDescription.directed_chambers() for these complexes
-    pidx = {p: k for k, p in enumerate(pair_of)}
-
-    m = SparseIntegerMatrix(len(pair_of))
-    for src, (g3, gm, (x, y, z)) in enumerate(pair_of):
-        h3, hm = (g3 + 1) % 3, (gm + c[x]) % m_mod
-        for t in by_first[y]:
-            if t[1] != z:
-                m.add(src, pidx[(h3, hm, t)])
-    return m
-
-
 def build_lb_pattern(cx: ComplexDescription):
-    """L_B as a labelled pattern over the sorted triples: (t, t') carries
-    (1, c(t0)) when t'0 = t1 and t'1 != t2; its lift is build_lb_presented up
-    to the order of directed chambers."""
+    """L_B as a labelled pattern over the sorted triples by the generator
+    rule: (t, t') carries (1, c(t0)) when t'0 = t1 and t'1 != t2.  Its lift is
+    build_lb up to the order of directed chambers."""
     cx.require_valid()
-    pres, _volt, _n, m_mod, c = _presented_data(cx)
+    pres, _n, m_mod, c = _presented_data(cx)
     triples = pres.sorted_triples()
     pattern = LabelledMatrix(len(triples), m_mod)
     for i, t in enumerate(triples):
@@ -330,10 +269,3 @@ def build_lb_pattern(cx: ComplexDescription):
             if s[0] == t[1] and s[1] != t[2]:
                 pattern.add(i, j, (1, c[t[0]]))
     return pattern
-
-
-def build_lb(cx: ComplexDescription):
-    """Directed chamber adjacency operator; row sums q."""
-    if isinstance(cx.provenance, Presented):
-        return build_lb_presented(cx)
-    return build_lb_geometric(cx)

@@ -17,8 +17,8 @@ transpose-invariant, so the type-two edge operator never needs to be built.
 For a presented complex, P_E and P_B are products over the characters of
 G = Z/3 x Z/m of small twisted determinants (exactdet.char_rev_factored on
 the voltage-labelled patterns of L_E and L_B); explicit-list complexes and
-injected operators take dense char_rev.  P_A always comes from
-det_poly_matrix on the vertex pencil.
+injected operators take dense char_rev.  P_A is always dense char_rev of the
+3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .complexes import ComplexDescription, Presented
-from .exactdet import char_rev, char_rev_factored, det_poly_matrix
+from .exactdet import char_rev, char_rev_factored
 from .errors import ExactArithmeticError
 from .operators import (
     SparseIntegerMatrix,
@@ -63,22 +63,21 @@ class ZetaParts:
         return self.p_b.degree == 3 * self.n2
 
 
-def vertex_pencil(a1: SparseIntegerMatrix, a2: SparseIntegerMatrix, q):
-    """The cubic operator pencil I - A1 u + q A2 u^2 - q^3 u^3 I."""
+def vertex_companion(a1: SparseIntegerMatrix, a2: SparseIntegerMatrix, q):
+    """The block companion [[A1, -q A2, q^3 I], [I, 0, 0], [0, I, 0]].
+
+    Its reversed characteristic polynomial is the vertex determinant:
+    det(I - u C) = det(I - A1 u + q A2 u^2 - q^3 u^3 I).
+    """
     n = a1.n
-    rows = []
+    c = SparseIntegerMatrix(3 * n, a1.entries)
+    for (i, j), v in a2.entries.items():
+        c.add(i, n + j, -q * v)
     for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = [
-                1 if i == j else 0,
-                -a1.get(i, j),
-                q * a2.get(i, j),
-                -(q ** 3) if i == j else 0,
-            ]
-            row.append(IntPoly(coeffs))
-        rows.append(row)
-    return rows
+        c.add(i, 2 * n + i, q ** 3)
+        c.add(n + i, i)
+        c.add(2 * n + i, n + i)
+    return c
 
 
 def zeta_parts(cx: ComplexDescription, operators=None):
@@ -106,7 +105,7 @@ def zeta_parts(cx: ComplexDescription, operators=None):
         else:
             p_e = char_rev(build_le(cx))
             p_b = char_rev(build_lb(cx).negated())
-    p_a = det_poly_matrix(vertex_pencil(a1, a2, q), 3 * n0)
+    p_a = char_rev(vertex_companion(a1, a2, q))
     if p_a.degree != 3 * n0 or p_a.cf(0) != 1:
         raise ExactArithmeticError("vertex determinant has wrong shape")
     return ZetaParts(q=q, n0=n0, n1=n1, n2=n2, chi=chi, p_a=p_a, p_e=p_e, p_b=p_b)

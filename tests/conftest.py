@@ -11,8 +11,9 @@ from zeta3.construct import (
 
 
 def pytest_configure(config):
-    # every det_poly_matrix call re-checks itself against det_integer, and
-    # every char_rev_factored call against the dense lifted operator
+    # every char_rev and det_poly_matrix call re-checks itself against
+    # det_integer at 5 random points, and every char_rev_factored call
+    # against the incidence-rule operator modulo a prime
     exactdet.SELF_CHECK = True
 
 
@@ -64,3 +65,8 @@ def cover_m3(pres_m3):
 def small_battery(base2, covers_m2, cover_m3):
     """Base plus the small covers; the m=7 cover only joins the acceptance run."""
     return [base2] + covers_m2 + [cover_m3]
+
+
+@pytest.fixture(scope="session")
+def base3():
+    return base_quotient(find_triangle_presentation(projective_plane(3)))

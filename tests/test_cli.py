@@ -103,6 +103,34 @@ def test_verify_dump_matrices(base_file, tmp_path, capsys):
     assert len((out_dir / "LB.txt").read_text().splitlines()) == 126  # 63 rows * deg 2
 
 
+def test_verify_golden(base_file, corrupted_file, tmp_path, capsys):
+    # hashes recorded with the generator-rule L_E/L_B builders and P_A by
+    # interpolation of the vertex pencil, so a change of route must
+    # reproduce their stdout and matrix files byte for byte
+    assert main(["verify", str(base_file), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9ba5c36a792fa024d27905ef8b61ad66c89685abce17b2c3e5073f94cee16465"
+    )
+    assert main(["verify", str(corrupted_file), "--json"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0ca5488cb21083d11e246e62484d489133b2446a832c8eecfc9078496d3b2155"
+    )
+    out_dir = tmp_path / "mats"
+    assert main(["verify", str(base_file), "--dump-matrices", str(out_dir)]) == 0
+    dumped = {
+        name: hashlib.sha256((out_dir / f"{name}.txt").read_bytes()).hexdigest()
+        for name in ("A1", "A2", "LE", "LB")
+    }
+    assert dumped == {
+        "A1": "bb669eee3d4cd1ca57205fb2401ab33a47b4045c87846d6d93b4f4271e8f7715",
+        "A2": "1f2d18f9dd7c5d16f56baf21bebf7e2c17402627c96ef08caaf9289edfdb9297",
+        "LE": "5b9cc452646c315069eb8a498a332d122d7deb637149631cc820444da03ed531",
+        "LB": "22feccb7f77c6e6c217ce6176c623e3293125ba67a90b32e7dbce2a868a34e09",
+    }
+
+
 def test_cover_roundtrip_and_verify(rich_file, tmp_path, capsys):
     cover = tmp_path / "c2.cx"
     assert main(["cover", "--base", str(rich_file), "--m", "2",

@@ -160,6 +160,27 @@ def test_char_rev_block_multiplicative(seed):
     assert char_rev(m) == char_rev(a) * char_rev(b)
 
 
+def test_char_rev_self_check_catches_wrong_result(monkeypatch):
+    # bump the top coefficient of det(I - uM): the cf(0)/cf(1) consistency
+    # checks cannot see it, the evaluation against det_integer must
+    m = square_matrix(5, seed=14)
+    before = exactdet.SELF_CHECK_CALLS
+    char_rev(m)
+    assert exactdet.SELF_CHECK_CALLS == before + 1
+    crt = exactdet._crt_symmetric
+
+    def bumped(rows, primes):
+        coeffs = crt(rows, primes)
+        coeffs[0] += 1  # det(xI - M) at x = 0: the u^n coefficient
+        return coeffs
+
+    monkeypatch.setattr(exactdet, "_crt_symmetric", bumped)
+    for k in (2, 3):
+        with pytest.raises(ExactArithmeticError, match="char_rev self-check failed"):
+            char_rev(m)
+        assert exactdet.SELF_CHECK_CALLS == before + k
+
+
 def test_char_rev_wide_entries():
     m = square_matrix(12, lo=-50, hi=50, seed=77)
     assert char_rev(m) == char_rev_interpolated(m)

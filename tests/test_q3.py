@@ -3,7 +3,6 @@
 import pytest
 
 from zeta3.construct import (
-    base_quotient,
     connected_covers,
     iter_triangle_presentations,
     projective_plane,
@@ -18,11 +17,6 @@ from zeta3.zeta import verify_identity, zeta_parts
 def presentations3():
     search = iter_triangle_presentations(projective_plane(3))
     return [next(search) for _ in range(5)]
-
-
-@pytest.fixture(scope="module")
-def base3(presentations3):
-    return base_quotient(presentations3[0])
 
 
 def test_counts_and_degrees(base3):

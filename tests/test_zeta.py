@@ -3,7 +3,7 @@ import pytest
 from zeta3 import zeta
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.errors import ExactArithmeticError
-from zeta3.exactdet import char_rev, char_rev_factored, det_integer
+from zeta3.exactdet import char_rev, char_rev_factored, det_integer, det_poly_matrix
 from zeta3.operators import (
     build_a1,
     build_a2,
@@ -18,7 +18,7 @@ from zeta3.zeta import (
     edge_trace_powers,
     geodesic_counts,
     verify_identity,
-    vertex_pencil,
+    vertex_companion,
     walk_count_oracle,
     zeta_parts,
 )
@@ -51,9 +51,36 @@ def test_pa_base_by_circulant_oracle(base_parts):
 
 
 def test_pa_value_at_one_matches_direct_det(base2, base_parts):
-    pencil = vertex_pencil(build_a1(base2), build_a2(base2), base2.q)
-    direct = det_integer([[e(1) for e in row] for row in pencil])
+    # P_A(1) = det(I - A1 + q A2 - q^3 I), from the operators directly
+    q = base2.q
+    a1 = build_a1(base2).to_dense()
+    a2 = build_a2(base2).to_dense()
+    n = len(a1)
+    direct = det_integer(
+        [[(1 - q ** 3 if i == j else 0) - a1[i][j] + q * a2[i][j] for j in range(n)]
+         for i in range(n)]
+    )
     assert base_parts.p_a(1) == direct
+
+
+def vertex_pencil(cx):
+    """The cubic pencil I - A1 u + q A2 u^2 - q^3 u^3 I as IntPoly entries."""
+    q = cx.q
+    a1 = build_a1(cx)
+    a2 = build_a2(cx)
+    return [
+        [IntPoly([1 if i == j else 0, -a1.get(i, j), q * a2.get(i, j),
+                  -(q ** 3) if i == j else 0]) for j in range(a1.n)]
+        for i in range(a1.n)
+    ]
+
+
+def test_pa_companion_matches_pencil_determinant(small_battery, base3):
+    # block-companion linearization against interpolation of the pencil
+    for cx in small_battery + [base3]:
+        companion = vertex_companion(build_a1(cx), build_a2(cx), cx.q)
+        assert companion.n == 3 * cx.counts()[0]
+        assert char_rev(companion) == det_poly_matrix(vertex_pencil(cx))
 
 
 def test_pb_value_matches_direct_det(base2, base_parts):
@@ -139,12 +166,9 @@ def _refuse(*_args, **_kwargs):
     raise AssertionError("route must not run")
 
 
-def test_presented_cover_takes_factored_route(cover_m3, monkeypatch):
-    monkeypatch.setattr(zeta, "char_rev", _refuse)
-    assert verify_identity(zeta_parts(cover_m3)).holds
-
-
-def test_stripped_copy_takes_dense_route(cover_m2, monkeypatch):
+@pytest.fixture()
+def dense_calls(monkeypatch):
+    """Dimensions of the matrices zeta_parts hands to dense char_rev."""
     calls = []
 
     def counting(m):
@@ -152,13 +176,23 @@ def test_stripped_copy_takes_dense_route(cover_m2, monkeypatch):
         return char_rev(m)
 
     monkeypatch.setattr(zeta, "char_rev", counting)
+    return calls
+
+
+def test_presented_cover_takes_factored_route(cover_m3, dense_calls):
+    # dense char_rev runs once, on the 3*N0 vertex companion
+    assert verify_identity(zeta_parts(cover_m3)).holds
+    assert dense_calls == [3 * cover_m3.counts()[0]]
+
+
+def test_stripped_copy_takes_dense_route(cover_m2, dense_calls, monkeypatch):
     monkeypatch.setattr(zeta, "char_rev_factored", _refuse)
     geo = ComplexDescription(
         q=cover_m2.q, vertices=cover_m2.vertices, edges=cover_m2.edges,
         chambers=cover_m2.chambers, provenance=Geometric(),
     )
     assert verify_identity(zeta_parts(geo)).holds
-    assert calls == [42, 126]
+    assert dense_calls == [42, 126, 18]
 
 
 def test_self_check_catches_corrupted_pattern(cover_m2, monkeypatch):
