@@ -18,7 +18,6 @@ from . import __version__
 from .construct import (
     abelian_cover,
     base_quotient,
-    find_triangle_presentation,
     iter_triangle_presentations,
     projective_plane,
     solve_voltages,
@@ -77,18 +76,15 @@ def _envelope(path):
 
 
 def cmd_gen(args):
-    if args.presentation_index == 0:
-        pres = find_triangle_presentation(projective_plane(args.q))
-    else:
-        pres = None
-        for k, candidate in enumerate(iter_triangle_presentations(projective_plane(args.q))):
-            if k == args.presentation_index:
-                pres = candidate
-                break
-        if pres is None:
-            raise ConstructionError(
-                f"presentation index {args.presentation_index} out of range"
-            )
+    pres = None
+    for k, candidate in enumerate(iter_triangle_presentations(projective_plane(args.q))):
+        if k == args.presentation_index:
+            pres = candidate
+            break
+    if pres is None:
+        raise ConstructionError(
+            f"presentation index {args.presentation_index} out of range"
+        )
     save(base_quotient(pres), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

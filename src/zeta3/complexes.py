@@ -108,18 +108,6 @@ class ComplexDescription:
     def vertex_type(self):
         return {v.id: v.vtype for v in self.vertices}
 
-    def edge_by_id(self):
-        return {e.id: e for e in self.edges}
-
-    def edge_chambers(self):
-        """eid -> list of (chamber id, position 0/1/2), with multiplicity."""
-        inc = {e.id: [] for e in self.edges}
-        for c in self.chambers:
-            for pos, eid in enumerate(c.edge_ids):
-                if eid in inc:
-                    inc[eid].append((c.id, pos))
-        return inc
-
     # -- validation ------------------------------------------------------
 
     def validate(self):

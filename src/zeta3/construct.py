@@ -31,12 +31,6 @@ class IncidenceStructure:
     n: int  # number of points = number of lines = q^2 + q + 1
     incidence: frozenset  # of (point, line) pairs
 
-    def line_points(self, line):
-        return tuple(sorted(p for (p, l) in self.incidence if l == line))
-
-    def point_lines(self, point):
-        return tuple(sorted(l for (p, l) in self.incidence if p == point))
-
     def all_line_points(self):
         table = [[] for _ in range(self.n)]
         for p, l in self.incidence:
@@ -148,12 +142,6 @@ class TrianglePresentation:
             x, y, z = t
             reps.add(min(t, (y, z, x), (z, x, y)))
         return tuple(sorted(reps))
-
-    def completion(self, x, y):
-        for (a, b, z) in self.triples:
-            if (a, b) == (x, y):
-                return z
-        raise KeyError((x, y))
 
 
 def _saturating_matching(candidates):

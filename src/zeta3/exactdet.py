@@ -3,17 +3,21 @@
 Three routes compute determinants:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
-* ``char_rev``         - det(I - u*M) for an integer matrix, computed modulo
-  word-sized primes (Hessenberg reduction + the standard recurrence) and
-  recombined by CRT under a rigorous Hadamard-style coefficient bound.
-  Exact integer arithmetic throughout, just carried out residue-wise.
+* ``_char_rev_by_characters`` - the one modular engine: det(I - u*M) for the
+  lift M of an r x r pattern over a finite abelian group G.  The lift is
+  block-circulant over G, so the determinant is the product over the |G|
+  characters of G of r x r twisted determinants.  These are taken modulo
+  word-sized primes p = 1 (mod |G|), where the characters take values in
+  GF(p) (Hessenberg reduction + the standard recurrence), and recombined by
+  CRT under a rigorous Hadamard-style coefficient bound.  Exact integer
+  arithmetic throughout, just carried out residue-wise.
+* ``char_rev`` - det(I - u*M) for an integer matrix: the engine on the
+  trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
-  pattern over G = Z/3 x Z/m (operators.LabelledMatrix).  The lift is
-  block-circulant over G, so the determinant is the product over the 3m
-  characters of G of small twisted determinants; these are taken modulo
-  primes p = 1 (mod 3m), where the characters take values in GF(p), and
-  recombined by the same CRT under the bound char_rev would use on the lift.
+  pattern over G = Z/3 x Z/m (operators.LabelledMatrix).
 
+The primes (``polynomials.primes_with_root``) and the CRT
+(``polynomials.crt_symmetric``) are shared with the modular gcd.
 ``det_poly_matrix`` (a matrix of IntPoly, by evaluation at small integers and
 Lagrange interpolation), ``char_rev_interpolated`` and ``det_cofactor`` are
 independent slow routes kept as test references.
@@ -28,11 +32,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import ExactArithmeticError
-from .polynomials import IntPoly, _is_probable_prime, primes_descending
-
-# Primes stay below 2**25 so that a length-n int64 dot product of residues
-# cannot overflow: n * (2**25)**2 < 2**63 for n up to 8192.
-_PRIME_CAP = (1 << 25) - 1
+from .polynomials import IntPoly, crt_symmetric, primes_with_root
 
 # When enabled (the test suite turns it on), every char_rev and
 # det_poly_matrix call re-evaluates its result at 5 random integers against
@@ -247,129 +247,38 @@ def _charpoly_mod(Mp, p):
     return [int(c) for c in P[n]]
 
 
-def _crt_symmetric(rows, primes):
-    """Combine per-prime coefficient vectors into symmetric-range integers."""
-    acc = [int(c) for c in rows[0]]
-    modulus = primes[0]
-    for residues, p in zip(rows[1:], primes[1:]):
-        inv = pow(modulus % p, p - 2, p)
-        for j, r in enumerate(residues):
-            t = (int(r) - acc[j]) * inv % p
-            acc[j] += modulus * t
-        modulus *= p
-    half = modulus // 2
-    return [c - modulus if c > half else c for c in acc]
+def _char_rev_by_characters(r, rows, cols, weights, exponents):
+    """det(I - u*M) as an IntPoly, M the lift of an r x r pattern over a finite
+    abelian group G of order k = len(exponents).
 
-
-def char_rev(M):
-    """det(I - u*M) as an IntPoly, for a square integer matrix.
-
-    Computed exactly: characteristic polynomial modulo enough word-sized
-    primes (Hessenberg form per prime), CRT-combined under the bound
-    sum_k |c_k| <= (1 + max row norm)**n.
+    The pattern's entries are (rows[e], cols[e]) of weight weights[e].  Modulo
+    a prime p = 1 (mod k) with w of exact order k, character c of G takes the
+    value w**exponents[c][e] on entry e's group element, so the twisted block
+    M_c[i, j] = sum of weights[e] * w**exponents[c][e] over the entries (i, j).
+    det(I - uM) is the product of det(I - u M_c) over the k characters; the
+    per-prime products are CRT-combined under the bound
+    sum_d |c_d| <= (1 + max row norm of M)**n, n = k*r.
     """
-    dense = _as_int_rows(M)
-    n = len(dense)
-    if n == 0:
-        return IntPoly.one()
-    if n >= 4096:
-        # int64 dot products of residues < 2**25 stay exact only below this
-        raise ValueError("char_rev supports dimensions below 4096")
-
-    row_norm_sq = max(sum(v * v for v in row) for row in dense)
-    radius = isqrt(row_norm_sq) + 1
-    bound = 2 * (1 + radius) ** n
-
-    max_abs = max((abs(v) for row in dense for v in row), default=0)
-    if max_abs < (1 << 62):
-        M64 = np.array(dense, dtype=np.int64)
-        reduce = lambda p: M64 % p
-    else:  # entries beyond int64: reduce in Python first
-        reduce = lambda p: np.array([[v % p for v in row] for row in dense], dtype=np.int64)
-
-    primes = []
-    prod = 1
-    for p in primes_descending(_PRIME_CAP):
-        primes.append(p)
-        prod *= p
-        if prod > bound:
-            break
-    per_prime = [_charpoly_mod(reduce(p), p) for p in primes]
-    coeffs = _crt_symmetric(per_prime, primes)
-
-    # det(xI - M) = sum c_i x^i  =>  det(I - uM) = sum c_i u^{n-i}
-    rev = [coeffs[n - k] for k in range(n + 1)]
-    poly = IntPoly(rev)
-    trace = sum(dense[i][i] for i in range(n))
-    if poly.cf(0) != 1 or poly.cf(1) != -trace:
-        raise ExactArithmeticError("characteristic polynomial consistency check failed")
-    if SELF_CHECK:
-        def direct(x):  # det(I - xM)
-            return det_integer([[(1 if i == j else 0) - x * v for j, v in enumerate(row)]
-                                for i, row in enumerate(dense)])
-
-        _check_at_random_points(poly, direct, "char_rev")
-    return poly
-
-
-def _primes_with_root(k):
-    """Yield (p, w) for the primes p = 1 (mod k) below _PRIME_CAP, descending,
-    with w an element of exact multiplicative order k in GF(p)."""
-    p = _PRIME_CAP - (_PRIME_CAP - 1) % k
-    while p > 2:
-        if _is_probable_prime(p):
-            for a in range(2, p):
-                w = pow(a, (p - 1) // k, p)
-                if all(pow(w, d, p) != 1 for d in range(1, k) if k % d == 0):
-                    yield p, w
-                    break
-        p -= k
-
-
-def char_rev_factored(pattern, reference=None):
-    """det(I - u*M) as an IntPoly, M the lift of a LabelledMatrix over
-    G = Z/3 x Z/m.
-
-    det(I - uM) is the product over the characters chi of G of
-    det(I - u M_chi), M_chi[i, j] = sum of w * chi(h) over the pattern's
-    entries (i, j, h) of weight w.  Each factor is computed modulo primes
-    p = 1 (mod 3m) and the product is CRT-combined under the bound char_rev
-    takes from the lift's row norms.  ``reference`` returns the dense operator
-    the self-check compares with, up to a relabelling of rows and columns
-    (default: the pattern's own lift); zeta passes the incidence-rule
-    operator, so the check compares two independent constructions.
-    """
-    r, m = pattern.r, pattern.m
-    k = 3 * m
+    k = len(exponents)
     n = k * r
     if n == 0:
         return IntPoly.one()
     if r >= 4096:
-        # as in char_rev: int64 dot products of residues stay exact below this
-        raise ValueError("char_rev_factored supports patterns below 4096 rows")
+        # int64 dot products of residues < 2**25 stay exact only below this
+        raise ValueError("char_rev supports blocks below 4096 rows")
 
-    # every lifted row (g, i) holds the weights of the entries (i, *, *)
+    # every lifted row (g, i) holds the weights of the entries in pattern row i
     row_norm_sq = [0] * r
-    for (i, _j, _h3, _hm), v in pattern.entries.items():
+    for i, v in zip(rows.tolist(), weights):
         row_norm_sq[i] += v * v
     radius = isqrt(max(row_norm_sq)) + 1
     bound = 2 * (1 + radius) ** n
 
-    keys = list(pattern.entries)
-    weights = [pattern.entries[key] for key in keys]
-    rows = np.array([key[0] for key in keys], dtype=np.int64)
-    cols = np.array([key[1] for key in keys], dtype=np.int64)
-    h3 = np.array([key[2] for key in keys], dtype=np.int64)
-    hm = np.array([key[3] for key in keys], dtype=np.int64)
-    # chi_(a,b)(h) = w**(a*m*h3 + 3*b*hm) for w of exact order 3m
-    chars = [(a, b) for a in range(3) for b in range(m)]
-    exponents = np.array([(a * m * h3 + 3 * b * hm) % k for a, b in chars], dtype=np.int64)
     block_idx = (np.arange(k)[:, None], rows[None, :], cols[None, :])
-
     primes = []
     per_prime = []
     prod = 1
-    for p, w in _primes_with_root(k):
+    for p, w in primes_with_root(k):
         powers = np.array([pow(w, e, p) for e in range(k)], dtype=np.int64)
         wp = np.array([v % p for v in weights], dtype=np.int64)
         blocks = np.zeros((k, r, r), dtype=np.int64)
@@ -386,16 +295,72 @@ def char_rev_factored(pattern, reference=None):
         prod *= p
         if prod > bound:
             break
-    poly = IntPoly(_crt_symmetric(per_prime, primes))
+    poly = IntPoly(crt_symmetric(per_prime, primes))
 
-    trace = k * sum(v for (i, j, t3, tm), v in pattern.entries.items()
-                    if i == j and t3 == 0 and tm == 0)
+    # the lift's diagonal holds, k times, the diagonal entries every character fixes
+    fixed = np.nonzero((rows == cols) & ~exponents.any(axis=0))[0]
+    trace = k * sum(weights[e] for e in fixed.tolist())
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
+    return poly
 
-    if SELF_CHECK:
+
+def char_rev(M):
+    """det(I - u*M) as an IntPoly, for a square integer matrix.
+
+    The trivial-group case of ``_char_rev_by_characters``: characteristic
+    polynomial modulo enough word-sized primes (Hessenberg form per prime),
+    CRT-combined under the bound sum_k |c_k| <= (1 + max row norm)**n.
+    """
+    if hasattr(M, "to_dense"):
+        n, entries = M.n, M.entries
+    else:
+        dense = _as_int_rows(M)
+        n = len(dense)
+        entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    rows = np.array([i for i, _j in entries], dtype=np.int64)
+    cols = np.array([j for _i, j in entries], dtype=np.int64)
+    poly = _char_rev_by_characters(n, rows, cols, list(entries.values()),
+                                   np.zeros((1, len(entries)), dtype=np.int64))
+    if SELF_CHECK and n:
+        dense = _as_int_rows(M)
+
+        def direct(x):  # det(I - xM)
+            return det_integer([[(1 if i == j else 0) - x * v for j, v in enumerate(row)]
+                                for i, row in enumerate(dense)])
+
+        _check_at_random_points(poly, direct, "char_rev")
+    return poly
+
+
+def char_rev_factored(pattern, reference=None):
+    """det(I - u*M) as an IntPoly, M the lift of a LabelledMatrix over
+    G = Z/3 x Z/m.
+
+    det(I - uM) is the product over the characters chi of G of
+    det(I - u M_chi), M_chi[i, j] = sum of w * chi(h) over the pattern's
+    entries (i, j, h) of weight w; ``_char_rev_by_characters`` takes it
+    modulo primes p = 1 (mod 3m).  ``reference`` returns the dense operator
+    the self-check compares with, up to a relabelling of rows and columns
+    (default: the pattern's own lift); zeta passes the incidence-rule
+    operator, so the check compares two independent constructions.
+    """
+    r, m = pattern.r, pattern.m
+    k = 3 * m
+    keys = list(pattern.entries)
+    rows = np.array([key[0] for key in keys], dtype=np.int64)
+    cols = np.array([key[1] for key in keys], dtype=np.int64)
+    h3 = np.array([key[2] for key in keys], dtype=np.int64)
+    hm = np.array([key[3] for key in keys], dtype=np.int64)
+    # chi_(a,b)(h) = w**(a*m*h3 + 3*b*hm) for w of exact order 3m
+    exponents = np.array([(a * m * h3 + 3 * b * hm) % k for a in range(3) for b in range(m)],
+                         dtype=np.int64)
+    poly = _char_rev_by_characters(r, rows, cols, list(pattern.entries.values()), exponents)
+
+    if SELF_CHECK and r:
         global SELF_CHECK_CALLS
         SELF_CHECK_CALLS += 1
+        n = k * r
         if n >= 4096:
             raise ValueError("the self-check supports lifts below 4096 rows")
         dense = _as_int_rows(reference() if reference is not None else pattern.lift())
@@ -404,7 +369,7 @@ def char_rev_factored(pattern, reference=None):
                 f"char_rev_factored self-check: operator of dimension {len(dense)}, "
                 f"pattern lifts to {n}"
             )
-        p = next(p for p in primes_descending(_PRIME_CAP) if p % k != 1)
+        p = next(p for p, _w in primes_with_root(1) if p % k != 1)
         direct = _charpoly_mod(np.array(dense, dtype=np.int64) % p, p)[::-1]
         if any((poly.cf(d) - c) % p for d, c in enumerate(direct)):
             raise ExactArithmeticError(

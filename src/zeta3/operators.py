@@ -160,10 +160,6 @@ def edge_index(cx: ComplexDescription):
     return {e.id: k for k, e in enumerate(cx.edges)}
 
 
-def directed_chamber_index(cx: ComplexDescription):
-    return {dc: k for k, dc in enumerate(cx.directed_chambers())}
-
-
 # -- vertex operators ---------------------------------------------------------
 
 

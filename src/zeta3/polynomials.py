@@ -35,10 +35,6 @@ class IntPoly:
     def one():
         return IntPoly((1,))
 
-    @staticmethod
-    def monomial(coeff, power=0):
-        return IntPoly([0] * power + [coeff])
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -232,10 +228,6 @@ class IntPoly:
         """Coefficient list, lowest degree first."""
         return list(self.coeffs)
 
-    @staticmethod
-    def from_list(coeffs):
-        return IntPoly(coeffs)
-
 
 # -- content, gcd, square-free structure ------------------------------------
 
@@ -316,13 +308,46 @@ def _is_probable_prime(n):
     return True
 
 
-def primes_descending(start):
-    """Yield primes <= start in descending order."""
-    n = start if start % 2 else start - 1
-    while n > 2:
-        if _is_probable_prime(n):
-            yield n
-        n -= 2
+# Primes stay below 2**25 so that a length-n int64 dot product of residues
+# cannot overflow: n * (2**25)**2 < 2**63 for n up to 8192.
+PRIME_CAP = (1 << 25) - 1
+
+
+def primes_with_root(k):
+    """Yield (p, w) for the primes p = 1 (mod k) below PRIME_CAP, descending,
+    with w an element of exact multiplicative order k in GF(p).
+
+    k = 1 yields every odd prime below PRIME_CAP, each with w = 1.
+    """
+    step = k if k % 2 == 0 else 2 * k  # p is odd, so p = 1 (mod 2k) for odd k
+    p = PRIME_CAP - (PRIME_CAP - 1) % step
+    while p > 2:
+        if _is_probable_prime(p):
+            for a in range(2, p):
+                w = pow(a, (p - 1) // k, p)
+                if all(pow(w, d, p) != 1 for d in range(1, k) if k % d == 0):
+                    yield p, w
+                    break
+        p -= step
+
+
+def crt_symmetric(rows, primes):
+    """Combine per-prime coefficient vectors into symmetric-range integers.
+
+    ``rows[0]`` may hold any representatives modulo ``primes[0]``, so an
+    earlier result can be extended by one more prime as
+    ``crt_symmetric([result, residues], [modulus, p])``.
+    """
+    acc = [int(c) for c in rows[0]]
+    modulus = primes[0]
+    for residues, p in zip(rows[1:], primes[1:]):
+        inv = pow(modulus % p, p - 2, p)
+        for j, r in enumerate(residues):
+            t = (int(r) - acc[j]) * inv % p
+            acc[j] += modulus * t
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in acc]
 
 
 def gcd_polys(f: IntPoly, g: IntPoly):
@@ -341,35 +366,22 @@ def gcd_polys(f: IntPoly, g: IntPoly):
         return IntPoly.one()
     lc_gcd = _gcd_int(f.leading, g.leading)
 
-    best_deg = None
-    residues = None  # list of coefficient residues, modulus
-    modulus = 1
-    for p in primes_descending((1 << 25) - 1):
+    best_deg = None  # lifted: the CRT of the images at this degree, modulo modulus
+    for p, _w in primes_with_root(1):
         if f.leading % p == 0 or g.leading % p == 0:
             continue
         gp = _gcd_mod_p(list(f.coeffs), list(g.coeffs), p)
         d = len(gp) - 1
         if d == 0:
             return IntPoly.one()
-        if best_deg is None or d < best_deg:
-            best_deg = d
-            scaled = [c * lc_gcd % p for c in gp]
-            residues = scaled
-            modulus = p
-        elif d == best_deg:
-            scaled = [c * lc_gcd % p for c in gp]
-            inv = pow(modulus % p, p - 2, p)
-            new = []
-            for r_old, r_new in zip(residues, scaled):
-                t = (r_new - r_old) * inv % p
-                new.append(r_old + modulus * t)
-            residues = new
-            modulus *= p
-        else:
+        if best_deg is not None and d > best_deg:
             continue
-        # symmetric lift and division test
-        half = modulus // 2
-        lifted = [c - modulus if c > half else c for c in residues]
+        image = [c * lc_gcd % p for c in gp]
+        if best_deg is None or d < best_deg:  # the earlier primes were unlucky
+            best_deg, lifted, modulus = d, crt_symmetric([image], [p]), p
+        else:
+            lifted = crt_symmetric([lifted, image], [modulus, p])
+            modulus *= p
         cand = primitive_part(IntPoly(lifted))
         if not cand.is_zero() and cand.divides(f) and cand.divides(g):
             return cand

@@ -45,6 +45,15 @@ def test_gen_unsupported_q(tmp_path, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", ["-1", "744"])
+def test_gen_presentation_index_out_of_range(tmp_path, capsys, index):
+    # q=2 has 744 triangle presentations, indexed 0..743
+    path = tmp_path / "x.cx"
+    assert main(["gen", "--q", "2", "--out", str(path), "--presentation-index", index]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_validate_ok(base_file, capsys):
     assert main(["validate", str(base_file)]) == 0
     out = capsys.readouterr().out

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from zeta3 import exactdet
 from zeta3.errors import ExactArithmeticError
 from zeta3.exactdet import (
-    _PRIME_CAP,
     _lagrange_integer,
-    _primes_with_root,
     char_rev,
     char_rev_factored,
     char_rev_interpolated,
@@ -18,7 +16,7 @@ from zeta3.exactdet import (
     det_poly_matrix,
 )
 from zeta3.operators import LabelledMatrix
-from zeta3.polynomials import IntPoly, _is_probable_prime
+from zeta3.polynomials import PRIME_CAP, IntPoly, _is_probable_prime, primes_with_root
 
 
 def square_matrix(n, lo=-9, hi=9, seed=0):
@@ -167,14 +165,14 @@ def test_char_rev_self_check_catches_wrong_result(monkeypatch):
     before = exactdet.SELF_CHECK_CALLS
     char_rev(m)
     assert exactdet.SELF_CHECK_CALLS == before + 1
-    crt = exactdet._crt_symmetric
+    crt = exactdet.crt_symmetric
 
     def bumped(rows, primes):
         coeffs = crt(rows, primes)
-        coeffs[0] += 1  # det(xI - M) at x = 0: the u^n coefficient
+        coeffs[-1] += 1  # det(I - uM) lowest degree first: the u^n coefficient
         return coeffs
 
-    monkeypatch.setattr(exactdet, "_crt_symmetric", bumped)
+    monkeypatch.setattr(exactdet, "crt_symmetric", bumped)
     for k in (2, 3):
         with pytest.raises(ExactArithmeticError, match="char_rev self-check failed"):
             char_rev(m)
@@ -186,22 +184,36 @@ def test_char_rev_wide_entries():
     assert char_rev(m) == char_rev_interpolated(m)
 
 
+def test_char_rev_entries_beyond_int64():
+    # weights are reduced modulo each prime as Python ints, so entries of any
+    # size take the same route as small ones
+    m = square_matrix(5, lo=-9, hi=9, seed=21)
+    m[0][0] = 3 * (1 << 63) + 5
+    m[1][3] = -(1 << 70) - 1
+    m[4][2] = (1 << 64)
+    assert char_rev(m) == char_rev_interpolated(m)
+
+
 # -- character-factored reverse characteristic polynomials ------------------
 
 
-@pytest.mark.parametrize("k", [3, 6, 21, 24])
+@pytest.mark.parametrize("k", [1, 3, 6, 21, 24])
 def test_primes_with_root(k):
     pairs = []
-    for pair in _primes_with_root(k):
+    for pair in primes_with_root(k):
         pairs.append(pair)
         if len(pairs) == 12:
             break
     primes = [p for p, _w in pairs]
     assert primes == sorted(primes, reverse=True) and len(set(primes)) == 12
     for p, w in pairs:
-        assert _is_probable_prime(p) and p < _PRIME_CAP and p % k == 1
+        assert _is_probable_prime(p) and p < PRIME_CAP and (p - 1) % k == 0
         assert pow(w, k, p) == 1
         assert all(pow(w, d, p) != 1 for d in range(1, k))
+    if k == 1:
+        assert all(w == 1 for _p, w in pairs)
+        odd = [n for n in range(PRIME_CAP, PRIME_CAP - 2000, -2) if _is_probable_prime(n)]
+        assert primes == odd[:12]
 
 
 def random_pattern(r, m, seed, nnz=None, lo=-3, hi=3):

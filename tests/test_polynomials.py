@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zeta3 import polynomials
 from zeta3.errors import ExactArithmeticError
 from zeta3.polynomials import (
     IntPoly,
@@ -108,6 +109,24 @@ def test_gcd_known_factors():
     f = cube() ** 2 * IntPoly([1, -2])
     g = cube() * IntPoly([1, 5])
     assert gcd_polys(f, g) == primitive_part(cube())
+
+
+def test_gcd_wide_common_factor(monkeypatch):
+    # the common factor's coefficients exceed 2**60, so no prime below 2**25
+    # determines them alone: the gcd is reconstructed from several primes
+    common = IntPoly([3 * (1 << 61) + 1, -(1 << 62) - 7, 5, (1 << 61) + 3])
+    f = common * IntPoly([1, -2, 7])
+    g = common * IntPoly([4, 1])
+    crt = polynomials.crt_symmetric
+    added = []  # each call extends the reconstruction by one prime
+
+    def counted(rows, primes):
+        added.append(primes[-1])
+        return crt(rows, primes)
+
+    monkeypatch.setattr(polynomials, "crt_symmetric", counted)
+    assert gcd_polys(f, g) == primitive_part(common)
+    assert len(set(added)) >= 3
 
 
 @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
