@@ -11,8 +11,11 @@ Three routes compute determinants:
   GF(p) (Hessenberg reduction + the standard recurrence), and recombined by
   CRT under a rigorous Hadamard-style coefficient bound.  Exact integer
   arithmetic throughout, just carried out residue-wise.
-* ``char_rev`` - det(I - u*M) for an integer matrix: the engine on the
-  trivial group.
+* ``char_rev`` - det(I - u*M) for an integer matrix.  A Z/3 grading of M's
+  nonzero pattern (every entry raises the label by one, as the paper's
+  operators raise the vertex type) makes M block-cyclic, and then
+  det(I - uM) = det(I - u^3 X) with X = M^3 on the smallest class; without
+  one, X = M.  The engine runs on X over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
   pattern over G = Z/3 x Z/m (operators.LabelledMatrix).
 
@@ -247,6 +250,31 @@ def _charpoly_mod(Mp, p):
     return [int(c) for c in P[n]]
 
 
+NORM_FRACTION_BITS = 32
+
+
+def _row_norm_ceiling(norm_sq):
+    """sqrt(norm_sq) rounded up in fixed point: the least integer s with
+    s / 2**NORM_FRACTION_BITS >= sqrt(norm_sq)."""
+    scaled = norm_sq << (2 * NORM_FRACTION_BITS)
+    s = isqrt(scaled)
+    return s if s * s == scaled else s + 1
+
+
+def _coefficient_bound(norm_sq, n):
+    """2 * ceil((1 + rho)**n), rho = sqrt(norm_sq) rounded up by
+    ``_row_norm_ceiling``.
+
+    A coefficient c_d of det(I - uM) is a signed sum of the C(n, d) principal
+    d x d minors, each at most rho**d by Hadamard when every row of M has
+    Euclidean norm <= rho; so sum_d |c_d| <= (1 + rho)**n, and a CRT modulus
+    above twice that recovers every coefficient in the symmetric range.
+    """
+    one = 1 << NORM_FRACTION_BITS
+    power = (one + _row_norm_ceiling(norm_sq)) ** n
+    return 2 * -(-power // one ** n)
+
+
 def _char_rev_by_characters(r, rows, cols, weights, exponents):
     """det(I - u*M) as an IntPoly, M the lift of an r x r pattern over a finite
     abelian group G of order k = len(exponents).
@@ -256,8 +284,8 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     value w**exponents[c][e] on entry e's group element, so the twisted block
     M_c[i, j] = sum of weights[e] * w**exponents[c][e] over the entries (i, j).
     det(I - uM) is the product of det(I - u M_c) over the k characters; the
-    per-prime products are CRT-combined under the bound
-    sum_d |c_d| <= (1 + max row norm of M)**n, n = k*r.
+    per-prime products are CRT-combined under ``_coefficient_bound`` of M's
+    largest row norm, n = k*r.
     """
     k = len(exponents)
     n = k * r
@@ -271,8 +299,7 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     row_norm_sq = [0] * r
     for i, v in zip(rows.tolist(), weights):
         row_norm_sq[i] += v * v
-    radius = isqrt(max(row_norm_sq)) + 1
-    bound = 2 * (1 + radius) ** n
+    bound = _coefficient_bound(max(row_norm_sq), n)
 
     block_idx = (np.arange(k)[:, None], rows[None, :], cols[None, :])
     primes = []
@@ -305,12 +332,79 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     return poly
 
 
+def _type_grading(n, keys):
+    """Labels g in Z/3 of 0..n-1 with g(j) = g(i) + 1 on every (i, j) in keys,
+    or None when there are none.
+
+    A graph search over the pattern, each component started at label 0.
+    """
+    steps = [[] for _ in range(n)]
+    for i, j in keys:
+        steps[i].append((j, 1))
+        steps[j].append((i, 2))
+    g = [None] * n
+    for start in range(n):
+        if g[start] is not None:
+            continue
+        g[start] = 0
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j, step in steps[i]:
+                want = (g[i] + step) % 3
+                if g[j] is None:
+                    g[j] = want
+                    stack.append(j)
+                elif g[j] != want:
+                    return None
+    return g
+
+
+def _cyclic_reduction(n, entries):
+    """(d, r, X): det(I - uM) = det(I - u^d X) for X an r x r matrix.
+
+    When M's pattern carries a Z/3 grading with classes V_0, V_1, V_2, M maps
+    V_t into V_(t+1) by blocks B_t, and Sylvester's identity
+    det(I - AB) = det(I - BA) gives det(I - uM) = det(I - u^3 B_t B_(t+1) B_(t+2));
+    X is that product on the smallest class, i.e. M^3 restricted to it, formed
+    exactly in Python ints.  Without a grading, d = 1 and X = M.
+    ``entries`` and X map (row, col) to a nonzero integer.
+    """
+    grading = _type_grading(n, entries)
+    if grading is None:
+        return 1, n, entries
+    classes = [[], [], []]
+    for i, t in enumerate(grading):
+        classes[t].append(i)
+    keep = min(classes, key=len)
+    index = {i: a for a, i in enumerate(keep)}
+    out_of = [[] for _ in range(n)]
+    for (i, j), v in entries.items():
+        out_of[i].append((j, v))
+    product = {}
+    for a, i in enumerate(keep):
+        row = {i: 1}
+        for _ in range(3):
+            step = {}
+            for j, c in row.items():
+                for k, v in out_of[j]:
+                    step[k] = step.get(k, 0) + c * v
+            row = step
+        for k, c in row.items():
+            if c:
+                product[a, index[k]] = c
+    return 3, len(keep), product
+
+
 def char_rev(M):
     """det(I - u*M) as an IntPoly, for a square integer matrix.
 
-    The trivial-group case of ``_char_rev_by_characters``: characteristic
-    polynomial modulo enough word-sized primes (Hessenberg form per prime),
-    CRT-combined under the bound sum_k |c_k| <= (1 + max row norm)**n.
+    ``_cyclic_reduction`` takes M to X with det(I - uM) = det(I - u^d X): the
+    period-3 product of a Z/3-graded M (vertex type, edge tail type, chamber
+    rotation), else d = 1 and X = M.  The trivial-group case of
+    ``_char_rev_by_characters`` takes det(I - tX): characteristic polynomial
+    modulo enough word-sized primes (Hessenberg form per prime), CRT-combined
+    under the row-norm bound of X; its coefficients are then spread to t = u^d.
     """
     if hasattr(M, "to_dense"):
         n, entries = M.n, M.entries
@@ -318,10 +412,14 @@ def char_rev(M):
         dense = _as_int_rows(M)
         n = len(dense)
         entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
-    rows = np.array([i for i, _j in entries], dtype=np.int64)
-    cols = np.array([j for _i, j in entries], dtype=np.int64)
-    poly = _char_rev_by_characters(n, rows, cols, list(entries.values()),
-                                   np.zeros((1, len(entries)), dtype=np.int64))
+    d, r, x = _cyclic_reduction(n, entries)
+    rows = np.array([i for i, _j in x], dtype=np.int64)
+    cols = np.array([j for _i, j in x], dtype=np.int64)
+    reduced = _char_rev_by_characters(r, rows, cols, list(x.values()),
+                                      np.zeros((1, len(x)), dtype=np.int64))
+    spread = [0] * (d * reduced.degree + 1)
+    spread[::d] = reduced.coeffs
+    poly = IntPoly(spread)
     if SELF_CHECK and n:
         dense = _as_int_rows(M)
 

@@ -19,6 +19,13 @@ G = Z/3 x Z/m of small twisted determinants (exactdet.char_rev_factored on
 the voltage-labelled patterns of L_E and L_B); explicit-list complexes and
 injected operators take dense char_rev.  P_A is always dense char_rev of the
 3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).
+
+Every one of these operators raises the vertex type by one step (A1 and the
+companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
+each determinant is a polynomial in u^3.  Dense char_rev finds that Z/3
+grading in the matrix's own nonzero pattern and takes the determinant of the
+period-3 product on the smallest class, a third of the size; an injected or
+corrupted operator without the grading takes the unreduced route.
 """
 
 from __future__ import annotations
@@ -204,10 +211,13 @@ def counts_from_traces(traces):
 
 
 def walk_count_oracle(cx: ComplexDescription, m):
-    """Closed m-step admissible edge sequences, by explicit enumeration.
+    """Closed m-step admissible edge sequences, counted over successor lists.
 
     Walks over type-one edges where consecutive edges share no chamber; the
-    count must equal trace(L_E^m).  Never touches the operator matrices.
+    successor lists come from ``cx.chambers``.  For each start edge, the
+    sequences of each length are counted by the edge they end at; the closed
+    ones end at the start.  The total must equal trace(L_E^m).  Never touches
+    the operator matrices.
     """
     if m < 1:
         raise ValueError("walk length must be >= 1")
@@ -230,16 +240,13 @@ def walk_count_oracle(cx: ComplexDescription, m):
         )
 
     total = 0
-
-    def extend(current, remaining, start):
-        nonlocal total
-        if remaining == 0:
-            if current == start:
-                total += 1
-            return
-        for nxt in succ[current]:
-            extend(nxt, remaining - 1, start)
-
     for start in range(len(edges)):
-        extend(start, m, start)
+        ending_at = {start: 1}
+        for _ in range(m):
+            step = {}
+            for k, count in ending_at.items():
+                for nxt in succ[k]:
+                    step[nxt] = step.get(nxt, 0) + count
+            ending_at = step
+        total += ending_at.get(start, 0)
     return total

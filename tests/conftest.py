@@ -62,6 +62,12 @@ def cover_m3(pres_m3):
 
 
 @pytest.fixture(scope="session")
+def cover_m7(plane2):
+    """One q=2 m=7 cover: L_E has 147 rows, L_B 441."""
+    return connected_covers(first_presentation_with_covers(plane2, 7), 7)[0][1]
+
+
+@pytest.fixture(scope="session")
 def small_battery(base2, covers_m2, cover_m3):
     """Base plus the small covers; the m=7 cover only joins the acceptance run."""
     return [base2] + covers_m2 + [cover_m3]

@@ -252,3 +252,108 @@ def test_char_rev_factored_self_check_rejects_other_operator():
     other = pattern.lift().with_increment(0, 1)
     with pytest.raises(ExactArithmeticError):
         char_rev_factored(pattern, lambda: other)
+
+
+# -- coefficient bound -------------------------------------------------------
+
+
+def matrix_with_row_norm_sq(n, norm_sq, seed):
+    """n x n integer matrix whose every row has squared Euclidean norm norm_sq."""
+    rng = random.Random(seed)
+    parts = {2: [1, 1], 3: [1, 1, 1], 5: [2, 1]}[norm_sq]
+    m = []
+    for _ in range(n):
+        row = [0] * n
+        for col, v in zip(rng.sample(range(n), len(parts)), parts):
+            row[col] = rng.choice((-1, 1)) * v
+        m.append(row)
+    return m
+
+
+@pytest.mark.parametrize("norm_sq", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_coefficient_bound_covers_coefficients(norm_sq, seed):
+    one = 1 << exactdet.NORM_FRACTION_BITS
+    rho = exactdet._row_norm_ceiling(norm_sq)
+    # rho / 2**32 is sqrt(norm_sq) rounded up: above it, and by less than 2**-32
+    assert (rho - 1) ** 2 < norm_sq * one ** 2 < rho ** 2
+    n = 7
+    m = matrix_with_row_norm_sq(n, norm_sq, seed)
+    coefficient_sum = sum(abs(c) for c in char_rev_interpolated(m).coeffs)
+    bound = exactdet._coefficient_bound(norm_sq, n)
+    assert bound >= 2 * coefficient_sum
+    assert bound == 2 * -(-((one + rho) ** n) // one ** n)
+
+
+def test_row_norm_ceiling_exact_on_squares():
+    one = 1 << exactdet.NORM_FRACTION_BITS
+    assert [exactdet._row_norm_ceiling(v) for v in (0, 1, 4, 9)] == [0, one, 2 * one, 3 * one]
+    assert exactdet._coefficient_bound(1, 3) == 2 * 2 ** 3
+
+
+# -- period-3 reduction --------------------------------------------------------
+
+
+def block_cyclic(sizes, seed, density=0.5, lo=-4, hi=4, isolated=0):
+    """Random matrix with entries only from class t to class t + 1 (mod 3),
+    classes of the given sizes interleaved in random order, plus `isolated`
+    rows and columns that hold no entry."""
+    rng = random.Random(seed)
+    labels = [t for t, size in enumerate(sizes) for _ in range(size)] + [None] * isolated
+    rng.shuffle(labels)
+    n = len(labels)
+    m = [[0] * n for _ in range(n)]
+    for i, t in enumerate(labels):
+        for j, s in enumerate(labels):
+            if t is not None and s == (t + 1) % 3 and rng.random() < density:
+                m[i][j] = rng.choice([v for v in range(lo, hi + 1) if v])
+    return m
+
+
+@pytest.mark.parametrize(
+    "sizes,seed,isolated,hi",
+    [((3, 3, 3), 0, 0, 4), ((2, 4, 3), 1, 0, 4), ((5, 1, 2), 2, 2, 4), ((4, 0, 3), 3, 0, 4),
+     ((3, 2, 4), 4, 3, 4), ((1, 1, 1), 5, 0, 4), ((6, 5, 4), 6, 1, 4), ((4, 3, 5), 7, 0, 40)],
+)
+def test_char_rev_block_cyclic_vs_interpolated(sizes, seed, isolated, hi):
+    m = block_cyclic(sizes, seed, lo=-hi, hi=hi, isolated=isolated)
+    n = len(m)
+    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
+    d, r, _x = exactdet._cyclic_reduction(n, entries)
+    assert d == 3 and 3 * r <= n
+    assert char_rev(m) == char_rev_interpolated(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_char_rev_ungraded_matches(seed):
+    # a diagonal entry or a 2-cycle leaves no grading: the route is X = M
+    m = block_cyclic((3, 3, 2), 10 + seed, density=0.6)
+    n = len(m)
+    i, j = next((i, j) for i in range(n) for j in range(n) if m[i][j])
+    looped = [row[:] for row in m]
+    looped[i][i] = 2
+    two_cycle = [row[:] for row in m]
+    two_cycle[j][i] = -3
+    for mat in (looped, two_cycle):
+        entries = {(a, b): v for a, row in enumerate(mat) for b, v in enumerate(row) if v}
+        assert exactdet._cyclic_reduction(n, entries)[0] == 1
+        assert char_rev(mat) == char_rev_interpolated(mat)
+
+
+def test_char_rev_self_check_catches_corrupted_reduction(monkeypatch):
+    # the engine's cf(0)/cf(1) checks run on X itself; only the evaluation
+    # of det(I - xM) on the unreduced M can see a wrong X
+    m = block_cyclic((3, 4, 3), 12, density=0.8)
+    reduction = exactdet._cyclic_reduction
+
+    def corrupted(n, entries):
+        d, r, x = reduction(n, entries)
+        assert d == 3
+        x = dict(x)
+        key = sorted(x)[0]
+        x[key] += 1
+        return d, r, x
+
+    monkeypatch.setattr(exactdet, "_cyclic_reduction", corrupted)
+    with pytest.raises(ExactArithmeticError, match="char_rev self-check failed"):
+        char_rev(m)

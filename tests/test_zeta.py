@@ -1,6 +1,6 @@
 import pytest
 
-from zeta3 import zeta
+from zeta3 import exactdet, zeta
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.errors import ExactArithmeticError
 from zeta3.exactdet import char_rev, char_rev_factored, det_integer, det_poly_matrix
@@ -162,6 +162,25 @@ def test_factored_parts_match_dense(small_battery):
         )
 
 
+def test_dense_matches_factored_at_full_size(cover_m7, monkeypatch):
+    # P_E and P_B of a q=2 m=7 cover (L_B of dimension 441): the presented
+    # complex takes char_rev_factored, self-checked against the incidence-rule
+    # operator modulo a prime; the same cover as geometric lists takes dense
+    # char_rev.  The dense calls run without their self-check, since
+    # det_integer takes ~6 s per evaluation point at n=441, and the factored
+    # route is the independent reference here.
+    presented = zeta_parts(cover_m7)
+    geo = ComplexDescription(
+        q=cover_m7.q, vertices=cover_m7.vertices, edges=cover_m7.edges,
+        chambers=cover_m7.chambers, provenance=Geometric(),
+    )
+    monkeypatch.setattr(exactdet, "SELF_CHECK", False)
+    monkeypatch.setattr(zeta, "char_rev_factored", _refuse)
+    parts = zeta_parts(geo)
+    assert parts == presented
+    assert verify_identity(parts).holds
+
+
 def _refuse(*_args, **_kwargs):
     raise AssertionError("route must not run")
 
@@ -298,6 +317,14 @@ def test_walk_oracle_matches_traces(base2, cover_m2):
         traces = edge_trace_powers(build_le(cx), 6)
         for m in range(1, 7):
             assert walk_count_oracle(cx, m) == traces[m - 1]
+
+
+def test_walk_oracle_reaches_length_eight(base3):
+    # every step raises the vertex type, so only lengths divisible by 3 close
+    traces = edge_trace_powers(build_le(base3), 8)
+    assert traces[5] > 0 and traces[6] == traces[7] == 0
+    for m in (6, 7, 8):
+        assert walk_count_oracle(base3, m) == traces[m - 1]
 
 
 def test_walk_oracle_guard(base2):
