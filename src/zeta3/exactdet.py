@@ -1,6 +1,6 @@
 """Exact determinants of integer and polynomial matrices.
 
-Three routes compute determinants:
+The routes and their parts:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
 * ``_char_rev_by_characters`` - the one modular engine: det(I - u*M) for the
@@ -8,9 +8,13 @@ Three routes compute determinants:
   block-circulant over G, so the determinant is the product over the |G|
   characters of G of r x r twisted determinants.  These are taken modulo
   word-sized primes p = 1 (mod |G|), where the characters take values in
-  GF(p) (Hessenberg reduction + the standard recurrence), and recombined by
-  CRT under a rigorous Hadamard-style coefficient bound.  Exact integer
-  arithmetic throughout, just carried out residue-wise.
+  GF(p), and recombined by CRT under a rigorous Hadamard-style coefficient
+  bound.  Exact integer arithmetic throughout, just carried out residue-wise.
+* ``_charpolys_mod`` - the one characteristic-polynomial kernel: Hessenberg
+  reduction and the standard recurrence, each step run at once on a stack of
+  matrices, each slice modulo its own prime.  The engine hands it the blocks
+  of every character for a chunk of whole primes, capped at
+  ``_CHUNK_ENTRIES`` int64 entries to bound memory.
 * ``char_rev`` - det(I - u*M) for an integer matrix.  A Z/3 grading of M's
   nonzero pattern (every entry raises the label by one, as the paper's
   operators raise the vertex type) makes M block-cyclic, and then
@@ -210,44 +214,63 @@ def det_poly_matrix(M, degree_bound=None):
 # -- reverse characteristic polynomial ---------------------------------------
 
 
-def _charpoly_mod(Mp, p):
-    """Coefficients c_0..c_n of det(xI - M) over GF(p); Mp is int64 mod p."""
-    H = Mp.copy()
-    n = H.shape[0]
-    for k in range(n - 2):
-        col = H[k + 1 :, k]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        r = k + 1 + int(nz[0])
-        if r != k + 1:
-            H[[k + 1, r], :] = H[[r, k + 1], :]
-            H[:, [k + 1, r]] = H[:, [r, k + 1]]
-        inv = pow(int(H[k + 1, k]), p - 2, p)
-        f = (H[k + 2 :, k] * inv) % p
-        if np.any(f):
-            H[k + 2 :, k:] = (H[k + 2 :, k:] - f[:, None] * H[k + 1, k:]) % p
-            H[:, k + 1] = (H[:, k + 1] + H[:, k + 2 :] @ f) % p
+def _charpolys_mod(H, p):
+    """Coefficients c_0..c_r of det(xI - H_b) over GF(p_b), for every slice b
+    of a stack.
+
+    H is a (B, r, r) int64 array with slice b reduced mod p_b, p a length-B
+    int64 array of primes below 2**25; H is overwritten.  Returns a (B, r + 1)
+    int64 array, lowest degree first.  Each step of the Hessenberg reduction
+    and of the recurrence runs on the whole stack at once.
+    """
+    B, r, _ = H.shape
+    p1 = p[:, None]
+    primes = p.tolist()
+    for k in range(r - 2):
+        # each slice's pivot: the first nonzero of column k below row k; a
+        # slice without one keeps row k+1 (a zero) and gets multipliers 0
+        piv = k + 1 + np.argmax(H[:, k + 1 :, k] != 0, axis=1)
+        moved = np.nonzero(piv != k + 1)[0]
+        if moved.size:
+            to = piv[moved]
+            rows = H[moved, to]
+            H[moved, to] = H[moved, k + 1]
+            H[moved, k + 1] = rows
+            cols = H[moved, :, to]
+            H[moved, :, to] = H[moved, :, k + 1]
+            H[moved, :, k + 1] = cols
+        inv = np.array([pow(a, -1, q) if a else 0
+                        for a, q in zip(H[:, k + 1, k].tolist(), primes)], dtype=np.int64)
+        f = H[:, k + 2 :, k] * inv[:, None] % p1
+        # products of residues are below 2**50 and a matmul sums fewer than
+        # 4096 of them, so int64 cannot overflow
+        below = H[:, k + 2 :, k:]
+        below -= f[:, :, None] * H[:, k + 1, None, k:]
+        below %= p[:, None, None]
+        col = H[:, :, k + 1]
+        col += np.matmul(H[:, :, k + 2 :], f[:, :, None])[:, :, 0]
+        col %= p1
 
     # det(xI_k - H_k) by expansion along the last column:
     # p_k = (x - H[k-1,k-1]) p_{k-1}
-    #       - sum_{i<k-1} H[i,k-1] * (prod_{j=i}^{k-2} H[j+1,j]) * p_i
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[0, 0] = 1
-    for k in range(1, n + 1):
-        prev = P[k - 1, :k]
-        row = np.zeros(n + 1, dtype=np.int64)
-        row[1 : k + 1] = prev
-        row[:k] = (row[:k] - int(H[k - 1, k - 1]) * prev) % p
+    #       - sum_{i<k-1} H[i,k-1] * (prod_{j=i}^{k-2} H[j+1,j]) * p_i,
+    # with beta[:, i] the product of subdiagonal entries, kept step by step
+    P = np.zeros((B, r + 1, r + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    beta = np.zeros((B, r), dtype=np.int64)
+    for k in range(1, r + 1):
+        prev = P[:, k - 1]
+        row = P[:, k]
+        row[:, 1:] = prev[:, :-1]
+        row -= H[:, k - 1, k - 1, None] * prev
         if k >= 2:
-            w = np.zeros(k - 1, dtype=np.int64)
-            beta = 1
-            for i in range(k - 2, -1, -1):
-                beta = beta * int(H[i + 1, i]) % p
-                w[i] = beta * int(H[i, k - 1]) % p
-            row = (row - w @ P[: k - 1, :]) % p
-        P[k] = row
-    return [int(c) for c in P[n]]
+            beta[:, : k - 2] *= H[:, k - 1, k - 2, None]
+            beta[:, k - 2] = H[:, k - 1, k - 2]
+            beta[:, : k - 1] %= p1
+            w = beta[:, : k - 1] * H[:, : k - 1, k - 1] % p1
+            row -= np.matmul(w[:, None, :], P[:, : k - 1])[:, 0]
+        row %= p1
+    return P[:, r].copy()
 
 
 NORM_FRACTION_BITS = 32
@@ -275,6 +298,11 @@ def _coefficient_bound(norm_sq, n):
     return 2 * -(-power // one ** n)
 
 
+# int64 block entries (256 KiB) per batch of the modular engine: the stack,
+# the kernel's temporaries and its recurrence table grow with the batch
+_CHUNK_ENTRIES = 1 << 15
+
+
 def _char_rev_by_characters(r, rows, cols, weights, exponents):
     """det(I - u*M) as an IntPoly, M the lift of an r x r pattern over a finite
     abelian group G of order k = len(exponents).
@@ -286,6 +314,15 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     det(I - uM) is the product of det(I - u M_c) over the k characters; the
     per-prime products are CRT-combined under ``_coefficient_bound`` of M's
     largest row norm, n = k*r.
+
+    The primes are listed first: ``primes_with_root(k)`` in order, until their
+    product exceeds the bound.  Their blocks are then built and reduced in
+    chunks of whole primes, every block of a chunk in one call of the batched
+    kernel ``_charpolys_mod``: the blocks are small (r = 7 to 52 for the
+    paper's operators), so one call per block would spend its time in the
+    interpreter rather than in arithmetic.  A chunk holds as many primes as
+    fit ``_CHUNK_ENTRIES`` block entries (k*r*r per prime), and at least one,
+    so memory stays bounded however many primes the bound needs.
     """
     k = len(exponents)
     n = k * r
@@ -301,28 +338,37 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
         row_norm_sq[i] += v * v
     bound = _coefficient_bound(max(row_norm_sq), n)
 
-    block_idx = (np.arange(k)[:, None], rows[None, :], cols[None, :])
-    primes = []
-    per_prime = []
+    roots = []
     prod = 1
     for p, w in primes_with_root(k):
-        powers = np.array([pow(w, e, p) for e in range(k)], dtype=np.int64)
-        wp = np.array([v % p for v in weights], dtype=np.int64)
-        blocks = np.zeros((k, r, r), dtype=np.int64)
-        np.add.at(blocks, block_idx, wp[None, :] * powers[exponents])
-        blocks %= p
-        acc = np.ones(1, dtype=np.int64)
-        for block in blocks:
-            factor = np.array(_charpoly_mod(block, p)[::-1], dtype=np.int64)
-            # each product term is below p**2 < 2**50 and an output coefficient
-            # sums at most r + 1 <= 8192 of them, so int64 cannot overflow
-            acc = np.convolve(acc, factor) % p
-        primes.append(p)
-        per_prime.append(acc)
+        roots.append((p, w))
         prod *= p
         if prod > bound:
             break
-    poly = IntPoly(crt_symmetric(per_prime, primes))
+
+    # entry e of block (prime, c) sits at flat index c*r*r + rows[e]*r + cols[e]
+    flat = (np.arange(k)[:, None] * (r * r) + rows[None, :] * r + cols[None, :]).ravel()
+    per_chunk = max(1, _CHUNK_ENTRIES // (k * r * r))
+    per_prime = []
+    for start in range(0, len(roots), per_chunk):
+        chunk = roots[start : start + per_chunk]
+        ps = np.array([p for p, _w in chunk], dtype=np.int64)
+        powers = np.array([[pow(w, e, p) for e in range(k)] for p, w in chunk], dtype=np.int64)
+        wp = np.array([[v % p for v in weights] for p, _w in chunk], dtype=np.int64)
+        values = wp[:, None, :] * powers[:, exponents] % ps[:, None, None]
+        blocks = np.zeros((len(chunk), k * r * r), dtype=np.int64)
+        np.add.at(blocks, (slice(None), flat), values.reshape(len(chunk), -1))
+        blocks %= ps[:, None]
+        factors = _charpolys_mod(blocks.reshape(len(chunk) * k, r, r), np.repeat(ps, k))
+        for p, prime_factors in zip(ps.tolist(), factors.reshape(len(chunk), k, r + 1)):
+            acc = np.ones(1, dtype=np.int64)
+            for factor in prime_factors:
+                # each product term is below p**2 < 2**50 and an output
+                # coefficient sums at most r + 1 <= 8192 of them, so int64
+                # cannot overflow
+                acc = np.convolve(acc, factor[::-1]) % p
+            per_prime.append(acc)
+    poly = IntPoly(crt_symmetric(per_prime, [p for p, _w in roots]))
 
     # the lift's diagonal holds, k times, the diagonal entries every character fixes
     fixed = np.nonzero((rows == cols) & ~exponents.any(axis=0))[0]
@@ -403,8 +449,9 @@ def char_rev(M):
     period-3 product of a Z/3-graded M (vertex type, edge tail type, chamber
     rotation), else d = 1 and X = M.  The trivial-group case of
     ``_char_rev_by_characters`` takes det(I - tX): characteristic polynomial
-    modulo enough word-sized primes (Hessenberg form per prime), CRT-combined
-    under the row-norm bound of X; its coefficients are then spread to t = u^d.
+    modulo enough word-sized primes (batched Hessenberg reduction over the
+    primes), CRT-combined under the row-norm bound of X; its coefficients are
+    then spread to t = u^d.
     """
     if hasattr(M, "to_dense"):
         n, entries = M.n, M.entries
@@ -468,7 +515,8 @@ def char_rev_factored(pattern, reference=None):
                 f"pattern lifts to {n}"
             )
         p = next(p for p, _w in primes_with_root(1) if p % k != 1)
-        direct = _charpoly_mod(np.array(dense, dtype=np.int64) % p, p)[::-1]
+        stack = (np.array(dense, dtype=np.int64) % p)[None]
+        direct = _charpolys_mod(stack, np.array([p], dtype=np.int64))[0, ::-1].tolist()
         if any((poly.cf(d) - c) % p for d, c in enumerate(direct)):
             raise ExactArithmeticError(
                 f"char_rev_factored self-check failed modulo {p}"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,6 +253,149 @@ def test_char_rev_factored_self_check_rejects_other_operator():
     other = pattern.lift().with_increment(0, 1)
     with pytest.raises(ExactArithmeticError):
         char_rev_factored(pattern, lambda: other)
+
+
+# -- batched modular characteristic polynomials ------------------------------
+
+
+def charpoly_reference(block, p):
+    """Coefficients of det(xI - block) mod p, lowest degree first, from
+    char_rev_interpolated of the slice."""
+    rev = char_rev_interpolated(block)
+    return [rev.cf(d) % p for d in range(len(block) + 1)][::-1]
+
+
+def assert_kernel_matches(blocks, primes):
+    r = len(blocks[0])
+    stack = np.array(blocks, dtype=np.int64).reshape(len(blocks), r, r)
+    out = exactdet._charpolys_mod(stack, np.array(primes, dtype=np.int64))
+    assert out.shape == (len(blocks), r + 1)
+    for row, block, p in zip(out.tolist(), blocks, primes):
+        assert row == charpoly_reference(block, p)
+
+
+# the engine's largest prime and small ones, where zero pivots are common
+MIXED_PRIMES = [next(p for p, _w in primes_with_root(1)), 101, 7, 5, 3]
+
+
+def random_block(r, p, rng, density):
+    return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(r)]
+            for _ in range(r)]
+
+
+@pytest.mark.parametrize("r", [3, 4, 6, 9])
+@pytest.mark.parametrize("seed", range(3))
+def test_charpolys_mod_mixed_primes(r, seed):
+    rng = random.Random(seed)
+    primes = [MIXED_PRIMES[i % len(MIXED_PRIMES)] for i in range(12)]
+    blocks = [random_block(r, p, rng, rng.choice((0.2, 0.5, 1.0))) for p in primes]
+    assert_kernel_matches(blocks, primes)
+
+
+def test_charpolys_mod_pivots_differ_per_slice():
+    # at step 0: slice 0 keeps row 1, slice 1 swaps in row 2, slice 2 row 4,
+    # and slice 3 has an empty column 0 below the diagonal while they pivot
+    r = 5
+    rng = random.Random(7)
+    primes = [MIXED_PRIMES[0], 7, 101, 5]
+    blocks = [random_block(r, p, rng, 0.8) for p in primes]
+    for block, p, first in zip(blocks, primes, (1, 2, 4, None)):
+        for i in range(1, r):
+            block[i][0] = 0
+        if first is not None:
+            block[first][0] = p - 1
+    column = np.array(blocks, dtype=np.int64)[:, 1:, 0]
+    assert [int(np.argmax(c != 0)) if c.any() else None for c in column] == [0, 1, 3, None]
+    assert_kernel_matches(blocks, primes)
+
+
+def test_charpolys_mod_empty_pivot_column_mid_reduction():
+    # slice 1's column 1 below row 2 is zero (the first step does nothing to
+    # it), while slice 0 needs a swap at that step
+    p = 101
+    a = [[1, 2, 3, 4, 5],
+         [6, 0, 1, 2, 3],
+         [0, 0, 4, 5, 6],
+         [0, 7, 1, 0, 2],
+         [0, 0, 3, 8, 9]]
+    b = [[1, 2, 3, 4, 5],
+         [6, 5, 1, 2, 3],
+         [0, 0, 4, 5, 6],
+         [0, 0, 1, 0, 2],
+         [0, 0, 3, 8, 9]]
+    assert_kernel_matches([a, b, a], [p, p, 7])
+
+
+def test_charpolys_mod_zero_and_full_slices():
+    # an all-zero slice between slices whose every entry is p - 1
+    r = 6
+    primes = [MIXED_PRIMES[0], 7, 3]
+    blocks = [[[p - 1] * r for _ in range(r)] for p in primes]
+    blocks[1] = [[0] * r for _ in range(r)]
+    assert_kernel_matches(blocks, primes)
+    out = exactdet._charpolys_mod(np.array(blocks, dtype=np.int64),
+                                  np.array(primes, dtype=np.int64))
+    assert out[1].tolist() == [0] * r + [1]
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_charpolys_mod_tiny(r):
+    rng = random.Random(r)
+    primes = [MIXED_PRIMES[0], 7, 5, 3]
+    assert_kernel_matches([random_block(r, p, rng, 0.7) for p in primes], primes)
+
+
+def test_charpolys_mod_batch_of_one():
+    rng = random.Random(3)
+    p = MIXED_PRIMES[0]
+    assert_kernel_matches([random_block(8, p, rng, 0.4)], [p])
+
+
+# -- chunking of the modular engine ------------------------------------------
+
+
+def results_by_chunk(monkeypatch, compute):
+    """compute() and its number of kernel calls, at the default chunk, one
+    prime per chunk, and every prime in one chunk."""
+    kernel = exactdet._charpolys_mod
+    calls = []
+
+    def counted(H, p):
+        calls.append(len(p))
+        return kernel(H, p)
+
+    monkeypatch.setattr(exactdet, "_charpolys_mod", counted)
+    out = []
+    for entries in (exactdet._CHUNK_ENTRIES, 1, 1 << 60):
+        monkeypatch.setattr(exactdet, "_CHUNK_ENTRIES", entries)
+        calls.clear()
+        out.append((compute(), list(calls)))
+    return out
+
+
+def test_chunking_invariant_factored(monkeypatch, cover_m3):
+    from zeta3.operators import build_lb_pattern
+
+    pattern = build_lb_pattern(cover_m3).negated()
+    (default, split), (single, ones), (whole, one) = results_by_chunk(
+        monkeypatch, lambda: char_rev_factored(pattern))
+    # nine characters of 21 x 21 blocks: 10 primes split 8 + 2 by default
+    assert [len(split), len(ones), len(one)] == [3, 11, 2]  # plus the self-check's call
+    assert split[:2] == [72, 18] and ones[:10] == [9] * 10 and one[0] == 90
+    assert default == single == whole
+
+
+@pytest.mark.parametrize("graded", [True, False])
+def test_chunking_invariant_dense(monkeypatch, graded):
+    m = block_cyclic((5, 5, 5), 30, density=0.7, lo=-9, hi=9)
+    if not graded:
+        m[0][0] = 3
+    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
+    assert exactdet._cyclic_reduction(len(m), entries)[0] == (3 if graded else 1)
+    (default, split), (single, ones), (whole, one) = results_by_chunk(
+        monkeypatch, lambda: char_rev(m))
+    assert len(split) == len(one) == 1 and len(ones) == ones.count(1) > 1
+    assert default == single == whole == char_rev_interpolated(m)
 
 
 # -- coefficient bound -------------------------------------------------------
