@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -289,3 +290,110 @@ def test_moduli_accuracy(base_parts):
     for m in mods:
         err = min(abs(m - t) for t in targets)
         assert err < 1e-11
+
+
+# -- the admissible-moduli table, pinned bucket for bucket ---------------------
+
+_Q3_RT3 = 3 ** -0.5
+_Q3_RT4 = 3 ** -0.25
+_Q3_RT4_CUBE = 3 ** -0.75
+
+
+def _bucket_rows(spec):
+    return [(b.label, b.modulus, b.count, b.trivial) for b in spec.buckets]
+
+
+@pytest.fixture(scope="module")
+def base3_parts(base3):
+    return zeta_parts(base3)
+
+
+def test_classify_base3_exact_buckets(base3_parts):
+    spec_a = classify(base3_parts.p_a, 3, "A")
+    spec_e = classify(base3_parts.p_e, 3, "E")
+    spec_b = classify(base3_parts.p_b, 3, "B")
+    assert all(s.exact_trivial and s.unclassified == [] for s in (spec_a, spec_e, spec_b))
+    assert _bucket_rows(spec_a) == [
+        ("1", 1.0, 3, True),
+        ("q^-1", 1 / 3, 3, True),
+        ("q^-2", 1 / 9, 3, True),
+        ("q^-1", 1 / 3, 0, False),
+    ]
+    assert _bucket_rows(spec_e) == [
+        ("q^-2", 1 / 9, 3, True),
+        ("q^-1", 1 / 3, 0, False),
+        ("q^-1/2", _Q3_RT3, 36, False),
+    ]
+    assert _bucket_rows(spec_b) == [
+        ("q^-1", 1 / 3, 3, True),
+        ("1", 1.0, 45, False),
+        ("q^-1/2", _Q3_RT3, 36, False),
+        ("q^-1/4", _Q3_RT4, 72, False),
+        ("q^-3/4", _Q3_RT4_CUBE, 0, False),
+    ]
+
+
+def test_classify_merged_buckets():
+    # 1 - u^3 is not divisible by the vertex trivial factor: merged matching
+    spec = classify(IntPoly([1, 0, 0, -1]), 3, "A")
+    assert not spec.exact_trivial and spec.unclassified == []
+    assert _bucket_rows(spec) == [
+        ("1", 1.0, 3, True),
+        ("q^-1", 1 / 3, 0, False),
+        ("q^-2", 1 / 9, 0, True),
+    ]
+    # a synthetic P_E at q=3 without the trivial block 1 - 3^6 u^3: three
+    # zeros of modulus q^-2 from 1 + 3^6 u^3, two at q^-1, two at q^-1/2 and
+    # one at 1/2, which matches nothing
+    p_e = (
+        IntPoly([1, 0, 0, 3 ** 6])
+        * IntPoly([1, 0, 9])
+        * IntPoly([1, 0, -3])
+        * IntPoly([1, -2])
+    )
+    spec = classify(p_e, 3, "E")
+    assert not spec.exact_trivial
+    assert spec.unclassified == pytest.approx([0.5])
+    assert _bucket_rows(spec) == [
+        ("q^-2", 1 / 9, 3, True),
+        ("q^-1", 1 / 3, 2, False),
+        ("q^-1/2", _Q3_RT3, 2, False),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_trivial_factor_zeros_sit_on_the_table(q):
+    moduli = {
+        "A": [1.0, q ** -1.0, q ** -2.0],
+        "E": [q ** -2.0],
+        "B": [q ** -1.0],
+    }
+    for tag, want in moduli.items():
+        got = zero_moduli(trivial_factor(q, tag))
+        assert got == pytest.approx(sorted(want * 3), rel=1e-12)
+
+
+def test_unknown_tag_rejected():
+    with pytest.raises(ValueError):
+        trivial_factor(2, "X")
+    with pytest.raises(ValueError):
+        classify(IntPoly([1, -1]), 2, "X")
+
+
+def test_criteria_on_merged_and_chamber_buckets():
+    q = 2
+    cube = lambda a: IntPoly([1, 0, 0, a])
+    whole_a = cube(-1) * cube(-8) * cube(64)  # 1 + q^6 u^3 in place of 1 - q^6 u^3
+    parts = ZetaParts(
+        q=q, n0=3, n1=21, n2=21, chi=3,
+        p_a=whole_a,
+        p_e=cube(-64) * IntPoly([1, 0, -2]),
+        p_b=cube(8) * IntPoly([1, 0, 0, 0, -8]),  # four zeros of modulus q^-3/4
+    )
+    rep = ramanujan_verdicts(parts)
+    assert not rep.spectra["A"].exact_trivial
+    assert rep.vertex_criterion  # merged: three zeros each at 1 and q^-2
+    assert rep.edge_criterion
+    assert not rep.chamber_criterion
+    missing_one = dataclasses.replace(parts, p_a=cube(-8) * cube(64))  # no modulus-1 zeros
+    assert not ramanujan_verdicts(missing_one).vertex_criterion
