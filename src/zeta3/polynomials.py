@@ -6,6 +6,7 @@ zeros.  Everything here is exact; no floats enter this module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ExactArithmeticError
@@ -232,17 +233,11 @@ class IntPoly:
 # -- content, gcd, square-free structure ------------------------------------
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def content(p: IntPoly):
     """GCD of the coefficients (0 for the zero polynomial)."""
     g = 0
     for c in p.coeffs:
-        g = _gcd_int(g, c)
+        g = math.gcd(g, c)
         if g == 1:
             break
     return g
@@ -364,7 +359,7 @@ def gcd_polys(f: IntPoly, g: IntPoly):
     g = primitive_part(g)
     if f.degree == 0 or g.degree == 0:
         return IntPoly.one()
-    lc_gcd = _gcd_int(f.leading, g.leading)
+    lc_gcd = math.gcd(f.leading, g.leading)
 
     best_deg = None  # lifted: the CRT of the images at this degree, modulo modulus
     for p, _w in primes_with_root(1):

@@ -1,10 +1,19 @@
 """Zero-modulus analysis: classification buckets, Ramanujan criteria, census.
 
 Zeros of the three determinants are classified by modulus against the
-admissible values for each operator.  Trivial zeros (the three constant-sheet
-characters) are removed by exact polynomial division whenever the division is
-exact, which is strictly stronger than numerical matching; numerical matching
-is the fallback for synthetic or corrupted inputs.
+admissible values for each operator.  Every admissible modulus is q^(-k/4),
+and ``ADMISSIBLE_K`` lists the quarter exponents k per operator:
+
+    operator      trivial zeros (3 each)    nontrivial zeros
+    A (vertex)    0, 4, 8                   4
+    E (edge)      8                         4, 2
+    B (chamber)   4                         0, 2, 1, 3
+
+The labels, the float moduli, the exact trivial factors, the classification
+buckets and the three criteria all derive from this one table.  Trivial zeros
+(the three constant-sheet characters) are removed by exact polynomial division
+whenever the division is exact, which is strictly stronger than numerical
+matching; numerical matching is the fallback for synthetic or corrupted inputs.
 
 Repeated zeros are handled exactly: polynomials are square-free decomposed
 over the integers first, every factor is root-found with simple roots only,
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -48,45 +58,34 @@ class RootRefinementError(Zeta3Error):
     """The numerical root finder failed to converge for a polynomial."""
 
 
-# -- exact trivial factors ----------------------------------------------------
+# -- the admissible moduli ----------------------------------------------------
+
+# tag -> (k of the trivial zeros, k of the nontrivial zeros), modulus q^(-k/4),
+# each in report order
+ADMISSIBLE_K = {
+    "A": ((0, 4, 8), (4,)),
+    "E": ((8,), (4, 2)),
+    "B": ((4,), (0, 2, 1, 3)),
+}
+
+
+def _label(k):
+    return "1" if k == 0 else f"q^-{Fraction(k, 4)}"
 
 
 def trivial_factor(q, tag):
-    """The exact product of the three constant-sheet zeros' factors."""
-    cube = lambda a: IntPoly([1, 0, 0, a])
-    if tag == "A":
-        return cube(-1) * cube(-(q ** 3)) * cube(-(q ** 6))
-    if tag == "E":
-        return cube(-(q ** 6))
-    if tag == "B":
-        return cube(q ** 3)
-    raise ValueError(f"unknown operator tag {tag!r}")
+    """The exact product of the three constant-sheet zeros' factors.
 
-
-def trivial_moduli(q, tag):
-    """(modulus, label) pairs of the trivial zeros, per operator."""
-    if tag == "A":
-        return [(1.0, "1"), (1.0 / q, "q^-1"), (q ** -2.0, "q^-2")]
-    if tag == "E":
-        return [(q ** -2.0, "q^-2")]
-    if tag == "B":
-        return [(1.0 / q, "q^-1")]
-    raise ValueError(f"unknown operator tag {tag!r}")
-
-
-def nontrivial_moduli(q, tag):
-    if tag == "A":
-        return [(1.0 / q, "q^-1")]
-    if tag == "E":
-        return [(1.0 / q, "q^-1"), (q ** -0.5, "q^-1/2")]
-    if tag == "B":
-        return [
-            (1.0, "1"),
-            (q ** -0.5, "q^-1/2"),
-            (q ** -0.25, "q^-1/4"),
-            (q ** -0.75, "q^-3/4"),
-        ]
-    raise ValueError(f"unknown operator tag {tag!r}")
+    Each trivial modulus q^(-k/4) contributes 1 + s q^(3k/4) u^3, with s = +1
+    for the chamber operator and -1 for the others.
+    """
+    if tag not in ADMISSIBLE_K:
+        raise ValueError(f"unknown operator tag {tag!r}")
+    sign = 1 if tag == "B" else -1
+    factor = IntPoly.one()
+    for k in ADMISSIBLE_K[tag][0]:
+        factor = factor * IntPoly([1, 0, 0, sign * q ** (3 * k // 4)])
+    return factor
 
 
 def split_trivial(poly, q, tag):
@@ -252,13 +251,13 @@ class ClassifiedSpectrum:
         return total
 
 
-def _match_buckets(moduli, slots, tol=TOL_CLASSIFY):
-    """Assign each modulus to the nearest slot within tol; return counts, rest."""
-    counts = [0] * len(slots)
+def _match_buckets(moduli, targets, tol=TOL_CLASSIFY):
+    """Assign each modulus to the nearest target within tol; return counts, rest."""
+    counts = [0] * len(targets)
     rest = []
     for m in moduli:
         best = None
-        for k, (target, _label) in enumerate(slots):
+        for k, target in enumerate(targets):
             err = abs(m - target)
             if err <= tol and (best is None or err < best[0]):
                 best = (err, k)
@@ -272,34 +271,20 @@ def _match_buckets(moduli, slots, tol=TOL_CLASSIFY):
 def classify(poly, q, tag):
     """Bucket the zeros of one determinant by admissible modulus.
 
-    Trivial zeros are split off exactly when possible.  Whatever matches no
-    admissible modulus lands in ``unclassified``; for genuine complexes that
-    residue is direct non-Ramanujan evidence.
+    Trivial zeros are split off exactly when possible.  Otherwise the trivial
+    and nontrivial moduli are matched together, since the two cannot be told
+    apart numerically, and a bucket counts as trivial when its modulus is
+    trivial only.  Whatever matches no admissible modulus lands in
+    ``unclassified``; for genuine complexes that residue is direct
+    non-Ramanujan evidence.
     """
     reduced, exact = split_trivial(poly, q, tag)
-    buckets = []
-    if exact:
-        for mod, label in trivial_moduli(q, tag):
-            buckets.append(ZeroBucket(tag, label, mod, 3, True))
-        slots = nontrivial_moduli(q, tag)
-        counts, rest = _match_buckets(zero_moduli(reduced), slots)
-        for (mod, label), cnt in zip(slots, counts):
-            buckets.append(ZeroBucket(tag, label, mod, cnt, False))
-    else:
-        # merged matching; trivial/nontrivial cannot be told apart numerically
-        seen = {}
-        slots = []
-        for mod, label in trivial_moduli(q, tag) + nontrivial_moduli(q, tag):
-            if label not in seen:
-                seen[label] = True
-                slots.append((mod, label))
-        counts, rest = _match_buckets(zero_moduli(poly), slots)
-        trivial_labels = {label for _m, label in trivial_moduli(q, tag)}
-        nontrivial_labels = {label for _m, label in nontrivial_moduli(q, tag)}
-        for (mod, label), cnt in zip(slots, counts):
-            buckets.append(
-                ZeroBucket(tag, label, mod, cnt, label in trivial_labels and label not in nontrivial_labels)
-            )
+    trivial_ks, nontrivial_ks = ADMISSIBLE_K[tag]
+    matched = nontrivial_ks if exact else tuple(dict.fromkeys(trivial_ks + nontrivial_ks))
+    counts, rest = _match_buckets(zero_moduli(reduced), [q ** (-k / 4) for k in matched])
+    rows = [(k, 3, True) for k in trivial_ks] if exact else []
+    rows += [(k, n, not exact and k not in nontrivial_ks) for k, n in zip(matched, counts)]
+    buckets = [ZeroBucket(tag, _label(k), q ** (-k / 4), n, trivial) for k, n, trivial in rows]
     return ClassifiedSpectrum(
         operator=tag,
         degree=poly.degree,
@@ -331,27 +316,22 @@ class RamanujanReport:
         return self.vertex_criterion
 
 
-def _criterion_vertex(spec_a):
-    if spec_a.exact_trivial:
-        return not spec_a.unclassified
+def _criterion(spec):
+    """One operator's criterion: every zero sits at an admissible modulus.
+
+    Without an exact trivial split, each trivial-only modulus must hold
+    exactly its three zeros.  No nontrivial zero may sit at q^-3/4, a bucket
+    only the chamber operator has.
+    """
+    trivial_ks, nontrivial_ks = ADMISSIBLE_K[spec.operator]
     return (
-        not spec_a.unclassified
-        and spec_a.bucket_count("1") == 3
-        and spec_a.bucket_count("q^-2") == 3
+        not spec.unclassified
+        and (
+            spec.exact_trivial
+            or all(spec.bucket_count(_label(k)) == 3 for k in trivial_ks if k not in nontrivial_ks)
+        )
+        and spec.bucket_count("q^-3/4", trivial=False) == 0
     )
-
-
-def _criterion_edge(spec_e):
-    if spec_e.exact_trivial:
-        return not spec_e.unclassified
-    return not spec_e.unclassified and spec_e.bucket_count("q^-2") == 3
-
-
-def _criterion_chamber(spec_b):
-    base = not spec_b.unclassified and spec_b.bucket_count("q^-3/4", trivial=False) == 0
-    if spec_b.exact_trivial:
-        return base
-    return base and spec_b.bucket_count("q^-1") == 3
 
 
 def ramanujan_verdicts(parts: ZetaParts, q=None):
@@ -372,9 +352,9 @@ def ramanujan_verdicts(parts: ZetaParts, q=None):
             "the admissible table uses q^(-3/4) for that family"
         )
     return RamanujanReport(
-        vertex_criterion=_criterion_vertex(spec_a),
-        edge_criterion=_criterion_edge(spec_e),
-        chamber_criterion=_criterion_chamber(spec_b),
+        vertex_criterion=_criterion(spec_a),
+        edge_criterion=_criterion(spec_e),
+        chamber_criterion=_criterion(spec_b),
         spectra={"A": spec_a, "E": spec_e, "B": spec_b},
         notes=notes,
     )

@@ -221,8 +221,6 @@ def walk_count_oracle(cx: ComplexDescription, m):
     """
     if m < 1:
         raise ValueError("walk length must be >= 1")
-    if m > 8:
-        raise ValueError("walk length above 8 refused (combinatorial explosion)")
     cx.require_valid()
     edges = cx.edges
     chambers_of = {e.id: set() for e in edges}

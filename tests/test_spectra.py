@@ -294,9 +294,9 @@ def test_moduli_accuracy(base_parts):
 
 # -- the admissible-moduli table, pinned bucket for bucket ---------------------
 
-_Q3_RT3 = 3 ** -0.5
-_Q3_RT4 = 3 ** -0.25
-_Q3_RT4_CUBE = 3 ** -0.75
+_Q3_HALF = 3 ** -0.5
+_Q3_QUARTER = 3 ** -0.25
+_Q3_THREE_QUARTERS = 3 ** -0.75
 
 
 def _bucket_rows(spec):
@@ -322,14 +322,14 @@ def test_classify_base3_exact_buckets(base3_parts):
     assert _bucket_rows(spec_e) == [
         ("q^-2", 1 / 9, 3, True),
         ("q^-1", 1 / 3, 0, False),
-        ("q^-1/2", _Q3_RT3, 36, False),
+        ("q^-1/2", _Q3_HALF, 36, False),
     ]
     assert _bucket_rows(spec_b) == [
         ("q^-1", 1 / 3, 3, True),
         ("1", 1.0, 45, False),
-        ("q^-1/2", _Q3_RT3, 36, False),
-        ("q^-1/4", _Q3_RT4, 72, False),
-        ("q^-3/4", _Q3_RT4_CUBE, 0, False),
+        ("q^-1/2", _Q3_HALF, 36, False),
+        ("q^-1/4", _Q3_QUARTER, 72, False),
+        ("q^-3/4", _Q3_THREE_QUARTERS, 0, False),
     ]
 
 
@@ -357,7 +357,7 @@ def test_classify_merged_buckets():
     assert _bucket_rows(spec) == [
         ("q^-2", 1 / 9, 3, True),
         ("q^-1", 1 / 3, 2, False),
-        ("q^-1/2", _Q3_RT3, 2, False),
+        ("q^-1/2", _Q3_HALF, 2, False),
     ]
 
 

@@ -327,8 +327,13 @@ def test_walk_oracle_reaches_length_eight(base3):
         assert walk_count_oracle(base3, m) == traces[m - 1]
 
 
-def test_walk_oracle_guard(base2):
-    with pytest.raises(ValueError):
-        walk_count_oracle(base2, 9)
+def test_walk_oracle_guard(base2, base3, cover_m2):
+    # counting is linear in the length, so long walks need no cap
+    for cx in (base3, cover_m2):
+        traces = edge_trace_powers(build_le(cx), 12)
+        for m in (9, 12):
+            assert walk_count_oracle(cx, m) == traces[m - 1]
+    assert walk_count_oracle(base3, 9) == 1162261467
+    assert walk_count_oracle(base3, 12) == 847288618191
     with pytest.raises(ValueError):
         walk_count_oracle(base2, 0)
