@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ExactArithmeticError
 
 
@@ -154,6 +156,20 @@ class IntPoly:
             out[2 * i] = c
         return IntPoly(out)
 
+    def graeffe(self):
+        """The polynomial g with g(u**2) = p(u) p(-u): its zeros are the squares
+        of p's zeros, with multiplicity, and its degree is p's.
+
+        With p(u) = e(u**2) + u o(u**2), g(w) = e(w)**2 - w o(w)**2.
+        """
+        even = IntPoly(self.coeffs[0::2])
+        odd = IntPoly(self.coeffs[1::2])
+        return even * even - IntPoly((0,) + (odd * odd).coeffs)
+
+    def reversed(self):
+        """u**degree * p(1/u) for p(0) != 0: the zeros are the inverses of p's."""
+        return IntPoly(self.coeffs[::-1])
+
     # -- division ----------------------------------------------------------
 
     def divmod_exact_steps(self, divisor):
@@ -174,8 +190,7 @@ class IntPoly:
                 )
             f = top // dlc
             q[k] = f
-            for i, c in enumerate(divisor.coeffs):
-                rem[k + i] -= f * c
+            rem[k : k + dd + 1] = [r - f * c for r, c in zip(rem[k : k + dd + 1], divisor.coeffs)]
         return IntPoly(q), IntPoly(rem)
 
     def exact_divide(self, divisor):
@@ -253,31 +268,36 @@ def primitive_part(p: IntPoly):
     return IntPoly([c // g for c in p.coeffs])
 
 
+def _residues(coeffs, p):
+    """Coefficients reduced mod p as an int64 array, trailing zeros dropped."""
+    return _trim(np.array([c % p for c in coeffs], dtype=np.int64))
+
+
+def _trim(x):
+    n = x.size
+    while n and not x[n - 1]:
+        n -= 1
+    return x[:n]
+
+
 def _gcd_mod_p(a, b, p):
-    """Monic gcd of coefficient lists a, b over GF(p)."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
+    """Monic gcd of coefficient lists a, b over GF(p).
 
-    def trim(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = trim(a), trim(b)
-    while b:
-        # a mod b
-        inv = pow(b[-1], p - 2, p)
-        for k in range(len(a) - len(b), -1, -1):
-            f = a[k + len(b) - 1] * inv % p
+    Residues stay below PRIME_CAP, so each product fits an int64, and every
+    quotient step is one vectorised row operation.
+    """
+    a, b = _residues(a, p), _residues(b, p)
+    while b.size:
+        b = b * pow(int(b[-1]), -1, p) % p
+        nb = b.size
+        for k in range(a.size - nb, -1, -1):
+            f = int(a[k + nb - 1])
             if f:
-                for i, c in enumerate(b):
-                    a[k + i] = (a[k + i] - f * c) % p
-        a = trim(a)
-        a, b = b, a
-    if not a:
+                a[k : k + nb] = (a[k : k + nb] - f * b) % p
+        a, b = b, _trim(a[: nb - 1])
+    if not a.size:
         return []
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+    return (a * pow(int(a[-1]), -1, p) % p).tolist()
 
 
 def _is_probable_prime(n):
@@ -411,3 +431,115 @@ def squarefree_decomposition(f: IntPoly):
         y = z.exact_divide(a)
         i += 1
     return out
+
+
+# -- real and unit-circle root counts ------------------------------------------
+
+
+def _pseudo_remainder(a: IntPoly, b: IntPoly):
+    """(r, e) with lc(b)**e * a = quotient * b + r and deg r < deg b.
+
+    The remainder is scaled by lc(b) only when a quotient step would not
+    divide exactly, so e counts the scalings actually taken and can be less
+    than deg a - deg b + 1.
+    """
+    rem = list(a.coeffs)
+    lc, db = b.leading, b.degree
+    scalings = 0
+    for k in range(len(rem) - 1, db - 1, -1):
+        top = rem[k]
+        if top == 0:
+            continue
+        if top % lc:
+            rem = [c * lc for c in rem[: k + 1]]
+            scalings += 1
+            top = rem[k]
+        f = top // lc
+        rem[k - db : k + 1] = [r - f * c for r, c in zip(rem[k - db : k + 1], b.coeffs)]
+    return IntPoly(rem[:db]), scalings
+
+
+def _sturm_sequence(p: IntPoly):
+    """p, p', then negated remainders, each divided by its positive content.
+
+    The true remainder is the pseudo-remainder over lc**e, so its sign is
+    the pseudo-remainder's times sign(lc)**e.  The last entry is a nonzero
+    multiple of gcd(p, p').
+    """
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        rem, scalings = _pseudo_remainder(seq[-2], seq[-1])
+        if rem.is_zero():
+            break
+        if seq[-1].leading < 0 and scalings % 2:
+            rem = -rem
+        g = content(rem)
+        seq.append(IntPoly([-c // g for c in rem.coeffs]))
+    return seq
+
+
+def _sign_changes(seq, x):
+    signs = [v > 0 for v in (s(x) for s in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def real_root_count(p: IntPoly, lo, hi):
+    """The number of distinct real roots of p in the open interval (lo, hi).
+
+    Sturm's theorem on a sequence of primitive pseudo-remainders; lo and hi
+    are ints or Fractions, so every sign is exact.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p.degree < 1 or lo >= hi:
+        return 0
+    seq = _sturm_sequence(p)
+    if seq[-1].degree > 0:  # repeated roots: count on the square-free part
+        p = primitive_part(p).exact_divide(primitive_part(seq[-1]))
+        seq = _sturm_sequence(p)
+    # V(lo) - V(hi) counts the roots in (lo, hi]
+    return _sign_changes(seq, lo) - _sign_changes(seq, hi) - (p(hi) == 0)
+
+
+def _chebyshev_reduced(s: IntPoly):
+    """R with s(v) = v**n R(v + 1/v), for s self-reciprocal of degree 2n.
+
+    v**-n s(v) = s_n + sum_j s_(n+j) (v**j + v**-j), and v**j + v**-j is
+    D_j(v + 1/v) with D_0 = 2, D_1 = x, D_j = x D_(j-1) - D_(j-2).
+    """
+    n = s.degree // 2
+    x = IntPoly([0, 1])
+    acc = IntPoly([s.cf(n)])
+    prev, cur = IntPoly([2]), x
+    for j in range(1, n + 1):
+        acc = acc + cur * s.cf(n + j)
+        prev, cur = cur, x * cur - prev
+    return acc
+
+
+def unit_circle_root_count(p: IntPoly):
+    """The number of zeros of p on |v| = 1, with multiplicity.
+
+    Zeros on the circle are shared with the reversed polynomial, at equal
+    multiplicity, so they all lie in G = gcd(p, p reversed).  Each
+    square-free part of G is closed under v -> 1/v; after the zeros v = +-1
+    are stripped it is v**n R(v + 1/v), and its circle zeros pair up over
+    the real roots of R in (-2, 2).  The zeros off the circle that G keeps
+    map outside that interval or off the real line.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    low = next(i for i, c in enumerate(p.coeffs) if c)
+    p = IntPoly(p.coeffs[low:])  # zeros at 0 are off the circle
+    total = 0
+    for part, mult in squarefree_decomposition(gcd_polys(p, p.reversed())):
+        on_circle = 0
+        for root in (1, -1):
+            if part(root) == 0:
+                part = part.exact_divide(IntPoly([-root, 1]))
+                on_circle += 1
+        if part.reversed() != part:
+            raise ExactArithmeticError("a factor of gcd(p, p reversed) is not self-reciprocal")
+        on_circle += 2 * real_root_count(_chebyshev_reduced(part), -2, 2)
+        total += on_circle * mult
+    return total

@@ -12,24 +12,32 @@ and ``ADMISSIBLE_K`` lists the quarter exponents k per operator:
 The labels, the float moduli, the exact trivial factors, the classification
 buckets and the three criteria all derive from this one table.  Trivial zeros
 (the three constant-sheet characters) are removed by exact polynomial division
-whenever the division is exact, which is strictly stronger than numerical
-matching; numerical matching is the fallback for synthetic or corrupted inputs.
+whenever the division is exact; otherwise the trivial and nontrivial moduli
+are counted together.
 
-Repeated zeros are handled exactly: polynomials are square-free decomposed
-over the integers first, every factor is root-found with simple roots only,
-and multiplicities are attached afterwards.  This keeps high-multiplicity
-cube-root factors (multiplicity chi-1 can reach dozens on big covers) from
-destroying the accuracy of the numerical step.
+Every bucket count is an exact integer count, so the verdicts, the buckets,
+the criteria, the census and the q^(3/4) note involve no floating point.  For
+each square-free factor f of the reduced polynomial (with its multiplicity),
+two Graeffe steps give h, whose zeros are the fourth powers of f's.  The zeros
+of f on |u| = q^(-k/4) are the zeros of h on |w| = q^-k, and the integer
+polynomial H(v) = q^(k deg h) h(q^-k v) moves them to the unit circle, where
+``polynomials.unit_circle_root_count`` counts them by gcd(H, H reversed), a
+square-free split and a Sturm count.  Whatever lies on no admissible circle is
+the unclassified residue, and for genuine complexes it is direct
+non-Ramanujan evidence.
 
-Each square-free factor starts from the double-precision roots of
-``np.roots`` and is Newton-refined in fixed point on Python ints: the exact
-integer coefficients are shifted by about 200 bits (the precision of 60
-decimal digits) plus headroom for the growth of |x|**d, f and f' come from one
-Horner pass, and the complex step f/f' is an exact integer division.  A root
-stops when its step is below 10**-50 * max(1, |x|); the refined values are
-rounded once to doubles.  Two refined roots closer than 10**-30 mean two
-starts fell into one basin, and only then does ``mpmath.polyroots`` redo the
-factor at full precision.
+Floating point only lists the moduli of a nonempty residue for display.  Each
+square-free factor starts from the double-precision roots of ``np.roots`` and
+is Newton-refined in fixed point on Python ints: the exact integer
+coefficients are shifted by about 200 bits (the precision of 60 decimal
+digits) plus headroom for the growth of |x|**d, f and f' come from one Horner
+pass, and the complex step f/f' is an exact integer division.  A root stops
+when its step is below 10**-50 * max(1, |x|); the refined values are rounded
+once to doubles.  Two refined roots closer than 10**-30 mean two starts fell
+into one basin, and only then does ``mpmath.polyroots`` redo the factor at
+full precision.  The float moduli are matched to the admissible moduli within
+``TOL_CLASSIFY``, and any disagreement with the exact counts raises
+``RootRefinementError``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import Zeta3Error
-from .polynomials import IntPoly, squarefree_decomposition
+from .polynomials import IntPoly, squarefree_decomposition, unit_circle_root_count
 from .zeta import ZetaParts
 
 TOL_ROOT = 1e-9
@@ -55,7 +63,7 @@ CENSUS_COLLISION_NOTE = (
 
 
 class RootRefinementError(Zeta3Error):
-    """The numerical root finder failed to converge for a polynomial."""
+    """The float root finder failed, or its moduli disagree with the exact counts."""
 
 
 # -- the admissible moduli ----------------------------------------------------
@@ -223,6 +231,33 @@ def zero_moduli(poly):
     return sorted(out)
 
 
+# -- exact circle counts --------------------------------------------------------
+
+
+def circle_counts(poly, q, ks):
+    """The number of zeros of poly on each circle |u| = q^(-k/4), k in ks.
+
+    Exact, with multiplicity.  A negative k counts zeros of modulus
+    q^(|k|/4).  Needs poly(0) != 0.
+    """
+    counts = [0] * len(ks)
+    for factor, mult in squarefree_decomposition(poly):
+        h = factor.graeffe().graeffe()
+        d = h.degree
+        left = d
+        for i, k in enumerate(ks):
+            if not left:  # every zero of this factor is already counted
+                break
+            if k >= 0:
+                scaled = IntPoly([c * q ** (k * (d - j)) for j, c in enumerate(h.coeffs)])
+            else:
+                scaled = IntPoly([c * q ** (-k * j) for j, c in enumerate(h.coeffs)])
+            n = unit_circle_root_count(scaled)
+            counts[i] += n * mult
+            left -= n
+    return counts
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -272,16 +307,27 @@ def classify(poly, q, tag):
     """Bucket the zeros of one determinant by admissible modulus.
 
     Trivial zeros are split off exactly when possible.  Otherwise the trivial
-    and nontrivial moduli are matched together, since the two cannot be told
-    apart numerically, and a bucket counts as trivial when its modulus is
-    trivial only.  Whatever matches no admissible modulus lands in
-    ``unclassified``; for genuine complexes that residue is direct
-    non-Ramanujan evidence.
+    and nontrivial moduli are counted together, since the two share circles,
+    and a bucket counts as trivial when its modulus is trivial only.  The
+    counts are exact; the zeros on no admissible circle are the residue, and
+    ``unclassified`` lists their float moduli, which must match no admissible
+    modulus and leave every bucket count as it is.
     """
+    if poly.cf(0) != 1:
+        raise ValueError("polynomial must have constant term 1")
     reduced, exact = split_trivial(poly, q, tag)
     trivial_ks, nontrivial_ks = ADMISSIBLE_K[tag]
     matched = nontrivial_ks if exact else tuple(dict.fromkeys(trivial_ks + nontrivial_ks))
-    counts, rest = _match_buckets(zero_moduli(reduced), [q ** (-k / 4) for k in matched])
+    counts = circle_counts(reduced, q, matched)
+    residue = reduced.degree - sum(counts)
+    rest = []
+    if residue:
+        float_counts, rest = _match_buckets(zero_moduli(reduced), [q ** (-k / 4) for k in matched])
+        if float_counts != counts or len(rest) != residue:
+            raise RootRefinementError(
+                f"float moduli of the {tag} zeros give buckets {float_counts} and "
+                f"{len(rest)} unclassified, the exact counts {counts} and {residue}"
+            )
     rows = [(k, 3, True) for k in trivial_ks] if exact else []
     rows += [(k, n, not exact and k not in nontrivial_ks) for k, n in zip(matched, counts)]
     buckets = [ZeroBucket(tag, _label(k), q ** (-k / 4), n, trivial) for k, n, trivial in rows]
@@ -345,10 +391,11 @@ def ramanujan_verdicts(parts: ZetaParts, q=None):
     spec_e = classify(parts.p_e, q, "E")
     spec_b = classify(parts.p_b, q, "B")
     notes = []
-    big = [m for m in spec_b.unclassified if abs(m - q ** 0.75) <= TOL_CLASSIFY]
+    # no admissible modulus exceeds 1, so zeros of modulus q^(3/4) lie in the residue
+    big = circle_counts(parts.p_b, q, (-3,))[0] if spec_b.unclassified else 0
     if big:
         notes.append(
-            f"observed {len(big)} chamber zero(s) of modulus q^(3/4); "
+            f"observed {big} chamber zero(s) of modulus q^(3/4); "
             "the admissible table uses q^(-3/4) for that family"
         )
     return RamanujanReport(

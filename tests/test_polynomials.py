@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,9 @@ from zeta3.polynomials import (
     content,
     gcd_polys,
     primitive_part,
+    real_root_count,
     squarefree_decomposition,
+    unit_circle_root_count,
 )
 
 small_polys = st.lists(st.integers(-30, 30), min_size=0, max_size=8).map(IntPoly)
@@ -155,3 +159,122 @@ def test_content_and_primitive_part():
     assert content(f) == 3
     assert primitive_part(f).to_list() == [2, -3, 1]
     assert primitive_part(IntPoly([-2, 0, -4])).leading > 0
+
+
+# -- Graeffe, Sturm and unit-circle counts -------------------------------------
+
+
+def _from_roots(roots):
+    """prod (u - r) for integer roots r."""
+    p = IntPoly.one()
+    for r in roots:
+        p = p * IntPoly([-r, 1])
+    return p
+
+
+@given(small_polys)
+@settings(max_examples=40, deadline=None)
+def test_graeffe_defining_identity(f):
+    # g(u^2) = f(u) f(-u)
+    minus = IntPoly([c * (-1) ** i for i, c in enumerate(f.coeffs)])
+    assert f.graeffe().substitute_square() == f * minus
+    assert f.graeffe().degree == f.degree
+
+
+def test_graeffe_squares_the_zeros():
+    roots = [3, -3, 2, 0, -5]
+    assert _from_roots(roots).graeffe() == -_from_roots([r * r for r in roots])
+    # +-i and the primitive cube roots of unity w, w^2: squares -1, -1, w^2, w
+    assert IntPoly([1, 0, 1]).graeffe() == IntPoly([1, 1]) ** 2
+    assert IntPoly([1, 1, 1]).graeffe() == IntPoly([1, 1, 1])
+    # two steps give the fourth powers: the zeros of 1 - 2u^4 all go to 1/2
+    assert IntPoly([1, 0, 0, 0, -2]).graeffe().graeffe() == IntPoly([1, -2]) ** 4
+
+
+def _random_squarefree(rng):
+    """An integer polynomial with known-distinct roots: rationals of both
+    signs (some clustered 1/1000 apart) and non-real pairs."""
+    factors = set()
+    for _ in range(rng.randint(1, 4)):
+        factors.add((rng.randint(-40, 40), rng.randint(1, 6)))  # root -a/b
+    if rng.random() < 0.5:
+        a = rng.randint(-3000, 3000)
+        factors |= {(a, 1000), (a + 1, 1000)}
+    out = IntPoly.one()
+    for a, b in factors:
+        out = out * IntPoly([a, b])
+    for _ in range(rng.randint(0, 3)):
+        s, t = rng.randint(-10, 10), rng.randint(1, 30)  # (u - s)^2 + t
+        out = out * IntPoly([s * s + t, -2 * s, 1])
+    return primitive_part(out) if squarefree_decomposition(out) == [(primitive_part(out), 1)] else None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_real_root_count_against_sympy(seed):
+    rng = random.Random(seed)
+    x = sympy.Symbol("x")
+    checked = 0
+    while checked < 25:
+        p = _random_squarefree(rng)
+        if p is None:
+            continue
+        poly = sympy.Poly(list(reversed(p.coeffs)), x)
+        lo = Fraction(rng.randint(-50, 10), rng.randint(1, 4))
+        hi = lo + Fraction(rng.randint(1, 80), rng.randint(1, 5))
+        a, b = sympy.Rational(lo.numerator, lo.denominator), sympy.Rational(hi.numerator, hi.denominator)
+        # count_roots counts the closed interval
+        want = poly.count_roots(a, b) - (poly.eval(a) == 0) - (poly.eval(b) == 0)
+        assert real_root_count(p, lo, hi) == want, (p, lo, hi)
+        assert real_root_count(p, -(10 ** 6), 10 ** 6) == poly.count_roots()
+        checked += 1
+
+
+def test_real_root_count_small_dense_coefficients():
+    # small leading coefficients let some pseudo-division steps divide
+    # exactly, so the number of scalings differs from the degree gap
+    rng = random.Random(5)
+    x = sympy.Symbol("x")
+    checked = 0
+    while checked < 200:
+        p = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(3, 8))])
+        if p.degree < 2 or squarefree_decomposition(p) != [(primitive_part(p), 1)]:
+            continue
+        poly = sympy.Poly(list(reversed(p.coeffs)), x)
+        lo, hi = rng.randint(-4, 0), rng.randint(1, 4)
+        want = poly.count_roots(lo, hi) - (p(lo) == 0) - (p(hi) == 0)
+        assert real_root_count(p, lo, hi) == want, (p, lo, hi)
+        assert real_root_count(p, -(10 ** 4), 10 ** 4) == poly.count_roots()
+        checked += 1
+    assert real_root_count(IntPoly([5, -3, 0, -2]), -10, 10) == 1
+    assert real_root_count(IntPoly([-1, 2, 5, 4, -2]), -10, 10) == 2
+
+
+def test_real_root_count_edges():
+    p = _from_roots([-2, 0, 1, 3])
+    assert real_root_count(p, -2, 3) == 2  # open interval: the endpoints are out
+    assert real_root_count(p, Fraction(-5, 2), Fraction(7, 2)) == 4
+    assert real_root_count(p, 3, -2) == 0
+    assert real_root_count(IntPoly([7]), -1, 1) == 0
+    # repeated roots count once
+    assert real_root_count(_from_roots([1, 1, 1, -1]) * IntPoly([1, 0, 1]), -2, 2) == 2
+    # a negative leading coefficient flips the sign of every pseudo-remainder
+    assert real_root_count(-_from_roots([-3, -1, 2, 5, 6]), 0, 10) == 3
+    with pytest.raises(ValueError):
+        real_root_count(IntPoly(), 0, 1)
+
+
+@pytest.mark.parametrize(
+    "poly, want",
+    [
+        (IntPoly([1, 0, 0, -1]), 3),  # cube roots of unity
+        (IntPoly([-1, 1]) ** 3 * IntPoly([1, 1]), 4),  # +-1 with multiplicity
+        (IntPoly([1, 1, 1]) * IntPoly([1, -2]), 2),
+        (IntPoly([2, -5, 2]), 0),  # 2 and 1/2: a reciprocal pair off the circle
+        (IntPoly([2, -3, 2]), 2),  # |v| = 1, not a root of unity
+        (IntPoly([2, -3, 2]) ** 2 * IntPoly([5, 1]) * IntPoly([0, 0, 1]), 4),
+        (IntPoly([1, 0, 1]) * IntPoly([4, 0, 1]) * IntPoly([1, 0, 4]), 2),
+        (IntPoly([3]), 0),
+    ],
+)
+def test_unit_circle_root_count(poly, want):
+    assert unit_circle_root_count(poly) == want

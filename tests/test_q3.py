@@ -7,9 +7,15 @@ from zeta3.construct import (
     iter_triangle_presentations,
     projective_plane,
 )
+from zeta3 import exactdet, spectra
 from zeta3.exactdet import char_rev, char_rev_factored
 from zeta3.operators import build_a1, build_lb, build_lb_pattern, build_le, build_le_pattern
-from zeta3.spectra import ramanujan_verdicts, rep_census, steinberg_divisibility
+from zeta3.spectra import (
+    build_spectral_report,
+    ramanujan_verdicts,
+    rep_census,
+    steinberg_divisibility,
+)
 from zeta3.zeta import verify_identity, zeta_parts
 
 
@@ -52,9 +58,64 @@ def test_factored_parts_match_dense(base3):
 
 @pytest.mark.parametrize("index", [4, 0])
 def test_identity_on_first_m2_cover(presentations3, index):
-    # spectra are left out: presentation 0's cover raises RootRefinementError
     cx = connected_covers(presentations3[index], 2)[0][1]
     assert cx.counts() == (6, 78, 104, 32)
     parts = zeta_parts(cx)
     assert parts.full_rank_edge() and parts.full_rank_chamber()
     assert verify_identity(parts).holds
+
+
+def _nontrivial_counts(report):
+    return {
+        tag: [(b["label"], b["count"]) for b in op["buckets"] if not b["trivial"]]
+        for tag, op in report["operators"].items()
+    }
+
+
+def _refuse(poly):
+    raise AssertionError("the verdict path must not root-find")
+
+
+def _assert_ramanujan(report):
+    assert all(op["trivial_removed_exactly"] and op["unclassified"] == []
+               for op in report["operators"].values())
+    assert report["ramanujan"]["vertex_criterion"]
+    assert report["ramanujan"]["edge_criterion"]
+    assert report["ramanujan"]["chamber_criterion"]
+    assert report["ramanujan"]["is_ramanujan"]
+    assert report["census"]["consistent"], report["census"]["diagnostics"]
+
+
+def test_spectra_on_presentation0_m2_cover(presentations3, monkeypatch):
+    # the float route could not refine a degree-138 factor of this P_B; the
+    # counts are exact, so no root finding runs
+    voltage, cx = connected_covers(presentations3[0], 2)[0]
+    assert voltage == 1
+    parts = zeta_parts(cx)
+    monkeypatch.setattr(spectra, "zero_moduli", _refuse)
+    report = build_spectral_report(cx, parts)
+    assert _nontrivial_counts(report) == {
+        "A": [("q^-1", 9)],
+        "E": [("q^-1", 9), ("q^-1/2", 66)],
+        "B": [("1", 93), ("q^-1/2", 84), ("q^-1/4", 132), ("q^-3/4", 0)],
+    }
+    _assert_ramanujan(report)
+
+
+def test_spectra_on_presentation4_m8_cover(presentations3, monkeypatch):
+    # L_B has 1248 rows.  The parts take the factored route without its
+    # self-check, which adds ~10 s at this size; the identity is the check.
+    monkeypatch.setattr(exactdet, "SELF_CHECK", False)
+    voltage, cx = connected_covers(presentations3[4], 8)[0]
+    assert voltage == 2
+    assert cx.counts() == (24, 312, 416, 128)
+    parts = zeta_parts(cx)
+    assert verify_identity(parts).holds
+    monkeypatch.setattr(spectra, "zero_moduli", _refuse)
+    report = build_spectral_report(cx, parts)
+    assert _nontrivial_counts(report) == {
+        "A": [("q^-1", 63)],
+        "E": [("q^-1", 63), ("q^-1/2", 246)],
+        "B": [("1", 381), ("q^-1/2", 372), ("q^-1/4", 492), ("q^-3/4", 0)],
+    }
+    _assert_ramanujan(report)

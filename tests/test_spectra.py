@@ -10,8 +10,10 @@ from zeta3 import spectra
 from zeta3.errors import Zeta3Error
 from zeta3.polynomials import IntPoly
 from zeta3.spectra import (
+    ADMISSIBLE_K,
     RootRefinementError,
     build_spectral_report,
+    circle_counts,
     classify,
     cube_factor_multiplicity,
     ramanujan_verdicts,
@@ -397,3 +399,129 @@ def test_criteria_on_merged_and_chamber_buckets():
     assert not rep.chamber_criterion
     missing_one = dataclasses.replace(parts, p_a=cube(-8) * cube(64))  # no modulus-1 zeros
     assert not ramanujan_verdicts(missing_one).vertex_criterion
+
+
+# -- exact circle counts ---------------------------------------------------------
+
+
+def _on_circle(q, k, rng):
+    """A factor with every zero on |u| = q^(-k/4), and its degree."""
+    if k % 2 == 0:  # 1 - t u + q^(k/2) u^2 with t^2 < 4 q^(k/2)
+        c = q ** (k // 2)
+        t = rng.choice([t for t in range(-2 * math.isqrt(c), 2 * math.isqrt(c) + 1) if t * t < 4 * c])
+        return IntPoly([1, -t, c]), 2
+    c = q ** k  # 1 + a u^2 + q^k u^4 with a^2 < 4 q^k
+    a = rng.choice([a for a in range(-2 * math.isqrt(c), 2 * math.isqrt(c) + 1) if a * a < 4 * c])
+    return IntPoly([1, 0, a, 0, c]), 4
+
+
+def _planted(q, ks, rng, off_circle=()):
+    """A product with known zero counts on each circle q^(-k/4), k in ks."""
+    poly, want = IntPoly.one(), [0] * len(ks)
+    for i, k in enumerate(ks):
+        for _ in range(rng.randint(0, 3)):
+            factor, d = _on_circle(q, k, rng)
+            mult = rng.choice([1, 1, 2, 3])
+            poly = poly * factor ** mult
+            want[i] += d * mult
+    residue = 0
+    for factor in off_circle:
+        poly = poly * factor
+        residue += factor.degree
+    return poly, want, residue
+
+
+# moduli 1/5, 5^-1/2 and 7^-1/3: on no circle q^(-k/4) for q = 2, 3
+_OFF = (IntPoly([1, -5]), IntPoly([1, 1, 5]), IntPoly([1, 0, 0, 7]))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("tag", ["A", "E", "B"])
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_planted_counts_exact_split(q, tag, seed):
+    rng = random.Random(100 * seed + 10 * q + ord(tag))
+    trivial_ks, nontrivial_ks = ADMISSIBLE_K[tag]
+    off = [f for f in _OFF if rng.random() < 0.5]
+    planted, want, residue = _planted(q, nontrivial_ks, rng, off)
+    spec = classify(trivial_factor(q, tag) * planted, q, tag)
+    assert spec.exact_trivial
+    assert [(b.count, b.trivial) for b in spec.buckets] == (
+        [(3, True)] * len(trivial_ks) + [(n, False) for n in want]
+    )
+    assert len(spec.unclassified) == residue
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("tag", ["A", "E", "B"])
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_planted_counts_merged(q, tag, seed):
+    # without the exact trivial factor, every admissible circle is counted
+    rng = random.Random(1000 + 100 * seed + 10 * q + ord(tag))
+    trivial_ks, nontrivial_ks = ADMISSIBLE_K[tag]
+    ks = tuple(dict.fromkeys(trivial_ks + nontrivial_ks))
+    planted, want, residue = _planted(q, ks, rng, _OFF)
+    if split_trivial(planted, q, tag)[1]:
+        planted = planted * IntPoly([1, -1, 1])  # on |u| = 1, which no tag lists alone
+        if 0 in ks:
+            want[ks.index(0)] += 2
+        else:
+            residue += 2
+    spec = classify(planted, q, tag)
+    assert not spec.exact_trivial
+    assert [(b.count, b.trivial) for b in spec.buckets] == [
+        (n, k not in nontrivial_ks) for k, n in zip(ks, want)
+    ]
+    assert len(spec.unclassified) == residue
+
+
+def test_circle_counts_modulus_above_one():
+    # k = -3: zeros of modulus q^(3/4), as in the chamber note
+    poly = IntPoly([8, 0, 3, 0, 1]) * IntPoly([1, 0, 0, 0, -8]) * IntPoly([1, -1, 2])
+    assert circle_counts(poly, 2, (-3, 3, 2)) == [4, 4, 2]
+
+
+def test_exact_counts_match_float_route(small_battery, base3):
+    # the independent float route: every modulus matched to the nontrivial ones
+    for cx in small_battery + [base3]:
+        parts = zeta_parts(cx)
+        for tag, poly in (("A", parts.p_a), ("E", parts.p_e), ("B", parts.p_b)):
+            spec = classify(poly, cx.q, tag)
+            assert spec.exact_trivial
+            reduced, _exact = split_trivial(poly, cx.q, tag)
+            targets = [cx.q ** (-k / 4) for k in ADMISSIBLE_K[tag][1]]
+            counts, rest = spectra._match_buckets(zero_moduli(reduced), targets)
+            assert [b.count for b in spec.buckets if not b.trivial] == counts
+            assert rest == spec.unclassified == []
+
+
+def test_verdicts_are_float_free(small_battery, base3, monkeypatch):
+    def refuse(poly):
+        raise AssertionError("the verdict path must not root-find")
+
+    monkeypatch.setattr(spectra, "zero_moduli", refuse)
+    for cx in small_battery + [base3]:
+        report = build_spectral_report(cx, zeta_parts(cx))
+        assert report["ramanujan"]["is_ramanujan"]
+        assert report["census"]["consistent"]
+
+
+def test_float_disagreement_raises(monkeypatch):
+    # one zero at 1/2, off every circle: the float route must report it
+    # unclassified, and moduli that land in a bucket instead are an error
+    poly = trivial_factor(3, "E") * IntPoly([1, -2])
+    assert classify(poly, 3, "E").unclassified == pytest.approx([0.5])
+    monkeypatch.setattr(spectra, "zero_moduli", lambda p: [3 ** -0.5])
+    with pytest.raises(RootRefinementError):
+        classify(poly, 3, "E")
+
+
+def test_chamber_note_is_decided_exactly():
+    # an integer factor with constant term +-1 has |a_0 / a_d| = rho^d for a
+    # zero on |u| = rho, so P_B(0) = 1 leaves no zero of modulus q^(3/4), and
+    # the exact count keeps a residue elsewhere from raising the note
+    near = IntPoly([1, 0, 0, 0, -7])  # zeros of modulus 7^(-1/4), on no circle
+    parts = synthetic_parts(p_b=near)
+    rep = ramanujan_verdicts(parts)
+    assert not rep.chamber_criterion
+    assert len(rep.spectra["B"].unclassified) == 4
+    assert rep.notes == []
