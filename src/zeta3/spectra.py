@@ -16,37 +16,32 @@ whenever the division is exact; otherwise the trivial and nontrivial moduli
 are counted together.
 
 Every bucket count is an exact integer count, so the verdicts, the buckets,
-the criteria, the census and the q^(3/4) note involve no floating point.  For
-each square-free factor f of the reduced polynomial (with its multiplicity),
-two Graeffe steps give h, whose zeros are the fourth powers of f's.  The zeros
-of f on |u| = q^(-k/4) are the zeros of h on |w| = q^-k, and the integer
-polynomial H(v) = q^(k deg h) h(q^-k v) moves them to the unit circle, where
+the criteria and the census involve no floating point.  For each square-free
+factor f of the reduced polynomial (with its multiplicity), two Graeffe steps
+give h, whose zeros are the fourth powers of f's.  The zeros of f on
+|u| = q^(-k/4) are the zeros of h on |w| = q^-k, and the integer polynomial
+H(v) = q^(k deg h) h(q^-k v) moves them to the unit circle, where
 ``polynomials.unit_circle_root_count`` counts them by gcd(H, H reversed), a
 square-free split and a Sturm count.  Whatever lies on no admissible circle is
 the unclassified residue, and for genuine complexes it is direct
 non-Ramanujan evidence.
 
 Floating point only lists the moduli of a nonempty residue for display.  Each
-square-free factor starts from the double-precision roots of ``np.roots`` and
-is Newton-refined in fixed point on Python ints: the exact integer
-coefficients are shifted by about 200 bits (the precision of 60 decimal
-digits) plus headroom for the growth of |x|**d, f and f' come from one Horner
-pass, and the complex step f/f' is an exact integer division.  A root stops
-when its step is below 10**-50 * max(1, |x|); the refined values are rounded
-once to doubles.  Two refined roots closer than 10**-30 mean two starts fell
-into one basin, and only then does ``mpmath.polyroots`` redo the factor at
-full precision.  The float moduli are matched to the admissible moduli within
-``TOL_CLASSIFY``, and any disagreement with the exact counts raises
+square-free factor is made monic with every coefficient rounded once to a
+double, and its ``np.roots`` eigenvalues are refined together by Aberth-Ehrlich
+steps in double precision.  A root stops after one last step once its residual
+is within Horner's rounding bound 4 d eps sum |c_i| |z|^i; roots with |z| > 1
+are evaluated through the reversed polynomial, so no power overflows.  The
+float moduli are matched to the admissible moduli within ``TOL_CLASSIFY``, and
+a failure to converge or any disagreement with the exact counts raises
 ``RootRefinementError``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .errors import Zeta3Error
@@ -107,108 +102,42 @@ def split_trivial(poly, q, tag):
 # -- numerical roots ----------------------------------------------------------
 
 
-def _initial_roots(poly):
-    coeffs = np.array([float(c) for c in reversed(poly.coeffs)])
-    scale = np.max(np.abs(coeffs))
-    return np.roots(coeffs / scale)
+def _aberth(coeffs, z):
+    """Refine the starts z to all roots of the monic polynomial sum coeffs[i] u^i.
 
-
-def _fixed(x, shift):
-    """The double x as a fixed-point int with ``shift`` fraction bits.
-
-    The conversion is exact whenever x has no bits below 2**-shift, so tiny
-    starting points keep their value instead of collapsing to 0.
+    Vectorised Aberth-Ehrlich steps.  A root with |z| > 1 is evaluated through
+    the reversed polynomial at 1/z, so no power exceeds 1 in size.  A root
+    freezes after one last step once its residual is within Horner's rounding
+    bound.  Raises RootRefinementError if roots still move after 100 steps.
     """
-    num, den = float(x).as_integer_ratio()
-    return (num << shift) // den
-
-
-def _horner(cs, xr, xi, shift):
-    """f(x) and f'(x) in one Horner pass, all values fixed point (2**shift)."""
-    br, bi = cs[-1], 0
-    dr = di = 0
-    for c in reversed(cs[:-1]):
-        dr, di = ((dr * xr - di * xi) >> shift) + br, ((dr * xi + di * xr) >> shift) + bi
-        br, bi = ((br * xr - bi * xi) >> shift) + c, (br * xi + bi * xr) >> shift
-    return br, bi, dr, di
-
-
-def _too_close(roots, fixed, one, sep_digits):
-    """Whether two refined roots lie within 10**-sep_digits of each other.
-
-    A double-precision prefilter picks candidate pairs row by row; its
-    threshold grows with the roots' size by more than their rounding error,
-    so every pair the exact rule flags is a candidate.  Candidates are then
-    decided exactly on the fixed-point values.
-    """
-    zs = np.array(roots, dtype=complex)
-    size = np.abs(zs)
-    sep = 10.0 ** -sep_digits
-    bound = one * one
-    scale = 10 ** (2 * sep_digits)
-    for i in range(len(zs) - 1):
-        near = np.abs(zs[i + 1 :] - zs[i]) <= 2 * sep + 2.0 ** -48 * (size[i] + size[i + 1 :])
-        ar, ai = fixed[i]
-        for j in np.flatnonzero(near):
-            br, bi = fixed[i + 1 + j]
-            if ((ar - br) ** 2 + (ai - bi) ** 2) * scale < bound:
-                return True
-    return False
-
-
-def _roots_squarefree(poly, dps=60):
-    """All complex roots of a square-free integer polynomial, refined by Newton.
-
-    Newton runs in fixed point on Python ints with ``dps`` digits of working
-    precision plus headroom for |x|**d.  Raises RootRefinementError when
-    refinement fails to converge.
-    """
-    d = poly.degree
-    if d <= 0:
-        return []
-    approx = _initial_roots(poly)
-    radius = max(1.0, 1.05 * float(np.max(np.abs(approx))))
-    shift = int(3.33 * dps) + 32 + math.ceil(d * math.log2(radius)) + d.bit_length()
-    one = 1 << shift
-    cs = [c << shift for c in poly.coeffs]
-    tol = 10 ** (2 * (dps - 10))
-    fixed = []
-    for x0 in approx:
-        xr, xi = _fixed(x0.real, shift), _fixed(x0.imag, shift)
-        ok = False
-        for _ in range(80):
-            fr, fi, dr, di = _horner(cs, xr, xi, shift)
-            den = dr * dr + di * di
-            if den == 0:
-                break
-            sr = ((fr * dr + fi * di) << shift) // den
-            si = ((fi * dr - fr * di) << shift) // den
-            xr, xi = xr - sr, xi - si
-            if (sr * sr + si * si) * tol <= max(one * one, xr * xr + xi * xi):
-                ok = True
-                break
-        if not ok:
-            raise RootRefinementError(
-                f"Newton refinement failed for degree-{d} factor "
-                f"{poly.to_list()[:8]}..."
-            )
-        fixed.append((xr, xi))
-    roots = [complex(xr / one, xi / one) for xr, xi in fixed]
-    # square-free: all roots distinct; a collision means two starting
-    # points fell into one basin, so fall back to slow-but-safe polyroots
-    if _too_close(roots, fixed, one, dps // 2):
-        with mp.workdps(dps):
-            try:
-                rs = mp.polyroots(
-                    [mp.mpf(c) for c in reversed(poly.coeffs)], maxsteps=500, extraprec=400
-                )
-            except Exception as exc:
-                raise RootRefinementError(
-                    f"fallback root finder failed for degree-{d} factor "
-                    f"{poly.to_list()[:8]}...: {exc}"
-                )
-            roots = [complex(r) for r in rs]
-    return roots
+    d = len(coeffs) - 1
+    z = np.array(z, complex)
+    live = np.ones(d, bool)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            idx = np.flatnonzero(live)
+            x = z[idx]
+            out = np.abs(x) > 1
+            w = np.where(out, 1 / x, x)
+            f = np.zeros_like(w)
+            df = np.zeros_like(w)
+            size = np.zeros(len(w))
+            for i in range(d + 1):
+                a = np.where(out, coeffs[i], coeffs[d - i])
+                df = df * w + f
+                f = f * w + a
+                size = size * np.abs(w) + np.abs(a)
+            # the Newton step p/p'; outside the unit circle f is the reversal at w
+            step = np.where(out, f / (w * (d * f - w * df)), f / df)
+            pull = 1 / (x[:, None] - z[None, :])
+            pull[np.arange(len(idx)), idx] = 0
+            z[idx] = x - step / (1 - step * pull.sum(axis=1))
+            live[idx[np.abs(f) <= 4 * d * np.finfo(float).eps * size]] = False
+            if not live.any():
+                return z
+    raise RootRefinementError(
+        f"Aberth iteration did not converge within 100 steps for a degree-{d} factor"
+    )
 
 
 def zero_moduli(poly):
@@ -218,16 +147,12 @@ def zero_moduli(poly):
     """
     if poly.cf(0) != 1:
         raise ValueError("polynomial must have constant term 1")
-    if poly.degree <= 0:
-        return []
     out = []
     for factor, mult in squarefree_decomposition(poly):
-        for r in _roots_squarefree(factor):
-            out.extend([abs(r)] * mult)
-    if len(out) != poly.degree:
-        raise RootRefinementError(
-            f"root bookkeeping lost zeros: {len(out)} of {poly.degree}"
-        )  # pragma: no cover
+        lead = factor.coeffs[-1]
+        coeffs = np.array([float(Fraction(c, lead)) for c in factor.coeffs])
+        roots = _aberth(coeffs, np.roots(coeffs[::-1]))
+        out.extend(np.repeat(np.abs(roots), mult).tolist())
     return sorted(out)
 
 
@@ -237,8 +162,7 @@ def zero_moduli(poly):
 def circle_counts(poly, q, ks):
     """The number of zeros of poly on each circle |u| = q^(-k/4), k in ks.
 
-    Exact, with multiplicity.  A negative k counts zeros of modulus
-    q^(|k|/4).  Needs poly(0) != 0.
+    Exact, with multiplicity.  Needs poly(0) != 0.
     """
     counts = [0] * len(ks)
     for factor, mult in squarefree_decomposition(poly):
@@ -248,10 +172,7 @@ def circle_counts(poly, q, ks):
         for i, k in enumerate(ks):
             if not left:  # every zero of this factor is already counted
                 break
-            if k >= 0:
-                scaled = IntPoly([c * q ** (k * (d - j)) for j, c in enumerate(h.coeffs)])
-            else:
-                scaled = IntPoly([c * q ** (-k * j) for j, c in enumerate(h.coeffs)])
+            scaled = IntPoly([c * q ** (k * (d - j)) for j, c in enumerate(h.coeffs)])
             n = unit_circle_root_count(scaled)
             counts[i] += n * mult
             left -= n
@@ -349,7 +270,6 @@ class RamanujanReport:
     edge_criterion: bool  # nontrivial edge zeros at q^-1 and q^-1/2
     chamber_criterion: bool  # nontrivial chamber zeros at 1, q^-1/2, q^-1/4
     spectra: dict  # tag -> ClassifiedSpectrum
-    notes: list = field(default_factory=list)
 
     @property
     def agree(self):
@@ -390,20 +310,11 @@ def ramanujan_verdicts(parts: ZetaParts, q=None):
     spec_a = classify(parts.p_a, q, "A")
     spec_e = classify(parts.p_e, q, "E")
     spec_b = classify(parts.p_b, q, "B")
-    notes = []
-    # no admissible modulus exceeds 1, so zeros of modulus q^(3/4) lie in the residue
-    big = circle_counts(parts.p_b, q, (-3,))[0] if spec_b.unclassified else 0
-    if big:
-        notes.append(
-            f"observed {big} chamber zero(s) of modulus q^(3/4); "
-            "the admissible table uses q^(-3/4) for that family"
-        )
     return RamanujanReport(
         vertex_criterion=_criterion(spec_a),
         edge_criterion=_criterion(spec_e),
         chamber_criterion=_criterion(spec_b),
         spectra={"A": spec_a, "E": spec_e, "B": spec_b},
-        notes=notes,
     )
 
 
@@ -554,6 +465,6 @@ def build_spectral_report(cx, parts: ZetaParts):
             "chamber": parts.full_rank_chamber(),
         },
         "tolerances": {"root": TOL_ROOT, "classification": TOL_CLASSIFY},
-        "notes": [CENSUS_COLLISION_NOTE] + rama.notes,
+        "notes": [CENSUS_COLLISION_NOTE],
     }
     return report

@@ -11,10 +11,13 @@ from zeta3 import exactdet, spectra
 from zeta3.exactdet import char_rev, char_rev_factored
 from zeta3.operators import build_a1, build_lb, build_lb_pattern, build_le, build_le_pattern
 from zeta3.spectra import (
+    ADMISSIBLE_K,
     build_spectral_report,
     ramanujan_verdicts,
     rep_census,
+    split_trivial,
     steinberg_divisibility,
+    zero_moduli,
 )
 from zeta3.zeta import verify_identity, zeta_parts
 
@@ -86,9 +89,21 @@ def _assert_ramanujan(report):
     assert report["census"]["consistent"], report["census"]["diagnostics"]
 
 
+def _assert_float_moduli_match(report, parts, tags):
+    # the float display route, forced on the reduced polynomials, puts every
+    # zero in the bucket the exact counts give it
+    counts = _nontrivial_counts(report)
+    for tag in tags:
+        reduced, _exact = split_trivial(getattr(parts, f"p_{tag.lower()}"), parts.q, tag)
+        targets = [parts.q ** (-k / 4) for k in ADMISSIBLE_K[tag][1]]
+        assert spectra._match_buckets(zero_moduli(reduced), targets) == (
+            [n for _label, n in counts[tag]], []
+        )
+
+
 def test_spectra_on_presentation0_m2_cover(presentations3, monkeypatch):
-    # the float route could not refine a degree-138 factor of this P_B; the
-    # counts are exact, so no root finding runs
+    # the counts are exact, so the report runs no root finding; the float
+    # route still places all zeros, those of the degree-138 P_B factor too
     voltage, cx = connected_covers(presentations3[0], 2)[0]
     assert voltage == 1
     parts = zeta_parts(cx)
@@ -100,6 +115,7 @@ def test_spectra_on_presentation0_m2_cover(presentations3, monkeypatch):
         "B": [("1", 93), ("q^-1/2", 84), ("q^-1/4", 132), ("q^-3/4", 0)],
     }
     _assert_ramanujan(report)
+    _assert_float_moduli_match(report, parts, "AEB")
 
 
 def test_spectra_on_presentation4_m8_cover(presentations3, monkeypatch):
@@ -119,3 +135,6 @@ def test_spectra_on_presentation4_m8_cover(presentations3, monkeypatch):
         "B": [("1", 381), ("q^-1/2", 372), ("q^-1/4", 492), ("q^-3/4", 0)],
     }
     _assert_ramanujan(report)
+    # the degree-147 edge and degree-354 chamber factors are too ill-conditioned
+    # for double precision, so only the vertex moduli are checked
+    _assert_float_moduli_match(report, parts, "A")

