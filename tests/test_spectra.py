@@ -92,12 +92,23 @@ def test_zero_moduli_random_against_polyroots():
             assert abs(g - w) <= 1e-12 * w
 
 
-def test_aberth_unseparated_starts_raise():
-    # equal starts make every Aberth correction undefined, so no root can
-    # settle; the iteration must run to its cap and report the failure
+def test_newton_non_convergence_raises():
+    # equal starts make every Aberth correction to the Newton step undefined,
+    # so no root can settle; the iteration must run to its cap and report it
     coeffs = np.array([2.0, -2.0, 0.0, 1.0])  # 2 - 2u + u^3
     with pytest.raises(RootRefinementError, match="within 100 steps for a degree-3"):
         spectra._aberth(coeffs, np.zeros(3, complex))
+
+
+def test_newton_zero_derivative_raises():
+    # f'(0) = 0 for u^2 - 2: with separated starts 0 and 1 the Newton step at
+    # 0 is undefined, and that is a failure, not a step; a start just off the
+    # critical point converges
+    coeffs = np.array([-2.0, 0.0, 1.0])
+    with pytest.raises(RootRefinementError, match="degree-2"):
+        spectra._aberth(coeffs, np.array([0, 1], complex))
+    roots = spectra._aberth(coeffs, np.array([0.1, 1], complex))
+    assert np.allclose(sorted(roots.real), [-2 ** 0.5, 2 ** 0.5])
 
 
 def test_pe_base_trivial_moduli(base_parts):
