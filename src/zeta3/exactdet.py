@@ -8,13 +8,19 @@ The routes and their parts:
   block-circulant over G, so the determinant is the product over the |G|
   characters of G of r x r twisted determinants.  These are taken modulo
   word-sized primes p = 1 (mod |G|), where the characters take values in
-  GF(p), and recombined by CRT under a rigorous Hadamard-style coefficient
-  bound.  Exact integer arithmetic throughout, just carried out residue-wise.
+  GF(p).  The characters fall into Galois orbits {chi^t : t a unit mod |G|}
+  (``_character_orbits``), and each orbit's product is an integer
+  polynomial of degree at most |O|*r: it is recombined by CRT on its own,
+  under the Hadamard-style bound of |O|*r rows of norm rho, rho**2 the
+  largest squared row norm of the pattern with its group labels collapsed
+  onto their cells.  The kernel work goes as the sum of |O|**2, not |G|**2;
+  the orbit factors are multiplied exactly.  Exact integer arithmetic
+  throughout, just carried out residue-wise.
 * ``_charpolys_mod`` - the one characteristic-polynomial kernel: Hessenberg
   reduction and the standard recurrence, each step run at once on a stack of
-  matrices, each slice modulo its own prime.  The engine hands it the blocks
-  of every character for a chunk of whole primes, capped at
-  ``_CHUNK_ENTRIES`` int64 entries to bound memory.
+  matrices, each slice modulo its own prime.  The engine hands it the
+  (prime, character) blocks of every orbit for a chunk of whole primes,
+  capped at ``_CHUNK_ENTRIES`` int64 entries to bound memory.
 * ``char_rev`` - det(I - u*M) for an integer matrix.  A Z/3 grading of M's
   nonzero pattern (every entry raises the label by one, as the paper's
   operators raise the vertex type) makes M block-cyclic, and then
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -298,6 +304,42 @@ def _coefficient_bound(norm_sq, n):
     return 2 * -(-power // one ** n)
 
 
+def _character_orbits(exponents):
+    """The characters (rows of ``exponents``) grouped into Galois orbits.
+
+    The characters take values in Q(zeta) for zeta of order k = len(exponents),
+    and the automorphism zeta -> zeta**t, t a unit mod k, takes the character
+    with exponent row e to the one with row t*e (mod k).  An orbit is a class
+    of rows related so.  Its product of twisted determinants is fixed by every
+    automorphism, so its coefficients are rational algebraic integers, that
+    is integers; modulo p = 1 (mod k), with w in place of zeta, the engine
+    takes their residues.  Rows are compared by value, so characters that
+    agree on every entry share an orbit; as the rows are the characters of a
+    group, each value occurs equally often and the product stays invariant.
+    Lists of row indices, in order of first appearance.
+    """
+    k = len(exponents)
+    units = np.array([t for t in range(1, k + 1) if gcd(t, k) == 1], dtype=np.int64)
+    orbits = {}
+    for c, row in enumerate(exponents):
+        key = min(map(tuple, (units[:, None] * row[None, :] % k).tolist()))
+        orbits.setdefault(key, []).append(c)
+    return list(orbits.values())
+
+
+def _block_norm_sq(r, rows, cols, weights):
+    """rho**2 = max over pattern rows i of sum_j (sum of |weights| in cell
+    (i, j))**2: |M_c[i, j]| is at most that cell sum for every character c,
+    so every row of every twisted block has Euclidean norm at most rho."""
+    cells = {}
+    for i, j, v in zip(rows.tolist(), cols.tolist(), weights):
+        cells[i, j] = cells.get((i, j), 0) + abs(v)
+    row_norm_sq = [0] * r
+    for (i, _j), s in cells.items():
+        row_norm_sq[i] += s * s
+    return max(row_norm_sq)
+
+
 # int64 block entries (256 KiB) per batch of the modular engine: the stack,
 # the kernel's temporaries and its recurrence table grow with the batch
 _CHUNK_ENTRIES = 1 << 15
@@ -311,18 +353,24 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     a prime p = 1 (mod k) with w of exact order k, character c of G takes the
     value w**exponents[c][e] on entry e's group element, so the twisted block
     M_c[i, j] = sum of weights[e] * w**exponents[c][e] over the entries (i, j).
-    det(I - uM) is the product of det(I - u M_c) over the k characters; the
-    per-prime products are CRT-combined under ``_coefficient_bound`` of M's
-    largest row norm, n = k*r.
+    det(I - uM) is the product of det(I - u M_c) over the k characters.
 
-    The primes are listed first: ``primes_with_root(k)`` in order, until their
-    product exceeds the bound.  Their blocks are then built and reduced in
+    The characters are split into Galois orbits (``_character_orbits``).  An
+    orbit O's product is an integer polynomial: det(I - u D), D the
+    block-diagonal of its |O| twisted blocks, whose every row has Euclidean
+    norm at most rho (``_block_norm_sq``).  So its coefficients obey
+    ``_coefficient_bound(rho**2, |O|*r)``, and it is CRT-combined from the
+    shortest prefix of ``primes_with_root(k)`` whose product exceeds that
+    bound.  The kernel work goes as the sum of |O|**2 rather than k**2.  The
+    orbit factors are multiplied exactly, smallest first.
+
+    The blocks of every (prime, character) pair are built and reduced in
     chunks of whole primes, every block of a chunk in one call of the batched
     kernel ``_charpolys_mod``: the blocks are small (r = 7 to 52 for the
     paper's operators), so one call per block would spend its time in the
     interpreter rather than in arithmetic.  A chunk holds as many primes as
-    fit ``_CHUNK_ENTRIES`` block entries (k*r*r per prime), and at least one,
-    so memory stays bounded however many primes the bound needs.
+    fit ``_CHUNK_ENTRIES`` block entries (r*r per block), and at least one,
+    so memory stays bounded however many primes the bounds need.
     """
     k = len(exponents)
     n = k * r
@@ -332,43 +380,63 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
         # int64 dot products of residues < 2**25 stay exact only below this
         raise ValueError("char_rev supports blocks below 4096 rows")
 
-    # every lifted row (g, i) holds the weights of the entries in pattern row i
-    row_norm_sq = [0] * r
-    for i, v in zip(rows.tolist(), weights):
-        row_norm_sq[i] += v * v
-    bound = _coefficient_bound(max(row_norm_sq), n)
-
+    norm_sq = _block_norm_sq(r, rows, cols, weights)
+    # orbit O takes the shortest prefix of the primes whose product exceeds its bound
+    orbits = _character_orbits(exponents)
+    bounds = [_coefficient_bound(norm_sq, len(orbit) * r) for orbit in orbits]
     roots = []
-    prod = 1
+    moduli = []
     for p, w in primes_with_root(k):
         roots.append((p, w))
-        prod *= p
-        if prod > bound:
+        moduli.append(p * moduli[-1] if moduli else p)
+        if moduli[-1] > max(bounds):
             break
+    takes = [next(t + 1 for t, mod in enumerate(moduli) if mod > bound) for bound in bounds]
+    # the orbits by the number of primes they take, most first, so that the
+    # characters a prime serves are a prefix of ``chars``
+    order = sorted(range(len(orbits)), key=lambda o: -takes[o])
+    chars = np.array([c for o in order for c in orbits[o]], dtype=np.int64)
+    # the orbits prime t serves, and their number of characters
+    users = [[o for o in order if takes[o] > t] for t in range(len(roots))]
+    served = [sum(len(orbits[o]) for o in user) for user in users]
 
-    # entry e of block (prime, c) sits at flat index c*r*r + rows[e]*r + cols[e]
-    flat = (np.arange(k)[:, None] * (r * r) + rows[None, :] * r + cols[None, :]).ravel()
-    per_chunk = max(1, _CHUNK_ENTRIES // (k * r * r))
-    per_prime = []
-    for start in range(0, len(roots), per_chunk):
-        chunk = roots[start : start + per_chunk]
+    per_orbit = [[] for _ in orbits]
+    flat = rows * r + cols
+    start = 0
+    while start < len(roots):
+        stop = start + 1
+        while stop < len(roots) and sum(served[start : stop + 1]) * r * r <= _CHUNK_ENTRIES:
+            stop += 1
+        chunk = roots[start:stop]
+        # block b is character chars[c_b] modulo the chunk's prime local[b]
+        local = np.repeat(np.arange(len(chunk)), served[start:stop])
+        c_b = np.concatenate([np.arange(s) for s in served[start:stop]])
         ps = np.array([p for p, _w in chunk], dtype=np.int64)
         powers = np.array([[pow(w, e, p) for e in range(k)] for p, w in chunk], dtype=np.int64)
         wp = np.array([[v % p for v in weights] for p, _w in chunk], dtype=np.int64)
-        values = wp[:, None, :] * powers[:, exponents] % ps[:, None, None]
-        blocks = np.zeros((len(chunk), k * r * r), dtype=np.int64)
-        np.add.at(blocks, (slice(None), flat), values.reshape(len(chunk), -1))
-        blocks %= ps[:, None]
-        factors = _charpolys_mod(blocks.reshape(len(chunk) * k, r, r), np.repeat(ps, k))
-        for p, prime_factors in zip(ps.tolist(), factors.reshape(len(chunk), k, r + 1)):
-            acc = np.ones(1, dtype=np.int64)
-            for factor in prime_factors:
-                # each product term is below p**2 < 2**50 and an output
-                # coefficient sums at most r + 1 <= 8192 of them, so int64
-                # cannot overflow
-                acc = np.convolve(acc, factor[::-1]) % p
-            per_prime.append(acc)
-    poly = IntPoly(crt_symmetric(per_prime, [p for p, _w in roots]))
+        pb = ps[local]
+        values = wp[local] * powers[local[:, None], exponents[chars[c_b]]] % pb[:, None]
+        blocks = np.zeros((len(local), r * r), dtype=np.int64)
+        np.add.at(blocks, (np.arange(len(local))[:, None], flat[None, :]), values)
+        blocks %= pb[:, None]
+        factors = iter(_charpolys_mod(blocks.reshape(len(local), r, r), pb))
+        for t, p in enumerate(ps.tolist(), start):
+            for o in users[t]:
+                acc = np.ones(1, dtype=np.int64)
+                for _c in orbits[o]:
+                    # each product term is below p**2 < 2**50 and an output
+                    # coefficient sums at most r + 1 <= 8192 of them, so int64
+                    # cannot overflow
+                    acc = np.convolve(acc, next(factors)[::-1]) % p
+                per_orbit[o].append(acc)
+        start = stop
+
+    primes = [p for p, _w in roots]
+    parts = sorted((IntPoly(crt_symmetric(residues, primes[: len(residues)]))
+                    for residues in per_orbit), key=lambda f: f.degree)
+    poly = parts[0]
+    for part in parts[1:]:
+        poly = poly * part
 
     # the lift's diagonal holds, k times, the diagonal entries every character fixes
     fixed = np.nonzero((rows == cols) & ~exponents.any(axis=0))[0]
@@ -478,6 +546,16 @@ def char_rev(M):
     return poly
 
 
+def _character_exponents(m, elements):
+    """The exponent rows of the 3m characters of G = Z/3 x Z/m on the group
+    elements (h3, hm): chi_(a,b)(h) = w**(a*m*h3 + 3*b*hm) for w of exact
+    order 3m, row a*m + b."""
+    h = np.array(elements, dtype=np.int64).reshape(-1, 2)
+    a = np.repeat(np.arange(3), m)[:, None]
+    b = np.tile(np.arange(m), 3)[:, None]
+    return (a * m * h[None, :, 0] + 3 * b * h[None, :, 1]) % (3 * m)
+
+
 def char_rev_factored(pattern, reference=None):
     """det(I - u*M) as an IntPoly, M the lift of a LabelledMatrix over
     G = Z/3 x Z/m.
@@ -495,11 +573,7 @@ def char_rev_factored(pattern, reference=None):
     keys = list(pattern.entries)
     rows = np.array([key[0] for key in keys], dtype=np.int64)
     cols = np.array([key[1] for key in keys], dtype=np.int64)
-    h3 = np.array([key[2] for key in keys], dtype=np.int64)
-    hm = np.array([key[3] for key in keys], dtype=np.int64)
-    # chi_(a,b)(h) = w**(a*m*h3 + 3*b*hm) for w of exact order 3m
-    exponents = np.array([(a * m * h3 + 3 * b * hm) % k for a in range(3) for b in range(m)],
-                         dtype=np.int64)
+    exponents = _character_exponents(m, [key[2:] for key in keys])
     poly = _char_rev_by_characters(r, rows, cols, list(pattern.entries.values()), exponents)
 
     if SELF_CHECK and r:

@@ -328,22 +328,39 @@ def _is_probable_prime(n):
 PRIME_CAP = (1 << 25) - 1
 
 
+# the odd primes below PRIME_CAP found so far, descending; ``_odd_primes``
+# extends it on demand
+_PRIME_TABLE = []
+
+
+def _odd_primes():
+    """Yield the odd primes below PRIME_CAP, descending, from ``_PRIME_TABLE``."""
+    t = 0
+    while True:
+        if t == len(_PRIME_TABLE):
+            start = _PRIME_TABLE[-1] - 2 if _PRIME_TABLE else PRIME_CAP
+            p = next((n for n in range(start, 2, -2) if _is_probable_prime(n)), None)
+            if p is None:
+                return
+            _PRIME_TABLE.append(p)
+        yield _PRIME_TABLE[t]
+        t += 1
+
+
 def primes_with_root(k):
     """Yield (p, w) for the primes p = 1 (mod k) below PRIME_CAP, descending,
     with w an element of exact multiplicative order k in GF(p).
 
     k = 1 yields every odd prime below PRIME_CAP, each with w = 1.
     """
-    step = k if k % 2 == 0 else 2 * k  # p is odd, so p = 1 (mod 2k) for odd k
-    p = PRIME_CAP - (PRIME_CAP - 1) % step
-    while p > 2:
-        if _is_probable_prime(p):
-            for a in range(2, p):
-                w = pow(a, (p - 1) // k, p)
-                if all(pow(w, d, p) != 1 for d in range(1, k) if k % d == 0):
-                    yield p, w
-                    break
-        p -= step
+    for p in _odd_primes():
+        if (p - 1) % k:
+            continue
+        for a in range(2, p):
+            w = pow(a, (p - 1) // k, p)
+            if all(pow(w, d, p) != 1 for d in range(1, k) if k % d == 0):
+                yield p, w
+                break
 
 
 def crt_symmetric(rows, primes):

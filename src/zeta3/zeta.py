@@ -16,9 +16,12 @@ transpose-invariant, so the type-two edge operator never needs to be built.
 
 For a presented complex, P_E and P_B are products over the characters of
 G = Z/3 x Z/m of small twisted determinants (exactdet.char_rev_factored on
-the voltage-labelled patterns of L_E and L_B); explicit-list complexes and
-injected operators take dense char_rev.  P_A is always dense char_rev of the
-3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).
+the voltage-labelled patterns of L_E and L_B), taken orbit by orbit: each
+Galois orbit of characters gives an integer factor under its own CRT bound,
+and the factors are multiplied back exactly.  Explicit-list complexes and
+injected operators take dense char_rev, the engine's one-orbit case.  P_A is
+always dense char_rev of the 3*N0 x 3*N0 block companion of the vertex
+pencil (vertex_companion).
 
 Every one of these operators raises the vertex type by one step (A1 and the
 companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
@@ -177,24 +180,31 @@ def geodesic_counts(parts: ZetaParts, max_len):
 
 
 def edge_trace_powers(le: SparseIntegerMatrix, max_len):
-    """[trace(L_E^m) for m = 1..max_len], exact."""
+    """[trace(L_E^m) for m = 1..max_len], exact.
+
+    The powers are taken in float64 (BLAS) when every partial sum certainly
+    stays below 2**53, else in int64 when they fit, else in Python ints.
+    """
     if max_len < 1:
         return []
     base = le.to_numpy()
-    # stay in int64 only when q^2-regular powers certainly fit
+    n = base.shape[0]
+    # with R the largest absolute row sum, every partial sum of every product
+    # and trace is an integer of magnitude at most n * R**max_len; below 2**53
+    # a double holds each one exactly, and the product runs on BLAS
+    abs_bound = int(np.abs(base).sum(axis=1).max()) if n else 0
+    # int64 only when q^2-regular powers certainly fit
     row_bound = max(le.row_sums() or [0])
-    if base.shape[0] * max(1, row_bound) ** max_len < 2 ** 62:
-        acc = base.copy()
-        traces = [int(np.trace(acc))]
-        for _ in range(max_len - 1):
-            acc = acc @ base
-            traces.append(int(np.trace(acc)))
-        return traces
-    obj = base.astype(object)
-    acc = obj.copy()
+    if n * max(1, abs_bound) ** max_len < 2 ** 53:
+        work = base.astype(np.float64)
+    elif n * max(1, row_bound) ** max_len < 2 ** 62:
+        work = base
+    else:
+        work = base.astype(object)
+    acc = work
     traces = [int(np.trace(acc))]
     for _ in range(max_len - 1):
-        acc = acc @ obj
+        acc = acc @ work
         traces.append(int(np.trace(acc)))
     return traces
 

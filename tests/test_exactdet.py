@@ -255,6 +255,92 @@ def test_char_rev_factored_self_check_rejects_other_operator():
         char_rev_factored(pattern, lambda: other)
 
 
+# -- Galois orbits of the characters ------------------------------------------
+
+
+@pytest.mark.parametrize("m,sizes", [
+    (3, [1, 2, 2, 2, 2]),            # Z/3 x Z/3, not cyclic: units act as +-1
+    (7, [1, 2, 6, 12]),              # Z/21: one orbit per order 1, 3, 7, 21
+    (8, [1, 1, 2, 2, 2, 4, 4, 8]),   # Z/24: one orbit per divisor of 24
+])
+def test_character_orbits_partition(m, sizes):
+    from math import gcd
+
+    k = 3 * m
+    exponents = exactdet._character_exponents(m, [(a, b) for a in range(3) for b in range(m)])
+    rows = [tuple(row) for row in exponents.tolist()]
+    assert len(set(rows)) == k  # every element is an entry: the characters differ
+    orbits = exactdet._character_orbits(exponents)
+    assert sorted(c for orbit in orbits for c in orbit) == list(range(k))
+    assert sorted(len(orbit) for orbit in orbits) == sizes
+    for orbit in orbits:
+        powers = {tuple(t * e % k for e in rows[orbit[0]]) for t in range(1, k) if gcd(t, k) == 1}
+        assert {rows[c] for c in orbit} == powers
+
+
+def test_character_orbits_merge_equal_characters():
+    # entries labelled by {0} x Z/2 only: the three Z/3 characters agree on them
+    exponents = exactdet._character_exponents(2, [(0, 0), (0, 1)])
+    assert sorted(map(sorted, exactdet._character_orbits(exponents))) == [[0, 2, 4], [1, 3, 5]]
+    assert exactdet._character_orbits(exponents[:1]) == [[0]]
+
+
+def shared_cell_pattern(r, m, seed, lo=-5, hi=5):
+    """A random pattern whose cell (0, 1) carries two labels, one of weight -hi."""
+    pattern = random_pattern(r, m, seed, lo=lo, hi=hi)
+    pattern.add(0, 1, (0, 0), -hi)
+    pattern.add(0, 1, (1, m - 1), hi - 1)
+    return pattern
+
+
+@pytest.mark.parametrize("m,seed", [(1, 30), (3, 31), (8, 32)])
+def test_block_norm_bounds_every_character(m, seed):
+    pattern = shared_cell_pattern(3, m, seed)
+    keys = list(pattern.entries)
+    rows, cols = (np.array([key[x] for key in keys]) for x in (0, 1))
+    weights = list(pattern.entries.values())
+    norm_sq = exactdet._block_norm_sq(3, rows, cols, weights)
+    # row 0 collapses its cell (0, 1): the bound is the collapsed row's norm
+    collapsed = {}
+    for (i, j, _h3, _hm), v in pattern.entries.items():
+        collapsed[i, j] = collapsed.get((i, j), 0) + abs(v)
+    assert norm_sq == max(sum(s * s for (i, _j), s in collapsed.items() if i == row)
+                          for row in range(3))
+    # and above the lifted operator's largest row norm, which ignores the sharing
+    assert norm_sq > max(sum(v * v for (i, *_), v in pattern.entries.items() if i == row)
+                         for row in range(3))
+    # every twisted block over the complex characters stays within it
+    k = 3 * m
+    exponents = exactdet._character_exponents(m, [key[2:] for key in keys])
+    for row in exponents:
+        block = np.zeros((3, 3), dtype=complex)
+        np.add.at(block, (rows, cols), np.array(weights) * np.exp(2j * np.pi * row / k))
+        assert (np.abs(block) ** 2).sum(axis=1).max() <= norm_sq + 1e-9
+
+
+@pytest.mark.parametrize("r,m,seed", [(2, 1, 10), (3, 2, 11), (2, 3, 12), (2, 4, 13), (2, 5, 14)])
+def test_orbit_engine_vs_dense_routes(r, m, seed):
+    pattern = shared_cell_pattern(r, m, seed)
+    assert sum(key[:2] == (0, 1) for key in pattern.entries) >= 2
+    lifted = pattern.lift()
+    expected = char_rev_interpolated(lifted)
+    assert char_rev_factored(pattern) == char_rev(lifted) == expected
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_orbit_engine_wide_weights(m):
+    # weights up to 80, one cell carrying two labels
+    pattern = shared_cell_pattern(4, m, 20 + m, lo=-80, hi=80)
+    assert char_rev_factored(pattern) == char_rev(pattern.lift())
+
+
+def test_orbit_engine_equal_characters():
+    pattern = LabelledMatrix(3, 2)
+    for i, j, hm, v in [(0, 1, 0, 2), (1, 2, 1, -3), (2, 0, 1, 1), (0, 0, 1, -1), (2, 0, 0, 4)]:
+        pattern.add(i, j, (0, hm), v)
+    assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
+
+
 # -- batched modular characteristic polynomials ------------------------------
 
 
@@ -354,9 +440,10 @@ def test_charpolys_mod_batch_of_one():
 # -- chunking of the modular engine ------------------------------------------
 
 
-def results_by_chunk(monkeypatch, compute):
-    """compute() and its number of kernel calls, at the default chunk, one
-    prime per chunk, and every prime in one chunk."""
+def results_by_chunk(monkeypatch, compute, *more):
+    """compute() and the batch sizes of its kernel calls, at the default
+    chunk, one prime per chunk, every prime in one chunk, and then at the
+    chunk sizes ``more``."""
     kernel = exactdet._charpolys_mod
     calls = []
 
@@ -366,7 +453,7 @@ def results_by_chunk(monkeypatch, compute):
 
     monkeypatch.setattr(exactdet, "_charpolys_mod", counted)
     out = []
-    for entries in (exactdet._CHUNK_ENTRIES, 1, 1 << 60):
+    for entries in (exactdet._CHUNK_ENTRIES, 1, 1 << 60, *more):
         monkeypatch.setattr(exactdet, "_CHUNK_ENTRIES", entries)
         calls.clear()
         out.append((compute(), list(calls)))
@@ -377,12 +464,14 @@ def test_chunking_invariant_factored(monkeypatch, cover_m3):
     from zeta3.operators import build_lb_pattern
 
     pattern = build_lb_pattern(cover_m3).negated()
-    (default, split), (single, ones), (whole, one) = results_by_chunk(
-        monkeypatch, lambda: char_rev_factored(pattern))
-    # nine characters of 21 x 21 blocks: 10 primes split 8 + 2 by default
-    assert [len(split), len(ones), len(one)] == [3, 11, 2]  # plus the self-check's call
-    assert split[:2] == [72, 18] and ones[:10] == [9] * 10 and one[0] == 90
-    assert default == single == whole
+    (default, split), (single, ones), (whole, one), (pairs, two) = results_by_chunk(
+        monkeypatch, lambda: char_rev_factored(pattern), 18 * 21 * 21)
+    # nine characters of 21 x 21 blocks in five Galois orbits: the trivial
+    # orbit takes 2 primes and each of the four pairs 3, so 26 blocks in all,
+    # in one call by default (each run ends with the self-check's call); a
+    # chunk of 18 blocks holds the first two primes, then the third
+    assert split == one == [26, 1] and ones == [9, 9, 8, 1] and two == [18, 8, 1]
+    assert default == single == whole == pairs
 
 
 @pytest.mark.parametrize("graded", [True, False])

@@ -283,6 +283,17 @@ def test_geodesic_counts_cover(cover_m2):
     assert counts == counts_from_traces(traces)
 
 
+def test_edge_trace_routes_agree(base2):
+    # L_E of the base is 21 x 21 and 4-regular: lengths up to 24 take float64,
+    # 25 to 30 int64 and longer ones Python ints
+    le = build_le(base2)
+    assert 21 * 4 ** 24 < 2 ** 53 <= 21 * 4 ** 25 and 21 * 4 ** 31 >= 2 ** 62
+    exact = edge_trace_powers(le, 31)
+    assert edge_trace_powers(le, 24) == exact[:24]
+    assert edge_trace_powers(le, 25) == exact[:25]
+    assert all(isinstance(t, int) for t in exact) and exact[23] > 2 ** 48
+
+
 def test_first_counts_are_traces(base2, base_parts):
     traces = edge_trace_powers(build_le(base2), 2)
     counts = geodesic_counts(base_parts, 2)
