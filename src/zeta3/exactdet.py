@@ -28,6 +28,9 @@ The routes and their parts:
   one, X = M.  The engine runs on X over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
   pattern over G = Z/3 x Z/m (operators.LabelledMatrix).
+* ``_self_check`` - the one self-check of both routes (under ``SELF_CHECK``):
+  the unreduced dense operator's characteristic polynomial modulo a prime
+  the engine's CRT did not take.
 
 The primes (``polynomials.primes_with_root``) and the CRT
 (``polynomials.crt_symmetric``) are shared with the modular gcd.
@@ -38,7 +41,6 @@ independent slow routes kept as test references.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -48,25 +50,11 @@ from .errors import ExactArithmeticError
 from .polynomials import IntPoly, crt_symmetric, primes_with_root
 
 # When enabled (the test suite turns it on), every char_rev and
-# det_poly_matrix call re-evaluates its result at 5 random integers against
-# det_integer, and every char_rev_factored call compares its result with the
-# dense operator's characteristic polynomial modulo a prime outside its CRT set.
+# char_rev_factored call compares each coefficient of its result with the
+# unreduced dense operator's characteristic polynomial modulo a prime outside
+# its CRT set (``_self_check``); SELF_CHECK_CALLS counts the checked calls.
 SELF_CHECK = False
 SELF_CHECK_CALLS = 0
-_selfcheck_rng = random.Random(20240501)
-
-
-def _check_at_random_points(poly, direct, route):
-    """Self-check: poly(x) == direct(x) at 5 random integers x in [-9, 9]."""
-    global SELF_CHECK_CALLS
-    SELF_CHECK_CALLS += 1
-    for _ in range(5):
-        x = _selfcheck_rng.randint(-9, 9)
-        value, expected = poly(x), direct(x)
-        if value != expected:
-            raise ExactArithmeticError(
-                f"{route} self-check failed at u={x}: {value} != {expected}"
-            )
 
 
 def _as_int_rows(M):
@@ -207,14 +195,7 @@ def det_poly_matrix(M, degree_bound=None):
 
     xs = _eval_points(degree_bound + 1)
     ys = [det_integer([[e(x) for e in row] for row in rows]) for x in xs]
-    result = _lagrange_integer(xs, ys)
-
-    if SELF_CHECK:
-        _check_at_random_points(
-            result, lambda x: det_integer([[e(x) for e in row] for row in rows]),
-            "det_poly_matrix",
-        )
-    return result
+    return _lagrange_integer(xs, ys)
 
 
 # -- reverse characteristic polynomial ---------------------------------------
@@ -346,8 +327,10 @@ _CHUNK_ENTRIES = 1 << 15
 
 
 def _char_rev_by_characters(r, rows, cols, weights, exponents):
-    """det(I - u*M) as an IntPoly, M the lift of an r x r pattern over a finite
-    abelian group G of order k = len(exponents).
+    """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the lift
+    of an r x r pattern over a finite abelian group G of order k =
+    len(exponents).  The stream is ``primes_with_root(k)`` past the primes the
+    CRT took, so its next prime lies outside the CRT set (``_self_check``).
 
     The pattern's entries are (rows[e], cols[e]) of weight weights[e].  Modulo
     a prime p = 1 (mod k) with w of exact order k, character c of G takes the
@@ -374,8 +357,9 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     """
     k = len(exponents)
     n = k * r
+    stream = primes_with_root(k)
     if n == 0:
-        return IntPoly.one()
+        return IntPoly.one(), stream
     if r >= 4096:
         # int64 dot products of residues < 2**25 stay exact only below this
         raise ValueError("char_rev supports blocks below 4096 rows")
@@ -386,7 +370,7 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     bounds = [_coefficient_bound(norm_sq, len(orbit) * r) for orbit in orbits]
     roots = []
     moduli = []
-    for p, w in primes_with_root(k):
+    for p, w in stream:
         roots.append((p, w))
         moduli.append(p * moduli[-1] if moduli else p)
         if moduli[-1] > max(bounds):
@@ -443,7 +427,34 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     trace = k * sum(weights[e] for e in fixed.tolist())
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
-    return poly
+    return poly, stream
+
+
+def _self_check(route, poly, n, operator, stream):
+    """Raise unless every coefficient of ``poly`` matches det(I - u*A) modulo
+    the next prime of ``stream``, A = operator() the unreduced n x n dense
+    operator.
+
+    ``stream`` is the engine's prime stream past the primes its CRT took, so
+    the prime lies outside the CRT set: an error that is a multiple of the CRT
+    modulus, invisible to every CRT prime, shows here.  det(I - u*A) is the
+    reversed characteristic polynomial from ``_charpolys_mod``.
+    """
+    global SELF_CHECK_CALLS
+    SELF_CHECK_CALLS += 1
+    if n >= 4096:
+        # int64 dot products of residues < 2**25 stay exact only below this
+        raise ValueError("the self-check supports operators below 4096 rows")
+    dense = _as_int_rows(operator())
+    if len(dense) != n:
+        raise ExactArithmeticError(
+            f"{route} self-check: operator of dimension {len(dense)}, expected {n}"
+        )
+    p, _w = next(stream)
+    stack = np.array([[[v % p for v in row] for row in dense]], dtype=np.int64)
+    direct = _charpolys_mod(stack, np.array([p], dtype=np.int64))[0, ::-1].tolist()
+    if poly.degree > n or any((poly.cf(d) - c) % p for d, c in enumerate(direct)):
+        raise ExactArithmeticError(f"{route} self-check failed modulo {p}")
 
 
 def _type_grading(n, keys):
@@ -519,7 +530,8 @@ def char_rev(M):
     ``_char_rev_by_characters`` takes det(I - tX): characteristic polynomial
     modulo enough word-sized primes (batched Hessenberg reduction over the
     primes), CRT-combined under the row-norm bound of X; its coefficients are
-    then spread to t = u^d.
+    then spread to t = u^d.  The self-check compares with M itself, so it
+    also sees a wrong reduction.
     """
     if hasattr(M, "to_dense"):
         n, entries = M.n, M.entries
@@ -530,19 +542,13 @@ def char_rev(M):
     d, r, x = _cyclic_reduction(n, entries)
     rows = np.array([i for i, _j in x], dtype=np.int64)
     cols = np.array([j for _i, j in x], dtype=np.int64)
-    reduced = _char_rev_by_characters(r, rows, cols, list(x.values()),
-                                      np.zeros((1, len(x)), dtype=np.int64))
+    reduced, stream = _char_rev_by_characters(r, rows, cols, list(x.values()),
+                                              np.zeros((1, len(x)), dtype=np.int64))
     spread = [0] * (d * reduced.degree + 1)
     spread[::d] = reduced.coeffs
     poly = IntPoly(spread)
     if SELF_CHECK and n:
-        dense = _as_int_rows(M)
-
-        def direct(x):  # det(I - xM)
-            return det_integer([[(1 if i == j else 0) - x * v for j, v in enumerate(row)]
-                                for i, row in enumerate(dense)])
-
-        _check_at_random_points(poly, direct, "char_rev")
+        _self_check("char_rev", poly, n, lambda: M, stream)
     return poly
 
 
@@ -574,27 +580,10 @@ def char_rev_factored(pattern, reference=None):
     rows = np.array([key[0] for key in keys], dtype=np.int64)
     cols = np.array([key[1] for key in keys], dtype=np.int64)
     exponents = _character_exponents(m, [key[2:] for key in keys])
-    poly = _char_rev_by_characters(r, rows, cols, list(pattern.entries.values()), exponents)
-
+    poly, stream = _char_rev_by_characters(r, rows, cols, list(pattern.entries.values()),
+                                           exponents)
     if SELF_CHECK and r:
-        global SELF_CHECK_CALLS
-        SELF_CHECK_CALLS += 1
-        n = k * r
-        if n >= 4096:
-            raise ValueError("the self-check supports lifts below 4096 rows")
-        dense = _as_int_rows(reference() if reference is not None else pattern.lift())
-        if len(dense) != n:
-            raise ExactArithmeticError(
-                f"char_rev_factored self-check: operator of dimension {len(dense)}, "
-                f"pattern lifts to {n}"
-            )
-        p = next(p for p, _w in primes_with_root(1) if p % k != 1)
-        stack = (np.array(dense, dtype=np.int64) % p)[None]
-        direct = _charpolys_mod(stack, np.array([p], dtype=np.int64))[0, ::-1].tolist()
-        if any((poly.cf(d) - c) % p for d, c in enumerate(direct)):
-            raise ExactArithmeticError(
-                f"char_rev_factored self-check failed modulo {p}"
-            )
+        _self_check("char_rev_factored", poly, k * r, reference or pattern.lift, stream)
     return poly
 
 

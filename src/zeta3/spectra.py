@@ -144,6 +144,9 @@ def zero_moduli(poly):
     """Sorted moduli of all complex roots, with multiplicity.
 
     Requires the constant term to be 1 (all three determinants have it).
+    The moduli are double precision and unchecked here: on an
+    ill-conditioned factor they can converge into the wrong buckets.  Only
+    ``classify`` checks them against the exact circle counts.
     """
     if poly.cf(0) != 1:
         raise ValueError("polynomial must have constant term 1")
@@ -300,13 +303,13 @@ def _criterion(spec):
     )
 
 
-def ramanujan_verdicts(parts: ZetaParts, q=None):
+def ramanujan_verdicts(parts: ZetaParts):
     """The three equivalent spectral criteria, each decided independently.
 
     They must agree; disagreement is an inconsistency surfaced to the caller
     (never averaged away).
     """
-    q = parts.q if q is None else q
+    q = parts.q
     spec_a = classify(parts.p_a, q, "A")
     spec_e = classify(parts.p_e, q, "E")
     spec_b = classify(parts.p_b, q, "B")

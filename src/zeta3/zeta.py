@@ -183,7 +183,8 @@ def edge_trace_powers(le: SparseIntegerMatrix, max_len):
     """[trace(L_E^m) for m = 1..max_len], exact.
 
     The powers are taken in float64 (BLAS) when every partial sum certainly
-    stays below 2**53, else in int64 when they fit, else in Python ints.
+    stays below 2**53, else in int64 when it certainly stays below 2**62,
+    else in Python ints.
     """
     if max_len < 1:
         return []
@@ -192,12 +193,11 @@ def edge_trace_powers(le: SparseIntegerMatrix, max_len):
     # with R the largest absolute row sum, every partial sum of every product
     # and trace is an integer of magnitude at most n * R**max_len; below 2**53
     # a double holds each one exactly, and the product runs on BLAS
-    abs_bound = int(np.abs(base).sum(axis=1).max()) if n else 0
-    # int64 only when q^2-regular powers certainly fit
-    row_bound = max(le.row_sums() or [0])
-    if n * max(1, abs_bound) ** max_len < 2 ** 53:
+    row_sum = int(np.abs(base).sum(axis=1).max()) if n else 0
+    bound = n * max(1, row_sum) ** max_len
+    if bound < 2 ** 53:
         work = base.astype(np.float64)
-    elif n * max(1, row_bound) ** max_len < 2 ** 62:
+    elif bound < 2 ** 62:
         work = base
     else:
         work = base.astype(object)

@@ -11,9 +11,9 @@ from zeta3.construct import (
 
 
 def pytest_configure(config):
-    # every char_rev and det_poly_matrix call re-checks itself against
-    # det_integer at 5 random points, and every char_rev_factored call
-    # against the incidence-rule operator modulo a prime
+    # every char_rev and char_rev_factored call compares its result with the
+    # unreduced dense operator's characteristic polynomial modulo a prime
+    # outside its CRT set (exactdet._self_check)
     exactdet.SELF_CHECK = True
 
 

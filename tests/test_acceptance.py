@@ -202,6 +202,6 @@ def test_criterion_9_exact_arithmetic_self_check(state):
     # P_E and P_B by char_rev_factored, P_A by char_rev on the companion
     assert exactdet.SELF_CHECK_CALLS == before + 3
     print(
-        f"criterion 9: PASS - char_rev 5-point and char_rev_factored "
-        f"dense mod-p self-checks ran on all {exactdet.SELF_CHECK_CALLS} calls in test mode"
+        f"criterion 9: PASS - char_rev and char_rev_factored dense mod-p self-checks "
+        f"(a prime outside each CRT set) ran on all {exactdet.SELF_CHECK_CALLS} calls in test mode"
     )

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -73,12 +74,6 @@ def test_det_poly_diagonal():
 def test_det_poly_rejects_high_degree():
     with pytest.raises(ValueError):
         det_poly_matrix([[IntPoly([1, 0, 0, 0, 5])]])
-
-
-def test_det_poly_self_check_counted():
-    before = exactdet.SELF_CHECK_CALLS
-    det_poly_matrix([[IntPoly([2, 3])]])
-    assert exactdet.SELF_CHECK_CALLS == before + 1
 
 
 def test_lagrange_rejects_non_integer():
@@ -161,7 +156,7 @@ def test_char_rev_block_multiplicative(seed):
 
 def test_char_rev_self_check_catches_wrong_result(monkeypatch):
     # bump the top coefficient of det(I - uM): the cf(0)/cf(1) consistency
-    # checks cannot see it, the evaluation against det_integer must
+    # checks cannot see it, the modular check on M must
     m = square_matrix(5, seed=14)
     before = exactdet.SELF_CHECK_CALLS
     char_rev(m)
@@ -253,6 +248,43 @@ def test_char_rev_factored_self_check_rejects_other_operator():
     other = pattern.lift().with_increment(0, 1)
     with pytest.raises(ExactArithmeticError):
         char_rev_factored(pattern, lambda: other)
+
+
+def add_modulus_to_top(monkeypatch, compute):
+    """Patch the engine's CRT so that every orbit factor recombined from all
+    of a call's primes gets its CRT modulus added to its top coefficient.
+
+    The result is then off by a nonzero multiple of that modulus, so every
+    CRT prime sees the right residues."""
+    crt = exactdet.crt_symmetric
+    calls = []
+    monkeypatch.setattr(exactdet, "crt_symmetric",
+                        lambda rows, primes: calls.append(primes) or crt(rows, primes))
+    right = compute()
+    primes = max(calls, key=len)
+
+    def bumped(rows, used):
+        coeffs = crt(rows, used)
+        if len(used) == len(primes):
+            coeffs[-1] += math.prod(used)
+        return coeffs
+
+    monkeypatch.setattr(exactdet, "crt_symmetric", bumped)
+    monkeypatch.setattr(exactdet, "SELF_CHECK", False)
+    error = compute() - right
+    monkeypatch.setattr(exactdet, "SELF_CHECK", True)
+    assert not error.is_zero() and all(c % p == 0 for c in error.coeffs for p in primes)
+
+
+@pytest.mark.parametrize("route", ["char_rev", "char_rev_factored"])
+def test_self_check_prime_lies_outside_the_crt_set(monkeypatch, route):
+    compute = {
+        "char_rev": lambda: char_rev(square_matrix(5, seed=14)),
+        "char_rev_factored": lambda: char_rev_factored(random_pattern(3, 2, 5)),
+    }[route]
+    add_modulus_to_top(monkeypatch, compute)
+    with pytest.raises(ExactArithmeticError, match=f"{route} self-check failed"):
+        compute()
 
 
 # -- Galois orbits of the characters ------------------------------------------
@@ -483,7 +515,9 @@ def test_chunking_invariant_dense(monkeypatch, graded):
     assert exactdet._cyclic_reduction(len(m), entries)[0] == (3 if graded else 1)
     (default, split), (single, ones), (whole, one) = results_by_chunk(
         monkeypatch, lambda: char_rev(m))
-    assert len(split) == len(one) == 1 and len(ones) == ones.count(1) > 1
+    # each run ends with the self-check's call on the 15 x 15 matrix
+    assert len(split) == len(one) == 2 and split[-1] == one[-1] == 1
+    assert len(ones) == ones.count(1) > 2
     assert default == single == whole == char_rev_interpolated(m)
 
 
@@ -574,8 +608,8 @@ def test_char_rev_ungraded_matches(seed):
 
 
 def test_char_rev_self_check_catches_corrupted_reduction(monkeypatch):
-    # the engine's cf(0)/cf(1) checks run on X itself; only the evaluation
-    # of det(I - xM) on the unreduced M can see a wrong X
+    # the engine's cf(0)/cf(1) checks run on X itself; only the self-check
+    # on the unreduced M can see a wrong X
     m = block_cyclic((3, 4, 3), 12, density=0.8)
     reduction = exactdet._cyclic_reduction
 

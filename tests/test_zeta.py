@@ -1,10 +1,11 @@
 import pytest
 
-from zeta3 import exactdet, zeta
+from zeta3 import zeta
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.errors import ExactArithmeticError
 from zeta3.exactdet import char_rev, char_rev_factored, det_integer, det_poly_matrix
 from zeta3.operators import (
+    SparseIntegerMatrix,
     build_a1,
     build_a2,
     build_lb,
@@ -164,17 +165,14 @@ def test_factored_parts_match_dense(small_battery):
 
 def test_dense_matches_factored_at_full_size(cover_m7, monkeypatch):
     # P_E and P_B of a q=2 m=7 cover (L_B of dimension 441): the presented
-    # complex takes char_rev_factored, self-checked against the incidence-rule
-    # operator modulo a prime; the same cover as geometric lists takes dense
-    # char_rev.  The dense calls run without their self-check, since
-    # det_integer takes ~6 s per evaluation point at n=441, and the factored
-    # route is the independent reference here.
+    # complex takes char_rev_factored, the same cover as geometric lists
+    # dense char_rev, and both self-check against the incidence-rule operator
+    # modulo a prime outside their CRT sets.
     presented = zeta_parts(cover_m7)
     geo = ComplexDescription(
         q=cover_m7.q, vertices=cover_m7.vertices, edges=cover_m7.edges,
         chambers=cover_m7.chambers, provenance=Geometric(),
     )
-    monkeypatch.setattr(exactdet, "SELF_CHECK", False)
     monkeypatch.setattr(zeta, "char_rev_factored", _refuse)
     parts = zeta_parts(geo)
     assert parts == presented
@@ -292,6 +290,22 @@ def test_edge_trace_routes_agree(base2):
     assert edge_trace_powers(le, 24) == exact[:24]
     assert edge_trace_powers(le, 25) == exact[:25]
     assert all(isinstance(t, int) for t in exact) and exact[23] > 2 ** 48
+
+
+def test_edge_trace_powers_negative_entries():
+    # signed row sums of 1 would let int64 take powers that overflow it; the
+    # absolute row sum 2**21 - 1 sends them to Python ints
+    big = 1 << 20
+    m = [[big, 1 - big], [1 - big, big]]
+    le = SparseIntegerMatrix(2, {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row)})
+    expected = []
+    power = m
+    for _ in range(5):
+        expected.append(power[0][0] + power[1][1])
+        power = [[sum(power[i][t] * m[t][j] for t in range(2)) for j in range(2)]
+                 for i in range(2)]
+    assert edge_trace_powers(le, 5) == expected
+    assert expected[-1] == 40564722493330005353948619210752
 
 
 def test_first_counts_are_traces(base2, base_parts):
