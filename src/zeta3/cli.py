@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import islice
 
 from . import __version__
 from .construct import (
@@ -77,10 +78,9 @@ def _envelope(path):
 
 def cmd_gen(args):
     pres = None
-    for k, candidate in enumerate(iter_triangle_presentations(projective_plane(args.q))):
-        if k == args.presentation_index:
-            pres = candidate
-            break
+    if args.presentation_index >= 0:
+        presentations = iter_triangle_presentations(projective_plane(args.q))
+        pres = next(islice(presentations, args.presentation_index, None), None)
     if pres is None:
         raise ConstructionError(
             f"presentation index {args.presentation_index} out of range"

@@ -415,6 +415,8 @@ def abelian_cover(presentation, voltage):
     """The cover with vertex set Z/3 x Z/m cut out by a voltage assignment."""
     m = voltage.m
     n = presentation.plane.n
+    if m < 1:
+        raise ConstructionError(f"modulus m={m} below 1")
     if len(voltage.c) != n:
         raise ConstructionError("voltage vector length mismatch")
     if not voltage.satisfies(presentation):

@@ -3,31 +3,32 @@
 The routes and their parts:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
-* ``_char_rev_by_characters`` - the one modular engine: det(I - u*M) for the
-  lift M of an r x r pattern over a finite abelian group G.  The lift is
-  block-circulant over G, so the determinant is the product over the |G|
-  characters of G of r x r twisted determinants.  These are taken modulo
-  word-sized primes p = 1 (mod |G|), where the characters take values in
-  GF(p).  The characters fall into Galois orbits {chi^t : t a unit mod |G|}
-  (``_character_orbits``), and each orbit's product is an integer
-  polynomial of degree at most |O|*r: it is recombined by CRT on its own,
-  under the Hadamard-style bound of |O|*r rows of norm rho, rho**2 the
-  largest squared row norm of the pattern with its group labels collapsed
-  onto their cells.  The kernel work goes as the sum of |O|**2, not |G|**2;
-  the orbit factors are multiplied exactly.  Exact integer arithmetic
-  throughout, just carried out residue-wise.
+* ``_char_rev_by_characters`` - the one modular engine: det(I - u*X) for the
+  lift X of an r x r pattern over a cyclic group Z/m.  The lift is
+  block-circulant over Z/m, so the determinant is the product over the m
+  characters of Z/m of r x r twisted determinants.  These are taken modulo
+  word-sized primes p = 1 (mod m), where the characters take values in
+  GF(p).  The characters fall into Galois orbits {chi^t : t a unit mod m},
+  the classes of gcd(c, m) of the characters chi_c (``_character_orbits``),
+  and each orbit's product is an integer polynomial of degree at most |O|*r:
+  it is recombined by CRT on its own, under the Hadamard-style bound of
+  |O|*r rows of norm rho, rho**2 the largest squared row norm of the pattern
+  with its group labels collapsed onto their cells.  The kernel work goes as
+  the sum of |O|**2, not m**2; the orbit factors are multiplied exactly.
+  Exact integer arithmetic throughout, just carried out residue-wise.
 * ``_charpolys_mod`` - the one characteristic-polynomial kernel: Hessenberg
   reduction and the standard recurrence, each step run at once on a stack of
   matrices, each slice modulo its own prime.  The engine hands it the
   (prime, character) blocks of every orbit for a chunk of whole primes,
   capped at ``_CHUNK_ENTRIES`` int64 entries to bound memory.
-* ``char_rev`` - det(I - u*M) for an integer matrix.  A Z/3 grading of M's
-  nonzero pattern (every entry raises the label by one, as the paper's
-  operators raise the vertex type) makes M block-cyclic, and then
-  det(I - uM) = det(I - u^3 X) with X = M^3 on the smallest class; without
-  one, X = M.  The engine runs on X over the trivial group.
+* ``_cube_rows`` - the one period-3 product.  Every operator of the paper
+  raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
+  on one class of the Z/3 grading.
+* ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
+  of a grading found in M's pattern (else X = M), over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
-  pattern over G = Z/3 x Z/m (operators.LabelledMatrix).
+  pattern (operators.LabelledMatrix): X on sheet 0 is the lift of an r x r
+  pattern over the deck group Z/m, taken with its m characters.
 * ``_self_check`` - the one self-check of both routes (under ``SELF_CHECK``):
   the unreduced dense operator's characteristic polynomial modulo a prime
   the engine's CRT did not take.
@@ -285,26 +286,20 @@ def _coefficient_bound(norm_sq, n):
     return 2 * -(-power // one ** n)
 
 
-def _character_orbits(exponents):
-    """The characters (rows of ``exponents``) grouped into Galois orbits.
+def _character_orbits(m):
+    """The characters chi_c(h) = zeta**(c*h) of Z/m grouped into Galois
+    orbits: lists of c, one per value of gcd(c, m), in order of first c.
 
-    The characters take values in Q(zeta) for zeta of order k = len(exponents),
-    and the automorphism zeta -> zeta**t, t a unit mod k, takes the character
-    with exponent row e to the one with row t*e (mod k).  An orbit is a class
-    of rows related so.  Its product of twisted determinants is fixed by every
-    automorphism, so its coefficients are rational algebraic integers, that
-    is integers; modulo p = 1 (mod k), with w in place of zeta, the engine
-    takes their residues.  Rows are compared by value, so characters that
-    agree on every entry share an orbit; as the rows are the characters of a
-    group, each value occurs equally often and the product stays invariant.
-    Lists of row indices, in order of first appearance.
+    The automorphism zeta -> zeta**t of Q(zeta), zeta of order m and t a unit
+    mod m, takes chi_c to chi_(t*c), and the units carry c exactly onto the
+    residues with the same gcd with m.  An orbit's product of twisted
+    determinants is fixed by every automorphism, so its coefficients are
+    rational algebraic integers, that is integers; modulo p = 1 (mod m), with
+    w in place of zeta, the engine takes their residues.
     """
-    k = len(exponents)
-    units = np.array([t for t in range(1, k + 1) if gcd(t, k) == 1], dtype=np.int64)
     orbits = {}
-    for c, row in enumerate(exponents):
-        key = min(map(tuple, (units[:, None] * row[None, :] % k).tolist()))
-        orbits.setdefault(key, []).append(c)
+    for c in range(m):
+        orbits.setdefault(gcd(c, m), []).append(c)
     return list(orbits.values())
 
 
@@ -326,25 +321,26 @@ def _block_norm_sq(r, rows, cols, weights):
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _char_rev_by_characters(r, rows, cols, weights, exponents):
-    """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the lift
-    of an r x r pattern over a finite abelian group G of order k =
-    len(exponents).  The stream is ``primes_with_root(k)`` past the primes the
-    CRT took, so its next prime lies outside the CRT set (``_self_check``).
+def _char_rev_by_characters(r, rows, cols, weights, labels, m):
+    """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the
+    mr x mr lift of an r x r pattern over Z/m.  The stream is
+    ``primes_with_root(m)`` past the primes the CRT took, so its next prime
+    lies outside the CRT set (``_self_check``).
 
-    The pattern's entries are (rows[e], cols[e]) of weight weights[e].  Modulo
-    a prime p = 1 (mod k) with w of exact order k, character c of G takes the
-    value w**exponents[c][e] on entry e's group element, so the twisted block
-    M_c[i, j] = sum of weights[e] * w**exponents[c][e] over the entries (i, j).
-    det(I - uM) is the product of det(I - u M_c) over the k characters.
+    The pattern's entries are (rows[e], cols[e]) of weight weights[e] and
+    label labels[e] in Z/m.  Modulo a prime p = 1 (mod m) with w of exact
+    order m, character c takes the value w**(c*labels[e]) on entry e, so the
+    twisted block M_c[i, j] = sum of weights[e] * w**(c*labels[e]) over the
+    entries (i, j).  det(I - uM) is the product of det(I - u M_c) over the m
+    characters.
 
     The characters are split into Galois orbits (``_character_orbits``).  An
     orbit O's product is an integer polynomial: det(I - u D), D the
     block-diagonal of its |O| twisted blocks, whose every row has Euclidean
     norm at most rho (``_block_norm_sq``).  So its coefficients obey
     ``_coefficient_bound(rho**2, |O|*r)``, and it is CRT-combined from the
-    shortest prefix of ``primes_with_root(k)`` whose product exceeds that
-    bound.  The kernel work goes as the sum of |O|**2 rather than k**2.  The
+    shortest prefix of ``primes_with_root(m)`` whose product exceeds that
+    bound.  The kernel work goes as the sum of |O|**2 rather than m**2.  The
     orbit factors are multiplied exactly, smallest first.
 
     The blocks of every (prime, character) pair are built and reduced in
@@ -355,9 +351,8 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     fit ``_CHUNK_ENTRIES`` block entries (r*r per block), and at least one,
     so memory stays bounded however many primes the bounds need.
     """
-    k = len(exponents)
-    n = k * r
-    stream = primes_with_root(k)
+    n = m * r
+    stream = primes_with_root(m)
     if n == 0:
         return IntPoly.one(), stream
     if r >= 4096:
@@ -366,7 +361,7 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
 
     norm_sq = _block_norm_sq(r, rows, cols, weights)
     # orbit O takes the shortest prefix of the primes whose product exceeds its bound
-    orbits = _character_orbits(exponents)
+    orbits = _character_orbits(m)
     bounds = [_coefficient_bound(norm_sq, len(orbit) * r) for orbit in orbits]
     roots = []
     moduli = []
@@ -386,6 +381,7 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
 
     per_orbit = [[] for _ in orbits]
     flat = rows * r + cols
+    exponents = np.arange(m)[:, None] * labels[None, :] % m
     start = 0
     while start < len(roots):
         stop = start + 1
@@ -396,7 +392,7 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
         local = np.repeat(np.arange(len(chunk)), served[start:stop])
         c_b = np.concatenate([np.arange(s) for s in served[start:stop]])
         ps = np.array([p for p, _w in chunk], dtype=np.int64)
-        powers = np.array([[pow(w, e, p) for e in range(k)] for p, w in chunk], dtype=np.int64)
+        powers = np.array([[pow(w, e, p) for e in range(m)] for p, w in chunk], dtype=np.int64)
         wp = np.array([[v % p for v in weights] for p, _w in chunk], dtype=np.int64)
         pb = ps[local]
         values = wp[local] * powers[local[:, None], exponents[chars[c_b]]] % pb[:, None]
@@ -422,9 +418,9 @@ def _char_rev_by_characters(r, rows, cols, weights, exponents):
     for part in parts[1:]:
         poly = poly * part
 
-    # the lift's diagonal holds, k times, the diagonal entries every character fixes
-    fixed = np.nonzero((rows == cols) & ~exponents.any(axis=0))[0]
-    trace = k * sum(weights[e] for e in fixed.tolist())
+    # the lift's diagonal holds, m times, the diagonal entries of label 0
+    fixed = np.nonzero((rows == cols) & (labels == 0))[0]
+    trace = m * sum(weights[e] for e in fixed.tolist())
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
     return poly, stream
@@ -485,14 +481,32 @@ def _type_grading(n, keys):
     return g
 
 
+def _cube_rows(n, entries, starts):
+    """The rows starts[a] of M^3, as maps column -> value that may hold zeros,
+    formed exactly in Python ints; M is n x n, ``entries`` maps (row, col) to
+    its value."""
+    out_of = [[] for _ in range(n)]
+    for (i, j), v in entries.items():
+        out_of[i].append((j, v))
+    for i in starts:
+        row = {i: 1}
+        for _ in range(3):
+            step = {}
+            for j, c in row.items():
+                for k, v in out_of[j]:
+                    step[k] = step.get(k, 0) + c * v
+            row = step
+        yield row
+
+
 def _cyclic_reduction(n, entries):
     """(d, r, X): det(I - uM) = det(I - u^d X) for X an r x r matrix.
 
     When M's pattern carries a Z/3 grading with classes V_0, V_1, V_2, M maps
     V_t into V_(t+1) by blocks B_t, and Sylvester's identity
     det(I - AB) = det(I - BA) gives det(I - uM) = det(I - u^3 B_t B_(t+1) B_(t+2));
-    X is that product on the smallest class, i.e. M^3 restricted to it, formed
-    exactly in Python ints.  Without a grading, d = 1 and X = M.
+    X is that product on the smallest class, i.e. M^3 restricted to it
+    (``_cube_rows``).  Without a grading, d = 1 and X = M.
     ``entries`` and X map (row, col) to a nonzero integer.
     """
     grading = _type_grading(n, entries)
@@ -503,22 +517,16 @@ def _cyclic_reduction(n, entries):
         classes[t].append(i)
     keep = min(classes, key=len)
     index = {i: a for a, i in enumerate(keep)}
-    out_of = [[] for _ in range(n)]
-    for (i, j), v in entries.items():
-        out_of[i].append((j, v))
-    product = {}
-    for a, i in enumerate(keep):
-        row = {i: 1}
-        for _ in range(3):
-            step = {}
-            for j, c in row.items():
-                for k, v in out_of[j]:
-                    step[k] = step.get(k, 0) + c * v
-            row = step
-        for k, c in row.items():
-            if c:
-                product[a, index[k]] = c
+    product = {(a, index[k]): c for a, row in enumerate(_cube_rows(n, entries, keep))
+               for k, c in row.items() if c}
     return 3, len(keep), product
+
+
+def _spread(poly, d):
+    """poly(u^d)."""
+    coeffs = [0] * (d * poly.degree + 1)
+    coeffs[::d] = poly.coeffs
+    return IntPoly(coeffs)
 
 
 def char_rev(M):
@@ -526,12 +534,9 @@ def char_rev(M):
 
     ``_cyclic_reduction`` takes M to X with det(I - uM) = det(I - u^d X): the
     period-3 product of a Z/3-graded M (vertex type, edge tail type, chamber
-    rotation), else d = 1 and X = M.  The trivial-group case of
-    ``_char_rev_by_characters`` takes det(I - tX): characteristic polynomial
-    modulo enough word-sized primes (batched Hessenberg reduction over the
-    primes), CRT-combined under the row-norm bound of X; its coefficients are
-    then spread to t = u^d.  The self-check compares with M itself, so it
-    also sees a wrong reduction.
+    rotation), else d = 1 and X = M.  The engine's trivial-group case takes
+    det(I - tX), whose coefficients are then spread to t = u^d.  The
+    self-check compares with M itself, so it also sees a wrong reduction.
     """
     if hasattr(M, "to_dense"):
         n, entries = M.n, M.entries
@@ -540,50 +545,37 @@ def char_rev(M):
         n = len(dense)
         entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
     d, r, x = _cyclic_reduction(n, entries)
-    rows = np.array([i for i, _j in x], dtype=np.int64)
-    cols = np.array([j for _i, j in x], dtype=np.int64)
+    rows, cols = (np.array([key[t] for key in x], dtype=np.int64) for t in range(2))
     reduced, stream = _char_rev_by_characters(r, rows, cols, list(x.values()),
-                                              np.zeros((1, len(x)), dtype=np.int64))
-    spread = [0] * (d * reduced.degree + 1)
-    spread[::d] = reduced.coeffs
-    poly = IntPoly(spread)
+                                              np.zeros(len(x), dtype=np.int64), 1)
+    poly = _spread(reduced, d)
     if SELF_CHECK and n:
         _self_check("char_rev", poly, n, lambda: M, stream)
     return poly
 
 
-def _character_exponents(m, elements):
-    """The exponent rows of the 3m characters of G = Z/3 x Z/m on the group
-    elements (h3, hm): chi_(a,b)(h) = w**(a*m*h3 + 3*b*hm) for w of exact
-    order 3m, row a*m + b."""
-    h = np.array(elements, dtype=np.int64).reshape(-1, 2)
-    a = np.repeat(np.arange(3), m)[:, None]
-    b = np.tile(np.arange(m), 3)[:, None]
-    return (a * m * h[None, :, 0] + 3 * b * h[None, :, 1]) % (3 * m)
-
-
 def char_rev_factored(pattern, reference=None):
-    """det(I - u*M) as an IntPoly, M the lift of a LabelledMatrix over
-    G = Z/3 x Z/m.
+    """det(I - u*M) as an IntPoly, M the 3mr x 3mr lift of a LabelledMatrix.
 
-    det(I - uM) is the product over the characters chi of G of
-    det(I - u M_chi), M_chi[i, j] = sum of w * chi(h) over the pattern's
-    entries (i, j, h) of weight w; ``_char_rev_by_characters`` takes it
-    modulo primes p = 1 (mod 3m).  ``reference`` returns the dense operator
-    the self-check compares with, up to a relabelling of rows and columns
-    (default: the pattern's own lift); zeta passes the incidence-rule
-    operator, so the check compares two independent constructions.
+    Every entry raises the sheet by one, so det(I - uM) = det(I - u^3 X), X =
+    M^3 on sheet 0: the lift over the deck group Z/m of the r x r pattern of
+    M^3's rows (sheet 0, deck 0) (``_cube_rows``), column k being (j, h) =
+    (k mod r, k // r).  Labels add along each path; entries that cancel are
+    dropped.  The engine takes det(I - tX) over the m characters of Z/m, and
+    its coefficients are spread to t = u^3.  ``reference`` returns the dense
+    operator the self-check compares with, up to a relabelling of rows and
+    columns (default: the lift); zeta passes the incidence-rule operator, so
+    the check compares two independent constructions.
     """
     r, m = pattern.r, pattern.m
-    k = 3 * m
-    keys = list(pattern.entries)
-    rows = np.array([key[0] for key in keys], dtype=np.int64)
-    cols = np.array([key[1] for key in keys], dtype=np.int64)
-    exponents = _character_exponents(m, [key[2:] for key in keys])
-    poly, stream = _char_rev_by_characters(r, rows, cols, list(pattern.entries.values()),
-                                           exponents)
+    lift = pattern.lift()
+    x = {(i, k % r, k // r): c for i, row in enumerate(_cube_rows(lift.n, lift.entries, range(r)))
+         for k, c in row.items() if c}
+    rows, cols, labels = (np.array([key[t] for key in x], dtype=np.int64) for t in range(3))
+    reduced, stream = _char_rev_by_characters(r, rows, cols, list(x.values()), labels, m)
+    poly = _spread(reduced, 3)
     if SELF_CHECK and r:
-        _self_check("char_rev_factored", poly, k * r, reference or pattern.lift, stream)
+        _self_check("char_rev_factored", poly, lift.n, reference or (lambda: lift), stream)
     return poly
 
 

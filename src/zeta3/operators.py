@@ -10,9 +10,10 @@ the incidence rules.
 
 Presented complexes also have a voltage-labelled base form of L_E and L_B
 (``LabelledMatrix``, from the generator rules): G = Z/3 x Z/m acts freely on
-them, so each is the lift of a small pattern whose entries carry group
-elements.  The determinants take it; the tests compare its lift with the
-incidence-rule operators.
+them, so each is the lift of a small pattern.  Every entry raises the sheet
+(the Z/3 part, the vertex type) by one and carries a label in the cover's
+deck group Z/m.  The determinants take the pattern; the tests compare its
+lift with the incidence-rule operators.
 """
 
 from __future__ import annotations
@@ -106,11 +107,12 @@ class SparseIntegerMatrix:
 
 
 class LabelledMatrix:
-    """Square r x r pattern whose entries carry elements h of G = Z/3 x Z/m.
+    """Square r x r pattern whose entries carry the group element (1, h) of
+    G = Z/3 x Z/m: every entry raises the sheet by one, h is its deck label.
 
-    ``entries`` maps (i, j, h3, hm) to an integer weight.  The lift is the
-    3mr x 3mr matrix whose entry ((g, i), (g + h, j)) is the weight of
-    (i, j, h), the lifted index of (g, i) being (g3 * m + gm) * r + i.
+    ``entries`` maps (i, j, h), h in Z/m, to an integer weight.  The lift is
+    the 3mr x 3mr matrix whose entry ((g, i), (g + (1, h), j)) is the weight
+    of (i, j, h), the lifted index of (g, i) being (g3 * m + gm) * r + i.
     """
 
     __slots__ = ("r", "m", "entries")
@@ -120,15 +122,15 @@ class LabelledMatrix:
         self.m = int(m)
         self.entries = {}
         if entries:
-            for (i, j, h3, hm), v in dict(entries).items():
-                self.add(i, j, (h3, hm), v)
+            for (i, j, h), v in dict(entries).items():
+                self.add(i, j, h, v)
 
     def add(self, i, j, h, v=1):
         if not (0 <= i < self.r and 0 <= j < self.r):
             raise IndexError((i, j))
         if v == 0:
             return
-        key = (i, j, h[0] % 3, h[1] % self.m)
+        key = (i, j, h % self.m)
         new = self.entries.get(key, 0) + v
         if new == 0:
             del self.entries[key]
@@ -144,8 +146,8 @@ class LabelledMatrix:
         out = SparseIntegerMatrix(3 * m * r)
         for g3 in range(3):
             for gm in range(m):
-                for (i, j, h3, hm), v in self.entries.items():
-                    tgt = (((g3 + h3) % 3) * m + (gm + hm) % m) * r + j
+                for (i, j, h), v in self.entries.items():
+                    tgt = (((g3 + 1) % 3) * m + (gm + h) % m) * r + j
                     out.add((g3 * m + gm) * r + i, tgt, v)
         return out
 
@@ -212,7 +214,7 @@ def _presented_data(cx):
 
 def build_le_pattern(cx: ComplexDescription):
     """L_E as a labelled n x n pattern by the generator rule: (x, y) carries
-    (1, c(x)) for every y off lam(x).  Its lift is build_le entry for entry."""
+    c(x) for every y off lam(x).  Its lift is build_le entry for entry."""
     cx.require_valid()
     pres, n, m_mod, c = _presented_data(cx)
     line_pts = pres.plane.all_line_points()
@@ -221,7 +223,7 @@ def build_le_pattern(cx: ComplexDescription):
         on_line = line_pts[pres.lam[x]]
         for y in range(n):
             if y not in on_line:
-                pattern.add(x, y, (1, c[x]))
+                pattern.add(x, y, c[x])
     return pattern
 
 
@@ -254,7 +256,7 @@ def build_lb(cx: ComplexDescription):
 
 def build_lb_pattern(cx: ComplexDescription):
     """L_B as a labelled pattern over the sorted triples by the generator
-    rule: (t, t') carries (1, c(t0)) when t'0 = t1 and t'1 != t2.  Its lift is
+    rule: (t, t') carries c(t0) when t'0 = t1 and t'1 != t2.  Its lift is
     build_lb up to the order of directed chambers."""
     cx.require_valid()
     pres, _n, m_mod, c = _presented_data(cx)
@@ -263,5 +265,5 @@ def build_lb_pattern(cx: ComplexDescription):
     for i, t in enumerate(triples):
         for j, s in enumerate(triples):
             if s[0] == t[1] and s[1] != t[2]:
-                pattern.add(i, j, (1, c[t[0]]))
+                pattern.add(i, j, c[t[0]])
     return pattern

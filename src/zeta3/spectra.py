@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import Zeta3Error
+from .errors import ExactArithmeticError, Zeta3Error
 from .polynomials import IntPoly, squarefree_decomposition, unit_circle_root_count
 from .zeta import ZetaParts
 
@@ -94,9 +94,10 @@ def trivial_factor(q, tag):
 def split_trivial(poly, q, tag):
     """(poly / trivial factor, True) when division is exact, else (poly, False)."""
     factor = trivial_factor(q, tag)
-    if factor.divides(poly):
+    try:
         return poly.exact_divide(factor), True
-    return poly, False
+    except ExactArithmeticError:
+        return poly, False
 
 
 # -- numerical roots ----------------------------------------------------------
@@ -336,11 +337,12 @@ def cube_factor_multiplicity(p_b):
     """Largest k with (1 - u^3)^k dividing p_b exactly."""
     cube = IntPoly([1, 0, 0, -1])
     k = 0
-    rest = p_b
-    while cube.divides(rest):
-        rest = rest.exact_divide(cube)
-        k += 1
-    return k
+    try:
+        while True:
+            p_b = p_b.exact_divide(cube)
+            k += 1
+    except ExactArithmeticError:
+        return k
 
 
 # -- representation census ----------------------------------------------------

@@ -14,21 +14,21 @@ with the cube factor moved to the right-hand side when chi < 0.  The factor
 P_E(u^2) is det(I - L_E^t u^2): reversed characteristic polynomials are
 transpose-invariant, so the type-two edge operator never needs to be built.
 
-For a presented complex, P_E and P_B are products over the characters of
-G = Z/3 x Z/m of small twisted determinants (exactdet.char_rev_factored on
-the voltage-labelled patterns of L_E and L_B), taken orbit by orbit: each
-Galois orbit of characters gives an integer factor under its own CRT bound,
-and the factors are multiplied back exactly.  Explicit-list complexes and
-injected operators take dense char_rev, the engine's one-orbit case.  P_A is
-always dense char_rev of the 3*N0 x 3*N0 block companion of the vertex
-pencil (vertex_companion).
-
 Every one of these operators raises the vertex type by one step (A1 and the
 companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
-each determinant is a polynomial in u^3.  Dense char_rev finds that Z/3
-grading in the matrix's own nonzero pattern and takes the determinant of the
-period-3 product on the smallest class, a third of the size; an injected or
-corrupted operator without the grading takes the unreduced route.
+each determinant is det(I - u^3 X), X the period-3 product, and both
+determinant routes take that product.  Dense char_rev finds the Z/3 grading
+in the matrix's own nonzero pattern and takes X on the smallest class, a
+third of the size; an injected or corrupted operator without the grading
+takes the unreduced route.  For a presented complex, P_E and P_B come from
+exactdet.char_rev_factored on the voltage-labelled patterns of L_E and L_B:
+there X is the lift of a small pattern over the cover's deck group Z/m, and
+its determinant is a product over the m characters of Z/m of twisted
+determinants, taken orbit by orbit: each Galois orbit of characters gives
+an integer factor under its own CRT bound, and the factors are multiplied
+back exactly.  Explicit-list complexes and injected operators take dense
+char_rev, the engine's one-orbit case.  P_A is always dense char_rev of the
+3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).
 """
 
 from __future__ import annotations

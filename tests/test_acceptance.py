@@ -71,8 +71,9 @@ def state():
 
     st["covers"] = covers
     # identity/spectra battery: base and every connected m=2, m=3 and m=7
-    # cover; their P_E and P_B are factored over the characters of Z/3 x Z/m,
-    # so the 441-dimensional m=7 chamber operators cost well under a second
+    # cover; their P_E and P_B are factored over the characters of the deck
+    # group Z/m, so the 441-dimensional m=7 chamber operators cost well under
+    # a second
     battery = [base] + covers[2] + covers[3] + covers[7]
     st["battery"] = battery
 

@@ -54,6 +54,30 @@ def test_gen_presentation_index_out_of_range(tmp_path, capsys, index):
     assert not path.exists()
 
 
+def test_gen_negative_presentation_index_skips_search(tmp_path, capsys, monkeypatch):
+    from zeta3 import cli
+
+    def refuse(plane):
+        raise AssertionError("searched presentations for a negative index")
+
+    monkeypatch.setattr(cli, "iter_triangle_presentations", refuse)
+    path = tmp_path / "x.cx"
+    assert main(["gen", "--q", "3", "--out", str(path), "--presentation-index", "-1"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("modulus", ["0", "-2"])
+def test_voltage_modulus_below_one(base_file, tmp_path, capsys, modulus):
+    lines = base_file.read_text().splitlines(keepends=True)
+    lines = [f"voltage {modulus} " + line.split(" ", 2)[2] if line.startswith("voltage ") else line
+             for line in lines]
+    path = tmp_path / "m.cx"
+    path.write_text("".join(lines))
+    assert main(["validate", str(path)]) == 2
+    assert f"modulus m={modulus} below 1" in capsys.readouterr().err
+
+
 def test_validate_ok(base_file, capsys):
     assert main(["validate", str(base_file)]) == 0
     out = capsys.readouterr().out

@@ -216,8 +216,7 @@ def random_pattern(r, m, seed, nnz=None, lo=-3, hi=3):
     rng = random.Random(seed)
     pattern = LabelledMatrix(r, m)
     for _ in range(nnz or 2 * r):
-        h = (rng.randrange(3), rng.randrange(m))
-        pattern.add(rng.randrange(r), rng.randrange(r), h, rng.randint(lo, hi))
+        pattern.add(rng.randrange(r), rng.randrange(r), rng.randrange(m), rng.randint(lo, hi))
     return pattern
 
 
@@ -287,90 +286,123 @@ def test_self_check_prime_lies_outside_the_crt_set(monkeypatch, route):
         compute()
 
 
-# -- Galois orbits of the characters ------------------------------------------
+# -- the period-3 product and the Galois orbits of Z/m ------------------------
+
+
+def engine_inputs(monkeypatch):
+    """The argument tuples of every ``_char_rev_by_characters`` call."""
+    engine = exactdet._char_rev_by_characters
+    calls = []
+    monkeypatch.setattr(exactdet, "_char_rev_by_characters",
+                        lambda *args: calls.append(args) or engine(*args))
+    return calls
+
+
+def test_period3_product_drops_cancelled_entries(monkeypatch):
+    # two length-3 paths from row 0 back to row 0, both of label 2 and of
+    # weights +2 and -2: 0 -> 1 -> 2 -> 0 and 0 -> 3 -> 2 -> 0
+    m = 3
+    pattern = LabelledMatrix(4, m, {
+        (0, 1, 1): 1, (1, 2, 0): 1, (0, 3, 0): 1, (3, 2, 1): -1, (2, 0, 1): 2,
+        (1, 1, 2): 1, (2, 3, 0): -1, (3, 0, 2): 1,
+    })
+    calls = engine_inputs(monkeypatch)
+    assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
+    (r, rows, cols, weights, labels, k), = calls
+    assert (r, k) == (4, m) and 0 not in weights
+    x = {(i, j, h): v for i, j, h, v in zip(rows.tolist(), cols.tolist(), labels.tolist(), weights)}
+    assert len(x) == len(weights) and (0, 0, 2) not in x
+    # the dense period-3 product of the lift agrees on sheet 0, deck 0
+    lifted = pattern.lift()
+    cube = np.linalg.matrix_power(np.array(lifted.to_dense(), dtype=np.int64), 3)
+    assert cube[0, 2 * 4] == 0
+    for (i, j, h), v in x.items():
+        assert cube[i, h * 4 + j] == v
 
 
 @pytest.mark.parametrize("m,sizes", [
-    (3, [1, 2, 2, 2, 2]),            # Z/3 x Z/3, not cyclic: units act as +-1
-    (7, [1, 2, 6, 12]),              # Z/21: one orbit per order 1, 3, 7, 21
-    (8, [1, 1, 2, 2, 2, 4, 4, 8]),   # Z/24: one orbit per divisor of 24
+    (3, [1, 2]),           # Z/3: the trivial character and the pair of order 3
+    (7, [1, 6]),           # Z/7: one orbit per order 1, 7
+    (8, [1, 1, 2, 4]),     # Z/8: one orbit per divisor of 8
 ])
 def test_character_orbits_partition(m, sizes):
-    from math import gcd
-
-    k = 3 * m
-    exponents = exactdet._character_exponents(m, [(a, b) for a in range(3) for b in range(m)])
-    rows = [tuple(row) for row in exponents.tolist()]
-    assert len(set(rows)) == k  # every element is an entry: the characters differ
-    orbits = exactdet._character_orbits(exponents)
-    assert sorted(c for orbit in orbits for c in orbit) == list(range(k))
+    orbits = exactdet._character_orbits(m)
+    assert sorted(c for orbit in orbits for c in orbit) == list(range(m))
     assert sorted(len(orbit) for orbit in orbits) == sizes
+    units = [t for t in range(1, m + 1) if math.gcd(t, m) == 1]
     for orbit in orbits:
-        powers = {tuple(t * e % k for e in rows[orbit[0]]) for t in range(1, k) if gcd(t, k) == 1}
-        assert {rows[c] for c in orbit} == powers
+        assert set(orbit) == {t * orbit[0] % m for t in units}
 
 
-def test_character_orbits_merge_equal_characters():
-    # entries labelled by {0} x Z/2 only: the three Z/3 characters agree on them
-    exponents = exactdet._character_exponents(2, [(0, 0), (0, 1)])
-    assert sorted(map(sorted, exactdet._character_orbits(exponents))) == [[0, 2, 4], [1, 3, 5]]
-    assert exactdet._character_orbits(exponents[:1]) == [[0]]
+def shared_cell_entries(r, m, seed, lo=-5, hi=5):
+    """(rows, cols, weights, labels) of a random r x r pattern over Z/m, as
+    the engine takes it, whose cell (0, 1) carries two more entries: weight
+    -hi of label 0 and weight hi - 1 of label m - 1 (the same label at m = 1)."""
+    rng = random.Random(seed)
+    entries = [(rng.randrange(r), rng.randrange(r), rng.randint(lo, hi), rng.randrange(m))
+               for _ in range(2 * r)]
+    entries += [(0, 1, -hi, 0), (0, 1, hi - 1, m - 1)]
+    rows, cols, weights, labels = zip(*entries)
+    return np.array(rows), np.array(cols), list(weights), np.array(labels)
 
 
-def shared_cell_pattern(r, m, seed, lo=-5, hi=5):
-    """A random pattern whose cell (0, 1) carries two labels, one of weight -hi."""
-    pattern = random_pattern(r, m, seed, lo=lo, hi=hi)
-    pattern.add(0, 1, (0, 0), -hi)
-    pattern.add(0, 1, (1, m - 1), hi - 1)
-    return pattern
+def cyclic_lift(r, m, rows, cols, weights, labels):
+    """The mr x mr dense lift over Z/m: entry (g*r + i, (g + h)*r + j)."""
+    lifted = [[0] * (m * r) for _ in range(m * r)]
+    for g in range(m):
+        for i, j, v, h in zip(rows.tolist(), cols.tolist(), weights, labels.tolist()):
+            lifted[g * r + i][(g + h) % m * r + j] += v
+    return lifted
 
 
 @pytest.mark.parametrize("m,seed", [(1, 30), (3, 31), (8, 32)])
 def test_block_norm_bounds_every_character(m, seed):
-    pattern = shared_cell_pattern(3, m, seed)
-    keys = list(pattern.entries)
-    rows, cols = (np.array([key[x] for key in keys]) for x in (0, 1))
-    weights = list(pattern.entries.values())
+    rows, cols, weights, labels = shared_cell_entries(3, m, seed)
     norm_sq = exactdet._block_norm_sq(3, rows, cols, weights)
     # row 0 collapses its cell (0, 1): the bound is the collapsed row's norm
     collapsed = {}
-    for (i, j, _h3, _hm), v in pattern.entries.items():
+    for i, j, v in zip(rows.tolist(), cols.tolist(), weights):
         collapsed[i, j] = collapsed.get((i, j), 0) + abs(v)
     assert norm_sq == max(sum(s * s for (i, _j), s in collapsed.items() if i == row)
                           for row in range(3))
     # and above the lifted operator's largest row norm, which ignores the sharing
-    assert norm_sq > max(sum(v * v for (i, *_), v in pattern.entries.items() if i == row)
-                         for row in range(3))
-    # every twisted block over the complex characters stays within it
-    k = 3 * m
-    exponents = exactdet._character_exponents(m, [key[2:] for key in keys])
-    for row in exponents:
+    lifted = np.array(cyclic_lift(3, m, rows, cols, weights, labels))
+    assert norm_sq > (lifted ** 2).sum(axis=1).max()
+    # every twisted block over the complex characters of Z/m stays within it
+    for c in range(m):
         block = np.zeros((3, 3), dtype=complex)
-        np.add.at(block, (rows, cols), np.array(weights) * np.exp(2j * np.pi * row / k))
+        np.add.at(block, (rows, cols), np.array(weights) * np.exp(2j * np.pi * c * labels / m))
         assert (np.abs(block) ** 2).sum(axis=1).max() <= norm_sq + 1e-9
 
 
 @pytest.mark.parametrize("r,m,seed", [(2, 1, 10), (3, 2, 11), (2, 3, 12), (2, 4, 13), (2, 5, 14)])
 def test_orbit_engine_vs_dense_routes(r, m, seed):
-    pattern = shared_cell_pattern(r, m, seed)
-    assert sum(key[:2] == (0, 1) for key in pattern.entries) >= 2
-    lifted = pattern.lift()
+    rows, cols, weights, labels = shared_cell_entries(r, m, seed)
+    lifted = cyclic_lift(r, m, rows, cols, weights, labels)
     expected = char_rev_interpolated(lifted)
-    assert char_rev_factored(pattern) == char_rev(lifted) == expected
+    engine, _stream = exactdet._char_rev_by_characters(r, rows, cols, weights, labels, m)
+    assert engine == char_rev(lifted) == expected
 
 
 @pytest.mark.parametrize("m", [3, 8])
 def test_orbit_engine_wide_weights(m):
     # weights up to 80, one cell carrying two labels
-    pattern = shared_cell_pattern(4, m, 20 + m, lo=-80, hi=80)
-    assert char_rev_factored(pattern) == char_rev(pattern.lift())
+    entries = shared_cell_entries(4, m, 20 + m, lo=-80, hi=80)
+    engine, _stream = exactdet._char_rev_by_characters(4, *entries, m)
+    assert engine == char_rev(cyclic_lift(4, m, *entries))
 
 
-def test_orbit_engine_equal_characters():
-    pattern = LabelledMatrix(3, 2)
-    for i, j, hm, v in [(0, 1, 0, 2), (1, 2, 1, -3), (2, 0, 1, 1), (0, 0, 1, -1), (2, 0, 0, 4)]:
-        pattern.add(i, j, (0, hm), v)
+def test_orbit_engine_equal_characters(monkeypatch):
+    # every label even, m = 4: the labels do not generate Z/4, and the
+    # characters 0 and 2, and 1 and 3, agree on every entry, yet the orbits
+    # stay the gcd classes {0}, {1, 3}, {2}
+    pattern = LabelledMatrix(3, 4)
+    for i, j, h, v in [(0, 1, 0, 2), (1, 2, 2, -3), (2, 0, 2, 1), (0, 0, 2, -1), (2, 0, 0, 4)]:
+        pattern.add(i, j, h, v)
+    calls = engine_inputs(monkeypatch)
     assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
+    assert all(h % 2 == 0 for h in calls[0][4].tolist())
+    assert exactdet._character_orbits(4) == [[0], [1, 3], [2]]
 
 
 # -- batched modular characteristic polynomials ------------------------------
@@ -497,12 +529,14 @@ def test_chunking_invariant_factored(monkeypatch, cover_m3):
 
     pattern = build_lb_pattern(cover_m3).negated()
     (default, split), (single, ones), (whole, one), (pairs, two) = results_by_chunk(
-        monkeypatch, lambda: char_rev_factored(pattern), 18 * 21 * 21)
-    # nine characters of 21 x 21 blocks in five Galois orbits: the trivial
-    # orbit takes 2 primes and each of the four pairs 3, so 26 blocks in all,
-    # in one call by default (each run ends with the self-check's call); a
-    # chunk of 18 blocks holds the first two primes, then the third
-    assert split == one == [26, 1] and ones == [9, 9, 8, 1] and two == [18, 8, 1]
+        monkeypatch, lambda: char_rev_factored(pattern), 6 * 21 * 21)
+    # the period-3 product of the 21 x 21 pattern is again 21 x 21 (rho**2 =
+    # 10) over Z/3, whose three characters fall into two Galois orbits: the
+    # trivial one (degree 21, a 45-bit bound) takes 2 primes and {1, 2}
+    # (degree 42, 88 bits) 4, so 10 blocks in all, in one call by default
+    # (each run ends with the self-check's call); a chunk of 6 blocks holds
+    # the first two primes, then the last two
+    assert split == one == [10, 1] and ones == [3, 3, 2, 2, 1] and two == [6, 4, 1]
     assert default == single == whole == pairs
 
 

@@ -30,14 +30,15 @@ def test_sparse_matrix_basics():
 
 
 def test_labelled_matrix_basics():
-    m = LabelledMatrix(2, 3, {(0, 1, 1, 2): 2})
-    m.add(0, 1, (4, 5), -2)  # labels reduce mod (3, m): cancels the entry
+    m = LabelledMatrix(2, 3, {(0, 1, 2): 2})
+    m.add(0, 1, 5, -2)  # labels reduce mod m: cancels the entry
     assert m.entries == {}
-    m.add(1, 0, (1, 2))
-    assert m.negated().entries == {(1, 0, 1, 2): -1}
+    m.add(1, 0, 2)
+    assert m.negated().entries == {(1, 0, 2): -1}
     lift = m.lift()
     assert lift.n == 18
-    # (g, 1) -> (g + (1, 2), 0), lifted index (g3 * 3 + gm) * 2 + i
+    # every entry raises the sheet by one: (g, 1) -> (g + (1, 2), 0), lifted
+    # index (g3 * 3 + gm) * 2 + i
     assert lift.get(1, ((1 * 3 + 2) * 2)) == 1
     assert sorted(lift.row_sums()) == [0] * 9 + [1] * 9
 

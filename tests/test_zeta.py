@@ -217,9 +217,9 @@ def test_self_check_catches_corrupted_pattern(cover_m2, monkeypatch):
     # blocks change, the dense operator the self-check compares with does not
     def corrupted(cx):
         pattern = build_le_pattern(cx)
-        (i, j, h3, hm), v = sorted(pattern.entries.items())[0]
-        pattern.add(i, j, (h3, hm), -v)
-        pattern.add(i, j, (h3, hm + 1), v)
+        (i, j, h), v = sorted(pattern.entries.items())[0]
+        pattern.add(i, j, h, -v)
+        pattern.add(i, j, h + 1, v)
         return pattern
 
     monkeypatch.setattr(zeta, "build_le_pattern", corrupted)
