@@ -35,9 +35,10 @@ from .fileformat import load, save
 from .operators import build_a1, build_a2, build_le, build_lb
 from .spectra import RootRefinementError, build_spectral_report
 from .zeta import (
+    counts_from_edge_determinant,
     counts_from_traces,
+    edge_determinant,
     edge_trace_powers,
-    geodesic_counts,
     verify_identity,
     walk_count_oracle,
     zeta_parts,
@@ -216,12 +217,12 @@ def cmd_geodesics(args):
     if L == 0:
         print("(empty table)")
         return EXIT_OK
-    parts = zeta_parts(cx)
-    counts = geodesic_counts(parts, L)
+    # the counts need P_E alone
+    counts = counts_from_edge_determinant(edge_determinant(cx), L)
     traces = edge_trace_powers(build_le(cx), L)
     trace_counts = counts_from_traces(traces)
     oracle_upto = min(L, 6) if args.oracle else 0
-    oracle_traces = [walk_count_oracle(cx, m) for m in range(1, oracle_upto + 1)]
+    oracle_traces = walk_count_oracle(cx, oracle_upto) if oracle_upto else []
 
     consistent = counts == trace_counts
     oracle_ok = all(

@@ -23,12 +23,14 @@ The routes and their parts:
   capped at ``_CHUNK_ENTRIES`` int64 entries to bound memory.
 * ``_cube_rows`` - the one period-3 product.  Every operator of the paper
   raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
-  on one class of the Z/3 grading.
+  on one class of the Z/3 grading.  It walks a Z/m-labelled pattern three
+  steps, adding labels mod m; a dense matrix is the case m = 1, labels 0.
 * ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
   of a grading found in M's pattern (else X = M), over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
-  pattern (operators.LabelledMatrix): X on sheet 0 is the lift of an r x r
-  pattern over the deck group Z/m, taken with its m characters.
+  pattern (operators.LabelledMatrix), without building the lift: X on sheet
+  0 is the lift of an r x r pattern over the deck group Z/m, taken with its
+  m characters.
 * ``_self_check`` - the one self-check of both routes (under ``SELF_CHECK``):
   the unreduced dense operator's characteristic polynomial modulo a prime
   the engine's CRT did not take.
@@ -481,13 +483,23 @@ def _type_grading(n, keys):
     return g
 
 
-def _cube_rows(n, entries, starts):
-    """The rows starts[a] of M^3, as maps column -> value that may hold zeros,
-    formed exactly in Python ints; M is n x n, ``entries`` maps (row, col) to
-    its value."""
-    out_of = [[] for _ in range(n)]
-    for (i, j), v in entries.items():
-        out_of[i].append((j, v))
+def _cube_rows(r, m, entries, starts):
+    """The rows starts[a] of X = M^3 on sheet 0, as maps column -> value that
+    may hold zeros, formed exactly in Python ints.
+
+    M is the lift of an r x r pattern over the sheets Z/3 and the deck group
+    Z/m whose every entry raises the sheet by one; ``entries`` maps (i, j, h),
+    h in Z/m, to the weight of the entries from (sheet s, deck g, row i) to
+    (s + 1, g + h, j).  The walk takes three steps from each (0, 0, i) along
+    the pattern's entries, adding labels mod m; column k of a row is the node
+    (j, h) = (k mod r, k // r) of sheet 3 = sheet 0.  Dense char_rev is the
+    case m = 1 with every label 0, where X is M^3 itself.
+    """
+    # the successors of node k = g * r + i, one sheet up
+    out_of = [[] for _ in range(m * r)]
+    for (i, j, h), v in entries.items():
+        for g in range(m):
+            out_of[g * r + i].append(((g + h) % m * r + j, v))
     for i in starts:
         row = {i: 1}
         for _ in range(3):
@@ -517,7 +529,8 @@ def _cyclic_reduction(n, entries):
         classes[t].append(i)
     keep = min(classes, key=len)
     index = {i: a for a, i in enumerate(keep)}
-    product = {(a, index[k]): c for a, row in enumerate(_cube_rows(n, entries, keep))
+    labelled = {(i, j, 0): v for (i, j), v in entries.items()}
+    product = {(a, index[k]): c for a, row in enumerate(_cube_rows(n, 1, labelled, keep))
                for k, c in row.items() if c}
     return 3, len(keep), product
 
@@ -558,24 +571,24 @@ def char_rev_factored(pattern, reference=None):
     """det(I - u*M) as an IntPoly, M the 3mr x 3mr lift of a LabelledMatrix.
 
     Every entry raises the sheet by one, so det(I - uM) = det(I - u^3 X), X =
-    M^3 on sheet 0: the lift over the deck group Z/m of the r x r pattern of
-    M^3's rows (sheet 0, deck 0) (``_cube_rows``), column k being (j, h) =
-    (k mod r, k // r).  Labels add along each path; entries that cancel are
-    dropped.  The engine takes det(I - tX) over the m characters of Z/m, and
-    its coefficients are spread to t = u^3.  ``reference`` returns the dense
+    M^3 on sheet 0: the lift over the deck group Z/m of the r x r pattern that
+    ``_cube_rows`` walks from the pattern's own entries, labels adding mod m
+    along each path; entries that cancel are dropped.  No lift is built.  The
+    engine takes det(I - tX) over the m characters of Z/m, and its
+    coefficients are spread to t = u^3.  ``reference`` returns the dense
     operator the self-check compares with, up to a relabelling of rows and
-    columns (default: the lift); zeta passes the incidence-rule operator, so
-    the check compares two independent constructions.
+    columns (default: the lift); zeta passes the incidence-rule operator or
+    the dense vertex companion, so the check compares two independent
+    constructions.
     """
     r, m = pattern.r, pattern.m
-    lift = pattern.lift()
-    x = {(i, k % r, k // r): c for i, row in enumerate(_cube_rows(lift.n, lift.entries, range(r)))
+    x = {(i, k % r, k // r): c for i, row in enumerate(_cube_rows(r, m, pattern.entries, range(r)))
          for k, c in row.items() if c}
     rows, cols, labels = (np.array([key[t] for key in x], dtype=np.int64) for t in range(3))
     reduced, stream = _char_rev_by_characters(r, rows, cols, list(x.values()), labels, m)
     poly = _spread(reduced, 3)
     if SELF_CHECK and r:
-        _self_check("char_rev_factored", poly, lift.n, reference or (lambda: lift), stream)
+        _self_check("char_rev_factored", poly, 3 * m * r, reference or pattern.lift, stream)
     return poly
 
 

@@ -8,12 +8,12 @@ rules below implement the intended coset actions.
 Every complex, presented or given by explicit lists, gets L_E and L_B from
 the incidence rules.
 
-Presented complexes also have a voltage-labelled base form of L_E and L_B
-(``LabelledMatrix``, from the generator rules): G = Z/3 x Z/m acts freely on
-them, so each is the lift of a small pattern.  Every entry raises the sheet
-(the Z/3 part, the vertex type) by one and carries a label in the cover's
-deck group Z/m.  The determinants take the pattern; the tests compare its
-lift with the incidence-rule operators.
+Presented complexes also have a voltage-labelled base form of L_E, L_B and
+the vertex companion (``LabelledMatrix``, from the generator rules): G =
+Z/3 x Z/m acts freely on them, so each is the lift of a small pattern.
+Every entry raises the sheet (the Z/3 part, the vertex type) by one and
+carries a label in the cover's deck group Z/m.  The determinants take the
+pattern; the tests compare its lift with the incidence-rule operators.
 """
 
 from __future__ import annotations
@@ -178,6 +178,29 @@ def build_a1(cx: ComplexDescription):
 def build_a2(cx: ComplexDescription):
     """The type-two vertex operator: exactly the transpose of A1."""
     return build_a1(cx).transpose()
+
+
+def build_companion_pattern(cx: ComplexDescription):
+    """The block companion of the vertex pencil (zeta.vertex_companion) as a
+    labelled 3 x 3 pattern over its blocks.
+
+    A1 steps vertex (t, g) to (t + 1, g + c(x)) and A2 to (t - 1, g - c(x)),
+    for every point x.  Put vertex (t, g) of block b on sheet t - b: then every
+    entry of the companion raises the sheet by one, and its blocks are
+    (0, 0) = A1 (label c(x), weight 1), (0, 1) = -q A2 (label -c(x), weight
+    -q), (0, 2) = q^3 I, (1, 0) = I and (2, 1) = I (label 0).  Its lift is
+    the companion up to the order of rows and columns."""
+    cx.require_valid()
+    _pres, n, m_mod, c = _presented_data(cx)
+    q = cx.q
+    pattern = LabelledMatrix(3, m_mod)
+    for x in range(n):
+        pattern.add(0, 0, c[x])
+        pattern.add(0, 1, -c[x], -q)
+    pattern.add(0, 2, 0, q ** 3)
+    pattern.add(1, 0, 0)
+    pattern.add(2, 1, 0)
+    return pattern
 
 
 # -- edge operator ------------------------------------------------------------

@@ -116,11 +116,13 @@ class IntPoly:
         if not a or not b:
             return IntPoly.zero()
         out = [0] * (len(a) + len(b) - 1)
+        # the paper's determinants are polynomials in u^3: skip the zeros of
+        # both factors
+        terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+            if ai:
+                for j, bj in terms:
+                    out[i + j] += ai * bj
         return IntPoly(out)
 
     __rmul__ = __mul__

@@ -334,7 +334,10 @@ def steinberg_divisibility(p_b, chi):
 
 
 def cube_factor_multiplicity(p_b):
-    """Largest k with (1 - u^3)^k dividing p_b exactly."""
+    """Largest k with (1 - u^3)^k dividing p_b exactly; ValueError for the
+    zero polynomial, which every power divides."""
+    if p_b.is_zero():
+        raise ValueError("every power of 1 - u^3 divides the zero polynomial")
     cube = IntPoly([1, 0, 0, -1])
     k = 0
     try:

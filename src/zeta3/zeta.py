@@ -17,18 +17,19 @@ transpose-invariant, so the type-two edge operator never needs to be built.
 Every one of these operators raises the vertex type by one step (A1 and the
 companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
 each determinant is det(I - u^3 X), X the period-3 product, and both
-determinant routes take that product.  Dense char_rev finds the Z/3 grading
-in the matrix's own nonzero pattern and takes X on the smallest class, a
-third of the size; an injected or corrupted operator without the grading
-takes the unreduced route.  For a presented complex, P_E and P_B come from
-exactdet.char_rev_factored on the voltage-labelled patterns of L_E and L_B:
+determinant routes take that product.  P_A is the determinant of the
+3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).  For a
+presented complex, all three come from exactdet.char_rev_factored on
+voltage-labelled patterns (the 3 x 3 companion pattern, L_E's and L_B's):
 there X is the lift of a small pattern over the cover's deck group Z/m, and
 its determinant is a product over the m characters of Z/m of twisted
-determinants, taken orbit by orbit: each Galois orbit of characters gives
-an integer factor under its own CRT bound, and the factors are multiplied
-back exactly.  Explicit-list complexes and injected operators take dense
-char_rev, the engine's one-orbit case.  P_A is always dense char_rev of the
-3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).
+determinants, taken orbit by orbit: each Galois orbit of characters gives an
+integer factor under its own CRT bound, and the factors are multiplied back
+exactly.  Explicit-list complexes and injected operators take dense
+char_rev, the engine's one-orbit case: it finds the Z/3 grading in the
+matrix's own nonzero pattern and takes X on the smallest class, a third of
+the size; an injected or corrupted operator without the grading takes the
+unreduced route.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .operators import (
     SparseIntegerMatrix,
     build_a1,
     build_a2,
+    build_companion_pattern,
     build_lb,
     build_lb_pattern,
     build_le,
@@ -90,12 +92,22 @@ def vertex_companion(a1: SparseIntegerMatrix, a2: SparseIntegerMatrix, q):
     return c
 
 
+def edge_determinant(cx: ComplexDescription):
+    """P_E = det(I - L_E u) alone: from the L_E pattern for a presented
+    complex, else by dense char_rev of the incidence-rule operator."""
+    if isinstance(cx.provenance, Presented):
+        return char_rev_factored(build_le_pattern(cx), lambda: build_le(cx))
+    return char_rev(build_le(cx))
+
+
 def zeta_parts(cx: ComplexDescription, operators=None):
     """Build (P_A, P_E, P_B) for a valid complex.
 
     ``operators`` optionally injects prebuilt (A1, A2, LE, LB) matrices; the
     mutation tests use this to corrupt a single entry.  Injected operators
-    always take dense char_rev.
+    always take dense char_rev.  The factored P_A self-checks against the
+    dense companion, so ``build_a1`` and ``build_a2`` run on a presented
+    complex only under ``exactdet.SELF_CHECK``.
     """
     cx.require_valid()
     n0, n1, n2, chi = cx.counts()
@@ -104,18 +116,16 @@ def zeta_parts(cx: ComplexDescription, operators=None):
         a1, a2, le, lb = operators
         p_e = char_rev(le)
         p_b = char_rev(lb.negated())
+        p_a = char_rev(vertex_companion(a1, a2, q))
+    elif isinstance(cx.provenance, Presented):
+        p_e = edge_determinant(cx)
+        p_b = char_rev_factored(build_lb_pattern(cx).negated(), lambda: build_lb(cx).negated())
+        p_a = char_rev_factored(build_companion_pattern(cx),
+                                lambda: vertex_companion(build_a1(cx), build_a2(cx), q))
     else:
-        a1 = build_a1(cx)
-        a2 = build_a2(cx)
-        if isinstance(cx.provenance, Presented):
-            p_e = char_rev_factored(build_le_pattern(cx), lambda: build_le(cx))
-            p_b = char_rev_factored(
-                build_lb_pattern(cx).negated(), lambda: build_lb(cx).negated()
-            )
-        else:
-            p_e = char_rev(build_le(cx))
-            p_b = char_rev(build_lb(cx).negated())
-    p_a = char_rev(vertex_companion(a1, a2, q))
+        p_e = edge_determinant(cx)
+        p_b = char_rev(build_lb(cx).negated())
+        p_a = char_rev(vertex_companion(build_a1(cx), build_a2(cx), q))
     if p_a.degree != 3 * n0 or p_a.cf(0) != 1:
         raise ExactArithmeticError("vertex determinant has wrong shape")
     return ZetaParts(q=q, n0=n0, n1=n1, n2=n2, chi=chi, p_a=p_a, p_e=p_e, p_b=p_b)
@@ -162,13 +172,17 @@ def verify_identity(parts: ZetaParts):
 
 def geodesic_counts(parts: ZetaParts, max_len):
     """N_1..N_max_len: coefficients of u d/du log Z, Z = 1/(P_E(u) P_E(u^2)).
+    Only P_E enters (``counts_from_edge_determinant``)."""
+    return counts_from_edge_determinant(parts.p_e, max_len)
 
-    Exact power-series arithmetic on the polynomials; the result must be a
-    sequence of nonnegative integers because an actual count underlies it.
-    """
+
+def counts_from_edge_determinant(p_e: IntPoly, max_len):
+    """N_1..N_max_len from P_E alone, by exact power-series arithmetic; the
+    result must be a sequence of nonnegative integers because an actual count
+    underlies it."""
     if max_len < 1:
         return []
-    g = parts.p_e * parts.p_e.substitute_square()
+    g = p_e * p_e.substitute_square()
     series = g.log_derivative_series(max_len)  # u g'/g
     counts = [-series[m] for m in range(1, max_len + 1)]
     for ell, value in enumerate(counts, start=1):
@@ -220,16 +234,17 @@ def counts_from_traces(traces):
     return out
 
 
-def walk_count_oracle(cx: ComplexDescription, m):
-    """Closed m-step admissible edge sequences, counted over successor lists.
+def walk_count_oracle(cx: ComplexDescription, max_len):
+    """[closed m-step admissible edge sequences for m = 1..max_len], counted
+    over successor lists.
 
     Walks over type-one edges where consecutive edges share no chamber; the
-    successor lists come from ``cx.chambers``.  For each start edge, the
-    sequences of each length are counted by the edge they end at; the closed
-    ones end at the start.  The total must equal trace(L_E^m).  Never touches
-    the operator matrices.
+    successor lists come from ``cx.chambers``.  For each start edge, one walk
+    of max_len steps counts the sequences of each length by the edge they end
+    at; after m steps the closed ones end at the start.  Entry m - 1 must
+    equal trace(L_E^m).  Never touches the operator matrices.
     """
-    if m < 1:
+    if max_len < 1:
         raise ValueError("walk length must be >= 1")
     cx.require_valid()
     edges = cx.edges
@@ -247,14 +262,14 @@ def walk_count_oracle(cx: ComplexDescription, m):
             [k for k in by_tail.get(e.head, ()) if mine.isdisjoint(chambers_of[edges[k].id])]
         )
 
-    total = 0
+    totals = [0] * max_len
     for start in range(len(edges)):
         ending_at = {start: 1}
-        for _ in range(m):
+        for length in range(max_len):
             step = {}
             for k, count in ending_at.items():
                 for nxt in succ[k]:
                     step[nxt] = step.get(nxt, 0) + count
             ending_at = step
-        total += ending_at.get(start, 0)
-    return total
+            totals[length] += ending_at.get(start, 0)
+    return totals

@@ -2,11 +2,13 @@ import pytest
 
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.exactdet import det_integer
+from zeta3.zeta import vertex_companion
 from zeta3.operators import (
     LabelledMatrix,
     SparseIntegerMatrix,
     build_a1,
     build_a2,
+    build_companion_pattern,
     build_le,
     build_le_pattern,
     build_lb,
@@ -62,6 +64,8 @@ def test_patterns_need_presented_complex(base2):
         build_le_pattern(geo)
     with pytest.raises(ValueError):
         build_lb_pattern(geo)
+    with pytest.raises(ValueError):
+        build_companion_pattern(geo)
 
 
 def test_a1_base_is_seven_times_cycle(base2):
@@ -110,6 +114,20 @@ def test_generator_rule_matches_geometric_rule(small_battery):
     # and tests/test_zeta.py compares its determinant over Z
     for cx in small_battery:
         assert build_le_pattern(cx).lift() == build_le(cx)
+
+
+def test_companion_pattern_lifts_to_vertex_companion(small_battery):
+    # lifted index (s * m + g) * 3 + b holds vertex (t, g) = (s + b, g) of
+    # companion block b, whose index is b * N0 + t * m + g
+    for cx in small_battery:
+        m = cx.provenance.voltage.m
+        n0 = 3 * m
+        place = [b * n0 + (s + b) % 3 * m + g
+                 for s in range(3) for g in range(m) for b in range(3)]
+        lift = build_companion_pattern(cx).lift()
+        relabelled = SparseIntegerMatrix(
+            lift.n, {(place[i], place[j]): v for (i, j), v in lift.entries.items()})
+        assert relabelled == vertex_companion(build_a1(cx), build_a2(cx), cx.q)
 
 
 def test_lb_sizes(base2, cover_m3):

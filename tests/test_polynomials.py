@@ -49,6 +49,32 @@ def test_basic_arithmetic():
     assert p(Fraction(1, 2)) == 2
 
 
+def _schoolbook(f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mul_with_interior_zeros_matches_schoolbook(seed):
+    # polynomials in u^3 and u^6, like the determinants, and random zeros
+    rng = random.Random(seed)
+
+    def sparse(degree, stride):
+        coeffs = [rng.randint(-9, 9) if k % stride == 0 and rng.random() < 0.8 else 0
+                  for k in range(degree + 1)]
+        coeffs[0] = coeffs[-1] = rng.choice([-2, -1, 1, 3])
+        return coeffs
+
+    f = sparse(rng.randint(0, 30), rng.choice([1, 2, 3]))
+    g = sparse(rng.randint(0, 30), rng.choice([1, 3, 6]))
+    assert (IntPoly(f) * IntPoly(g)).to_list() == _schoolbook(f, g)
+    assert (IntPoly(g) * IntPoly(f)).to_list() == _schoolbook(f, g)
+    assert (IntPoly(f) * IntPoly([])).is_zero()
+
+
 def test_substitute_square():
     assert IntPoly([1, -3]).substitute_square().to_list() == [1, 0, -3]
     assert IntPoly([]).substitute_square().is_zero()

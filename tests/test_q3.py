@@ -9,7 +9,15 @@ from zeta3.construct import (
 )
 from zeta3 import exactdet, spectra
 from zeta3.exactdet import char_rev, char_rev_factored
-from zeta3.operators import build_a1, build_lb, build_lb_pattern, build_le, build_le_pattern
+from zeta3.operators import (
+    build_a1,
+    build_a2,
+    build_companion_pattern,
+    build_lb,
+    build_lb_pattern,
+    build_le,
+    build_le_pattern,
+)
 from zeta3.spectra import (
     ADMISSIBLE_K,
     build_spectral_report,
@@ -19,7 +27,7 @@ from zeta3.spectra import (
     steinberg_divisibility,
     zero_moduli,
 )
-from zeta3.zeta import verify_identity, zeta_parts
+from zeta3.zeta import verify_identity, vertex_companion, zeta_parts
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +58,18 @@ def test_identity_and_spectra(base3):
     census = rep_census(parts, base3.counts())
     assert census.consistent
     assert census.b == 3 and census.c == 3 * chi - 3
+
+
+def test_factored_pa_matches_dense_companion(base3, presentations3):
+    # the base, presentation 0's m=2 cover, and presentation 4's three m=2
+    # covers and its m=8 cover (voltage 2)
+    covers = [base3, connected_covers(presentations3[0], 2)[0][1]]
+    covers += [cx for _v, cx in connected_covers(presentations3[4], 2)]
+    covers += [cx for v, cx in connected_covers(presentations3[4], 8) if v == 2]
+    assert len(covers) == 6
+    for cx in covers:
+        companion = vertex_companion(build_a1(cx), build_a2(cx), cx.q)
+        assert char_rev_factored(build_companion_pattern(cx)) == char_rev(companion)
 
 
 def test_factored_parts_match_dense(base3):

@@ -220,6 +220,13 @@ def test_steinberg_divisibility_battery(small_battery):
         assert cube_factor_multiplicity(parts.p_b) == chi - 1
 
 
+def test_cube_factor_multiplicity_of_zero_raises():
+    # every power of 1 - u^3 divides 0, so there is no largest one
+    with pytest.raises(ValueError):
+        cube_factor_multiplicity(IntPoly([]))
+    assert cube_factor_multiplicity(IntPoly([1, 0, 0, -1]) ** 3 * IntPoly([1, 1])) == 3
+
+
 def test_steinberg_chi_one_trivial(base_parts):
     assert steinberg_divisibility(base_parts.p_b, 1)
 

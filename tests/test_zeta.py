@@ -8,6 +8,7 @@ from zeta3.operators import (
     SparseIntegerMatrix,
     build_a1,
     build_a2,
+    build_companion_pattern,
     build_lb,
     build_lb_pattern,
     build_le,
@@ -157,6 +158,8 @@ def test_identity_through_geometric_lists(base2, cover_m2):
 
 def test_factored_parts_match_dense(small_battery):
     for cx in small_battery:
+        companion = vertex_companion(build_a1(cx), build_a2(cx), cx.q)
+        assert char_rev_factored(build_companion_pattern(cx)) == char_rev(companion)
         assert char_rev_factored(build_le_pattern(cx)) == char_rev(build_le(cx))
         assert char_rev_factored(build_lb_pattern(cx).negated()) == char_rev(
             build_lb(cx).negated()
@@ -197,9 +200,9 @@ def dense_calls(monkeypatch):
 
 
 def test_presented_cover_takes_factored_route(cover_m3, dense_calls):
-    # dense char_rev runs once, on the 3*N0 vertex companion
+    # P_A, P_E and P_B all come from their labelled patterns: no dense char_rev
     assert verify_identity(zeta_parts(cover_m3)).holds
-    assert dense_calls == [3 * cover_m3.counts()[0]]
+    assert dense_calls == []
 
 
 def test_stripped_copy_takes_dense_route(cover_m2, dense_calls, monkeypatch):
@@ -338,27 +341,25 @@ def test_negative_counts_raise():
 
 
 def test_walk_oracle_matches_traces(base2, cover_m2):
+    # one walk records the closed walks of every length up to 6
     for cx in (base2, cover_m2):
-        traces = edge_trace_powers(build_le(cx), 6)
-        for m in range(1, 7):
-            assert walk_count_oracle(cx, m) == traces[m - 1]
+        assert walk_count_oracle(cx, 6) == edge_trace_powers(build_le(cx), 6)
 
 
 def test_walk_oracle_reaches_length_eight(base3):
     # every step raises the vertex type, so only lengths divisible by 3 close
     traces = edge_trace_powers(build_le(base3), 8)
     assert traces[5] > 0 and traces[6] == traces[7] == 0
-    for m in (6, 7, 8):
-        assert walk_count_oracle(base3, m) == traces[m - 1]
+    assert walk_count_oracle(base3, 8) == traces
 
 
 def test_walk_oracle_guard(base2, base3, cover_m2):
     # counting is linear in the length, so long walks need no cap
     for cx in (base3, cover_m2):
-        traces = edge_trace_powers(build_le(cx), 12)
-        for m in (9, 12):
-            assert walk_count_oracle(cx, m) == traces[m - 1]
-    assert walk_count_oracle(base3, 9) == 1162261467
-    assert walk_count_oracle(base3, 12) == 847288618191
+        assert walk_count_oracle(cx, 12) == edge_trace_powers(build_le(cx), 12)
+    walks = walk_count_oracle(base3, 12)
+    assert walks[8] == 1162261467
+    assert walks[11] == 847288618191
+    assert walk_count_oracle(base2, 1) == edge_trace_powers(build_le(base2), 1)
     with pytest.raises(ValueError):
         walk_count_oracle(base2, 0)
