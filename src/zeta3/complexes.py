@@ -211,6 +211,30 @@ class ComplexDescription:
                 f"vertex type classes have sizes {class_sizes}, expected equal thirds"
             )
 
+        # one component: the trivial zeros, the census and the criteria all
+        # count the complex once (abelian_cover rejects disconnected covers)
+        neighbours = {v.id: [] for v in self.vertices}
+        for e in self.edges:
+            neighbours[e.tail].append(e.head)
+            neighbours[e.head].append(e.tail)
+        reached = set()
+        components = 0
+        for v in self.vertices:
+            if v.id in reached:
+                continue
+            components += 1
+            reached.add(v.id)
+            stack = [v.id]
+            while stack:
+                for w in neighbours[stack.pop()]:
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+        if components > 1:
+            rep.violations.append(
+                f"1-skeleton has {components} connected components, expected 1"
+            )
+
         self._report = rep
         return rep
 

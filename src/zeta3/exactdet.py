@@ -18,9 +18,13 @@ The routes and their parts:
   Exact integer arithmetic throughout, just carried out residue-wise.
 * ``_charpolys_mod`` - the one characteristic-polynomial kernel: Hessenberg
   reduction and the standard recurrence, each step run at once on a stack of
-  matrices, each slice modulo its own prime.  The engine hands it the
-  (prime, character) blocks of every orbit for a chunk of whole primes,
-  capped at ``_CHUNK_ENTRIES`` int64 entries to bound memory.
+  matrices, each slice modulo its own prime.  The reduction delays its row
+  operations: up to nb = ``_block_steps(r)`` of them stay pending as a
+  product F R and are applied with one int64 matmul and one remainder,
+  exact because nb*(p-1)**2 and r*(p-1)**2 stay below 2**63 (p < 2**25).
+  No floats and no BLAS.  The engine hands it the (prime, character) blocks
+  of every orbit for a chunk of whole primes, capped at ``_CHUNK_ENTRIES``
+  int64 entries, the kernel's working-set budget.
 * ``_cube_rows`` - the one period-3 product.  Every operator of the paper
   raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
   on one class of the Z/3 grading.  It walks a Z/m-labelled pattern three
@@ -204,6 +208,16 @@ def det_poly_matrix(M, degree_bound=None):
 # -- reverse characteristic polynomial ---------------------------------------
 
 
+def _block_steps(r):
+    """Hessenberg steps per block of delayed row operations in
+    ``_charpolys_mod`` for r x r slices: one per 16 rows from 64 rows on.
+    Smaller slices update at every step: there the bookkeeping of delayed
+    updates costs as much interpreter time as the remainders save (no
+    faster on the six 52-row slices of dense P_B of the q=3 base, timed on
+    a 2-vCPU x86-64 machine)."""
+    return r // 16 if r >= 64 else 1
+
+
 def _charpolys_mod(H, p):
     """Coefficients c_0..c_r of det(xI - H_b) over GF(p_b), for every slice b
     of a stack.
@@ -212,55 +226,120 @@ def _charpolys_mod(H, p):
     int64 array of primes below 2**25; H is overwritten.  Returns a (B, r + 1)
     int64 array, lowest degree first.  Each step of the Hessenberg reduction
     and of the recurrence runs on the whole stack at once.
+
+    The reduction is by Gauss transforms, with delayed updates: step k's row
+    operation (rows below k + 1 lose multiples of row k + 1) is kept pending,
+    as column t of F and row t of R, so that the reduced matrix is
+    H - F R.  A step builds only its pivot column and row from that, and
+    its column operation (column k + 1 gains H f) as H f - F (R f).  Every
+    nb = ``_block_steps(r)`` steps the pending block is applied with one
+    product and one remainder over the trailing block, instead of a
+    remainder over it at every step.  All of it stays exact in
+    int64 with residues below 2**25: a flush sums nb products below 2**50
+    and a matrix-vector product r of them.
+
+    Memory beyond H stays a fraction of it: a flush runs in strips of rows,
+    and the recurrence keeps its polynomials in the columns of H it has
+    read for the last time.
     """
     B, r, _ = H.shape
     p1 = p[:, None]
+    p2 = p[:, None, None]
     primes = p.tolist()
+    nb = max(1, min(_block_steps(r), r - 2))
+    # pending steps s .. k - 1, j = k - s of them: F's column t is written in
+    # rows from s + t + 2 and must be zero in rows s + 2 .. s + t + 1; R's row
+    # t is written in columns from s + t, and what it holds before them only
+    # reaches entries below the subdiagonal, which nothing reads
+    F = np.zeros((B, r, nb), dtype=np.int64)
+    R = np.zeros((B, nb, r), dtype=np.int64)
+    j = 0
+    # rows per strip of a flush: its temporaries hold at most a quarter of
+    # the working-set budget
+    strip = max(1, _CHUNK_ENTRIES // max(1, 4 * B * r))
     for k in range(r - 2):
+        below = H[:, k + 1 :, k]
+        if j:
+            below = (below - np.matmul(F[:, k + 1 :, :j], R[:, :j, k, None])[:, :, 0]) % p1
         # each slice's pivot: the first nonzero of column k below row k; a
         # slice without one keeps row k+1 (a zero) and gets multipliers 0
-        piv = k + 1 + np.argmax(H[:, k + 1 :, k] != 0, axis=1)
-        moved = np.nonzero(piv != k + 1)[0]
+        off = np.argmax(below != 0, axis=1)
+        moved = np.nonzero(off)[0]
         if moved.size:
-            to = piv[moved]
-            rows = H[moved, to]
-            H[moved, to] = H[moved, k + 1]
-            H[moved, k + 1] = rows
-            cols = H[moved, :, to]
-            H[moved, :, to] = H[moved, :, k + 1]
-            H[moved, :, k + 1] = cols
+            to = k + 1 + off[moved]
+            H[moved, to], H[moved, k + 1] = H[moved, k + 1], H[moved, to]
+            H[moved, :, to], H[moved, :, k + 1] = H[moved, :, k + 1], H[moved, :, to]
+            # with nothing pending, F and R hold no live entry there, and
+            # below is a view of H that moved with its rows
+            if j:
+                F[moved, to], F[moved, k + 1] = F[moved, k + 1], F[moved, to]
+                R[moved, :, to], R[moved, :, k + 1] = R[moved, :, k + 1], R[moved, :, to]
+                at = off[moved]
+                below[moved, at], below[moved, 0] = below[moved, 0], below[moved, at]
         inv = np.array([pow(a, -1, q) if a else 0
-                        for a, q in zip(H[:, k + 1, k].tolist(), primes)], dtype=np.int64)
-        f = H[:, k + 2 :, k] * inv[:, None] % p1
-        # products of residues are below 2**50 and a matmul sums fewer than
-        # 4096 of them, so int64 cannot overflow
-        below = H[:, k + 2 :, k:]
-        below -= f[:, :, None] * H[:, k + 1, None, k:]
-        below %= p[:, None, None]
+                        for a, q in zip(below[:, 0].tolist(), primes)], dtype=np.int64)
+        f = below[:, 1:] * inv[:, None] % p1
+        row = H[:, k + 1, k:]
+        if j:
+            row = (row - np.matmul(F[:, k + 1, None, :j], R[:, :j, k:])[:, 0]) % p1
+        if j < nb - 1 and k < r - 3:
+            F[:, k + 2 :, j] = f
+            R[:, j, k:] = row
+            j += 1
+        else:
+            # apply this step's row operation with the pending ones (alone,
+            # an outer product), then one remainder over the trailing block,
+            # a strip of rows at a time
+            s = k - j
+            if j:
+                F[:, k + 2 :, j] = f
+                R[:, j, k:] = row
+            for a in range(s + 2, r, strip):
+                trailing = H[:, a : a + strip, s:]
+                if j:
+                    trailing -= np.matmul(F[:, a : a + strip, : j + 1], R[:, : j + 1, s:])
+                else:
+                    trailing -= f[:, a - k - 2 : a - k - 2 + strip, None] * row[:, None, :]
+                trailing %= p2
+            if j:
+                F[:, :, 1 : j + 1] = 0
+            j = 0
+        # column k + 1 gains the reduced matrix times f, less what the
+        # pending row operations owe
         col = H[:, :, k + 1]
         col += np.matmul(H[:, :, k + 2 :], f[:, :, None])[:, :, 0]
+        if j:
+            s = k + 1 - j
+            Rf = np.matmul(R[:, :j, k + 2 :], f[:, :, None]) % p2
+            col[:, s + 2 :] -= np.matmul(F[:, s + 2 :, :j], Rf)[:, :, 0]
         col %= p1
 
     # det(xI_k - H_k) by expansion along the last column:
     # p_k = (x - H[k-1,k-1]) p_{k-1}
     #       - sum_{i<k-1} H[i,k-1] * (prod_{j=i}^{k-2} H[j+1,j]) * p_i,
-    # with beta[:, i] the product of subdiagonal entries, kept step by step
-    P = np.zeros((B, r + 1, r + 1), dtype=np.int64)
-    P[:, 0, 0] = 1
+    # with beta[:, i] the product of subdiagonal entries, kept step by step.
+    # Step k reads column k-1 for the last time; p_{k-1} (degree k-1, zero
+    # past it) then takes its place, so p_0 .. p_{k-2} are H[:, :k-1, :k-1]
+    # and need no table of their own.  p_k is formed in the buffer of p_{k-2}.
+    neg_diag = -np.diagonal(H, 0, 1, 2)
     beta = np.zeros((B, r), dtype=np.int64)
+    prev, poly = np.zeros((2, B, r + 1), dtype=np.int64)
+    prev[:, 0] = 1
     for k in range(1, r + 1):
-        prev = P[:, k - 1]
-        row = P[:, k]
-        row[:, 1:] = prev[:, :-1]
-        row -= H[:, k - 1, k - 1, None] * prev
+        np.multiply(neg_diag[:, k - 1, None], prev[:, :k], out=poly[:, :k])
+        poly[:, 1 : k + 1] += prev[:, :k]
         if k >= 2:
-            beta[:, : k - 2] *= H[:, k - 1, k - 2, None]
-            beta[:, k - 2] = H[:, k - 1, k - 2]
-            beta[:, : k - 1] %= p1
             w = beta[:, : k - 1] * H[:, : k - 1, k - 1] % p1
-            row -= np.matmul(w[:, None, :], P[:, : k - 1])[:, 0]
-        row %= p1
-    return P[:, r].copy()
+            poly[:, : k - 1] -= np.matmul(H[:, : k - 1, : k - 1], w[:, :, None])[:, :, 0]
+        poly[:, : k + 1] %= p1
+        if k < r:
+            # beta for step k + 1 takes the subdiagonal entry of column k-1
+            beta[:, : k - 1] *= H[:, k, k - 1, None]
+            beta[:, k - 1] = H[:, k, k - 1]
+            beta[:, :k] %= p1
+            H[:, :, k - 1] = prev[:, :r]
+        prev, poly = poly, prev
+    return prev
 
 
 NORM_FRACTION_BITS = 32
@@ -318,9 +397,12 @@ def _block_norm_sq(r, rows, cols, weights):
     return max(row_norm_sq)
 
 
-# int64 block entries (256 KiB) per batch of the modular engine: the stack,
-# the kernel's temporaries and its recurrence table grow with the batch
-_CHUNK_ENTRIES = 1 << 15
+# the kernel's working-set budget: int64 block entries (1 MiB) per call of
+# ``_charpolys_mod``.  The stack and the kernel's temporaries (a quarter of
+# it at most) grow with it, while a call's interpreter time goes with r
+# alone, so the budget takes all 12 primes of a one-orbit 104-row X (dense
+# P_B of a q=3 m=2 cover) in one call
+_CHUNK_ENTRIES = 1 << 17
 
 
 def _char_rev_by_characters(r, rows, cols, weights, labels, m):
@@ -347,9 +429,10 @@ def _char_rev_by_characters(r, rows, cols, weights, labels, m):
 
     The blocks of every (prime, character) pair are built and reduced in
     chunks of whole primes, every block of a chunk in one call of the batched
-    kernel ``_charpolys_mod``: the blocks are small (r = 7 to 52 for the
-    paper's operators), so one call per block would spend its time in the
-    interpreter rather than in arithmetic.  A chunk holds as many primes as
+    kernel ``_charpolys_mod``: a call's interpreter time goes with r, not
+    with the number of blocks (r = 7 to 104 for the paper's operators), so
+    one call per block would spend its time in the interpreter rather than
+    in arithmetic.  A chunk holds as many primes as
     fit ``_CHUNK_ENTRIES`` block entries (r*r per block), and at least one,
     so memory stays bounded however many primes the bounds need.
     """
@@ -400,6 +483,7 @@ def _char_rev_by_characters(r, rows, cols, weights, labels, m):
         values = wp[local] * powers[local[:, None], exponents[chars[c_b]]] % pb[:, None]
         blocks = np.zeros((len(local), r * r), dtype=np.int64)
         np.add.at(blocks, (np.arange(len(local))[:, None], flat[None, :]), values)
+        del wp, values  # as large as the stack: free them before the kernel runs
         blocks %= pb[:, None]
         factors = iter(_charpolys_mod(blocks.reshape(len(local), r, r), pb))
         for t, p in enumerate(ps.tolist(), start):

@@ -1,6 +1,7 @@
 import pytest
 
 from zeta3 import exactdet
+from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.construct import (
     base_quotient,
     connected_covers,
@@ -30,6 +31,21 @@ def pres2(plane2):
 @pytest.fixture(scope="session")
 def base2(pres2):
     return base_quotient(pres2)
+
+
+@pytest.fixture(scope="session")
+def two_bases(base2):
+    """Two disjoint copies of the q=2 base, the second's ids raised by 100."""
+    shift = 100
+    return ComplexDescription(
+        q=2,
+        vertices=list(base2.vertices) + [(v.id + shift, v.vtype) for v in base2.vertices],
+        edges=list(base2.edges)
+        + [(e.id + shift, e.tail + shift, e.head + shift) for e in base2.edges],
+        chambers=list(base2.chambers)
+        + [(c.id + shift, *(e + shift for e in c.edge_ids)) for c in base2.chambers],
+        provenance=Geometric(),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -95,6 +95,13 @@ def test_validate_axiom_failure(tmp_path, base2, capsys):
     assert "axiom" in capsys.readouterr().out
 
 
+def test_validate_disconnected(tmp_path, two_bases, capsys):
+    path = tmp_path / "two.cx"
+    save(two_bases, path)
+    assert main(["validate", str(path)]) == 1
+    assert "axiom: 1-skeleton has 2 connected components" in capsys.readouterr().out
+
+
 def test_parse_error_exit_code(tmp_path, base_file, capsys):
     bad = tmp_path / "trunc.cx"
     bad.write_text(base_file.read_text()[:40])

@@ -2,6 +2,7 @@ import pytest
 
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.errors import InvalidComplexError
+from zeta3.zeta import zeta_parts
 
 
 def rebuild(cx, vertices=None, edges=None, chambers=None):
@@ -21,6 +22,15 @@ def test_base_is_valid(base2):
 
 def test_counts_base(base2):
     assert base2.counts() == (3, 21, 21, 3)
+
+
+def test_disconnected_complex_rejected(two_bases):
+    # each copy is a valid complex; together they have two components
+    report = two_bases.validate()
+    assert not report.structural
+    assert report.violations == ["1-skeleton has 2 connected components, expected 1"]
+    with pytest.raises(InvalidComplexError, match="2 connected components"):
+        zeta_parts(two_bases)
 
 
 def test_counts_cover_scale(cover_m2):

@@ -415,13 +415,34 @@ def charpoly_reference(block, p):
     return [rev.cf(d) % p for d in range(len(block) + 1)][::-1]
 
 
-def assert_kernel_matches(blocks, primes):
+# Hessenberg steps per block of delayed updates the kernel cases run at: every
+# step at once, short blocks, the kernel's own choice (None), and one block
+# longer than any reduction
+BLOCK_STEPS = (1, 2, 3, None, 1 << 20)
+
+
+def run_kernel(blocks, primes, steps):
+    """_charpolys_mod of a fresh stack, ``steps`` steps per block of delayed
+    updates (None: ``exactdet._block_steps``)."""
     r = len(blocks[0])
     stack = np.array(blocks, dtype=np.int64).reshape(len(blocks), r, r)
-    out = exactdet._charpolys_mod(stack, np.array(primes, dtype=np.int64))
-    assert out.shape == (len(blocks), r + 1)
-    for row, block, p in zip(out.tolist(), blocks, primes):
+    with pytest.MonkeyPatch.context() as mp:
+        if steps is not None:
+            mp.setattr(exactdet, "_block_steps", lambda _r: steps)
+        return exactdet._charpolys_mod(stack, np.array(primes, dtype=np.int64))
+
+
+def assert_kernel_matches(blocks, primes):
+    """Immediate updates match the reference, and every block length of
+    BLOCK_STEPS gives output bit-identical to them."""
+    r = len(blocks[0])
+    immediate = run_kernel(blocks, primes, 1)
+    assert immediate.shape == (len(blocks), r + 1) and immediate.dtype == np.int64
+    for row, block, p in zip(immediate.tolist(), blocks, primes):
         assert row == charpoly_reference(block, p)
+    for steps in BLOCK_STEPS[1:]:
+        out = run_kernel(blocks, primes, steps)
+        assert out.dtype == np.int64 and np.array_equal(out, immediate), steps
 
 
 # the engine's largest prime and small ones, where zero pivots are common
@@ -474,6 +495,36 @@ def test_charpolys_mod_empty_pivot_column_mid_reduction():
          [0, 0, 1, 0, 2],
          [0, 0, 3, 8, 9]]
     assert_kernel_matches([a, b, a], [p, p, 7])
+
+
+def first_step(a, p):
+    """The matrix after the reduction's step 0 with pivot row 1, in Python
+    ints: rows 2.. lose multiples of row 1, then column 1 gains the
+    multiples of the columns 2.. ."""
+    a = [row[:] for row in a]
+    inv = pow(a[1][0], -1, p)
+    f = {i: a[i][0] * inv % p for i in range(2, len(a))}
+    for i, fi in f.items():
+        a[i] = [(x - fi * y) % p for x, y in zip(a[i], a[1])]
+    for row in a:
+        row[1] = (row[1] + sum(fi * row[i] for i, fi in f.items())) % p
+    return a
+
+
+def test_charpolys_mod_pivot_swap_inside_pending_block():
+    # slice 0 is set up so that after step 0 its column 1 is zero in row 2
+    # and not in row 3: step 1 swaps rows 2 and 3 while step 0's row
+    # operation is still pending (block lengths 2 and up); slice 1 is a
+    # random block beside it
+    p, r = 101, 7
+    rng = random.Random(11)
+    a = random_block(r, p, rng, 1.0)
+    a[1][0] = 1 + a[1][0] % (p - 1)
+    a[2][1] = 0
+    a[2][1] = -first_step(a, p)[2][1] % p
+    reduced = first_step(a, p)
+    assert reduced[2][1] == 0 and reduced[3][1] != 0
+    assert_kernel_matches([a, random_block(r, p, rng, 1.0)], [p, p])
 
 
 def test_charpolys_mod_zero_and_full_slices():

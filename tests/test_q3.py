@@ -8,6 +8,7 @@ from zeta3.construct import (
     projective_plane,
 )
 from zeta3 import exactdet, spectra
+from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.exactdet import char_rev, char_rev_factored
 from zeta3.operators import (
     build_a1,
@@ -36,6 +37,13 @@ def presentations3():
     return [next(search) for _ in range(5)]
 
 
+@pytest.fixture(scope="module")
+def p4_m2_covers(presentations3):
+    """Presentation 4's three connected m=2 covers: L_B has 312 rows, and its
+    period-3 product X 104."""
+    return [cx for _v, cx in connected_covers(presentations3[4], 2)]
+
+
 def test_counts_and_degrees(base3):
     assert base3.counts() == (3, 39, 52, 16)
     assert base3.validate().ok
@@ -60,11 +68,10 @@ def test_identity_and_spectra(base3):
     assert census.b == 3 and census.c == 3 * chi - 3
 
 
-def test_factored_pa_matches_dense_companion(base3, presentations3):
+def test_factored_pa_matches_dense_companion(base3, presentations3, p4_m2_covers):
     # the base, presentation 0's m=2 cover, and presentation 4's three m=2
     # covers and its m=8 cover (voltage 2)
-    covers = [base3, connected_covers(presentations3[0], 2)[0][1]]
-    covers += [cx for _v, cx in connected_covers(presentations3[4], 2)]
+    covers = [base3, connected_covers(presentations3[0], 2)[0][1]] + p4_m2_covers
     covers += [cx for v, cx in connected_covers(presentations3[4], 8) if v == 2]
     assert len(covers) == 6
     for cx in covers:
@@ -72,11 +79,32 @@ def test_factored_pa_matches_dense_companion(base3, presentations3):
         assert char_rev_factored(build_companion_pattern(cx)) == char_rev(companion)
 
 
-def test_factored_parts_match_dense(base3):
-    assert char_rev_factored(build_le_pattern(base3)) == char_rev(build_le(base3))
-    assert char_rev_factored(build_lb_pattern(base3).negated()) == char_rev(
-        build_lb(base3).negated()
-    )
+def test_factored_parts_match_dense(base3, p4_m2_covers):
+    for cx in [base3] + p4_m2_covers:
+        assert char_rev_factored(build_le_pattern(cx)) == char_rev(build_le(cx))
+        assert char_rev_factored(build_lb_pattern(cx).negated()) == char_rev(
+            build_lb(cx).negated()
+        )
+
+
+def test_dense_chamber_determinant_in_one_kernel_call(monkeypatch, p4_m2_covers):
+    # the geometric copy of the first cover takes the dense route: P_B's X
+    # (104 rows) needs 12 primes, and they go through the kernel in one call;
+    # the self-check's call holds the 312-row L_B
+    cx = p4_m2_covers[0]
+    geometric = ComplexDescription(q=cx.q, vertices=cx.vertices, edges=cx.edges,
+                                   chambers=cx.chambers, provenance=Geometric())
+    factored = zeta_parts(cx)
+    kernel = exactdet._charpolys_mod
+    shapes = []
+
+    def counted(H, p):
+        shapes.append(H.shape)
+        return kernel(H, p)
+
+    monkeypatch.setattr(exactdet, "_charpolys_mod", counted)
+    assert zeta_parts(geometric) == factored
+    assert [s for s in shapes if s[1] > 100] == [(12, 104, 104), (1, 312, 312)]
 
 
 @pytest.mark.parametrize("index", [4, 0])
