@@ -17,7 +17,7 @@ from .construct import (
 )
 from .operators import SparseIntegerMatrix, build_a1, build_a2, build_le, build_lb
 from .polynomials import IntPoly
-from .exactdet import char_rev, det_integer, det_poly_matrix
+from .exactdet import char_rev, det_integer
 from .zeta import (
     IdentityVerdict,
     ZetaParts,
@@ -62,7 +62,6 @@ __all__ = [
     "build_le",
     "build_lb",
     "det_integer",
-    "det_poly_matrix",
     "char_rev",
     "zeta_parts",
     "verify_identity",

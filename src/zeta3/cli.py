@@ -214,12 +214,11 @@ def cmd_geodesics(args):
     L = args.max_len
     if L < 0:
         raise ParseError("--max-len must be >= 0")
-    if L == 0:
-        print("(empty table)")
-        return EXIT_OK
-    # the counts need P_E alone
-    counts = counts_from_edge_determinant(edge_determinant(cx), L)
-    traces = edge_trace_powers(build_le(cx), L)
+    counts = traces = []
+    if L:
+        # the counts need P_E alone
+        counts = counts_from_edge_determinant(edge_determinant(cx), L)
+        traces = edge_trace_powers(build_le(cx), L)
     trace_counts = counts_from_traces(traces)
     oracle_upto = min(L, 6) if args.oracle else 0
     oracle_traces = walk_count_oracle(cx, oracle_upto) if oracle_upto else []
@@ -244,6 +243,8 @@ def cmd_geodesics(args):
                 "agrees": oracle_ok,
             }
         _emit_json(payload)
+    elif L == 0:
+        print("(empty table)")
     else:
         print(f"{'len':>4} {'count':>14}" + ("  oracle" if args.oracle else ""))
         for m in range(1, L + 1):

@@ -4,7 +4,8 @@ The routes and their parts:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
 * ``_char_rev_by_characters`` - the one modular engine: det(I - u*X) for the
-  lift X of an r x r pattern over a cyclic group Z/m.  The lift is
+  lift X of an r x r pattern over a cyclic group Z/m, given as the dict
+  (i, j, h) -> weight, h in Z/m the label of entry (i, j).  The lift is
   block-circulant over Z/m, so the determinant is the product over the m
   characters of Z/m of r x r twisted determinants.  These are taken modulo
   word-sized primes p = 1 (mod m), where the characters take values in
@@ -22,19 +23,21 @@ The routes and their parts:
   operations: up to nb = ``_block_steps(r)`` of them stay pending as a
   product F R and are applied with one int64 matmul and one remainder,
   exact because nb*(p-1)**2 and r*(p-1)**2 stay below 2**63 (p < 2**25).
-  No floats and no BLAS.  The engine hands it the (prime, character) blocks
-  of every orbit for a chunk of whole primes, capped at ``_CHUNK_ENTRIES``
-  int64 entries, the kernel's working-set budget.
+  No floats and no BLAS.  The engine makes one list of the (orbit, prime,
+  character) blocks and hands it over in slices of at most
+  ``_CHUNK_ENTRIES`` int64 entries, the kernel's working-set budget.
 * ``_cube_rows`` - the one period-3 product.  Every operator of the paper
   raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
   on one class of the Z/3 grading.  It walks a Z/m-labelled pattern three
-  steps, adding labels mod m; a dense matrix is the case m = 1, labels 0.
+  steps, adding labels mod m, and returns X as the engine's dict; a dense
+  matrix is the case m = 1, labels 0.
 * ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
   of a grading found in M's pattern (else X = M), over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
   pattern (operators.LabelledMatrix), without building the lift: X on sheet
   0 is the lift of an r x r pattern over the deck group Z/m, taken with its
   m characters.
+* ``_char_rev_reduced`` - the tail of both routes: engine, spread to u^d, self-check.
 * ``_self_check`` - the one self-check of both routes (under ``SELF_CHECK``):
   the unreduced dense operator's characteristic polynomial modulo a prime
   the engine's CRT did not take.
@@ -49,6 +52,7 @@ independent slow routes kept as test references.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -210,12 +214,8 @@ def det_poly_matrix(M, degree_bound=None):
 
 def _block_steps(r):
     """Hessenberg steps per block of delayed row operations in
-    ``_charpolys_mod`` for r x r slices: one per 16 rows from 64 rows on.
-    Smaller slices update at every step: there the bookkeeping of delayed
-    updates costs as much interpreter time as the remainders save (no
-    faster on the six 52-row slices of dense P_B of the q=3 base, timed on
-    a 2-vCPU x86-64 machine)."""
-    return r // 16 if r >= 64 else 1
+    ``_charpolys_mod`` for r x r slices: one per 16 rows, at least one."""
+    return max(1, r // 16)
 
 
 def _charpolys_mod(H, p):
@@ -232,9 +232,9 @@ def _charpolys_mod(H, p):
     as column t of F and row t of R, so that the reduced matrix is
     H - F R.  A step builds only its pivot column and row from that, and
     its column operation (column k + 1 gains H f) as H f - F (R f).  Every
-    nb = ``_block_steps(r)`` steps the pending block is applied with one
-    product and one remainder over the trailing block, instead of a
-    remainder over it at every step.  All of it stays exact in
+    nb = ``_block_steps(r)`` steps the pending block, that step's included,
+    is applied with one product and one remainder over the trailing block,
+    instead of a remainder over it at every step.  All of it stays exact in
     int64 with residues below 2**25: a flush sums nb products below 2**50
     and a matrix-vector product r of them.
 
@@ -282,27 +282,19 @@ def _charpolys_mod(H, p):
         row = H[:, k + 1, k:]
         if j:
             row = (row - np.matmul(F[:, k + 1, None, :j], R[:, :j, k:])[:, 0]) % p1
+        F[:, k + 2 :, j] = f
+        R[:, j, k:] = row
         if j < nb - 1 and k < r - 3:
-            F[:, k + 2 :, j] = f
-            R[:, j, k:] = row
             j += 1
         else:
-            # apply this step's row operation with the pending ones (alone,
-            # an outer product), then one remainder over the trailing block,
-            # a strip of rows at a time
+            # apply the j + 1 pending row operations with one product, then
+            # one remainder over the trailing block, a strip of rows at a time
             s = k - j
-            if j:
-                F[:, k + 2 :, j] = f
-                R[:, j, k:] = row
             for a in range(s + 2, r, strip):
                 trailing = H[:, a : a + strip, s:]
-                if j:
-                    trailing -= np.matmul(F[:, a : a + strip, : j + 1], R[:, : j + 1, s:])
-                else:
-                    trailing -= f[:, a - k - 2 : a - k - 2 + strip, None] * row[:, None, :]
+                trailing -= np.matmul(F[:, a : a + strip, : j + 1], R[:, : j + 1, s:])
                 trailing %= p2
-            if j:
-                F[:, :, 1 : j + 1] = 0
+            F[:, :, 1 : j + 1] = 0
             j = 0
         # column k + 1 gains the reduced matrix times f, less what the
         # pending row operations owe
@@ -384,12 +376,12 @@ def _character_orbits(m):
     return list(orbits.values())
 
 
-def _block_norm_sq(r, rows, cols, weights):
-    """rho**2 = max over pattern rows i of sum_j (sum of |weights| in cell
-    (i, j))**2: |M_c[i, j]| is at most that cell sum for every character c,
-    so every row of every twisted block has Euclidean norm at most rho."""
+def _block_norm_sq(r, x):
+    """rho**2 = max over pattern rows i of sum_j (sum_h |x[i, j, h]|)**2:
+    |M_c[i, j]| is at most that cell sum for every character c, so every
+    row of every twisted block has Euclidean norm at most rho."""
     cells = {}
-    for i, j, v in zip(rows.tolist(), cols.tolist(), weights):
+    for (i, j, _h), v in x.items():
         cells[i, j] = cells.get((i, j), 0) + abs(v)
     row_norm_sq = [0] * r
     for (i, _j), s in cells.items():
@@ -405,18 +397,17 @@ def _block_norm_sq(r, rows, cols, weights):
 _CHUNK_ENTRIES = 1 << 17
 
 
-def _char_rev_by_characters(r, rows, cols, weights, labels, m):
+def _char_rev_by_characters(r, m, x):
     """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the
     mr x mr lift of an r x r pattern over Z/m.  The stream is
     ``primes_with_root(m)`` past the primes the CRT took, so its next prime
     lies outside the CRT set (``_self_check``).
 
-    The pattern's entries are (rows[e], cols[e]) of weight weights[e] and
-    label labels[e] in Z/m.  Modulo a prime p = 1 (mod m) with w of exact
-    order m, character c takes the value w**(c*labels[e]) on entry e, so the
-    twisted block M_c[i, j] = sum of weights[e] * w**(c*labels[e]) over the
-    entries (i, j).  det(I - uM) is the product of det(I - u M_c) over the m
-    characters.
+    The pattern is the dict ``x``: (i, j, h) -> weight, h in Z/m the label
+    of entry (i, j).  Modulo a prime p = 1 (mod m) with w of exact order m,
+    character c takes the value w**(c*h) on that entry, so the twisted block
+    M_c[i, j] = sum over h of x[i, j, h] * w**(c*h).  det(I - uM) is the
+    product of det(I - u M_c) over the m characters.
 
     The characters are split into Galois orbits (``_character_orbits``).  An
     orbit O's product is an integer polynomial: det(I - u D), D the
@@ -427,14 +418,15 @@ def _char_rev_by_characters(r, rows, cols, weights, labels, m):
     bound.  The kernel work goes as the sum of |O|**2 rather than m**2.  The
     orbit factors are multiplied exactly, smallest first.
 
-    The blocks of every (prime, character) pair are built and reduced in
-    chunks of whole primes, every block of a chunk in one call of the batched
-    kernel ``_charpolys_mod``: a call's interpreter time goes with r, not
-    with the number of blocks (r = 7 to 104 for the paper's operators), so
-    one call per block would spend its time in the interpreter rather than
-    in arithmetic.  A chunk holds as many primes as
-    fit ``_CHUNK_ENTRIES`` block entries (r*r per block), and at least one,
-    so memory stays bounded however many primes the bounds need.
+    The (orbit, prime, character) blocks form one list, orbit by orbit, and
+    go through the batched kernel ``_charpolys_mod`` in slices of it: a
+    call's interpreter time goes with r, not with the number of blocks (r =
+    7 to 104 for the paper's operators), so one call per block would spend
+    its time in the interpreter rather than in arithmetic.  A slice holds as
+    many blocks as fit ``_CHUNK_ENTRIES`` entries (r*r per block), and at
+    least one, and the weights are reduced modulo its primes alone, so
+    memory stays bounded however many primes the bounds need.  Each (orbit,
+    prime) product accumulates across slices.
     """
     n = m * r
     stream = primes_with_root(m)
@@ -444,7 +436,7 @@ def _char_rev_by_characters(r, rows, cols, weights, labels, m):
         # int64 dot products of residues < 2**25 stay exact only below this
         raise ValueError("char_rev supports blocks below 4096 rows")
 
-    norm_sq = _block_norm_sq(r, rows, cols, weights)
+    norm_sq = _block_norm_sq(r, x)
     # orbit O takes the shortest prefix of the primes whose product exceeds its bound
     orbits = _character_orbits(m)
     bounds = [_coefficient_bound(norm_sq, len(orbit) * r) for orbit in orbits]
@@ -456,46 +448,33 @@ def _char_rev_by_characters(r, rows, cols, weights, labels, m):
         if moduli[-1] > max(bounds):
             break
     takes = [next(t + 1 for t, mod in enumerate(moduli) if mod > bound) for bound in bounds]
-    # the orbits by the number of primes they take, most first, so that the
-    # characters a prime serves are a prefix of ``chars``
-    order = sorted(range(len(orbits)), key=lambda o: -takes[o])
-    chars = np.array([c for o in order for c in orbits[o]], dtype=np.int64)
-    # the orbits prime t serves, and their number of characters
-    users = [[o for o in order if takes[o] > t] for t in range(len(roots))]
-    served = [sum(len(orbits[o]) for o in user) for user in users]
+    blocks = [(o, t, c) for o, orbit in enumerate(orbits) for t in range(takes[o]) for c in orbit]
 
-    per_orbit = [[] for _ in orbits]
+    rows, cols, labels = np.fromiter(chain.from_iterable(x), np.int64, 3 * len(x)).reshape(-1, 3).T
+    weights = list(x.values())
     flat = rows * r + cols
-    exponents = np.arange(m)[:, None] * labels[None, :] % m
-    start = 0
-    while start < len(roots):
-        stop = start + 1
-        while stop < len(roots) and sum(served[start : stop + 1]) * r * r <= _CHUNK_ENTRIES:
-            stop += 1
-        chunk = roots[start:stop]
-        # block b is character chars[c_b] modulo the chunk's prime local[b]
-        local = np.repeat(np.arange(len(chunk)), served[start:stop])
-        c_b = np.concatenate([np.arange(s) for s in served[start:stop]])
-        ps = np.array([p for p, _w in chunk], dtype=np.int64)
-        powers = np.array([[pow(w, e, p) for e in range(m)] for p, w in chunk], dtype=np.int64)
-        wp = np.array([[v % p for v in weights] for p, _w in chunk], dtype=np.int64)
-        pb = ps[local]
-        values = wp[local] * powers[local[:, None], exponents[chars[c_b]]] % pb[:, None]
-        blocks = np.zeros((len(local), r * r), dtype=np.int64)
-        np.add.at(blocks, (np.arange(len(local))[:, None], flat[None, :]), values)
+    per_orbit = [[np.ones(1, dtype=np.int64)] * take for take in takes]
+    size = max(1, _CHUNK_ENTRIES // (r * r))
+    for start in range(0, len(blocks), size):
+        chunk = blocks[start : start + size]
+        # block b is character chars[b] modulo the prime of here[slot[b]]
+        _o, t_b, chars = (np.array(v, dtype=np.int64) for v in zip(*chunk))
+        ts, slot = np.unique(t_b, return_inverse=True)
+        here = [roots[t] for t in ts.tolist()]
+        pb = np.array([p for p, _w in here], dtype=np.int64)[slot]
+        powers = np.array([[pow(w, e, p) for e in range(m)] for p, w in here], dtype=np.int64)
+        wp = np.array([[v % p for v in weights] for p, _w in here], dtype=np.int64)
+        values = wp[slot] * powers[slot[:, None], chars[:, None] * labels % m] % pb[:, None]
+        stack = np.zeros((len(chunk), r * r), dtype=np.int64)
+        np.add.at(stack, (np.arange(len(chunk))[:, None], flat[None, :]), values)
         del wp, values  # as large as the stack: free them before the kernel runs
-        blocks %= pb[:, None]
-        factors = iter(_charpolys_mod(blocks.reshape(len(local), r, r), pb))
-        for t, p in enumerate(ps.tolist(), start):
-            for o in users[t]:
-                acc = np.ones(1, dtype=np.int64)
-                for _c in orbits[o]:
-                    # each product term is below p**2 < 2**50 and an output
-                    # coefficient sums at most r + 1 <= 8192 of them, so int64
-                    # cannot overflow
-                    acc = np.convolve(acc, next(factors)[::-1]) % p
-                per_orbit[o].append(acc)
-        start = stop
+        stack %= pb[:, None]
+        factors = _charpolys_mod(stack.reshape(len(chunk), r, r), pb)
+        for (o, t, _c), p, factor in zip(chunk, pb.tolist(), factors):
+            # each product term is below p**2 < 2**50 and an output
+            # coefficient sums at most r + 1 <= 8192 of them, so int64
+            # cannot overflow
+            per_orbit[o][t] = np.convolve(per_orbit[o][t], factor[::-1]) % p
 
     primes = [p for p, _w in roots]
     parts = sorted((IntPoly(crt_symmetric(residues, primes[: len(residues)]))
@@ -505,8 +484,7 @@ def _char_rev_by_characters(r, rows, cols, weights, labels, m):
         poly = poly * part
 
     # the lift's diagonal holds, m times, the diagonal entries of label 0
-    fixed = np.nonzero((rows == cols) & (labels == 0))[0]
-    trace = m * sum(weights[e] for e in fixed.tolist())
+    trace = m * sum(x.get((i, i, 0), 0) for i in range(r))
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
     return poly, stream
@@ -568,23 +546,26 @@ def _type_grading(n, keys):
 
 
 def _cube_rows(r, m, entries, starts):
-    """The rows starts[a] of X = M^3 on sheet 0, as maps column -> value that
-    may hold zeros, formed exactly in Python ints.
+    """X = M^3 on sheet 0, restricted to the nodes ``starts`` of deck 0 and
+    their translates, as a dict (a, b, h) -> nonzero weight formed exactly in
+    Python ints: the entry from starts[a] to deck h of starts[b].
 
     M is the lift of an r x r pattern over the sheets Z/3 and the deck group
     Z/m whose every entry raises the sheet by one; ``entries`` maps (i, j, h),
     h in Z/m, to the weight of the entries from (sheet s, deck g, row i) to
     (s + 1, g + h, j).  The walk takes three steps from each (0, 0, i) along
-    the pattern's entries, adding labels mod m; column k of a row is the node
-    (j, h) = (k mod r, k // r) of sheet 3 = sheet 0.  Dense char_rev is the
-    case m = 1 with every label 0, where X is M^3 itself.
+    the pattern's entries, adding labels mod m, and must end on ``starts``;
+    entries that cancel are dropped.  Dense char_rev is the case m = 1 with
+    every label 0, where X is M^3 on one class of a Z/3 grading.
     """
+    index = {i: a for a, i in enumerate(starts)}
     # the successors of node k = g * r + i, one sheet up
     out_of = [[] for _ in range(m * r)]
     for (i, j, h), v in entries.items():
         for g in range(m):
             out_of[g * r + i].append(((g + h) % m * r + j, v))
-    for i in starts:
+    x = {}
+    for a, i in enumerate(starts):
         row = {i: 1}
         for _ in range(3):
             step = {}
@@ -592,7 +573,10 @@ def _cube_rows(r, m, entries, starts):
                 for k, v in out_of[j]:
                     step[k] = step.get(k, 0) + c * v
             row = step
-        yield row
+        for k, c in row.items():
+            if c:
+                x[a, index[k % r], k // r] = c
+    return x
 
 
 def _cyclic_reduction(n, entries):
@@ -602,28 +586,28 @@ def _cyclic_reduction(n, entries):
     V_t into V_(t+1) by blocks B_t, and Sylvester's identity
     det(I - AB) = det(I - BA) gives det(I - uM) = det(I - u^3 B_t B_(t+1) B_(t+2));
     X is that product on the smallest class, i.e. M^3 restricted to it
-    (``_cube_rows``).  Without a grading, d = 1 and X = M.
-    ``entries`` and X map (row, col) to a nonzero integer.
+    (``_cube_rows``).  Without a grading, d = 1 and X = M.  ``entries`` maps
+    (row, col) to an integer; X is the engine's dict, every label 0.
     """
+    labelled = {(i, j, 0): v for (i, j), v in entries.items()}
     grading = _type_grading(n, entries)
     if grading is None:
-        return 1, n, entries
-    classes = [[], [], []]
-    for i, t in enumerate(grading):
-        classes[t].append(i)
-    keep = min(classes, key=len)
-    index = {i: a for a, i in enumerate(keep)}
-    labelled = {(i, j, 0): v for (i, j), v in entries.items()}
-    product = {(a, index[k]): c for a, row in enumerate(_cube_rows(n, 1, labelled, keep))
-               for k, c in row.items() if c}
-    return 3, len(keep), product
+        return 1, n, labelled
+    keep = min(([i for i, g in enumerate(grading) if g == t] for t in range(3)), key=len)
+    return 3, len(keep), _cube_rows(n, 1, labelled, keep)
 
 
-def _spread(poly, d):
-    """poly(u^d)."""
-    coeffs = [0] * (d * poly.degree + 1)
-    coeffs[::d] = poly.coeffs
-    return IntPoly(coeffs)
+def _char_rev_reduced(route, d, r, m, x, n, operator):
+    """det(I - u*M) = det(I - u^d X) for both routes: det(I - tX) from the
+    engine (X r x r over Z/m), its coefficients spread to t = u^d, then
+    (under ``SELF_CHECK``) compared with operator(), the unreduced n x n M."""
+    reduced, stream = _char_rev_by_characters(r, m, x)
+    coeffs = [0] * (d * reduced.degree + 1)
+    coeffs[::d] = reduced.coeffs
+    poly = IntPoly(coeffs)
+    if SELF_CHECK and n:
+        _self_check(route, poly, n, operator, stream)
+    return poly
 
 
 def char_rev(M):
@@ -642,13 +626,7 @@ def char_rev(M):
         n = len(dense)
         entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
     d, r, x = _cyclic_reduction(n, entries)
-    rows, cols = (np.array([key[t] for key in x], dtype=np.int64) for t in range(2))
-    reduced, stream = _char_rev_by_characters(r, rows, cols, list(x.values()),
-                                              np.zeros(len(x), dtype=np.int64), 1)
-    poly = _spread(reduced, d)
-    if SELF_CHECK and n:
-        _self_check("char_rev", poly, n, lambda: M, stream)
-    return poly
+    return _char_rev_reduced("char_rev", d, r, 1, x, n, lambda: M)
 
 
 def char_rev_factored(pattern, reference=None):
@@ -666,14 +644,9 @@ def char_rev_factored(pattern, reference=None):
     constructions.
     """
     r, m = pattern.r, pattern.m
-    x = {(i, k % r, k // r): c for i, row in enumerate(_cube_rows(r, m, pattern.entries, range(r)))
-         for k, c in row.items() if c}
-    rows, cols, labels = (np.array([key[t] for key in x], dtype=np.int64) for t in range(3))
-    reduced, stream = _char_rev_by_characters(r, rows, cols, list(x.values()), labels, m)
-    poly = _spread(reduced, 3)
-    if SELF_CHECK and r:
-        _self_check("char_rev_factored", poly, 3 * m * r, reference or pattern.lift, stream)
-    return poly
+    x = _cube_rows(r, m, pattern.entries, range(r))
+    return _char_rev_reduced("char_rev_factored", 3, r, m, x, 3 * m * r,
+                             reference or pattern.lift)
 
 
 def char_rev_interpolated(M):

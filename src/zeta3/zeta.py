@@ -25,11 +25,11 @@ there X is the lift of a small pattern over the cover's deck group Z/m, and
 its determinant is a product over the m characters of Z/m of twisted
 determinants, taken orbit by orbit: each Galois orbit of characters gives an
 integer factor under its own CRT bound, and the factors are multiplied back
-exactly.  Explicit-list complexes and injected operators take dense
-char_rev, the engine's one-orbit case: it finds the Z/3 grading in the
-matrix's own nonzero pattern and takes X on the smallest class, a third of
-the size; an injected or corrupted operator without the grading takes the
-unreduced route.
+exactly.  Every other complex, and injected operators, take the other
+route: dense char_rev of the four operators, the engine's one-orbit case.
+It finds the Z/3 grading in the matrix's own nonzero pattern and takes X on
+the smallest class, a third of the size; an operator without the grading
+takes the unreduced route.
 """
 
 from __future__ import annotations
@@ -103,29 +103,25 @@ def edge_determinant(cx: ComplexDescription):
 def zeta_parts(cx: ComplexDescription, operators=None):
     """Build (P_A, P_E, P_B) for a valid complex.
 
-    ``operators`` optionally injects prebuilt (A1, A2, LE, LB) matrices; the
-    mutation tests use this to corrupt a single entry.  Injected operators
-    always take dense char_rev.  The factored P_A self-checks against the
-    dense companion, so ``build_a1`` and ``build_a2`` run on a presented
-    complex only under ``exactdet.SELF_CHECK``.
+    A presented complex takes char_rev_factored on its patterns; any other
+    takes dense char_rev on its four operators, as do ``operators``, prebuilt
+    (A1, A2, LE, LB) injected to corrupt an entry.  The factored P_A checks
+    against the dense companion, so ``build_a1`` and ``build_a2`` run on a
+    presented complex only under ``exactdet.SELF_CHECK``.
     """
     cx.require_valid()
     n0, n1, n2, chi = cx.counts()
     q = cx.q
-    if operators is not None:
-        a1, a2, le, lb = operators
-        p_e = char_rev(le)
-        p_b = char_rev(lb.negated())
-        p_a = char_rev(vertex_companion(a1, a2, q))
-    elif isinstance(cx.provenance, Presented):
+    if operators is None and isinstance(cx.provenance, Presented):
         p_e = edge_determinant(cx)
         p_b = char_rev_factored(build_lb_pattern(cx).negated(), lambda: build_lb(cx).negated())
         p_a = char_rev_factored(build_companion_pattern(cx),
                                 lambda: vertex_companion(build_a1(cx), build_a2(cx), q))
     else:
-        p_e = edge_determinant(cx)
-        p_b = char_rev(build_lb(cx).negated())
-        p_a = char_rev(vertex_companion(build_a1(cx), build_a2(cx), q))
+        a1, a2, le, lb = operators or (build_a1(cx), build_a2(cx), build_le(cx), build_lb(cx))
+        p_e = char_rev(le)
+        p_b = char_rev(lb.negated())
+        p_a = char_rev(vertex_companion(a1, a2, q))
     if p_a.degree != 3 * n0 or p_a.cf(0) != 1:
         raise ExactArithmeticError("vertex determinant has wrong shape")
     return ZetaParts(q=q, n0=n0, n1=n1, n2=n2, chi=chi, p_a=p_a, p_e=p_e, p_b=p_b)

@@ -286,6 +286,14 @@ def test_geodesics_table(base_file, capsys):
 def test_geodesics_empty(base_file, capsys):
     assert main(["geodesics", str(base_file), "--max-len", "0"]) == 0
     assert "empty" in capsys.readouterr().out
+    assert main(["geodesics", str(base_file), "--max-len", "0", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["max_len"] == 0 and payload["counts"] == []
+    assert payload["series_matches_traces"] is True and "oracle" not in payload
+    assert main(["geodesics", str(base_file), "--max-len", "0", "--json", "--oracle"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"] == [] and payload["series_matches_traces"] is True
+    assert payload["oracle"] == {"upto": 0, "walk_counts": [], "agrees": True}
 
 
 def test_geodesics_json(base_file, capsys):

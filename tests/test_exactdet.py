@@ -308,10 +308,9 @@ def test_period3_product_drops_cancelled_entries(monkeypatch):
     })
     calls = engine_inputs(monkeypatch)
     assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
-    (r, rows, cols, weights, labels, k), = calls
-    assert (r, k) == (4, m) and 0 not in weights
-    x = {(i, j, h): v for i, j, h, v in zip(rows.tolist(), cols.tolist(), labels.tolist(), weights)}
-    assert len(x) == len(weights) and (0, 0, 2) not in x
+    (r, k, x), = calls
+    assert (r, k) == (4, m) and 0 not in x.values()
+    assert (0, 0, 2) not in x
     # the dense period-3 product of the lift agrees on sheet 0, deck 0
     lifted = pattern.lift()
     cube = np.linalg.matrix_power(np.array(lifted.to_dense(), dtype=np.int64), 3)
@@ -335,61 +334,70 @@ def test_character_orbits_partition(m, sizes):
 
 
 def shared_cell_entries(r, m, seed, lo=-5, hi=5):
-    """(rows, cols, weights, labels) of a random r x r pattern over Z/m, as
-    the engine takes it, whose cell (0, 1) carries two more entries: weight
-    -hi of label 0 and weight hi - 1 of label m - 1 (the same label at m = 1)."""
+    """A random r x r pattern over Z/m as the engine takes it, the dict
+    (i, j, h) -> weight, whose cell (0, 1) carries two more entries: weight
+    -hi of label 0 and weight hi - 1 of label m - 1 (the same label at m = 1).
+    Entries that meet on one key are summed."""
     rng = random.Random(seed)
-    entries = [(rng.randrange(r), rng.randrange(r), rng.randint(lo, hi), rng.randrange(m))
+    entries = [(rng.randrange(r), rng.randrange(r), rng.randrange(m), rng.randint(lo, hi))
                for _ in range(2 * r)]
-    entries += [(0, 1, -hi, 0), (0, 1, hi - 1, m - 1)]
-    rows, cols, weights, labels = zip(*entries)
-    return np.array(rows), np.array(cols), list(weights), np.array(labels)
+    entries += [(0, 1, 0, -hi), (0, 1, m - 1, hi - 1)]
+    x = {}
+    for i, j, h, v in entries:
+        x[i, j, h] = x.get((i, j, h), 0) + v
+    return x
 
 
-def cyclic_lift(r, m, rows, cols, weights, labels):
+def cyclic_lift(r, m, x):
     """The mr x mr dense lift over Z/m: entry (g*r + i, (g + h)*r + j)."""
     lifted = [[0] * (m * r) for _ in range(m * r)]
     for g in range(m):
-        for i, j, v, h in zip(rows.tolist(), cols.tolist(), weights, labels.tolist()):
+        for (i, j, h), v in x.items():
             lifted[g * r + i][(g + h) % m * r + j] += v
     return lifted
 
 
 @pytest.mark.parametrize("m,seed", [(1, 30), (3, 31), (8, 32)])
 def test_block_norm_bounds_every_character(m, seed):
-    rows, cols, weights, labels = shared_cell_entries(3, m, seed)
-    norm_sq = exactdet._block_norm_sq(3, rows, cols, weights)
+    x = shared_cell_entries(3, m, seed)
+    norm_sq = exactdet._block_norm_sq(3, x)
     # row 0 collapses its cell (0, 1): the bound is the collapsed row's norm
     collapsed = {}
-    for i, j, v in zip(rows.tolist(), cols.tolist(), weights):
+    for (i, j, _h), v in x.items():
         collapsed[i, j] = collapsed.get((i, j), 0) + abs(v)
     assert norm_sq == max(sum(s * s for (i, _j), s in collapsed.items() if i == row)
                           for row in range(3))
-    # and above the lifted operator's largest row norm, which ignores the sharing
-    lifted = np.array(cyclic_lift(3, m, rows, cols, weights, labels))
-    assert norm_sq > (lifted ** 2).sum(axis=1).max()
+    # and above the lifted operator's largest row norm, which ignores the
+    # sharing; at m = 1 the cell's two entries are one key, nothing is
+    # shared, and the bound is exactly that norm
+    lifted = np.array(cyclic_lift(3, m, x))
+    if m == 1:
+        assert norm_sq == (lifted ** 2).sum(axis=1).max()
+    else:
+        assert norm_sq > (lifted ** 2).sum(axis=1).max()
     # every twisted block over the complex characters of Z/m stays within it
     for c in range(m):
         block = np.zeros((3, 3), dtype=complex)
-        np.add.at(block, (rows, cols), np.array(weights) * np.exp(2j * np.pi * c * labels / m))
+        for (i, j, h), v in x.items():
+            block[i, j] += v * np.exp(2j * np.pi * c * h / m)
         assert (np.abs(block) ** 2).sum(axis=1).max() <= norm_sq + 1e-9
 
 
 @pytest.mark.parametrize("r,m,seed", [(2, 1, 10), (3, 2, 11), (2, 3, 12), (2, 4, 13), (2, 5, 14)])
 def test_orbit_engine_vs_dense_routes(r, m, seed):
-    rows, cols, weights, labels = shared_cell_entries(r, m, seed)
-    lifted = cyclic_lift(r, m, rows, cols, weights, labels)
+    x = shared_cell_entries(r, m, seed)
+    lifted = cyclic_lift(r, m, x)
     expected = char_rev_interpolated(lifted)
-    engine, _stream = exactdet._char_rev_by_characters(r, rows, cols, weights, labels, m)
+    engine, _stream = exactdet._char_rev_by_characters(r, m, x)
     assert engine == char_rev(lifted) == expected
 
 
 @pytest.mark.parametrize("m", [3, 8])
 def test_orbit_engine_wide_weights(m):
     # weights up to 80, one cell carrying two labels
-    entries = shared_cell_entries(4, m, 20 + m, lo=-80, hi=80)
-    engine, _stream = exactdet._char_rev_by_characters(4, *entries, m)
-    assert engine == char_rev(cyclic_lift(4, m, *entries))
+    x = shared_cell_entries(4, m, 20 + m, lo=-80, hi=80)
+    engine, _stream = exactdet._char_rev_by_characters(4, m, x)
+    assert engine == char_rev(cyclic_lift(4, m, x))
 
 
 def test_orbit_engine_equal_characters(monkeypatch):
@@ -401,7 +409,7 @@ def test_orbit_engine_equal_characters(monkeypatch):
         pattern.add(i, j, h, v)
     calls = engine_inputs(monkeypatch)
     assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
-    assert all(h % 2 == 0 for h in calls[0][4].tolist())
+    assert all(h % 2 == 0 for _i, _j, h in calls[0][2])
     assert exactdet._character_orbits(4) == [[0], [1, 3], [2]]
 
 
@@ -557,12 +565,14 @@ def test_charpolys_mod_batch_of_one():
 
 def results_by_chunk(monkeypatch, compute, *more):
     """compute() and the batch sizes of its kernel calls, at the default
-    chunk, one prime per chunk, every prime in one chunk, and then at the
-    chunk sizes ``more``."""
+    budget, a budget of 1 entry, one above every stack, and then at the
+    budgets ``more``; no call may take more than max(1, budget // r**2)
+    slices of r x r."""
     kernel = exactdet._charpolys_mod
     calls = []
 
     def counted(H, p):
+        assert len(p) <= max(1, exactdet._CHUNK_ENTRIES // H.shape[1] ** 2)
         calls.append(len(p))
         return kernel(H, p)
 
@@ -579,16 +589,20 @@ def test_chunking_invariant_factored(monkeypatch, cover_m3):
     from zeta3.operators import build_lb_pattern
 
     pattern = build_lb_pattern(cover_m3).negated()
-    (default, split), (single, ones), (whole, one), (pairs, two) = results_by_chunk(
-        monkeypatch, lambda: char_rev_factored(pattern), 6 * 21 * 21)
+    (default, split), (single, ones), (whole, one), (sixes, six), (fives, five) = (
+        results_by_chunk(monkeypatch, lambda: char_rev_factored(pattern),
+                         6 * 21 * 21, 5 * 21 * 21))
     # the period-3 product of the 21 x 21 pattern is again 21 x 21 (rho**2 =
     # 10) over Z/3, whose three characters fall into two Galois orbits: the
     # trivial one (degree 21, a 45-bit bound) takes 2 primes and {1, 2}
     # (degree 42, 88 bits) 4, so 10 blocks in all, in one call by default
-    # (each run ends with the self-check's call); a chunk of 6 blocks holds
-    # the first two primes, then the last two
-    assert split == one == [10, 1] and ones == [3, 3, 2, 2, 1] and two == [6, 4, 1]
-    assert default == single == whole == pairs
+    # (each run ends with the self-check's call).  The blocks go orbit by
+    # orbit: slices of 6 hold the trivial orbit and {1, 2} at its first two
+    # primes, then the rest; slices of 5 split the two blocks of {1, 2} at
+    # its second prime across calls
+    assert split == one == [10, 1] and ones == [1] * 11
+    assert six == [6, 4, 1] and five == [5, 5, 1]
+    assert default == single == whole == sixes == fives
 
 
 @pytest.mark.parametrize("graded", [True, False])
