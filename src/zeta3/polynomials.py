@@ -116,8 +116,8 @@ class IntPoly:
         if not a or not b:
             return IntPoly.zero()
         out = [0] * (len(a) + len(b) - 1)
-        # the paper's determinants are polynomials in u^3: skip the zeros of
-        # both factors
+        # the identity check multiplies the paper's determinants, polynomials
+        # in u^3: skip the zeros of both factors
         terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
@@ -157,6 +157,16 @@ class IntPoly:
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
         return IntPoly(out)
+
+    def deflation(self):
+        """(g, e) with p(u) = g(u**e), e the gcd of the exponents of p's
+        nonzero terms (1 for a constant).
+
+        For g(0) != 0 each zero w of g of multiplicity mu gives e zeros u of
+        p of multiplicity mu, all of modulus |w|**(1/e).
+        """
+        e = math.gcd(*(i for i, c in enumerate(self.coeffs) if c)) or 1
+        return IntPoly(self.coeffs[::e]), e
 
     def graeffe(self):
         """The polynomial g with g(u**2) = p(u) p(-u): its zeros are the squares

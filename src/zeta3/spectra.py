@@ -16,31 +16,46 @@ whenever the division is exact; otherwise the trivial and nontrivial moduli
 are counted together.
 
 Every bucket count is an exact integer count, so the verdicts, the buckets,
-the criteria and the census involve no floating point.  For each square-free
-factor f of the reduced polynomial (with its multiplicity), two Graeffe steps
-give h, whose zeros are the fourth powers of f's.  The zeros of f on
-|u| = q^(-k/4) are the zeros of h on |w| = q^-k, and the integer polynomial
-H(v) = q^(k deg h) h(q^-k v) moves them to the unit circle, where
-``polynomials.unit_circle_root_count`` counts them by gcd(H, H reversed), a
-square-free split and a Sturm count.  Whatever lies on no admissible circle is
-the unclassified residue, and for genuine complexes it is direct
-non-Ramanujan evidence.
+the criteria and the census involve no floating point.  Each operator raises
+the vertex type by one (mod 3), so each determinant is a polynomial in u^3;
+this is the type grading behind ``exactdet``'s X = M^3.  The spectral layer
+writes the reduced polynomial as g(u^e), e the gcd of the exponents of its
+nonzero terms (``IntPoly.deflation``): e = 3 for every determinant of a
+complex, e = 1 for a generic polynomial, and everything below runs on g, a
+third of the degree.  A zero u on |u| = q^(-k/4) is a zero w = u^e on
+|w| = q^(-ek/4), and as g(0) != 0 each zero of g of multiplicity mu stands
+for e zeros of the same multiplicity, so every count on g is multiplied by
+e.  For each square-free factor f of g (with its multiplicity), two Graeffe
+steps give h, whose zeros are the fourth powers of f's.  The zeros of f on
+|w| = q^(-ek/4) are the zeros of h on |v| = q^(-ek), and the integer
+polynomial H(v) = q^(ek deg h) h(q^(-ek) v) moves them to the unit circle,
+where ``polynomials.unit_circle_root_count`` counts them by
+gcd(H, H reversed), a square-free split and a Sturm count.  Whatever lies on
+no admissible circle is the unclassified residue, and for genuine complexes
+it is direct non-Ramanujan evidence.
 
 Floating point only lists the moduli of a nonempty residue for display.  Each
-square-free factor is made monic with every coefficient rounded once to a
-double, and its ``np.roots`` eigenvalues are refined together by Aberth-Ehrlich
-steps in double precision.  A root stops after one last step once its residual
-is within Horner's rounding bound 4 d eps sum |c_i| |z|^i; roots with |z| > 1
-are evaluated through the reversed polynomial, so no power overflows.  The
-float moduli are matched to the admissible moduli within ``TOL_CLASSIFY``, and
-a failure to converge or any disagreement with the exact counts raises
+square-free factor of g is made monic with every coefficient rounded once to
+a double, and its ``np.roots`` eigenvalues are refined together by
+Aberth-Ehrlich steps in double precision.  A root stops after one last step
+once its residual is within Horner's rounding bound 4 d eps sum |c_i| |z|^i;
+roots with |z| > 1 are evaluated through the reversed polynomial, so no power
+overflows.  A zero w stands for e moduli |w|^(1/e).  The float moduli are
+matched to the admissible moduli within ``TOL_CLASSIFY``, and a failure to
+converge or any disagreement with the exact counts raises
 ``RootRefinementError``.
+
+The Steinberg check counts the factors 1 - u^3 of P_B without dividing by a
+power of it: writing P_B = sum over r = 0, 1, 2 of u^r p_r(u^3), the
+multiplicity of 1 - u^3 is the least multiplicity of the zero w = 1 among
+the nonzero p_r, and repeated synthetic division by w - 1 finds each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -145,18 +160,21 @@ def zero_moduli(poly):
     """Sorted moduli of all complex roots, with multiplicity.
 
     Requires the constant term to be 1 (all three determinants have it).
+    The roots are found for g, where poly(u) = g(u^e) (``IntPoly.deflation``),
+    and each zero w of multiplicity mu stands for e * mu moduli |w|^(1/e).
     The moduli are double precision and unchecked here: on an
     ill-conditioned factor they can converge into the wrong buckets.  Only
     ``classify`` checks them against the exact circle counts.
     """
     if poly.cf(0) != 1:
         raise ValueError("polynomial must have constant term 1")
+    g, e = poly.deflation()
     out = []
-    for factor, mult in squarefree_decomposition(poly):
+    for factor, mult in squarefree_decomposition(g):
         lead = factor.coeffs[-1]
         coeffs = np.array([float(Fraction(c, lead)) for c in factor.coeffs])
         roots = _aberth(coeffs, np.roots(coeffs[::-1]))
-        out.extend(np.repeat(np.abs(roots), mult).tolist())
+        out.extend(np.repeat(np.abs(roots) ** (1 / e), e * mult).tolist())
     return sorted(out)
 
 
@@ -166,19 +184,21 @@ def zero_moduli(poly):
 def circle_counts(poly, q, ks):
     """The number of zeros of poly on each circle |u| = q^(-k/4), k in ks.
 
-    Exact, with multiplicity.  Needs poly(0) != 0.
+    Exact, with multiplicity.  Needs poly(0) != 0.  The zeros are counted
+    for g, poly(u) = g(u^e): on |w| = q^(-ek/4), each counted e times.
     """
+    g, e = poly.deflation()
     counts = [0] * len(ks)
-    for factor, mult in squarefree_decomposition(poly):
+    for factor, mult in squarefree_decomposition(g):
         h = factor.graeffe().graeffe()
         d = h.degree
         left = d
         for i, k in enumerate(ks):
             if not left:  # every zero of this factor is already counted
                 break
-            scaled = IntPoly([c * q ** (k * (d - j)) for j, c in enumerate(h.coeffs)])
+            scaled = IntPoly([c * q ** (e * k * (d - j)) for j, c in enumerate(h.coeffs)])
             n = unit_circle_root_count(scaled)
-            counts[i] += n * mult
+            counts[i] += e * n * mult
             left -= n
     return counts
 
@@ -329,23 +349,37 @@ def steinberg_divisibility(p_b, chi):
     """Whether (1 - u^3)^(chi-1) divides det(I + L_B u) exactly."""
     if chi < 1:
         raise ValueError("chi must be >= 1")
-    cube = IntPoly([1, 0, 0, -1])
-    return (cube ** (chi - 1)).divides(p_b)
+    return p_b.is_zero() or cube_factor_multiplicity(p_b) >= chi - 1
 
 
 def cube_factor_multiplicity(p_b):
     """Largest k with (1 - u^3)^k dividing p_b exactly; ValueError for the
-    zero polynomial, which every power divides."""
+    zero polynomial, which every power divides.
+
+    With p_b = sum over r = 0, 1, 2 of u^r p_r(u^3), (1 - u^3)^k divides p_b
+    exactly when (1 - w)^k divides every p_r, so k is the least multiplicity
+    of the zero w = 1 among the nonzero p_r.
+    """
     if p_b.is_zero():
         raise ValueError("every power of 1 - u^3 divides the zero polynomial")
-    cube = IntPoly([1, 0, 0, -1])
+    parts = (p_b.coeffs[r::3] for r in range(3))
+    return min(_multiplicity_at_one(p) for p in parts if any(p))
+
+
+def _multiplicity_at_one(coeffs):
+    """How often w - 1 divides the nonzero polynomial sum coeffs[i] w^i.
+
+    Synthetic division by w - 1: the running sums from the top coefficient
+    down are the quotient's coefficients, and the last one, p(1), is the
+    remainder.
+    """
     k = 0
-    try:
-        while True:
-            p_b = p_b.exact_divide(cube)
-            k += 1
-    except ExactArithmeticError:
-        return k
+    while True:
+        sums = list(accumulate(reversed(coeffs)))
+        if sums[-1]:
+            return k
+        coeffs = sums[-2::-1]
+        k += 1
 
 
 # -- representation census ----------------------------------------------------

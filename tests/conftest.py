@@ -7,6 +7,7 @@ from zeta3.construct import (
     connected_covers,
     find_triangle_presentation,
     first_presentation_with_covers,
+    iter_triangle_presentations,
     projective_plane,
 )
 
@@ -92,3 +93,16 @@ def small_battery(base2, covers_m2, cover_m3):
 @pytest.fixture(scope="session")
 def base3():
     return base_quotient(find_triangle_presentation(projective_plane(3)))
+
+
+@pytest.fixture(scope="session")
+def presentations3():
+    search = iter_triangle_presentations(projective_plane(3))
+    return [next(search) for _ in range(5)]
+
+
+@pytest.fixture(scope="session")
+def p4_m2_covers(presentations3):
+    """Presentation 4's three connected m=2 covers: L_B has 312 rows, and its
+    period-3 product X 104."""
+    return [cx for _v, cx in connected_covers(presentations3[4], 2)]

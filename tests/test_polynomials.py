@@ -304,3 +304,13 @@ def test_real_root_count_edges():
 )
 def test_unit_circle_root_count(poly, want):
     assert unit_circle_root_count(poly) == want
+
+
+def test_deflation():
+    assert IntPoly([1, 0, 0, -1, 0, 0, 5]).deflation() == (IntPoly([1, -1, 5]), 3)
+    assert IntPoly([1, 0, 3, 0, 2]).deflation() == (IntPoly([1, 3, 2]), 2)
+    assert IntPoly([1, 0, 0, 0, 2]).deflation() == (IntPoly([1, 2]), 4)
+    assert IntPoly([0, 0, 0, 0, 2]).deflation() == (IntPoly([0, 2]), 4)
+    assert IntPoly([1, 1, 0, 2]).deflation() == (IntPoly([1, 1, 0, 2]), 1)
+    assert IntPoly([7]).deflation() == (IntPoly([7]), 1)
+    assert IntPoly([]).deflation() == (IntPoly([]), 1)

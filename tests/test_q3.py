@@ -2,11 +2,7 @@
 
 import pytest
 
-from zeta3.construct import (
-    connected_covers,
-    iter_triangle_presentations,
-    projective_plane,
-)
+from zeta3.construct import connected_covers
 from zeta3 import exactdet, spectra
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.exactdet import char_rev, char_rev_factored
@@ -29,19 +25,6 @@ from zeta3.spectra import (
     zero_moduli,
 )
 from zeta3.zeta import verify_identity, vertex_companion, zeta_parts
-
-
-@pytest.fixture(scope="module")
-def presentations3():
-    search = iter_triangle_presentations(projective_plane(3))
-    return [next(search) for _ in range(5)]
-
-
-@pytest.fixture(scope="module")
-def p4_m2_covers(presentations3):
-    """Presentation 4's three connected m=2 covers: L_B has 312 rows, and its
-    period-3 product X 104."""
-    return [cx for _v, cx in connected_covers(presentations3[4], 2)]
 
 
 def test_counts_and_degrees(base3):

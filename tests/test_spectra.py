@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zeta3 import spectra
-from zeta3.errors import Zeta3Error
-from zeta3.polynomials import IntPoly
+from zeta3.errors import ExactArithmeticError, Zeta3Error
+from zeta3.polynomials import IntPoly, squarefree_decomposition, unit_circle_root_count
 from zeta3.spectra import (
     ADMISSIBLE_K,
     RootRefinementError,
@@ -225,6 +225,41 @@ def test_cube_factor_multiplicity_of_zero_raises():
     with pytest.raises(ValueError):
         cube_factor_multiplicity(IntPoly([]))
     assert cube_factor_multiplicity(IntPoly([1, 0, 0, -1]) ** 3 * IntPoly([1, 1])) == 3
+
+
+def _cube_multiplicity_by_division(p):
+    """The definition: divide by 1 - u^3 until the division is inexact."""
+    cube = IntPoly([1, 0, 0, -1])
+    k = 0
+    try:
+        while True:
+            p = p.exact_divide(cube)
+            k += 1
+    except ExactArithmeticError:
+        return k
+
+
+def test_cube_factor_multiplicity_matches_division(small_battery, base3):
+    cube = IntPoly([1, 0, 0, -1])
+    # (1 - u)^4 (1 + u + u^2)^2 = (1 - u^3)^2 (1 - u)^2; in the last one
+    # p_0 = (1 - w)^2 and p_1 = 1 - w hold the factor to different powers
+    ungraded = [
+        cube ** 2 * IntPoly([1, -1]),
+        cube ** 3 * IntPoly([1, 2]),
+        IntPoly([1, -1]) ** 4 * IntPoly([1, 1, 1]) ** 2,
+        cube * (cube + IntPoly([0, 1])),
+    ]
+    polys = list(ungraded)
+    for cx in small_battery + [base3]:
+        parts = zeta_parts(cx)
+        polys += [parts.p_a, parts.p_e, parts.p_b]
+    for p in polys:
+        k = _cube_multiplicity_by_division(p)
+        assert cube_factor_multiplicity(p) == k
+        for chi in range(1, k + 3):
+            assert steinberg_divisibility(p, chi) == (cube ** (chi - 1)).divides(p)
+    assert [cube_factor_multiplicity(p) for p in ungraded] == [2, 3, 2, 1]
+    assert steinberg_divisibility(IntPoly([]), 5)
 
 
 def test_steinberg_chi_one_trivial(base_parts):
@@ -531,3 +566,71 @@ def test_chamber_note_is_decided_exactly():
     rep = ramanujan_verdicts(parts)
     assert not rep.chamber_criterion
     assert len(rep.spectra["B"].unclassified) == 4
+
+
+def _circle_counts_u_route(poly, q, ks):
+    """circle_counts without the reduction to w = u^e, as an oracle."""
+    counts = [0] * len(ks)
+    for factor, mult in squarefree_decomposition(poly):
+        h = factor.graeffe().graeffe()
+        d = h.degree
+        left = d
+        for i, k in enumerate(ks):
+            if not left:
+                break
+            scaled = IntPoly([c * q ** (k * (d - j)) for j, c in enumerate(h.coeffs)])
+            n = unit_circle_root_count(scaled)
+            counts[i] += n * mult
+            left -= n
+    return counts
+
+
+def _all_ks(tag):
+    trivial_ks, nontrivial_ks = ADMISSIBLE_K[tag]
+    return tuple(dict.fromkeys(trivial_ks + nontrivial_ks))
+
+
+def test_circle_counts_match_u_route_on_complexes(small_battery, base3, p4_m2_covers):
+    for cx in small_battery + [base3] + p4_m2_covers:
+        parts = zeta_parts(cx)
+        for tag, poly in (("A", parts.p_a), ("E", parts.p_e), ("B", parts.p_b)):
+            assert poly.deflation()[1] == 3  # the type grading
+            for p in (poly, split_trivial(poly, cx.q, tag)[0]):
+                ks = _all_ks(tag)
+                assert circle_counts(p, cx.q, ks) == _circle_counts_u_route(p, cx.q, ks)
+
+
+def _in_power(poly, e):
+    """poly(u^e)."""
+    coeffs = [0] * (e * poly.degree + 1)
+    coeffs[::e] = poly.coeffs
+    return IntPoly(coeffs)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("e", [2, 3, 6])
+def test_circle_counts_match_u_route_on_planted(q, e):
+    # zeros planted on |v| = q^(-ek/4) land on |u| = q^(-k/4) under v = u^e;
+    # off-circle factors and zeros of modulus above 1 are counted on no circle
+    rng = random.Random(10 * q + e)
+    for tag in ("A", "E", "B"):
+        ks = ADMISSIBLE_K[tag][1]
+        planted, want, _residue = _planted(q, [e * k for k in ks], rng, _OFF)
+        above, _d = _on_circle(q, e * max(ks), rng)
+        in_v = planted * above.reversed()
+        poly = _in_power(in_v, e)
+        assert poly.deflation() == (in_v, e)
+        counts = circle_counts(poly, q, ks)
+        assert counts == [e * n for n in want]
+        assert counts == _circle_counts_u_route(poly, q, ks)
+        assert len(zero_moduli(_in_power(planted, e))) == e * planted.degree
+
+
+def test_residue_moduli_in_w():
+    # 1 - 7u^3: three zeros of modulus 7^(-1/3), on no circle, found as one
+    # zero w = 1/7 of 1 - 7w; times 1 - 2u the product is ungraded (e = 1)
+    spec = classify(trivial_factor(3, "E") * IntPoly([1, 0, 0, -7]), 3, "E")
+    assert spec.unclassified == pytest.approx([7 ** (-1 / 3)] * 3, rel=1e-12)
+    assert zero_moduli(IntPoly([1, 0, 0, -7]) * IntPoly([1, -2])) == pytest.approx(
+        sorted([7 ** (-1 / 3)] * 3 + [0.5]), rel=1e-12
+    )
