@@ -25,14 +25,20 @@ complex, e = 1 for a generic polynomial, and everything below runs on g, a
 third of the degree.  A zero u on |u| = q^(-k/4) is a zero w = u^e on
 |w| = q^(-ek/4), and as g(0) != 0 each zero of g of multiplicity mu stands
 for e zeros of the same multiplicity, so every count on g is multiplied by
-e.  For each square-free factor f of g (with its multiplicity), two Graeffe
-steps give h, whose zeros are the fourth powers of f's.  The zeros of f on
-|w| = q^(-ek/4) are the zeros of h on |v| = q^(-ek), and the integer
-polynomial H(v) = q^(ek deg h) h(q^(-ek) v) moves them to the unit circle,
-where ``polynomials.unit_circle_root_count`` counts them by
-gcd(H, H reversed), a square-free split and a Sturm count.  Whatever lies on
-no admissible circle is the unclassified residue, and for genuine complexes
-it is direct non-Ramanujan evidence.
+e.  For each square-free factor f of g (with its multiplicity) and each
+circle k, s Graeffe steps give h_s, whose zeros are the 2^s-th powers of
+f's, where s is the least s >= 0 with 4 | e k 2^s: at e = 3 no step for
+k = 0, 4, 8, one for k = 2 and two for k = 1, 3.  Each image is made once
+per factor, and only as deep as some circle needs.  The zeros of f on
+|w| = q^(-ek/4) are the zeros of h_s on |v| = 1/Q, with the integer
+Q = q^(e k 2^s / 4), and H(v) = Q^(deg h_s) h_s(v / Q) (``IntPoly.dilate``,
+one running power of Q) moves them to the unit circle.  There
+``polynomials.unit_circle_root_count`` counts them with multiplicity from
+one gcd(H, H reversed): the zeros +-1 by synthetic division, the rest by
+the Sturm chain of a real polynomial, repeated on the chain's last element
+for the multiple roots.  Whatever lies on no admissible circle is the
+unclassified residue, and for genuine complexes it is direct
+non-Ramanujan evidence.
 
 Floating point only lists the moduli of a nonempty residue for display.  Each
 square-free factor of g is made monic with every coefficient rounded once to
@@ -55,7 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -185,22 +190,33 @@ def circle_counts(poly, q, ks):
     """The number of zeros of poly on each circle |u| = q^(-k/4), k in ks.
 
     Exact, with multiplicity.  Needs poly(0) != 0.  The zeros are counted
-    for g, poly(u) = g(u^e): on |w| = q^(-ek/4), each counted e times.
+    for g, poly(u) = g(u^e): on |w| = q^(-ek/4), each counted e times.  A
+    factor's Graeffe images are made only as deep as some circle needs.
     """
     g, e = poly.deflation()
     counts = [0] * len(ks)
     for factor, mult in squarefree_decomposition(g):
-        h = factor.graeffe().graeffe()
-        d = h.degree
-        left = d
+        images = [factor]  # images[s]: the zeros raised to the power 2^s
+        left = factor.degree
         for i, k in enumerate(ks):
             if not left:  # every zero of this factor is already counted
                 break
-            scaled = IntPoly([c * q ** (e * k * (d - j)) for j, c in enumerate(h.coeffs)])
-            n = unit_circle_root_count(scaled)
+            s = _graeffe_depth(e * k)
+            while len(images) <= s:
+                images.append(images[-1].graeffe())
+            n = unit_circle_root_count(images[s].dilate(q ** (e * k * 2**s // 4)))
             counts[i] += e * n * mult
             left -= n
     return counts
+
+
+def _graeffe_depth(ek):
+    """The least s >= 0 with 4 | ek 2^s: after s Graeffe steps the circle
+    |w| = q^(-ek/4) is |v| = 1/Q for the integer Q = q^(ek 2^s / 4)."""
+    s = 0
+    while ek * 2**s % 4:
+        s += 1
+    return s
 
 
 # -- classification -----------------------------------------------------------
@@ -362,24 +378,8 @@ def cube_factor_multiplicity(p_b):
     """
     if p_b.is_zero():
         raise ValueError("every power of 1 - u^3 divides the zero polynomial")
-    parts = (p_b.coeffs[r::3] for r in range(3))
-    return min(_multiplicity_at_one(p) for p in parts if any(p))
-
-
-def _multiplicity_at_one(coeffs):
-    """How often w - 1 divides the nonzero polynomial sum coeffs[i] w^i.
-
-    Synthetic division by w - 1: the running sums from the top coefficient
-    down are the quotient's coefficients, and the last one, p(1), is the
-    remainder.
-    """
-    k = 0
-    while True:
-        sums = list(accumulate(reversed(coeffs)))
-        if sums[-1]:
-            return k
-        coeffs = sums[-2::-1]
-        k += 1
+    parts = (IntPoly(p_b.coeffs[r::3]) for r in range(3))
+    return min(p.strip_root(1)[1] for p in parts if not p.is_zero())
 
 
 # -- representation census ----------------------------------------------------

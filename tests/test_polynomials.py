@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_strip
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,22 +125,89 @@ def test_exact_division_roundtrip(f, g):
     assert (f * g).exact_divide(g) == f
 
 
-@given(small_polys, small_polys)
+@given(small_polys, small_polys, small_polys, st.sampled_from([1, -1, 6, -10]))
 @settings(max_examples=40, deadline=None)
-def test_gcd_divides_both(f, g):
-    d = gcd_polys(f, g)
-    if f.is_zero() and g.is_zero():
-        return
-    if not f.is_zero():
-        assert d.divides(f)
-    if not g.is_zero():
-        assert d.divides(g)
+def test_gcd_divides_both(f, g, h, c):
+    # f, g as drawn, then with a common factor h and a scalar c that leaves
+    # f h c non-primitive or with a negative leading coefficient; the
+    # cofactors keep each input's content and sign
+    for f, g in ((f, g), (f * h * c, g * h), (g * c, f * c)):
+        d = gcd_polys(f, g)
+        gcd, f_over, g_over = polynomials._gcd_cofactors(f, g)
+        assert gcd == d
+        assert gcd * f_over == f and gcd * g_over == g
+        if f.is_zero() and g.is_zero():
+            continue
+        assert d.leading > 0 and content(d) == 1
+        if not f.is_zero():
+            assert d.divides(f)
+        if not g.is_zero():
+            assert d.divides(g)
 
 
 def test_gcd_known_factors():
     f = cube() ** 2 * IntPoly([1, -2])
     g = cube() * IntPoly([1, 5])
     assert gcd_polys(f, g) == primitive_part(cube())
+
+
+def _gf_gcd_reference(a, b, p):
+    """The monic gcd over GF(p) from sympy's dense GF(p) arithmetic."""
+    to_gf = lambda c: gf_strip([x % p for x in reversed(c)])
+    return list(reversed(gf_gcd(to_gf(a), to_gf(b), p, ZZ)))
+
+
+def assert_gcd_kernels_agree(a, b, p):
+    """Both GF(p) gcd kernels and the size dispatch give the reference's
+    monic gcd."""
+    want = _gf_gcd_reference(a, b, p)
+    assert polynomials._gcd_mod_p_ints(list(a), list(b), p) == want
+    assert polynomials._gcd_mod_p_numpy(list(a), list(b), p) == want
+    assert polynomials._gcd_mod_p(list(a), list(b), p) == want
+
+
+def _random_coeffs(n, p, rng):
+    coeffs = [rng.randrange(-p, p) for _ in range(n)]
+    if coeffs and coeffs[-1] % p == 0:
+        coeffs[-1] = 1
+    return coeffs
+
+
+_BIG_PRIME = next(p for p, _w in polynomials.primes_with_root(1))
+
+
+@pytest.mark.parametrize("p", [_BIG_PRIME, 101, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_gcd_kernels_agree_around_the_size_constant(p, seed):
+    rng = random.Random(seed)
+    cut = polynomials._GCD_NUMPY_MIN
+    for n in (1, 2, 5, cut - 1, cut, cut + 1, 2 * cut + 3):
+        # a planted common factor, so the gcd has degree > 0 for most primes
+        common = _random_coeffs(rng.randint(1, max(1, n // 3)), p, rng)
+        a = _schoolbook(common, _random_coeffs(n - len(common) + 1, p, rng))
+        b = _schoolbook(common, _random_coeffs(rng.randint(1, n - len(common) + 1), p, rng))
+        assert_gcd_kernels_agree(a, b, p)
+        assert_gcd_kernels_agree(b, a, p)
+        # coprime inputs: a constant gcd
+        assert_gcd_kernels_agree(_random_coeffs(n, p, rng), _random_coeffs(max(1, n - 1), p, rng), p)
+        # b divides a: the first remainder is zero
+        divisor = _random_coeffs(rng.randint(1, n), p, rng)
+        assert_gcd_kernels_agree(_schoolbook(divisor, _random_coeffs(rng.randint(1, 4), p, rng)), divisor, p)
+        # wide coefficients, reduced mod p first
+        assert_gcd_kernels_agree([c * (1 << 70) + 1 for c in a], [c - (1 << 90) for c in b], p)
+
+
+def test_gcd_kernels_edge_cases():
+    p = _BIG_PRIME
+    assert_gcd_kernels_agree([5], [7], p)  # single coefficients
+    assert_gcd_kernels_agree([5], [], p)
+    assert_gcd_kernels_agree([], [0, 0, 3], p)  # zero input: the other, monic
+    assert_gcd_kernels_agree([], [], p)
+    assert_gcd_kernels_agree([p, 2 * p], [3], p)  # a multiple of p is zero
+    assert_gcd_kernels_agree([1, 2, 1], [1, 1], 3)
+    big = [1] * (polynomials._GCD_NUMPY_MIN + 4)
+    assert_gcd_kernels_agree(big, [1], p)
+    assert_gcd_kernels_agree(big, big, p)
 
 
 def test_gcd_wide_common_factor(monkeypatch):
@@ -300,10 +369,31 @@ def test_real_root_count_edges():
         (IntPoly([2, -3, 2]) ** 2 * IntPoly([5, 1]) * IntPoly([0, 0, 1]), 4),
         (IntPoly([1, 0, 1]) * IntPoly([4, 0, 1]) * IntPoly([1, 0, 4]), 2),
         (IntPoly([3]), 0),
+        # multiplicities from the Sturm chain: +-z, +-iz three times each,
+        # and circle zeros of R repeated next to a repeated reciprocal pair
+        (IntPoly([1, 0, 0, 0, 1]) ** 3, 12),
+        (IntPoly([1, 1]) ** 5 * IntPoly([-1, 1]) ** 2 * IntPoly([1, 0, 1]), 9),
+        (IntPoly([2, -3, 2]) ** 3 * IntPoly([1, 0, 1]) ** 2, 10),
+        (IntPoly([2, -5, 2]) ** 2 * IntPoly([1, 1, 1]) ** 3 * IntPoly([0, 1]) ** 2, 6),
     ],
 )
 def test_unit_circle_root_count(poly, want):
     assert unit_circle_root_count(poly) == want
+
+
+def test_strip_root_and_dilate():
+    p = _from_roots([1, 1, 1, -1, 2])
+    assert p.strip_root(1) == (_from_roots([-1, 2]), 3)
+    assert p.strip_root(-1) == (_from_roots([1, 1, 1, 2]), 1)
+    assert p.strip_root(3) == (p, 0)
+    assert IntPoly([4]).strip_root(1) == (IntPoly([4]), 0)
+    assert (-_from_roots([2, 2])).strip_root(2) == (IntPoly([-1]), 2)
+    # the zeros times c: (u - 2)(u + 3) -> (u - 10)(u + 15)
+    assert _from_roots([2, -3]).dilate(5) == _from_roots([10, -15])
+    assert IntPoly([1, -2, 3]).dilate(1) == IntPoly([1, -2, 3])
+    assert IntPoly([7, 0, 1]).dilate(-3) == IntPoly([63, 0, 1])
+    with pytest.raises(TypeError):
+        p.dilate(0.5)
 
 
 def test_deflation():

@@ -8,7 +8,7 @@ import pytest
 
 from zeta3 import spectra
 from zeta3.errors import ExactArithmeticError, Zeta3Error
-from zeta3.polynomials import IntPoly, squarefree_decomposition, unit_circle_root_count
+from zeta3.polynomials import IntPoly, gcd_polys, real_root_count, squarefree_decomposition
 from zeta3.spectra import (
     ADMISSIBLE_K,
     RootRefinementError,
@@ -462,6 +462,17 @@ def _planted(q, ks, rng, off_circle=()):
             mult = rng.choice([1, 1, 2, 3])
             poly = poly * factor ** mult
             want[i] += d * mult
+    # zeros that collide under squaring: +-z and +-iz on one circle, to a
+    # power 1 to 3, and +-1 with multiplicity on the unit circle
+    for i, k in enumerate(ks):
+        if rng.random() < 0.5:
+            mult = rng.randint(1, 3)
+            poly = poly * IntPoly([1, 0, 0, 0, q ** k]) ** mult
+            want[i] += 4 * mult
+        if k == 0:
+            at_one, at_minus_one = rng.randint(0, 3), rng.randint(0, 3)
+            poly = poly * IntPoly([1, -1]) ** at_one * IntPoly([1, 1]) ** at_minus_one
+            want[i] += at_one + at_minus_one
     residue = 0
     for factor in off_circle:
         poly = poly * factor
@@ -568,8 +579,40 @@ def test_chamber_note_is_decided_exactly():
     assert len(rep.spectra["B"].unclassified) == 4
 
 
+def _chebyshev(s):
+    """R with s(v) = v^n R(v + 1/v), for s self-reciprocal of degree 2n."""
+    n = s.degree // 2
+    x = IntPoly([0, 1])
+    acc, prev, cur = IntPoly([s.cf(n)]), IntPoly([2]), x
+    for j in range(1, n + 1):
+        acc = acc + cur * s.cf(n + j)
+        prev, cur = cur, x * cur - prev
+    return acc
+
+
+def _unit_circle_count_by_parts(p):
+    """Zeros of p on |v| = 1: each square-free part of gcd(p, p reversed)
+    loses its zeros +-1, and one Sturm count of its R in (-2, 2) gives the
+    rest in pairs, times the part's multiplicity."""
+    low = next(i for i, c in enumerate(p.coeffs) if c)
+    p = IntPoly(p.coeffs[low:])
+    total = 0
+    for part, mult in squarefree_decomposition(gcd_polys(p, p.reversed())):
+        on_circle = 0
+        for root in (1, -1):
+            if part(root) == 0:
+                part = part.exact_divide(IntPoly([-root, 1]))
+                on_circle += 1
+        assert part.reversed() == part
+        on_circle += 2 * real_root_count(_chebyshev(part), -2, 2)
+        total += on_circle * mult
+    return total
+
+
 def _circle_counts_u_route(poly, q, ks):
-    """circle_counts without the reduction to w = u^e, as an oracle."""
+    """An oracle for circle_counts that shares none of its circle code: no
+    reduction to w = u^e, two Graeffe steps on every circle, and the circle
+    zeros counted per square-free part of gcd(H, H reversed)."""
     counts = [0] * len(ks)
     for factor, mult in squarefree_decomposition(poly):
         h = factor.graeffe().graeffe()
@@ -579,7 +622,7 @@ def _circle_counts_u_route(poly, q, ks):
             if not left:
                 break
             scaled = IntPoly([c * q ** (k * (d - j)) for j, c in enumerate(h.coeffs)])
-            n = unit_circle_root_count(scaled)
+            n = _unit_circle_count_by_parts(scaled)
             counts[i] += n * mult
             left -= n
     return counts
