@@ -214,6 +214,7 @@ def cmd_geodesics(args):
     L = args.max_len
     if L < 0:
         raise ParseError("--max-len must be >= 0")
+    cx.require_valid()
     counts = traces = []
     if L:
         # the counts need P_E alone

@@ -171,6 +171,11 @@ def _saturating_matching(candidates):
 def iter_triangle_presentations(plane):
     """Exhaustive backtracking over bijections lam and triple completions.
 
+    Each new lam(x) is pruned by one matching check per decided point it
+    reaches (``_saturating_matching``).  It is a necessary condition, so it
+    drops no solution and changes no order; every solution is valid by
+    construction and checked again by ``TrianglePresentation``.
+
     Yields every solution, lexicographically: ordered first by the tuple
     (lam(0), ..., lam(n-1)), then by the triple set (the first unfinished
     pair always receives its smallest feasible completion first).
@@ -186,24 +191,15 @@ def iter_triangle_presentations(plane):
             return None
         return x in line_pts[lam[z]]
 
-    def prefix_feasible():
-        # Every decided edge (x, y) needs some completion candidate left,
-        # and candidates must be matchable injectively per first and per
-        # second coordinate (rotation classes share completions).
-        for x in range(n):
-            if lam[x] is None:
-                continue
-            rows = []
-            for y in line_pts[lam[x]]:
-                if lam[y] is None:
-                    continue
-                cands = [z for z in line_pts[lam[y]] if on_lam(z, x) is not False]
-                if not cands:
-                    return False
-                rows.append(cands)
-            if rows and not _saturating_matching(rows):
-                return False
-        for y in range(n):
+    def prefix_feasible(x0):
+        # The pairs (x, y) into each decided y need completions z on lam(y)
+        # matched injectively (rotation classes share completions).  Setting
+        # lam(x0) changes only y = x0, the y on lam(x0) (new pair (x0, y)) and
+        # the y with x0 on lam(y) (candidate z = x0 decided); every other y
+        # keeps its verdict from the parent prefix.
+        reach = {x0, *line_pts[lam[x0]]}
+        reach.update(y for y in range(n) if lam[y] is not None and x0 in line_pts[lam[y]])
+        for y in reach:
             if lam[y] is None:
                 continue
             rows = []
@@ -214,7 +210,7 @@ def iter_triangle_presentations(plane):
                 if not cands:
                     return False
                 rows.append(cands)
-            if rows and not _saturating_matching(rows):
+            if not _saturating_matching(rows):
                 return False
         return True
 
@@ -232,14 +228,9 @@ def iter_triangle_presentations(plane):
             for z in line_pts[lam[y]]:
                 if x not in line_pts[lam[z]]:
                     continue
-                parts = {}
-                ok = True
-                for pair, comp in (((x, y), z), ((y, z), x), ((z, x), y)):
-                    if parts.get(pair, comp) != comp:
-                        ok = False
-                        break
-                    parts[pair] = comp
-                if not ok or any(pair in assigned for pair in parts):
+                # keys coincide only when x = y = z, and then so do completions
+                parts = {(x, y): z, (y, z): x, (z, x): y}
+                if any(pair in assigned for pair in parts):
                     continue
                 assigned.update(parts)
                 yield from dfs(idx + 1)
@@ -258,7 +249,7 @@ def iter_triangle_presentations(plane):
                 continue
             lam[x] = l
             used[l] = True
-            if prefix_feasible():
+            if prefix_feasible(x):
                 yield from dfs_lambda(x + 1)
             lam[x] = None
             used[l] = False

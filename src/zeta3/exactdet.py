@@ -177,11 +177,17 @@ def _lagrange_integer(xs, ys):
     return IntPoly(out)
 
 
-def det_poly_matrix(M, degree_bound=None):
+def _interpolated_det(count, matrix_at):
+    """The polynomial through det_integer(matrix_at(x)) at count small x."""
+    xs = _eval_points(count)
+    return _lagrange_integer(xs, [det_integer(matrix_at(x)) for x in xs])
+
+
+def det_poly_matrix(M):
     """Exact determinant of a square matrix of IntPoly entries.
 
-    Entries must have degree <= 3.  Evaluates the matrix at degree_bound+1
-    small integers, takes exact integer determinants, and interpolates; the
+    Entries must have degree <= 3.  Evaluates the matrix at 3n+1 small
+    integers, takes exact integer determinants, and interpolates; the
     interpolation must clear to integer coefficients.  A test reference:
     P_A is char_rev of the vertex companion (zeta.vertex_companion).
     """
@@ -197,16 +203,7 @@ def det_poly_matrix(M, degree_bound=None):
             if e.degree > 3:
                 raise ValueError("entry degree exceeds 3")
         rows.append(row)
-    if degree_bound is None:
-        degree_bound = 3 * n
-    if degree_bound < 3 * n:
-        raise ValueError("degree bound below 3*n")
-    if n == 0:
-        return IntPoly.one()
-
-    xs = _eval_points(degree_bound + 1)
-    ys = [det_integer([[e(x) for e in row] for row in rows]) for x in xs]
-    return _lagrange_integer(xs, ys)
+    return _interpolated_det(3 * n + 1, lambda x: [[e(x) for e in row] for row in rows])
 
 
 # -- reverse characteristic polynomial ---------------------------------------
@@ -656,9 +653,5 @@ def char_rev_interpolated(M):
     """
     dense = _as_int_rows(M)
     n = len(dense)
-    xs = _eval_points(n + 1)
-    ys = []
-    for x in xs:
-        mat = [[(1 if i == j else 0) - x * dense[i][j] for j in range(n)] for i in range(n)]
-        ys.append(det_integer(mat))
-    return _lagrange_integer(xs, ys)
+    return _interpolated_det(n + 1, lambda x: [
+        [(1 if i == j else 0) - x * dense[i][j] for j in range(n)] for i in range(n)])

@@ -84,14 +84,20 @@ def test_validate_ok(base_file, capsys):
     assert "N0=3" in out and "chi=3" in out
 
 
-def test_validate_axiom_failure(tmp_path, base2, capsys):
+@pytest.fixture()
+def broken_file(tmp_path, base2):
+    """The q=2 base without its first chamber: fails the local axioms."""
     cx = ComplexDescription(
         q=2, vertices=base2.vertices, edges=base2.edges,
         chambers=base2.chambers[1:], provenance=Geometric(),
     )
     path = tmp_path / "broken.cx"
     save(cx, path)
-    assert main(["validate", str(path)]) == 1
+    return path
+
+
+def test_validate_axiom_failure(broken_file, capsys):
+    assert main(["validate", str(broken_file)]) == 1
     assert "axiom" in capsys.readouterr().out
 
 
@@ -294,6 +300,14 @@ def test_geodesics_empty(base_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"] == [] and payload["series_matches_traces"] is True
     assert payload["oracle"] == {"upto": 0, "walk_counts": [], "agrees": True}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--json", "--oracle"], ["--oracle"]])
+def test_geodesics_empty_table_rejects_invalid_complex(broken_file, capsys, flags):
+    # --max-len 0 computes nothing, but the input must still validate
+    assert main(["geodesics", str(broken_file), "--max-len", "0", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid complex" in err
 
 
 def test_geodesics_json(base_file, capsys):

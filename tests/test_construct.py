@@ -1,4 +1,5 @@
-from itertools import product
+import hashlib
+from itertools import islice, product
 
 import pytest
 
@@ -227,3 +228,20 @@ def test_every_generated_complex_validates(plane2):
         for m in (2, 3):
             for _idx, cx in connected_covers(pres, m):
                 assert cx.validate().ok
+
+
+def test_search_stream_pinned(plane2):
+    # the search's prunes may only skip dead prefixes: the solutions and their
+    # order stay as recorded (all 744 at q=2, then the first 62 at q=3)
+    q2 = list(iter_triangle_presentations(plane2))
+    q3 = list(islice(iter_triangle_presentations(projective_plane(3)), 62))
+    stream = [(p.lam, sorted(p.triples)) for p in q2 + q3]
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == (
+        "6d49250d804dfb43821729e23c222e4b5ea6ca101c8955b478a4e6df28a11c0e"
+    )
+    # (x, x, x) is the one triple whose three rotation keys coincide; pin how
+    # often it and the other triples with a repeated point occur
+    repeated = [any(len(set(t)) < 3 for t in p.triples) for p in q2]
+    constant = [any(len(set(t)) == 1 for t in p.triples) for p in q2]
+    assert (sum(repeated), sum(constant)) == (672, 336)
+    assert all(any(len(set(t)) == 1 for t in p.triples) for p in q3)
