@@ -5,6 +5,12 @@ The pipeline is: projective plane of order q -> triangle presentation
 triples) -> 3-vertex base quotient -> abelian covers cut out by voltage
 labelings of the generators.
 
+The presentation search backtracks over lam on bitmasks of plane points
+and prunes each prefix by Hall's condition on the completions its pairs
+still need.  Each presentation diagonalizes its relation matrix once
+(``TrianglePresentation.relation_diagonal``); ``solve_voltages`` reads that
+for every modulus.
+
 Operators downstream are computed from this generator bookkeeping, so the
 small quotients produced here carry correct multiplicities even when many
 simplices collapse onto each other.
@@ -13,6 +19,7 @@ simplices collapse onto each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -31,13 +38,17 @@ class IncidenceStructure:
     n: int  # number of points = number of lines = q^2 + q + 1
     incidence: frozenset  # of (point, line) pairs
 
+    @cached_property
     def all_line_points(self):
+        """The sorted points of each line, computed once per plane."""
         table = [[] for _ in range(self.n)]
         for p, l in self.incidence:
             table[l].append(p)
         return tuple(tuple(sorted(ps)) for ps in table)
 
+    @cached_property
     def all_point_lines(self):
+        """The sorted lines through each point, computed once per plane."""
         table = [[] for _ in range(self.n)]
         for p, l in self.incidence:
             table[p].append(l)
@@ -46,8 +57,8 @@ class IncidenceStructure:
     def validate_plane(self):
         """Return a list of violated plane axioms (empty when valid)."""
         problems = []
-        lines = self.all_line_points()
-        points = self.all_point_lines()
+        lines = self.all_line_points
+        points = self.all_point_lines
         for l, ps in enumerate(lines):
             if len(ps) != self.q + 1:
                 problems.append(f"line {l} has {len(ps)} points")
@@ -113,7 +124,7 @@ class TrianglePresentation:
         if sorted(self.lam) != list(range(n)):
             problems.append("lam is not a bijection")
             return problems
-        line_pts = plane.all_line_points()
+        line_pts = plane.all_line_points
         expected = n * (plane.q + 1)
         if len(self.triples) != expected:
             problems.append(f"|T| = {len(self.triples)}, expected {expected}")
@@ -143,37 +154,53 @@ class TrianglePresentation:
             reps.add(min(t, (y, z, x), (z, x, y)))
         return tuple(sorted(reps))
 
+    @cached_property
+    def relation_diagonal(self):
+        """(diag, V) of ``_diagonalize(relation_matrix(self), n)``.
 
-def _saturating_matching(candidates):
-    """True iff a bipartite matching saturates every left node.
+        The relation matrix depends on the presentation alone, so it is
+        diagonalized once and ``solve_voltages`` reads the result for every
+        modulus.
+        """
+        diag, V = _diagonalize(relation_matrix(self), self.plane.n)
+        return tuple(diag), tuple(tuple(row) for row in V)
 
-    ``candidates[i]`` lists the right nodes usable by left node i.  Tiny
-    instances only (q+1 nodes), plain Kuhn augmentation.
+
+def _hall_condition(rows):
+    """True iff the bitmask ``rows`` have distinct representatives.
+
+    Row i is the set of right nodes usable by left node i.  By Hall's theorem
+    a matching saturates every row exactly when every subset of the rows
+    covers at least as many nodes as it has rows.  The search passes at most
+    q + 1 rows, so this is at most 2^(q+1) - 1 unions.
     """
-    match = {}
-
-    def augment(i, seen):
-        for z in candidates[i]:
-            if z in seen:
-                continue
-            seen.add(z)
-            if z not in match or augment(match[z], seen):
-                match[z] = i
-                return True
-        return False
-
-    for i in range(len(candidates)):
-        if not augment(i, set()):
-            return False
+    unions = [0]  # unions[s]: the union of the rows in subset s (bit i = row i)
+    for row in rows:
+        for s in range(len(unions)):
+            u = unions[s] | row
+            if u.bit_count() <= s.bit_count():
+                return False
+            unions.append(u)
     return True
+
+
+def _bits(mask):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def iter_triangle_presentations(plane):
     """Exhaustive backtracking over bijections lam and triple completions.
 
-    Each new lam(x) is pruned by one matching check per decided point it
-    reaches (``_saturating_matching``).  It is a necessary condition, so it
-    drops no solution and changes no order; every solution is valid by
+    lam is assigned in point order, and each new lam(x0) is pruned by a Hall
+    check (``_hall_condition``) for every decided point whose pairs or
+    candidates it changes.  Point sets are bitmasks: one per line, the
+    ``decided`` prefix, and ``holders[x]``, the decided z with x on lam(z),
+    updated when lam is set and unset.  The prune is a necessary condition,
+    so it drops no solution and changes no order; every solution is valid by
     construction and checked again by ``TrianglePresentation``.
 
     Yields every solution, lexicographically: ordered first by the tuple
@@ -181,36 +208,25 @@ def iter_triangle_presentations(plane):
     pair always receives its smallest feasible completion first).
     """
     n = plane.n
-    line_pts = plane.all_line_points()
+    line_pts = plane.all_line_points
+    line_mask = [sum(1 << p for p in pts) for pts in line_pts]
     lam = [None] * n
     used = [False] * n
-
-    def on_lam(z, x):
-        """x incident to lam(z), or unknown (None) when lam(z) unassigned."""
-        if lam[z] is None:
-            return None
-        return x in line_pts[lam[z]]
+    holders = [0] * n
 
     def prefix_feasible(x0):
-        # The pairs (x, y) into each decided y need completions z on lam(y)
-        # matched injectively (rotation classes share completions).  Setting
-        # lam(x0) changes only y = x0, the y on lam(x0) (new pair (x0, y)) and
-        # the y with x0 on lam(y) (candidate z = x0 decided); every other y
-        # keeps its verdict from the parent prefix.
-        reach = {x0, *line_pts[lam[x0]]}
-        reach.update(y for y in range(n) if lam[y] is not None and x0 in line_pts[lam[y]])
-        for y in reach:
-            if lam[y] is None:
-                continue
-            rows = []
-            for x in range(n):
-                if lam[x] is None or y not in line_pts[lam[x]]:
-                    continue
-                cands = [z for z in line_pts[lam[y]] if on_lam(z, x) is not False]
-                if not cands:
-                    return False
-                rows.append(cands)
-            if not _saturating_matching(rows):
+        # The pairs (x, y) into each decided y (x in holders[y]) need
+        # completions z on lam(y), undecided or with x on lam(z), matched
+        # injectively (rotation classes share completions).  Setting lam(x0)
+        # changes only y = x0, the y on lam(x0) (new pair (x0, y)) and the y
+        # with x0 on lam(y) (candidate z = x0 decided); every other y keeps
+        # its verdict from the parent prefix.
+        decided = (1 << (x0 + 1)) - 1
+        free = ~decided
+        reach = ((1 << x0) | line_mask[lam[x0]] | holders[x0]) & decided
+        for y in _bits(reach):
+            line = line_mask[lam[y]]
+            if not _hall_condition([line & (free | holders[x]) for x in _bits(holders[y])]):
                 return False
         return True
 
@@ -225,9 +241,7 @@ def iter_triangle_presentations(plane):
                 yield frozenset((x, y, z) for (x, y), z in assigned.items())
                 return
             x, y = edges[idx]
-            for z in line_pts[lam[y]]:
-                if x not in line_pts[lam[z]]:
-                    continue
+            for z in _bits(line_mask[lam[y]] & holders[x]):
                 # keys coincide only when x = y = z, and then so do completions
                 parts = {(x, y): z, (y, z): x, (z, x): y}
                 if any(pair in assigned for pair in parts):
@@ -244,13 +258,18 @@ def iter_triangle_presentations(plane):
             for triples in complete_triples():
                 yield TrianglePresentation(plane=plane, lam=tuple(lam), triples=triples)
             return
+        bit = 1 << x
         for l in range(n):
             if used[l]:
                 continue
             lam[x] = l
             used[l] = True
+            for p in line_pts[l]:
+                holders[p] |= bit
             if prefix_feasible(x):
                 yield from dfs_lambda(x + 1)
+            for p in line_pts[l]:
+                holders[p] ^= bit
             lam[x] = None
             used[l] = False
 
@@ -366,8 +385,7 @@ def solve_voltages(presentation, m):
     n = presentation.plane.n
     if m == 1:
         return [VoltageAssignment(m=1, c=(0,) * n)]
-    rows = relation_matrix(presentation)
-    diag, V = _diagonalize(rows, n)
+    diag, V = presentation.relation_diagonal
     choice_sets = []
     for s in diag:
         g = gcd(s, m)
@@ -467,15 +485,14 @@ def connected_covers(presentation, m):
     """All connected degree-m covers, as (voltage index, complex) pairs.
 
     Indices refer to the solve_voltages ordering; disconnected assignments
-    are skipped.  Many presentations admit none for a given m.
+    are skipped, and any other error building a cover propagates.  Many
+    presentations admit none for a given m.
     """
-    out = []
-    for idx, voltage in enumerate(solve_voltages(presentation, m)):
-        try:
-            out.append((idx, abelian_cover(presentation, voltage)))
-        except ConstructionError:
-            continue
-    return out
+    return [
+        (idx, abelian_cover(presentation, voltage))
+        for idx, voltage in enumerate(solve_voltages(presentation, m))
+        if len(_generated_subgroup(m, voltage.c)) == 3 * m
+    ]
 
 
 def first_presentation_with_covers(plane, m, minimum=1):

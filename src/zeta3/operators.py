@@ -240,7 +240,7 @@ def build_le_pattern(cx: ComplexDescription):
     c(x) for every y off lam(x).  Its lift is build_le entry for entry."""
     cx.require_valid()
     pres, n, m_mod, c = _presented_data(cx)
-    line_pts = pres.plane.all_line_points()
+    line_pts = pres.plane.all_line_points
     pattern = LabelledMatrix(n, m_mod)
     for x in range(n):
         on_line = line_pts[pres.lam[x]]

@@ -14,14 +14,12 @@ import pytest
 
 from zeta3 import exactdet
 from zeta3.construct import (
-    _diagonalize,
     base_quotient,
     connected_covers,
     find_triangle_presentation,
     first_presentation_with_covers,
     iter_triangle_presentations,
     projective_plane,
-    relation_matrix,
 )
 from zeta3.operators import build_a1, build_a2, build_le, build_lb
 from zeta3.spectra import (
@@ -62,7 +60,7 @@ def state():
     # exhaustive fact: no q=2 presentation admits a nonzero voltage mod 5
     mod5_possible = False
     for candidate in iter_triangle_presentations(plane):
-        diag, _v = _diagonalize(relation_matrix(candidate), 7)
+        diag, _v = candidate.relation_diagonal
         if any(s % 5 == 0 for s in diag):
             mod5_possible = True
             break

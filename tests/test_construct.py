@@ -1,8 +1,10 @@
 import hashlib
+import random
 from itertools import islice, product
 
 import pytest
 
+from zeta3 import construct
 from zeta3.construct import (
     TrianglePresentation,
     VoltageAssignment,
@@ -48,7 +50,7 @@ def test_presentation_rotation_closed(pres2):
 
 
 def test_presentation_prefix_degree(pres2, plane2):
-    line_pts = plane2.all_line_points()
+    line_pts = plane2.all_line_points
     for x in range(7):
         starts = [t for t in pres2.triples if t[0] == x]
         assert len(starts) == 3  # q + 1
@@ -180,7 +182,7 @@ def test_cover_wrong_voltage_rejected(pres2):
 
 def test_edge_continuation_count(pres2, plane2):
     # continuations of an edge avoid the q+1 points of lam(x): exactly q^2
-    line_pts = plane2.all_line_points()
+    line_pts = plane2.all_line_points
     for x in range(7):
         off = [y for y in range(7) if y not in line_pts[pres2.lam[x]]]
         assert len(off) == 4
@@ -207,16 +209,116 @@ def test_prime_power_modulus_covers(pres_m3):
     assert set(out.values()) == {7}
 
 
-def test_search_pruning_drops_nothing(plane2, monkeypatch):
-    # the Hall-matching feasibility cut must be conservative: disabling it
-    # (keeping only the trivially-sound empty-candidate cut) finds the same
-    # solution count
-    import zeta3.construct as construct_mod
+def _kuhn_saturating_matching(candidates):
+    """Reference for ``_hall_condition``: True iff a bipartite matching
+    saturates every left node, by Kuhn augmentation.  ``candidates[i]`` lists
+    the right nodes usable by left node i."""
+    match = {}
 
-    full = sum(1 for _ in iter_triangle_presentations(plane2))
-    monkeypatch.setattr(construct_mod, "_saturating_matching", lambda rows: True)
-    weak = sum(1 for _ in iter_triangle_presentations(plane2))
-    assert full == weak == 744
+    def augment(i, seen):
+        for z in candidates[i]:
+            if z in seen:
+                continue
+            seen.add(z)
+            if z not in match or augment(match[z], seen):
+                match[z] = i
+                return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(candidates)))
+
+
+def _nodes(mask):
+    return [z for z in range(mask.bit_length()) if mask >> z & 1]
+
+
+def test_hall_condition_matches_kuhn():
+    # every family of at most 3 rows over 4 right nodes
+    checked = 0
+    for k in range(4):
+        for rows in product(range(16), repeat=k):
+            expected = _kuhn_saturating_matching([_nodes(r) for r in rows])
+            assert construct._hall_condition(list(rows)) is expected, rows
+            checked += 1
+    assert checked == 1 + 16 + 16**2 + 16**3
+    # seeded random 4-row families, over the 4 points of a q=3 line and over
+    # a 13-point plane
+    rng = random.Random(20)
+    verdicts = set()
+    for width in (4, 13):
+        for _ in range(2000):
+            rows = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(4)]
+            expected = _kuhn_saturating_matching([_nodes(r) for r in rows])
+            assert construct._hall_condition(rows) is expected, rows
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_search_pruning_drops_nothing(plane2, monkeypatch):
+    # the Hall prune must be conservative: with the predicate the search calls
+    # accepting every prefix, the same solutions come in the same order
+    full = [(p.lam, p.triples) for p in iter_triangle_presentations(plane2)]
+    calls = []
+
+    def accept(rows):
+        calls.append(rows)
+        return True
+
+    monkeypatch.setattr(construct, "_hall_condition", accept)
+    weak = [(p.lam, p.triples) for p in iter_triangle_presentations(plane2)]
+    assert calls  # the search reads the patched predicate
+    assert len(full) == 744
+    assert weak == full
+
+
+def test_relation_diagonal_computed_once(plane2, monkeypatch):
+    # solve_voltages reads the presentation's one diagonalization for every m
+    calls = []
+    diagonalize = construct._diagonalize
+
+    def counting(rows, n_cols):
+        calls.append(n_cols)
+        return diagonalize(rows, n_cols)
+
+    monkeypatch.setattr(construct, "_diagonalize", counting)
+    fresh = list(islice(iter_triangle_presentations(plane2), 20))
+    covers = 0
+    for pres in fresh:
+        for m in (2, 3, 7):
+            covers += len(connected_covers(pres, m))
+    assert calls == [7] * len(fresh)
+    assert covers > 0
+
+
+def test_solve_voltages_pinned(plane2, presentations3):
+    # the cached diagonalization gives the solution sets recorded before it:
+    # every 8th q=2 presentation, and q=3 presentations 0 and 4
+    q2 = list(iter_triangle_presentations(plane2))
+    record = []
+    for k in range(0, len(q2), 8):
+        for m in (2, 3, 6, 7, 14):
+            record.append((2, k, m, [v.c for v in solve_voltages(q2[k], m)]))
+    for k in (0, 4):
+        for m in (2, 4, 8):
+            record.append((3, k, m, [v.c for v in solve_voltages(presentations3[k], m)]))
+    assert sum(len(r[3]) for r in record) == 1985
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == (
+        "209a54505bfb58c6bce571b691fd33346988f947ef17bd3a681fef686a45d1d6"
+    )
+
+
+def test_connected_covers_propagates_cover_errors(pres_m2, monkeypatch):
+    # only disconnected voltages are skipped; any other error from
+    # abelian_cover reaches the caller
+    def broken(presentation, voltage):
+        raise ConstructionError("cover failed")
+
+    assert connected_covers(pres_m2, 2)
+    monkeypatch.setattr(construct, "abelian_cover", broken)
+    with pytest.raises(ConstructionError, match="cover failed"):
+        connected_covers(pres_m2, 2)
+    # a modulus with no connected cover never reaches abelian_cover
+    assert connected_covers(pres_m2, 5) == []
 
 
 def test_every_generated_complex_validates(plane2):
