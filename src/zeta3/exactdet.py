@@ -4,8 +4,8 @@ The routes and their parts:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
 * ``_char_rev_by_characters`` - the one modular engine: det(I - u*X) for the
-  lift X of an r x r pattern over a cyclic group Z/m, given as the dict
-  (i, j, h) -> weight, h in Z/m the label of entry (i, j).  The lift is
+  lift X of an r x r pattern over a cyclic group Z/m, given as arrays of
+  its entries (i, j, h, weight), h in Z/m the label of entry (i, j).  The lift is
   block-circulant over Z/m, so the determinant is the product over the m
   characters of Z/m of r x r twisted determinants.  These are taken modulo
   word-sized primes p = 1 (mod m), where the characters take values in
@@ -16,21 +16,28 @@ The routes and their parts:
   |O|*r rows of norm rho, rho**2 the largest squared row norm of the pattern
   with its group labels collapsed onto their cells.  The kernel work goes as
   the sum of |O|**2, not m**2; the orbit factors are multiplied exactly.
-  Exact integer arithmetic throughout, just carried out residue-wise.
+  Exact integer arithmetic throughout, carried out residue-wise; where
+  floats carry it, they carry integers a double holds exactly.
 * ``_charpolys_mod`` - the one characteristic-polynomial kernel: Hessenberg
   reduction and the standard recurrence, each step run at once on a stack of
   matrices, each slice modulo its own prime.  The reduction delays its row
   operations: up to nb = ``_block_steps(r)`` of them stay pending as a
-  product F R and are applied with one int64 matmul and one remainder,
-  exact because nb*(p-1)**2 and r*(p-1)**2 stay below 2**63 (p < 2**25).
-  No floats and no BLAS.  The engine makes one list of the (orbit, prime,
-  character) blocks and hands it over in slices of at most
-  ``_CHUNK_ENTRIES`` int64 entries, the kernel's working-set budget.
+  product F R and are applied with one matmul and one remainder.  The same
+  steps run on two stacks, chosen by block size: blocks below
+  ``_FLOAT_MIN_ROWS`` rows on int64 (residues in [0, p), p < 2**25, numpy's
+  own integer loops), larger ones on float64 through BLAS (balanced
+  residues, p below ``_float_prime_limit(r)``, so that every product and
+  partial sum is an integer of magnitude at most 2**53, which a double holds
+  exactly).  The engine makes one list of the (orbit, prime, character)
+  blocks and hands it over in slices of at most ``_CHUNK_ENTRIES`` entries,
+  the kernel's working-set budget.
 * ``_cube_rows`` - the one period-3 product.  Every operator of the paper
   raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
-  on one class of the Z/3 grading.  It walks a Z/m-labelled pattern three
-  steps, adding labels mod m, and returns X as the engine's dict; a dense
-  matrix is the case m = 1, labels 0.
+  on one class of the Z/3 grading.  It multiplies the pattern's three blocks
+  as Z/m-labelled arrays, adding labels mod m, on float64 through BLAS while
+  every partial sum stays below 2**53 and on Python ints beyond, and returns
+  X as the engine's arrays (``_entry_arrays``: rows, columns, labels and
+  nonzero weights); a dense matrix is the case m = 1, labels 0.
 * ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
   of a grading found in M's pattern (else X = M), over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
@@ -40,7 +47,8 @@ The routes and their parts:
 * ``_char_rev_reduced`` - the tail of both routes: engine, spread to u^d, self-check.
 * ``_self_check`` - the one self-check of both routes (under ``SELF_CHECK``):
   the unreduced dense operator's characteristic polynomial modulo a prime
-  the engine's CRT did not take.
+  the engine's CRT did not take, by the int64 kernel, so a determinant the
+  float64 kernel took is checked by integer arithmetic.
 
 The primes (``polynomials.primes_with_root``) and the CRT
 (``polynomials.crt_symmetric``) are shared with the modular gcd.
@@ -58,7 +66,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import ExactArithmeticError
-from .polynomials import IntPoly, crt_symmetric, primes_with_root
+from .polynomials import PRIME_CAP, IntPoly, crt_symmetric, primes_with_root
 
 # When enabled (the test suite turns it on), every char_rev and
 # char_rev_factored call compares each coefficient of its result with the
@@ -215,14 +223,41 @@ def _block_steps(r):
     return max(1, r // 16)
 
 
+# blocks of at least this many rows take the float64 kernel, smaller ones the
+# int64 kernel: the measured crossover, where BLAS products start to outweigh
+# the float kernel's extra numpy calls per step
+_FLOAT_MIN_ROWS = 64
+
+
+def _float_prime_limit(r):
+    """2**((55 - bitlen r) // 2): the float64 kernel on r x r slices takes
+    primes below this (``_charpolys_mod``)."""
+    return 1 << ((55 - r.bit_length()) // 2)
+
+
+def _remainder(x, p, out=None, tmp=None):
+    """x % p: the int64 kernel's residues, in [0, p)."""
+    return np.remainder(x, p, out=out)
+
+
+def _balanced_remainder(x, p, out=None, tmp=None):
+    """x - p * rint(x / p): the float64 kernel's residues, of magnitude at
+    most (p + 1) / 2 (``_charpolys_mod``).  ``tmp``, shaped like x, spares
+    the quotient an allocation."""
+    q = np.divide(x, p, out=tmp)
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=out)
+
+
 def _charpolys_mod(H, p):
     """Coefficients c_0..c_r of det(xI - H_b) over GF(p_b), for every slice b
     of a stack.
 
-    H is a (B, r, r) int64 array with slice b reduced mod p_b, p a length-B
-    int64 array of primes below 2**25; H is overwritten.  Returns a (B, r + 1)
-    int64 array, lowest degree first.  Each step of the Hessenberg reduction
-    and of the recurrence runs on the whole stack at once.
+    H is a (B, r, r) array with slice b reduced mod p_b, p a length-B int64
+    array of primes; H is overwritten.  Returns a (B, r + 1) int64 array of
+    residues in [0, p_b), lowest degree first.  Each step of the Hessenberg
+    reduction and of the recurrence runs on the whole stack at once.
 
     The reduction is by Gauss transforms, with delayed updates: step k's row
     operation (rows below k + 1 lose multiples of row k + 1) is kept pending,
@@ -231,33 +266,52 @@ def _charpolys_mod(H, p):
     its column operation (column k + 1 gains H f) as H f - F (R f).  Every
     nb = ``_block_steps(r)`` steps the pending block, that step's included,
     is applied with one product and one remainder over the trailing block,
-    instead of a remainder over it at every step.  All of it stays exact in
-    int64 with residues below 2**25: a flush sums nb products below 2**50
-    and a matrix-vector product r of them.
+    instead of a remainder over it at every step.
 
-    Memory beyond H stays a fraction of it: a flush runs in strips of rows,
-    and the recurrence keeps its polynomials in the columns of H it has
-    read for the last time.
+    Every value reduced is a sum of at most r + 1 terms, each a product of
+    two residues or one residue: a flush sums nb <= r products and an entry,
+    the column operation r - k - 2 + j <= r - 1 products (j <= k + 1 steps
+    pending) and an entry, the recurrence's step k k - 1 products, a product
+    and a residue.  Two stacks share that arithmetic:
+
+    * int64, residues in [0, p) with p < 2**25: products stay below 2**50
+      and every sum below 2**63, as r < 4096.
+    * float64, through BLAS, residues reduced by x - p*rint(x/p) with p below
+      ``_float_prime_limit(r)`` = 2**e, e = (55 - bitlen r) // 2.  x/p is
+      correctly rounded, so rint(x/p) is the integer nearest x/p, or its
+      neighbour when x/p lies within half an ulp of a half-integer; either
+      way the residue has magnitude at most (p + 1)/2 <= 2**(e - 1).  A
+      product is then at most 2**(2e - 2), and a sum of r + 1 <= 2**bitlen r
+      of them, with every partial sum in any order, at most
+      2**(bitlen r + 2e - 2) <= 2**53: an integer a double holds exactly,
+      for every r < 4096.  Floats carry exact integers only.
+
+    Memory beyond H stays a fraction of it: a flush runs in strips of rows
+    through one buffer, and the recurrence keeps its polynomials in the
+    columns of H it has read for the last time.
     """
     B, r, _ = H.shape
-    p1 = p[:, None]
-    p2 = p[:, None, None]
+    mod = _balanced_remainder if H.dtype == np.float64 else _remainder
+    pf = p.astype(H.dtype)
+    p1 = pf[:, None]
+    p2 = pf[:, None, None]
     primes = p.tolist()
     nb = max(1, min(_block_steps(r), r - 2))
     # pending steps s .. k - 1, j = k - s of them: F's column t is written in
     # rows from s + t + 2 and must be zero in rows s + 2 .. s + t + 1; R's row
     # t is written in columns from s + t, and what it holds before them only
     # reaches entries below the subdiagonal, which nothing reads
-    F = np.zeros((B, r, nb), dtype=np.int64)
-    R = np.zeros((B, nb, r), dtype=np.int64)
+    F = np.zeros((B, r, nb), dtype=H.dtype)
+    R = np.zeros((B, nb, r), dtype=H.dtype)
     j = 0
-    # rows per strip of a flush: its temporaries hold at most a quarter of
-    # the working-set budget
+    # rows per strip of a flush: its buffer holds at most a quarter of the
+    # working-set budget
     strip = max(1, _CHUNK_ENTRIES // max(1, 4 * B * r))
+    work = np.empty(B * min(strip, r) * r, dtype=H.dtype)
     for k in range(r - 2):
         below = H[:, k + 1 :, k]
         if j:
-            below = (below - np.matmul(F[:, k + 1 :, :j], R[:, :j, k, None])[:, :, 0]) % p1
+            below = mod(below - np.matmul(F[:, k + 1 :, :j], R[:, :j, k, None])[:, :, 0], p1)
         # each slice's pivot: the first nonzero of column k below row k; a
         # slice without one keeps row k+1 (a zero) and gets multipliers 0
         off = np.argmax(below != 0, axis=1)
@@ -273,12 +327,12 @@ def _charpolys_mod(H, p):
                 R[moved, :, to], R[moved, :, k + 1] = R[moved, :, k + 1], R[moved, :, to]
                 at = off[moved]
                 below[moved, at], below[moved, 0] = below[moved, 0], below[moved, at]
-        inv = np.array([pow(a, -1, q) if a else 0
-                        for a, q in zip(below[:, 0].tolist(), primes)], dtype=np.int64)
-        f = below[:, 1:] * inv[:, None] % p1
+        inv = np.array([pow(int(a), -1, q) if a else 0
+                        for a, q in zip(below[:, 0].tolist(), primes)], dtype=H.dtype)
+        f = mod(below[:, 1:] * inv[:, None], p1)
         row = H[:, k + 1, k:]
         if j:
-            row = (row - np.matmul(F[:, k + 1, None, :j], R[:, :j, k:])[:, 0]) % p1
+            row = mod(row - np.matmul(F[:, k + 1, None, :j], R[:, :j, k:])[:, 0], p1)
         F[:, k + 2 :, j] = f
         R[:, j, k:] = row
         if j < nb - 1 and k < r - 3:
@@ -289,8 +343,10 @@ def _charpolys_mod(H, p):
             s = k - j
             for a in range(s + 2, r, strip):
                 trailing = H[:, a : a + strip, s:]
-                trailing -= np.matmul(F[:, a : a + strip, : j + 1], R[:, : j + 1, s:])
-                trailing %= p2
+                product = work[: trailing.size].reshape(trailing.shape)
+                np.matmul(F[:, a : a + strip, : j + 1], R[:, : j + 1, s:], out=product)
+                trailing -= product
+                mod(trailing, p2, out=trailing, tmp=product)
             F[:, :, 1 : j + 1] = 0
             j = 0
         # column k + 1 gains the reduced matrix times f, less what the
@@ -299,9 +355,9 @@ def _charpolys_mod(H, p):
         col += np.matmul(H[:, :, k + 2 :], f[:, :, None])[:, :, 0]
         if j:
             s = k + 1 - j
-            Rf = np.matmul(R[:, :j, k + 2 :], f[:, :, None]) % p2
+            Rf = mod(np.matmul(R[:, :j, k + 2 :], f[:, :, None]), p2)
             col[:, s + 2 :] -= np.matmul(F[:, s + 2 :, :j], Rf)[:, :, 0]
-        col %= p1
+        mod(col, p1, out=col)
 
     # det(xI_k - H_k) by expansion along the last column:
     # p_k = (x - H[k-1,k-1]) p_{k-1}
@@ -311,24 +367,26 @@ def _charpolys_mod(H, p):
     # past it) then takes its place, so p_0 .. p_{k-2} are H[:, :k-1, :k-1]
     # and need no table of their own.  p_k is formed in the buffer of p_{k-2}.
     neg_diag = -np.diagonal(H, 0, 1, 2)
-    beta = np.zeros((B, r), dtype=np.int64)
-    prev, poly = np.zeros((2, B, r + 1), dtype=np.int64)
+    beta = np.zeros((B, r), dtype=H.dtype)
+    prev, poly = np.zeros((2, B, r + 1), dtype=H.dtype)
     prev[:, 0] = 1
     for k in range(1, r + 1):
         np.multiply(neg_diag[:, k - 1, None], prev[:, :k], out=poly[:, :k])
         poly[:, 1 : k + 1] += prev[:, :k]
         if k >= 2:
-            w = beta[:, : k - 1] * H[:, : k - 1, k - 1] % p1
+            w = mod(beta[:, : k - 1] * H[:, : k - 1, k - 1], p1)
             poly[:, : k - 1] -= np.matmul(H[:, : k - 1, : k - 1], w[:, :, None])[:, :, 0]
-        poly[:, : k + 1] %= p1
+        mod(poly[:, : k + 1], p1, out=poly[:, : k + 1])
         if k < r:
             # beta for step k + 1 takes the subdiagonal entry of column k-1
             beta[:, : k - 1] *= H[:, k, k - 1, None]
             beta[:, k - 1] = H[:, k, k - 1]
-            beta[:, :k] %= p1
+            mod(beta[:, :k], p1, out=beta[:, :k])
             H[:, :, k - 1] = prev[:, :r]
         prev, poly = poly, prev
-    return prev
+    if prev.dtype == np.int64:
+        return prev
+    return np.remainder(prev.astype(np.int64), p[:, None])
 
 
 NORM_FRACTION_BITS = 32
@@ -373,47 +431,59 @@ def _character_orbits(m):
     return list(orbits.values())
 
 
+def _run_starts(keys):
+    """The indices where a run of equal values of the sorted array ``keys``
+    starts."""
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def _block_norm_sq(r, x):
     """rho**2 = max over pattern rows i of sum_j (sum_h |x[i, j, h]|)**2:
     |M_c[i, j]| is at most that cell sum for every character c, so every
-    row of every twisted block has Euclidean norm at most rho."""
-    cells = {}
-    for (i, j, _h), v in x.items():
-        cells[i, j] = cells.get((i, j), 0) + abs(v)
-    row_norm_sq = [0] * r
-    for (i, _j), s in cells.items():
-        row_norm_sq[i] += s * s
-    return max(row_norm_sq)
+    row of every twisted block has Euclidean norm at most rho.  ``x`` is the
+    engine's pattern arrays (``_entry_arrays``), in cell order."""
+    rows, cols, _labels, weights = x
+    if not len(weights):
+        return 0
+    cell_starts = _run_starts(rows * r + cols)
+    cells = np.add.reduceat(np.abs(weights), cell_starts)
+    if cells.dtype != object and int(cells.max()) ** 2 * r >= 1 << 63:
+        cells = cells.astype(object)
+    return int(np.add.reduceat(cells * cells, _run_starts(rows[cell_starts])).max())
 
 
-# the kernel's working-set budget: int64 block entries (1 MiB) per call of
-# ``_charpolys_mod``.  The stack and the kernel's temporaries (a quarter of
-# it at most) grow with it, while a call's interpreter time goes with r
-# alone, so the budget takes all 12 primes of a one-orbit 104-row X (dense
-# P_B of a q=3 m=2 cover) in one call
-_CHUNK_ENTRIES = 1 << 17
+# the kernel's working-set budget: stack entries (1.125 MiB of int64 or
+# float64) per call of ``_charpolys_mod``.  The stack and the kernel's buffer
+# (a quarter of it at most) grow with it, while a call's interpreter time goes
+# with r alone, so the budget takes all 13 primes of a one-orbit 104-row X
+# (dense P_B of a q=3 m=2 cover, float64 kernel) in one call
+_CHUNK_ENTRIES = 9 << 14
 
 
 def _char_rev_by_characters(r, m, x):
     """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the
     mr x mr lift of an r x r pattern over Z/m.  The stream is
-    ``primes_with_root(m)`` past the primes the CRT took, so its next prime
-    lies outside the CRT set (``_self_check``).
+    ``primes_with_root(m)`` (below ``_float_prime_limit(r)`` for blocks the
+    float64 kernel takes) past the primes the CRT took, so its next prime lies
+    outside the CRT set (``_self_check``).
 
-    The pattern is the dict ``x``: (i, j, h) -> weight, h in Z/m the label
-    of entry (i, j).  Modulo a prime p = 1 (mod m) with w of exact order m,
-    character c takes the value w**(c*h) on that entry, so the twisted block
-    M_c[i, j] = sum over h of x[i, j, h] * w**(c*h).  det(I - uM) is the
-    product of det(I - u M_c) over the m characters.
+    The pattern ``x`` is the engine's arrays (``_entry_arrays``): entry e has
+    row rows[e], column cols[e], label labels[e] in Z/m and a nonzero weight.
+    Modulo a prime p = 1 (mod m) with w of exact order m, character c takes
+    the value w**(c*h) on an entry of label h, so the twisted block M_c[i, j]
+    = sum over h of x[i, j, h] * w**(c*h).  det(I - uM) is the product of
+    det(I - u M_c) over the m characters.
 
     The characters are split into Galois orbits (``_character_orbits``).  An
     orbit O's product is an integer polynomial: det(I - u D), D the
     block-diagonal of its |O| twisted blocks, whose every row has Euclidean
     norm at most rho (``_block_norm_sq``).  So its coefficients obey
     ``_coefficient_bound(rho**2, |O|*r)``, and it is CRT-combined from the
-    shortest prefix of ``primes_with_root(m)`` whose product exceeds that
-    bound.  The kernel work goes as the sum of |O|**2 rather than m**2.  The
-    orbit factors are multiplied exactly, smallest first.
+    shortest prefix of the stream whose product exceeds that bound.  The
+    kernel work goes as the sum of |O|**2 rather than m**2.  The orbit factors
+    are multiplied exactly, smallest first.
 
     The (orbit, prime, character) blocks form one list, orbit by orbit, and
     go through the batched kernel ``_charpolys_mod`` in slices of it: a
@@ -421,16 +491,19 @@ def _char_rev_by_characters(r, m, x):
     7 to 104 for the paper's operators), so one call per block would spend
     its time in the interpreter rather than in arithmetic.  A slice holds as
     many blocks as fit ``_CHUNK_ENTRIES`` entries (r*r per block), and at
-    least one, and the weights are reduced modulo its primes alone, so
-    memory stays bounded however many primes the bounds need.  Each (orbit,
-    prime) product accumulates across slices.
+    least one, and the weights are reduced modulo its primes alone, one array
+    operation per slice, so memory stays bounded however many primes the
+    bounds need.  Each (orbit, prime) product accumulates across slices.
+    Blocks of ``_FLOAT_MIN_ROWS`` rows or more go to the kernel as float64
+    stacks of balanced residues, smaller ones as int64 stacks.
     """
     n = m * r
-    stream = primes_with_root(m)
+    float_kernel = r >= _FLOAT_MIN_ROWS
+    stream = primes_with_root(m, _float_prime_limit(r) if float_kernel else PRIME_CAP)
     if n == 0:
         return IntPoly.one(), stream
     if r >= 4096:
-        # int64 dot products of residues < 2**25 stay exact only below this
+        # the kernel's sums stay exact only below this
         raise ValueError("char_rev supports blocks below 4096 rows")
 
     norm_sq = _block_norm_sq(r, x)
@@ -447,9 +520,11 @@ def _char_rev_by_characters(r, m, x):
     takes = [next(t + 1 for t, mod in enumerate(moduli) if mod > bound) for bound in bounds]
     blocks = [(o, t, c) for o, orbit in enumerate(orbits) for t in range(takes[o]) for c in orbit]
 
-    rows, cols, labels = np.fromiter(chain.from_iterable(x), np.int64, 3 * len(x)).reshape(-1, 3).T
-    weights = list(x.values())
+    rows, cols, labels, weights = x
+    # the entries come in cell order: cell c holds entries cell_starts[c] onwards
     flat = rows * r + cols
+    cell_starts = _run_starts(flat)
+    cells = flat[cell_starts]
     per_orbit = [[np.ones(1, dtype=np.int64)] * take for take in takes]
     size = max(1, _CHUNK_ENTRIES // (r * r))
     for start in range(0, len(blocks), size):
@@ -458,14 +533,23 @@ def _char_rev_by_characters(r, m, x):
         _o, t_b, chars = (np.array(v, dtype=np.int64) for v in zip(*chunk))
         ts, slot = np.unique(t_b, return_inverse=True)
         here = [roots[t] for t in ts.tolist()]
-        pb = np.array([p for p, _w in here], dtype=np.int64)[slot]
-        powers = np.array([[pow(w, e, p) for e in range(m)] for p, w in here], dtype=np.int64)
-        wp = np.array([[v % p for v in weights] for p, _w in here], dtype=np.int64)
-        values = wp[slot] * powers[slot[:, None], chars[:, None] * labels % m] % pb[:, None]
-        stack = np.zeros((len(chunk), r * r), dtype=np.int64)
-        np.add.at(stack, (np.arange(len(chunk))[:, None], flat[None, :]), values)
+        distinct = np.array([p for p, _w in here], dtype=np.int64)
+        pb = distinct[slot]
+        # exact for weights of any size: Python ints reduce as objects
+        wp = (weights % distinct[:, None]).astype(np.int64)
+        if m == 1:
+            values = wp  # one block per prime, in stream order
+        else:
+            powers = np.array([[pow(w, e, p) for e in range(m)] for p, w in here], dtype=np.int64)
+            values = wp[slot] * powers[slot[:, None], chars[:, None] * labels % m] % pb[:, None]
+            if len(cells) < len(flat):
+                values = np.add.reduceat(values, cell_starts, axis=1) % pb[:, None]
+        stack = np.zeros((len(chunk), r * r), dtype=np.float64 if float_kernel else np.int64)
+        stack[:, cells] = values
         del wp, values  # as large as the stack: free them before the kernel runs
-        stack %= pb[:, None]
+        if float_kernel:
+            # balanced residues, |v| <= (p - 1)/2
+            np.subtract(stack, pb[:, None], out=stack, where=stack > pb[:, None] // 2)
         factors = _charpolys_mod(stack.reshape(len(chunk), r, r), pb)
         for (o, t, _c), p, factor in zip(chunk, pb.tolist(), factors):
             # each product term is below p**2 < 2**50 and an output
@@ -481,7 +565,7 @@ def _char_rev_by_characters(r, m, x):
         poly = poly * part
 
     # the lift's diagonal holds, m times, the diagonal entries of label 0
-    trace = m * sum(x.get((i, i, 0), 0) for i in range(r))
+    trace = m * sum(weights[(rows == cols) & (labels == 0)].tolist())
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
     return poly, stream
@@ -542,38 +626,81 @@ def _type_grading(n, keys):
     return g
 
 
-def _cube_rows(r, m, entries, starts):
-    """X = M^3 on sheet 0, restricted to the nodes ``starts`` of deck 0 and
-    their translates, as a dict (a, b, h) -> nonzero weight formed exactly in
-    Python ints: the entry from starts[a] to deck h of starts[b].
+def _entry_arrays(entries):
+    """The engine's form of a Z/m-labelled pattern, the dict (i, j, h) ->
+    weight: arrays rows, cols, labels and weights in (i, j, h) order, zero
+    weights dropped.  Weights are int64 when every one is below 2**62 in
+    magnitude, else Python ints in an object array."""
+    keys = np.fromiter(chain.from_iterable(entries), np.int64, 3 * len(entries)).reshape(-1, 3)
+    values = list(entries.values())
+    small = max(map(abs, values), default=0) < 1 << 62
+    weights = np.array(values, dtype=np.int64 if small else object)
+    keep = np.flatnonzero(weights != 0)
+    keep = keep[np.lexsort(keys[keep].T[::-1])]
+    rows, cols, labels = keys[keep].T
+    return rows, cols, labels, weights[keep]
 
-    M is the lift of an r x r pattern over the sheets Z/3 and the deck group
-    Z/m whose every entry raises the sheet by one; ``entries`` maps (i, j, h),
-    h in Z/m, to the weight of the entries from (sheet s, deck g, row i) to
-    (s + 1, g + h, j).  The walk takes three steps from each (0, 0, i) along
-    the pattern's entries, adding labels mod m, and must end on ``starts``;
-    entries that cancel are dropped.  Dense char_rev is the case m = 1 with
-    every label 0, where X is M^3 on one class of a Z/3 grading.
+
+def _group_product(a, b):
+    """c[i, h, j] = sum over k and h1 + h2 = h (mod m) of a[i, h1, k] * b[k, h2, j]:
+    the product of two Z/m-labelled matrices, each entry's labels along an axis."""
+    ra, m, rk = a.shape
+    rb = b.shape[2]
+    flat_b = b.reshape(rk, m * rb)
+    c = np.zeros((ra, m, rb), dtype=a.dtype)
+    for h1 in range(m):
+        product = (a[:, h1, :] @ flat_b).reshape(ra, m, rb)
+        c[:, h1:] += product[:, : m - h1]
+        c[:, :h1] += product[:, m - h1 :]
+    return c
+
+
+def _cube_rows(n, m, entries, classes=None):
+    """X = M^3 on the rows of one class, as the engine's arrays
+    (``_entry_arrays``): the entry from the class's row a to deck h of its
+    row b, entries that cancel dropped.
+
+    M is the lift over the deck group Z/m of an n x n pattern, ``entries``
+    the dict (i, j, h) -> weight, h in Z/m.  Either ``classes`` = (V_0, V_1,
+    V_2) and every entry from a row of V_t goes to a column of V_(t+1), so
+    X = B_0 B_1 B_2 on V_0, B_t the pattern's rows of V_t (dense char_rev:
+    m = 1, every label 0, the classes of a Z/3 grading of M); or ``classes``
+    is None, every entry raises the sheet of a Z/3 x Z/m lift by one, and
+    X = P P P on sheet 0, P the whole pattern.  The products are of
+    Z/m-labelled matrices (``_group_product``): labels add mod m along each
+    path.
+
+    The products run on float64 through BLAS when (W d)**3 <= 2**53, W the
+    largest |weight| and d the most entries of a row: W d bounds every row's
+    absolute sum, so every partial sum of the first product is at most
+    (W d)**2 and of the second at most (W d)**3, integers a double holds
+    exactly.  Larger weights take Python ints in object arrays, exact at any
+    size.
     """
-    index = {i: a for a, i in enumerate(starts)}
-    # the successors of node k = g * r + i, one sheet up
-    out_of = [[] for _ in range(m * r)]
-    for (i, j, h), v in entries.items():
-        for g in range(m):
-            out_of[g * r + i].append(((g + h) % m * r + j, v))
-    x = {}
-    for a, i in enumerate(starts):
-        row = {i: 1}
-        for _ in range(3):
-            step = {}
-            for j, c in row.items():
-                for k, v in out_of[j]:
-                    step[k] = step.get(k, 0) + c * v
-            row = step
-        for k, c in row.items():
-            if c:
-                x[a, index[k % r], k // r] = c
-    return x
+    rows, cols, labels, weights = _entry_arrays(entries)
+    exact_float = (not len(weights)
+                   or (int(np.abs(weights).max()) * int(np.bincount(rows).max())) ** 3 <= 1 << 53)
+    dtype = np.float64 if exact_float else object
+    if classes is None:
+        pattern = np.zeros((n, m, n), dtype=dtype)
+        pattern[rows, labels, cols] = weights
+        blocks = [pattern] * 3
+    else:
+        local = np.zeros(n, dtype=np.int64)
+        for members in classes:
+            local[members] = np.arange(len(members))
+        blocks = []
+        for t in range(3):
+            source = np.zeros(n, dtype=bool)
+            source[classes[t]] = True
+            sel = source[rows]
+            block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
+            block[local[rows[sel]], labels[sel], local[cols[sel]]] = weights[sel]
+            blocks.append(block)
+    cube = _group_product(_group_product(blocks[0], blocks[1]), blocks[2]).transpose(0, 2, 1)
+    rows, cols, labels = np.nonzero(cube)
+    weights = cube[rows, cols, labels]
+    return rows, cols, labels, weights.astype(np.int64) if exact_float else weights
 
 
 def _cyclic_reduction(n, entries):
@@ -584,14 +711,15 @@ def _cyclic_reduction(n, entries):
     det(I - AB) = det(I - BA) gives det(I - uM) = det(I - u^3 B_t B_(t+1) B_(t+2));
     X is that product on the smallest class, i.e. M^3 restricted to it
     (``_cube_rows``).  Without a grading, d = 1 and X = M.  ``entries`` maps
-    (row, col) to an integer; X is the engine's dict, every label 0.
+    (row, col) to an integer; X is the engine's arrays, every label 0.
     """
     labelled = {(i, j, 0): v for (i, j), v in entries.items()}
     grading = _type_grading(n, entries)
     if grading is None:
-        return 1, n, labelled
-    keep = min(([i for i, g in enumerate(grading) if g == t] for t in range(3)), key=len)
-    return 3, len(keep), _cube_rows(n, 1, labelled, keep)
+        return 1, n, _entry_arrays(labelled)
+    classes = [[i for i, g in enumerate(grading) if g == t] for t in range(3)]
+    t = min(range(3), key=lambda t: len(classes[t]))
+    return 3, len(classes[t]), _cube_rows(n, 1, labelled, classes[t:] + classes[:t])
 
 
 def _char_rev_reduced(route, d, r, m, x, n, operator):
@@ -641,7 +769,7 @@ def char_rev_factored(pattern, reference=None):
     constructions.
     """
     r, m = pattern.r, pattern.m
-    x = _cube_rows(r, m, pattern.entries, range(r))
+    x = _cube_rows(r, m, pattern.entries)
     return _char_rev_reduced("char_rev_factored", 3, r, m, x, 3 * m * r,
                              reference or pattern.lift)
 

@@ -424,32 +424,36 @@ def _is_probable_prime(n):
 PRIME_CAP = (1 << 25) - 1
 
 
-# the odd primes below PRIME_CAP found so far, descending; ``_odd_primes``
-# extends it on demand
-_PRIME_TABLE = []
+# limit -> the odd primes below limit found so far, descending; ``_odd_primes``
+# extends each table on demand, so a stream under a lower limit need not first
+# find every prime above it
+_PRIME_TABLES = {}
 
 
-def _odd_primes():
-    """Yield the odd primes below PRIME_CAP, descending, from ``_PRIME_TABLE``."""
+def _odd_primes(limit):
+    """Yield the odd primes below ``limit``, descending, from its table in
+    ``_PRIME_TABLES``."""
+    table = _PRIME_TABLES.setdefault(limit, [])
     t = 0
     while True:
-        if t == len(_PRIME_TABLE):
-            start = _PRIME_TABLE[-1] - 2 if _PRIME_TABLE else PRIME_CAP
+        if t == len(table):
+            start = table[-1] - 2 if table else (limit - 2) | 1
             p = next((n for n in range(start, 2, -2) if _is_probable_prime(n)), None)
             if p is None:
                 return
-            _PRIME_TABLE.append(p)
-        yield _PRIME_TABLE[t]
+            table.append(p)
+        yield table[t]
         t += 1
 
 
-def primes_with_root(k):
-    """Yield (p, w) for the primes p = 1 (mod k) below PRIME_CAP, descending,
-    with w an element of exact multiplicative order k in GF(p).
+def primes_with_root(k, limit=PRIME_CAP):
+    """Yield (p, w) for the primes p = 1 (mod k) below ``limit`` (at most
+    PRIME_CAP), descending, with w an element of exact multiplicative order k
+    in GF(p).
 
-    k = 1 yields every odd prime below PRIME_CAP, each with w = 1.
+    k = 1 yields every odd prime below ``limit``, each with w = 1.
     """
-    for p in _odd_primes():
+    for p in _odd_primes(limit):
         if (p - 1) % k:
             continue
         for a in range(2, p):

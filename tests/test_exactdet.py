@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeta3 import exactdet
+from zeta3 import exactdet, polynomials
 from zeta3.errors import ExactArithmeticError
 from zeta3.exactdet import (
     _lagrange_integer,
@@ -190,6 +190,23 @@ def test_char_rev_entries_beyond_int64():
     assert char_rev(m) == char_rev_interpolated(m)
 
 
+@pytest.mark.parametrize("big", [1 << 20, 3 * (1 << 63) + 5])
+def test_char_rev_graded_entries_beyond_int64(big):
+    # a Z/3-graded matrix takes the period-3 product: with an entry of 2**20
+    # the products' bound (largest weight times most entries of a row, cubed)
+    # leaves a double's exact range, and 3 * 2**63 + 5 does not fit int64, so
+    # both products run on Python ints, and X reaches the engine as them
+    m = block_cyclic((3, 4, 3), 40, density=0.8)
+    i, j = next((i, j) for i in range(len(m)) for j in range(len(m)) if m[i][j])
+    m[i][j] = big
+    m[j if m[j][i] == 0 else i][i] = 0  # keep the grading: no entry back
+    entries = {(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
+    d, _r, (_rows, _cols, _labels, weights) = exactdet._cyclic_reduction(len(m), entries)
+    assert d == 3 and weights.dtype == object
+    assert (max(abs(v) for v in weights.tolist()) > 1 << 63) == (big > 1 << 63)
+    assert char_rev(m) == char_rev_interpolated(m)
+
+
 # -- character-factored reverse characteristic polynomials ------------------
 
 
@@ -210,6 +227,26 @@ def test_primes_with_root(k):
         assert all(w == 1 for _p, w in pairs)
         odd = [n for n in range(PRIME_CAP, PRIME_CAP - 2000, -2) if _is_probable_prime(n)]
         assert primes == odd[:12]
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("rows", [exactdet._FLOAT_MIN_ROWS, 4095])
+def test_primes_with_root_below_a_limit(k, rows):
+    # the float64 kernel's stream: primes below its limit, from a table of its
+    # own, so it never searches the ~10**6 primes between the limit and 2**25
+    limit = exactdet._float_prime_limit(rows)
+    assert limit == {exactdet._FLOAT_MIN_ROWS: 1 << 24, 4095: 1 << 21}[rows]
+    pairs = [pair for pair, _ in zip(primes_with_root(k, limit), range(12))]
+    primes = [p for p, _w in pairs]
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 12
+    for p, w in pairs:
+        assert _is_probable_prime(p) and p < limit and (p - 1) % k == 0
+        assert pow(w, k, p) == 1 and all(pow(w, d, p) != 1 for d in range(1, k))
+    if k == 1:
+        odd = [n for n in range(limit - 1, limit - 2000, -2) if _is_probable_prime(n)]
+        assert primes == odd[:12]
+    assert set(primes) <= set(polynomials._PRIME_TABLES[limit])
+    assert all(p > 1 << 24 for p in polynomials._PRIME_TABLES.get(PRIME_CAP, []))
 
 
 def random_pattern(r, m, seed, nnz=None, lo=-3, hi=3):
@@ -275,15 +312,26 @@ def add_modulus_to_top(monkeypatch, compute):
     assert not error.is_zero() and all(c % p == 0 for c in error.coeffs for p in primes)
 
 
-@pytest.mark.parametrize("route", ["char_rev", "char_rev_factored"])
+@pytest.mark.parametrize("route", ["char_rev", "char_rev_factored", "char_rev_float64"])
 def test_self_check_prime_lies_outside_the_crt_set(monkeypatch, route):
+    # char_rev_float64: an ungraded matrix of _FLOAT_MIN_ROWS rows, whose
+    # engine runs the float64 kernel and whose self-check the int64 one
+    float_rows = exactdet._FLOAT_MIN_ROWS
     compute = {
         "char_rev": lambda: char_rev(square_matrix(5, seed=14)),
         "char_rev_factored": lambda: char_rev_factored(random_pattern(3, 2, 5)),
+        "char_rev_float64": lambda: char_rev(square_matrix(float_rows, lo=-1, hi=1, seed=15)),
     }[route]
+    kernel = exactdet._charpolys_mod
+    dtypes = []
+    monkeypatch.setattr(exactdet, "_charpolys_mod",
+                        lambda H, p: dtypes.append(H.dtype.name) or kernel(H, p))
     add_modulus_to_top(monkeypatch, compute)
-    with pytest.raises(ExactArithmeticError, match=f"{route} self-check failed"):
+    name = route.removesuffix("_float64")
+    with pytest.raises(ExactArithmeticError, match=f"{name} self-check failed"):
         compute()
+    assert dtypes[-1] == "int64"
+    assert ("float64" in dtypes) == (route == "char_rev_float64")
 
 
 # -- the period-3 product and the Galois orbits of Z/m ------------------------
@@ -298,6 +346,13 @@ def engine_inputs(monkeypatch):
     return calls
 
 
+def as_dict(x):
+    """The engine's pattern arrays as the dict (i, j, h) -> weight."""
+    rows, cols, labels, weights = x
+    return {(i, j, h): v for i, j, h, v in zip(rows.tolist(), cols.tolist(), labels.tolist(),
+                                               weights.tolist())}
+
+
 def test_period3_product_drops_cancelled_entries(monkeypatch):
     # two length-3 paths from row 0 back to row 0, both of label 2 and of
     # weights +2 and -2: 0 -> 1 -> 2 -> 0 and 0 -> 3 -> 2 -> 0
@@ -308,8 +363,9 @@ def test_period3_product_drops_cancelled_entries(monkeypatch):
     })
     calls = engine_inputs(monkeypatch)
     assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
-    (r, k, x), = calls
-    assert (r, k) == (4, m) and 0 not in x.values()
+    (r, k, arrays), = calls
+    x = as_dict(arrays)
+    assert (r, k) == (4, m) and 0 not in x.values() and len(x) == len(arrays[3])
     assert (0, 0, 2) not in x
     # the dense period-3 product of the lift agrees on sheet 0, deck 0
     lifted = pattern.lift()
@@ -360,7 +416,7 @@ def cyclic_lift(r, m, x):
 @pytest.mark.parametrize("m,seed", [(1, 30), (3, 31), (8, 32)])
 def test_block_norm_bounds_every_character(m, seed):
     x = shared_cell_entries(3, m, seed)
-    norm_sq = exactdet._block_norm_sq(3, x)
+    norm_sq = exactdet._block_norm_sq(3, exactdet._entry_arrays(x))
     # row 0 collapses its cell (0, 1): the bound is the collapsed row's norm
     collapsed = {}
     for (i, j, _h), v in x.items():
@@ -388,7 +444,7 @@ def test_orbit_engine_vs_dense_routes(r, m, seed):
     x = shared_cell_entries(r, m, seed)
     lifted = cyclic_lift(r, m, x)
     expected = char_rev_interpolated(lifted)
-    engine, _stream = exactdet._char_rev_by_characters(r, m, x)
+    engine, _stream = exactdet._char_rev_by_characters(r, m, exactdet._entry_arrays(x))
     assert engine == char_rev(lifted) == expected
 
 
@@ -396,7 +452,7 @@ def test_orbit_engine_vs_dense_routes(r, m, seed):
 def test_orbit_engine_wide_weights(m):
     # weights up to 80, one cell carrying two labels
     x = shared_cell_entries(4, m, 20 + m, lo=-80, hi=80)
-    engine, _stream = exactdet._char_rev_by_characters(4, m, x)
+    engine, _stream = exactdet._char_rev_by_characters(4, m, exactdet._entry_arrays(x))
     assert engine == char_rev(cyclic_lift(4, m, x))
 
 
@@ -409,7 +465,7 @@ def test_orbit_engine_equal_characters(monkeypatch):
         pattern.add(i, j, h, v)
     calls = engine_inputs(monkeypatch)
     assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
-    assert all(h % 2 == 0 for _i, _j, h in calls[0][2])
+    assert all(h % 2 == 0 for _i, _j, h in as_dict(calls[0][2]))
     assert exactdet._character_orbits(4) == [[0], [1, 3], [2]]
 
 
@@ -429,28 +485,47 @@ def charpoly_reference(block, p):
 BLOCK_STEPS = (1, 2, 3, None, 1 << 20)
 
 
-def run_kernel(blocks, primes, steps):
-    """_charpolys_mod of a fresh stack, ``steps`` steps per block of delayed
-    updates (None: ``exactdet._block_steps``)."""
+def kernel_stack(blocks, primes, dtype):
+    """The stack of ``blocks`` (residues in [0, p)) as the kernel takes it:
+    int64 as given, float64 as balanced residues."""
     r = len(blocks[0])
     stack = np.array(blocks, dtype=np.int64).reshape(len(blocks), r, r)
+    if dtype == np.float64:
+        p = np.array(primes, dtype=np.int64)[:, None, None]
+        stack = np.where(stack > p // 2, stack - p, stack).astype(np.float64)
+    return stack
+
+
+def run_kernel(blocks, primes, steps, dtype=np.int64):
+    """_charpolys_mod of a fresh stack of ``dtype``, ``steps`` steps per
+    block of delayed updates (None: ``exactdet._block_steps``)."""
+    stack = kernel_stack(blocks, primes, dtype)
     with pytest.MonkeyPatch.context() as mp:
         if steps is not None:
             mp.setattr(exactdet, "_block_steps", lambda _r: steps)
         return exactdet._charpolys_mod(stack, np.array(primes, dtype=np.int64))
 
 
-def assert_kernel_matches(blocks, primes):
-    """Immediate updates match the reference, and every block length of
-    BLOCK_STEPS gives output bit-identical to them."""
+def assert_kernel_matches(blocks, primes, reference=True):
+    """Immediate updates on the int64 stack match the reference (when
+    ``reference``), and every block length of BLOCK_STEPS gives output
+    bit-identical to them, on the int64 stack and, when every prime lies
+    below the float64 kernel's limit for the block size, on the float64
+    stack."""
     r = len(blocks[0])
     immediate = run_kernel(blocks, primes, 1)
     assert immediate.shape == (len(blocks), r + 1) and immediate.dtype == np.int64
-    for row, block, p in zip(immediate.tolist(), blocks, primes):
-        assert row == charpoly_reference(block, p)
-    for steps in BLOCK_STEPS[1:]:
-        out = run_kernel(blocks, primes, steps)
-        assert out.dtype == np.int64 and np.array_equal(out, immediate), steps
+    if reference:
+        for row, block, p in zip(immediate.tolist(), blocks, primes):
+            assert row == charpoly_reference(block, p)
+    dtypes = [np.int64]
+    if max(primes) < exactdet._float_prime_limit(r):
+        dtypes.append(np.float64)
+    for dtype in dtypes:
+        for steps in BLOCK_STEPS:
+            out = run_kernel(blocks, primes, steps, dtype)
+            assert out.dtype == np.int64 and np.array_equal(out, immediate), (dtype, steps)
+    return dtypes
 
 
 # the engine's largest prime and small ones, where zero pivots are common
@@ -558,6 +633,94 @@ def test_charpolys_mod_batch_of_one():
     rng = random.Random(3)
     p = MIXED_PRIMES[0]
     assert_kernel_matches([random_block(8, p, rng, 0.4)], [p])
+
+
+def test_small_blocks_run_on_both_stacks():
+    # the cases above are small enough for the float64 kernel's primes to
+    # include the int64 kernel's largest, so every one of them compares the
+    # two stacks
+    assert all(exactdet._float_prime_limit(r) > MIXED_PRIMES[0] for r in range(10))
+
+
+@pytest.mark.parametrize("r", [1, exactdet._FLOAT_MIN_ROWS, 4095])
+def test_balanced_remainder_range(r):
+    # x - p*rint(x/p) on integers up to the kernel's bound 2**53: a residue of
+    # x, of magnitude at most (p + 1)/2, even where x/p lies within an ulp of
+    # a half-integer
+    rng = random.Random(r)
+    limit = exactdet._float_prime_limit(r)
+    for p in float_primes(r, 3) + [3, 7]:
+        half = (p - 1) // 2
+        xs = [rng.randrange(-(1 << 53), (1 << 53) + 1) for _ in range(2000)]
+        top = (1 << 53) // p * p
+        xs += [0, 1 << 53, -(1 << 53), half, -half, half + 1, top + half, top - p + half + 1,
+               -top - half, top - half - 1]
+        xs = [x for x in xs if abs(x) <= 1 << 53]
+        out = exactdet._balanced_remainder(np.array(xs, dtype=np.float64), float(p))
+        assert p < limit
+        for x, residue in zip(xs, out.tolist()):
+            assert residue == int(residue) and (x - int(residue)) % p == 0
+            assert abs(residue) <= (p + 1) // 2
+
+
+def float_primes(r, count):
+    """The first ``count`` primes of the float64 kernel's stream for r rows."""
+    return [p for (p, _w), _ in zip(primes_with_root(1, exactdet._float_prime_limit(r)),
+                                    range(count))]
+
+
+@pytest.mark.parametrize("r", [exactdet._FLOAT_MIN_ROWS - 1, exactdet._FLOAT_MIN_ROWS,
+                               2 * exactdet._FLOAT_MIN_ROWS])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_charpolys_mod_float64_at_the_threshold(r, batch):
+    # around the engine's switch, and at twice it, where the float64 primes
+    # are a bit shorter: both stacks give the same residues, with the primes
+    # the float64 kernel would take and 7 beside them
+    rng = random.Random(r * 10 + batch)
+    primes = (float_primes(r, 2) + [7])[:batch]
+    blocks = [random_block(r, p, rng, rng.choice((0.3, 1.0))) for p in primes]
+    assert assert_kernel_matches(blocks, primes, reference=False) == [np.int64, np.float64]
+
+
+@pytest.mark.parametrize("r", [exactdet._FLOAT_MIN_ROWS, 2 * exactdet._FLOAT_MIN_ROWS])
+def test_charpolys_mod_float64_extreme_residues(r):
+    # every entry +-(p-1)/2, the largest balanced residues, at the largest
+    # prime the float64 kernel takes for r rows: the sums come near their bound
+    rng = random.Random(r)
+    p, = float_primes(r, 1)
+    half = (p - 1) // 2
+    block = [[half if rng.random() < 0.5 else p - half for _ in range(r)] for _ in range(r)]
+    ones = [[p - half] * r for _ in range(r)]
+    assert kernel_stack([block], [p], np.float64).max() == half
+    assert assert_kernel_matches([block, ones], [p, p], reference=False) == [np.int64, np.float64]
+
+
+@pytest.mark.parametrize("r", [exactdet._FLOAT_MIN_ROWS - 1, exactdet._FLOAT_MIN_ROWS])
+def test_engine_kernel_by_block_size(monkeypatch, r):
+    # below _FLOAT_MIN_ROWS rows the engine runs the int64 kernel on primes
+    # below 2**25, from there the float64 one on primes below its limit; the
+    # other kernel gives the same determinant
+    x = exactdet._entry_arrays(shared_cell_entries(r, 1, r))
+    kernel = exactdet._charpolys_mod
+    calls = []
+
+    def recorded(H, p):
+        # the residues each stack holds: [0, p) on int64, balanced on float64
+        low, high = (-(p // 2), p // 2) if H.dtype == np.float64 else (0 * p, p - 1)
+        assert ((H >= low[:, None, None]) & (H <= high[:, None, None])).all()
+        calls.append((H.dtype.name, int(p.max())))
+        return kernel(H, p)
+
+    monkeypatch.setattr(exactdet, "_charpolys_mod", recorded)
+    poly, _stream = exactdet._char_rev_by_characters(r, 1, x)
+    float_path = r >= exactdet._FLOAT_MIN_ROWS
+    limit = exactdet._float_prime_limit(r) if float_path else PRIME_CAP
+    assert {dtype for dtype, _p in calls} == {"float64" if float_path else "int64"}
+    assert all(p < limit for _dtype, p in calls)
+    calls.clear()
+    monkeypatch.setattr(exactdet, "_FLOAT_MIN_ROWS", 1 << 20 if float_path else 0)
+    assert exactdet._char_rev_by_characters(r, 1, x)[0] == poly
+    assert {dtype for dtype, _p in calls} == {"int64" if float_path else "float64"}
 
 
 # -- chunking of the modular engine ------------------------------------------
@@ -713,12 +876,11 @@ def test_char_rev_self_check_catches_corrupted_reduction(monkeypatch):
     reduction = exactdet._cyclic_reduction
 
     def corrupted(n, entries):
-        d, r, x = reduction(n, entries)
+        d, r, (rows, cols, labels, weights) = reduction(n, entries)
         assert d == 3
-        x = dict(x)
-        key = sorted(x)[0]
-        x[key] += 1
-        return d, r, x
+        weights = weights.copy()
+        weights[0] += 1
+        return d, r, (rows, cols, labels, weights)
 
     monkeypatch.setattr(exactdet, "_cyclic_reduction", corrupted)
     with pytest.raises(ExactArithmeticError, match="char_rev self-check failed"):
