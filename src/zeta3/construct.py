@@ -124,6 +124,9 @@ class TrianglePresentation:
         if sorted(self.lam) != list(range(n)):
             problems.append("lam is not a bijection")
             return problems
+        outside = sorted(t for t in self.triples if not all(0 <= v < n for v in t))
+        if outside:
+            return [f"triple {t} names a point outside 0..{n - 1}" for t in outside]
         line_pts = plane.all_line_points
         expected = n * (plane.q + 1)
         if len(self.triples) != expected:

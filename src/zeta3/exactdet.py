@@ -4,17 +4,19 @@ The routes and their parts:
 
 * ``det_integer``      - fraction-free (Bareiss) elimination on Python ints.
 * ``_char_rev_by_characters`` - the one modular engine: det(I - u*X) for the
-  lift X of an r x r pattern over a cyclic group Z/m, given as arrays of
-  its entries (i, j, h, weight), h in Z/m the label of entry (i, j).  The lift is
-  block-circulant over Z/m, so the determinant is the product over the m
-  characters of Z/m of r x r twisted determinants.  These are taken modulo
-  word-sized primes p = 1 (mod m), where the characters take values in
-  GF(p).  The characters fall into Galois orbits {chi^t : t a unit mod m},
-  the classes of gcd(c, m) of the characters chi_c (``_character_orbits``),
-  and each orbit's product is an integer polynomial of degree at most |O|*r:
-  it is recombined by CRT on its own, under the Hadamard-style bound of
-  |O|*r rows of norm rho, rho**2 the largest squared row norm of the pattern
-  with its group labels collapsed onto their cells.  The kernel work goes as
+  lift X of an r x r pattern over a cyclic group Z/m, given as one dense
+  (r, r, m) integer array, X[i, j, h] the weight of label h in Z/m on entry
+  (i, j).  The lift is block-circulant over Z/m, so the determinant is the
+  product over the m characters of Z/m of r x r twisted determinants.  These
+  are taken modulo word-sized primes p = 1 (mod m), where the characters take
+  values in GF(p): modulo each prime of a slice of blocks, X is reduced once
+  and the twisted blocks sum_h X[:, :, h] * w**(c*h) come out of one int64
+  product with the powers of w.  The characters fall into Galois orbits
+  {chi^t : t a unit mod m}, the classes of gcd(c, m) of the characters chi_c
+  (``_character_orbits``), and each orbit's product is an integer polynomial
+  of degree at most |O|*r: it is recombined by CRT on its own, under the
+  Hadamard-style bound of |O|*r rows of norm rho, rho**2 the largest squared
+  row norm of the pattern with its group labels collapsed onto their cells.  The kernel work goes as
   the sum of |O|**2, not m**2; the orbit factors are multiplied exactly.
   Exact integer arithmetic throughout, carried out residue-wise; where
   floats carry it, they carry integers a double holds exactly.
@@ -36,8 +38,8 @@ The routes and their parts:
   on one class of the Z/3 grading.  It multiplies the pattern's three blocks
   as Z/m-labelled arrays, adding labels mod m, on float64 through BLAS while
   every partial sum stays below 2**53 and on Python ints beyond, and returns
-  X as the engine's arrays (``_entry_arrays``: rows, columns, labels and
-  nonzero weights); a dense matrix is the case m = 1, labels 0.
+  X as the engine's (r, r, m) array, int64 or, when the weights outgrow it,
+  Python ints in an object array; a dense matrix is the case m = 1.
 * ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
   of a grading found in M's pattern (else X = M), over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
@@ -431,27 +433,15 @@ def _character_orbits(m):
     return list(orbits.values())
 
 
-def _run_starts(keys):
-    """The indices where a run of equal values of the sorted array ``keys``
-    starts."""
-    starts = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    return np.flatnonzero(starts)
-
-
-def _block_norm_sq(r, x):
+def _block_norm_sq(x):
     """rho**2 = max over pattern rows i of sum_j (sum_h |x[i, j, h]|)**2:
     |M_c[i, j]| is at most that cell sum for every character c, so every
     row of every twisted block has Euclidean norm at most rho.  ``x`` is the
-    engine's pattern arrays (``_entry_arrays``), in cell order."""
-    rows, cols, _labels, weights = x
-    if not len(weights):
-        return 0
-    cell_starts = _run_starts(rows * r + cols)
-    cells = np.add.reduceat(np.abs(weights), cell_starts)
-    if cells.dtype != object and int(cells.max()) ** 2 * r >= 1 << 63:
+    engine's (r, r, m) labelled array."""
+    cells = np.abs(x).sum(axis=2)
+    if cells.dtype != object and int(cells.max()) ** 2 * len(cells) >= 1 << 63:
         cells = cells.astype(object)
-    return int(np.add.reduceat(cells * cells, _run_starts(rows[cell_starts])).max())
+    return int((cells * cells).sum(axis=1).max())
 
 
 # the kernel's working-set budget: stack entries (1.125 MiB of int64 or
@@ -462,19 +452,19 @@ def _block_norm_sq(r, x):
 _CHUNK_ENTRIES = 9 << 14
 
 
-def _char_rev_by_characters(r, m, x):
+def _char_rev_by_characters(x):
     """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the
     mr x mr lift of an r x r pattern over Z/m.  The stream is
     ``primes_with_root(m)`` (below ``_float_prime_limit(r)`` for blocks the
     float64 kernel takes) past the primes the CRT took, so its next prime lies
     outside the CRT set (``_self_check``).
 
-    The pattern ``x`` is the engine's arrays (``_entry_arrays``): entry e has
-    row rows[e], column cols[e], label labels[e] in Z/m and a nonzero weight.
-    Modulo a prime p = 1 (mod m) with w of exact order m, character c takes
-    the value w**(c*h) on an entry of label h, so the twisted block M_c[i, j]
-    = sum over h of x[i, j, h] * w**(c*h).  det(I - uM) is the product of
-    det(I - u M_c) over the m characters.
+    The pattern ``x`` is an (r, r, m) integer array, int64 or Python ints in
+    an object array: x[i, j, h] is the weight of the entry from row i to
+    column j of label h in Z/m.  Modulo a prime p = 1 (mod m) with w of exact
+    order m, character c takes the value w**(c*h) on label h, so the twisted
+    block M_c[i, j] = sum over h of x[i, j, h] * w**(c*h).  det(I - uM) is
+    the product of det(I - u M_c) over the m characters.
 
     The characters are split into Galois orbits (``_character_orbits``).  An
     orbit O's product is an integer polynomial: det(I - u D), D the
@@ -491,12 +481,14 @@ def _char_rev_by_characters(r, m, x):
     7 to 104 for the paper's operators), so one call per block would spend
     its time in the interpreter rather than in arithmetic.  A slice holds as
     many blocks as fit ``_CHUNK_ENTRIES`` entries (r*r per block), and at
-    least one, and the weights are reduced modulo its primes alone, one array
-    operation per slice, so memory stays bounded however many primes the
-    bounds need.  Each (orbit, prime) product accumulates across slices.
-    Blocks of ``_FLOAT_MIN_ROWS`` rows or more go to the kernel as float64
-    stacks of balanced residues, smaller ones as int64 stacks.
+    least one; for each of its primes, x is reduced modulo the prime and its
+    blocks there are built with one int64 product, so memory stays bounded
+    however many primes the bounds need.  Each (orbit, prime) product
+    accumulates across slices.  Blocks of ``_FLOAT_MIN_ROWS`` rows or more go
+    to the kernel as float64 stacks of balanced residues, smaller ones as
+    int64 stacks.
     """
+    r, _, m = x.shape
     n = m * r
     float_kernel = r >= _FLOAT_MIN_ROWS
     stream = primes_with_root(m, _float_prime_limit(r) if float_kernel else PRIME_CAP)
@@ -505,8 +497,11 @@ def _char_rev_by_characters(r, m, x):
     if r >= 4096:
         # the kernel's sums stay exact only below this
         raise ValueError("char_rev supports blocks below 4096 rows")
+    if m >= 8192:
+        # a block entry sums m products of residues below 2**25 in int64
+        raise ValueError("char_rev supports groups of order below 8192")
 
-    norm_sq = _block_norm_sq(r, x)
+    norm_sq = _block_norm_sq(x)
     # orbit O takes the shortest prefix of the primes whose product exceeds its bound
     orbits = _character_orbits(m)
     bounds = [_coefficient_bound(norm_sq, len(orbit) * r) for orbit in orbits]
@@ -520,33 +515,24 @@ def _char_rev_by_characters(r, m, x):
     takes = [next(t + 1 for t, mod in enumerate(moduli) if mod > bound) for bound in bounds]
     blocks = [(o, t, c) for o, orbit in enumerate(orbits) for t in range(takes[o]) for c in orbit]
 
-    rows, cols, labels, weights = x
-    # the entries come in cell order: cell c holds entries cell_starts[c] onwards
-    flat = rows * r + cols
-    cell_starts = _run_starts(flat)
-    cells = flat[cell_starts]
+    # row h of flat holds label h of every entry, so the block of character c
+    # modulo p is the row vector (w**(c*h))_h times flat mod p
+    flat = x.reshape(r * r, m).T
     per_orbit = [[np.ones(1, dtype=np.int64)] * take for take in takes]
     size = max(1, _CHUNK_ENTRIES // (r * r))
     for start in range(0, len(blocks), size):
         chunk = blocks[start : start + size]
-        # block b is character chars[b] modulo the prime of here[slot[b]]
-        _o, t_b, chars = (np.array(v, dtype=np.int64) for v in zip(*chunk))
-        ts, slot = np.unique(t_b, return_inverse=True)
-        here = [roots[t] for t in ts.tolist()]
-        distinct = np.array([p for p, _w in here], dtype=np.int64)
-        pb = distinct[slot]
-        # exact for weights of any size: Python ints reduce as objects
-        wp = (weights % distinct[:, None]).astype(np.int64)
-        if m == 1:
-            values = wp  # one block per prime, in stream order
-        else:
-            powers = np.array([[pow(w, e, p) for e in range(m)] for p, w in here], dtype=np.int64)
-            values = wp[slot] * powers[slot[:, None], chars[:, None] * labels % m] % pb[:, None]
-            if len(cells) < len(flat):
-                values = np.add.reduceat(values, cell_starts, axis=1) % pb[:, None]
-        stack = np.zeros((len(chunk), r * r), dtype=np.float64 if float_kernel else np.int64)
-        stack[:, cells] = values
-        del wp, values  # as large as the stack: free them before the kernel runs
+        pb = np.array([roots[t][0] for _o, t, _c in chunk], dtype=np.int64)
+        stack = np.empty((len(chunk), r * r), dtype=np.float64 if float_kernel else np.int64)
+        for t in sorted({t for _o, t, _c in chunk}):
+            p, w = roots[t]
+            at = [b for b, (_o, s, _c) in enumerate(chunk) if s == t]
+            powers = np.array([[pow(w, chunk[b][2] * h, p) for h in range(m)] for b in at],
+                              dtype=np.int64)
+            # x reduces as Python ints when it holds them; every product of two
+            # residues is below p**2 < 2**50, and m of them sum within int64
+            values = powers @ np.remainder(flat, p).astype(np.int64, copy=False)
+            stack[at] = np.remainder(values, p, out=values)
         if float_kernel:
             # balanced residues, |v| <= (p - 1)/2
             np.subtract(stack, pb[:, None], out=stack, where=stack > pb[:, None] // 2)
@@ -565,7 +551,7 @@ def _char_rev_by_characters(r, m, x):
         poly = poly * part
 
     # the lift's diagonal holds, m times, the diagonal entries of label 0
-    trace = m * sum(weights[(rows == cols) & (labels == 0)].tolist())
+    trace = m * sum(np.diagonal(x[:, :, 0]).tolist())
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
     return poly, stream
@@ -626,19 +612,22 @@ def _type_grading(n, keys):
     return g
 
 
-def _entry_arrays(entries):
-    """The engine's form of a Z/m-labelled pattern, the dict (i, j, h) ->
-    weight: arrays rows, cols, labels and weights in (i, j, h) order, zero
-    weights dropped.  Weights are int64 when every one is below 2**62 in
-    magnitude, else Python ints in an object array."""
-    keys = np.fromiter(chain.from_iterable(entries), np.int64, 3 * len(entries)).reshape(-1, 3)
+def _entry_keys(entries):
+    """The keys of a Z/m-labelled pattern, the dict (i, j, h) -> weight, as
+    three arrays: rows, columns and labels."""
+    return np.fromiter(chain.from_iterable(entries), np.int64, 3 * len(entries)).reshape(-1, 3).T
+
+
+def _labelled_array(n, m, entries):
+    """The (n, n, m) array x of a Z/m-labelled pattern, the dict (i, j, h) ->
+    weight: x[i, j, h] the weight of (i, j, h), zero off the keys.  int64
+    when every weight is below 2**62 in magnitude, else Python ints in an
+    object array."""
     values = list(entries.values())
     small = max(map(abs, values), default=0) < 1 << 62
-    weights = np.array(values, dtype=np.int64 if small else object)
-    keep = np.flatnonzero(weights != 0)
-    keep = keep[np.lexsort(keys[keep].T[::-1])]
-    rows, cols, labels = keys[keep].T
-    return rows, cols, labels, weights[keep]
+    x = np.zeros((n, n, m), dtype=np.int64 if small else object)
+    x[tuple(_entry_keys(entries))] = values
+    return x
 
 
 def _group_product(a, b):
@@ -655,18 +644,19 @@ def _group_product(a, b):
     return c
 
 
-def _cube_rows(n, m, entries, classes=None):
-    """X = M^3 on the rows of one class, as the engine's arrays
-    (``_entry_arrays``): the entry from the class's row a to deck h of its
-    row b, entries that cancel dropped.
+def _cube_rows(n, m, entries, classes):
+    """X = M^3 on the rows of one class, as the engine's (r, r, m) labelled
+    array (``_char_rev_by_characters``): X[a, b, h] the entry from the
+    class's row a to deck h of its row b.
 
     M is the lift over the deck group Z/m of an n x n pattern, ``entries``
-    the dict (i, j, h) -> weight, h in Z/m.  Either ``classes`` = (V_0, V_1,
-    V_2) and every entry from a row of V_t goes to a column of V_(t+1), so
-    X = B_0 B_1 B_2 on V_0, B_t the pattern's rows of V_t (dense char_rev:
-    m = 1, every label 0, the classes of a Z/3 grading of M); or ``classes``
-    is None, every entry raises the sheet of a Z/3 x Z/m lift by one, and
-    X = P P P on sheet 0, P the whole pattern.  The products are of
+    the dict (i, j, h) -> weight, h in Z/m, and ``classes`` = (V_0, V_1,
+    V_2), every entry from a row of V_t going to a column of V_(t+1); so X =
+    B_0 B_1 B_2 on V_0, B_t the pattern's rows of V_t and columns of
+    V_(t+1), each built from the entries alone.  Dense char_rev passes the
+    classes of a Z/3 grading of M, at m = 1 with every label 0;
+    char_rev_factored passes its three sheets, each all n rows, since every
+    entry raises the sheet of a Z/3 x Z/m lift by one.  The products are of
     Z/m-labelled matrices (``_group_product``): labels add mod m along each
     path.
 
@@ -677,56 +667,53 @@ def _cube_rows(n, m, entries, classes=None):
     exactly.  Larger weights take Python ints in object arrays, exact at any
     size.
     """
-    rows, cols, labels, weights = _entry_arrays(entries)
-    exact_float = (not len(weights)
-                   or (int(np.abs(weights).max()) * int(np.bincount(rows).max())) ** 3 <= 1 << 53)
+    rows, cols, labels = _entry_keys(entries)
+    values = list(entries.values())
+    d = np.bincount(rows, minlength=1).max()
+    exact_float = (max(map(abs, values), default=0) * int(d)) ** 3 <= 1 << 53
     dtype = np.float64 if exact_float else object
-    if classes is None:
-        pattern = np.zeros((n, m, n), dtype=dtype)
-        pattern[rows, labels, cols] = weights
-        blocks = [pattern] * 3
-    else:
-        local = np.zeros(n, dtype=np.int64)
-        for members in classes:
-            local[members] = np.arange(len(members))
-        blocks = []
-        for t in range(3):
-            source = np.zeros(n, dtype=bool)
-            source[classes[t]] = True
-            sel = source[rows]
-            block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
-            block[local[rows[sel]], labels[sel], local[cols[sel]]] = weights[sel]
-            blocks.append(block)
+    weights = np.array(values, dtype=dtype)
+    local = np.zeros(n, dtype=np.int64)
+    for members in classes:
+        local[members] = np.arange(len(members))
+    blocks = []
+    for t in range(3):
+        source = np.zeros(n, dtype=bool)
+        source[classes[t]] = True
+        sel = source[rows]
+        # the product's layout: (row, label, column)
+        block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
+        block[local[rows[sel]], labels[sel], local[cols[sel]]] = weights[sel]
+        blocks.append(block)
     cube = _group_product(_group_product(blocks[0], blocks[1]), blocks[2]).transpose(0, 2, 1)
-    rows, cols, labels = np.nonzero(cube)
-    weights = cube[rows, cols, labels]
-    return rows, cols, labels, weights.astype(np.int64) if exact_float else weights
+    return cube.astype(np.int64 if exact_float else object, order="C")
 
 
 def _cyclic_reduction(n, entries):
-    """(d, r, X): det(I - uM) = det(I - u^d X) for X an r x r matrix.
+    """(d, X): det(I - uM) = det(I - u^d X) for X an r x r matrix.
 
     When M's pattern carries a Z/3 grading with classes V_0, V_1, V_2, M maps
     V_t into V_(t+1) by blocks B_t, and Sylvester's identity
     det(I - AB) = det(I - BA) gives det(I - uM) = det(I - u^3 B_t B_(t+1) B_(t+2));
     X is that product on the smallest class, i.e. M^3 restricted to it
     (``_cube_rows``).  Without a grading, d = 1 and X = M.  ``entries`` maps
-    (row, col) to an integer; X is the engine's arrays, every label 0.
+    (row, col) to an integer; X is the engine's (r, r, 1) labelled array.
     """
     labelled = {(i, j, 0): v for (i, j), v in entries.items()}
     grading = _type_grading(n, entries)
     if grading is None:
-        return 1, n, _entry_arrays(labelled)
+        return 1, _labelled_array(n, 1, labelled)
     classes = [[i for i, g in enumerate(grading) if g == t] for t in range(3)]
     t = min(range(3), key=lambda t: len(classes[t]))
-    return 3, len(classes[t]), _cube_rows(n, 1, labelled, classes[t:] + classes[:t])
+    return 3, _cube_rows(n, 1, labelled, classes[t:] + classes[:t])
 
 
-def _char_rev_reduced(route, d, r, m, x, n, operator):
+def _char_rev_reduced(route, d, x, n, operator):
     """det(I - u*M) = det(I - u^d X) for both routes: det(I - tX) from the
-    engine (X r x r over Z/m), its coefficients spread to t = u^d, then
-    (under ``SELF_CHECK``) compared with operator(), the unreduced n x n M."""
-    reduced, stream = _char_rev_by_characters(r, m, x)
+    engine (X the (r, r, m) labelled array of an r x r pattern over Z/m), its
+    coefficients spread to t = u^d, then (under ``SELF_CHECK``) compared with
+    operator(), the unreduced n x n M."""
+    reduced, stream = _char_rev_by_characters(x)
     coeffs = [0] * (d * reduced.degree + 1)
     coeffs[::d] = reduced.coeffs
     poly = IntPoly(coeffs)
@@ -750,8 +737,8 @@ def char_rev(M):
         dense = _as_int_rows(M)
         n = len(dense)
         entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
-    d, r, x = _cyclic_reduction(n, entries)
-    return _char_rev_reduced("char_rev", d, r, 1, x, n, lambda: M)
+    d, x = _cyclic_reduction(n, entries)
+    return _char_rev_reduced("char_rev", d, x, n, lambda: M)
 
 
 def char_rev_factored(pattern, reference=None):
@@ -760,18 +747,16 @@ def char_rev_factored(pattern, reference=None):
     Every entry raises the sheet by one, so det(I - uM) = det(I - u^3 X), X =
     M^3 on sheet 0: the lift over the deck group Z/m of the r x r pattern that
     ``_cube_rows`` walks from the pattern's own entries, labels adding mod m
-    along each path; entries that cancel are dropped.  No lift is built.  The
-    engine takes det(I - tX) over the m characters of Z/m, and its
-    coefficients are spread to t = u^3.  ``reference`` returns the dense
-    operator the self-check compares with, up to a relabelling of rows and
-    columns (default: the lift); zeta passes the incidence-rule operator or
-    the dense vertex companion, so the check compares two independent
-    constructions.
+    along each path.  No lift is built.  The engine takes det(I - tX) over
+    the m characters of Z/m, and its coefficients are spread to t = u^3.
+    ``reference`` returns the dense operator the self-check compares with, up
+    to a relabelling of rows and columns (default: the lift); zeta passes the
+    incidence-rule operator or the dense vertex companion, so the check
+    compares two independent constructions.
     """
     r, m = pattern.r, pattern.m
-    x = _cube_rows(r, m, pattern.entries)
-    return _char_rev_reduced("char_rev_factored", 3, r, m, x, 3 * m * r,
-                             reference or pattern.lift)
+    x = _cube_rows(r, m, pattern.entries, [range(r)] * 3)
+    return _char_rev_reduced("char_rev_factored", 3, x, 3 * m * r, reference or pattern.lift)
 
 
 def char_rev_interpolated(M):

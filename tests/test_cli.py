@@ -78,6 +78,17 @@ def test_voltage_modulus_below_one(base_file, tmp_path, capsys, modulus):
     assert f"modulus m={modulus} below 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", ["99", "-1"])
+def test_validate_triple_outside_the_plane(base_file, tmp_path, capsys, point):
+    text = base_file.read_text()
+    first = next(line for line in text.splitlines() if line.startswith("triple "))
+    path = tmp_path / "t.cx"
+    path.write_text(text.replace(first, f"triple {point} 0 0"))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "construction error" in err and f"triple ({point}, 0, 0) names a point outside" in err
+
+
 def test_validate_ok(base_file, capsys):
     assert main(["validate", str(base_file)]) == 0
     out = capsys.readouterr().out

@@ -78,6 +78,16 @@ def test_bad_presentation_rejected(plane2, pres2):
         TrianglePresentation(plane=plane2, lam=pres2.lam, triples=frozenset(broken))
 
 
+@pytest.mark.parametrize("point", [99, -1])
+def test_triple_outside_the_plane_rejected(plane2, pres2, point):
+    # reported before any lookup: 99 would index past lam, -1 would wrap to
+    # the last point
+    victim = min(pres2.triples)
+    triples = (pres2.triples - {victim}) | {(point,) + victim[1:]}
+    with pytest.raises(ConstructionError, match=rf"triple \({point}, .* outside 0\.\.6"):
+        TrianglePresentation(plane=plane2, lam=pres2.lam, triples=frozenset(triples))
+
+
 def test_base_quotient(base2):
     assert base2.counts() == (3, 21, 21, 3)
     assert base2.validate().ok

@@ -201,9 +201,9 @@ def test_char_rev_graded_entries_beyond_int64(big):
     m[i][j] = big
     m[j if m[j][i] == 0 else i][i] = 0  # keep the grading: no entry back
     entries = {(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
-    d, _r, (_rows, _cols, _labels, weights) = exactdet._cyclic_reduction(len(m), entries)
-    assert d == 3 and weights.dtype == object
-    assert (max(abs(v) for v in weights.tolist()) > 1 << 63) == (big > 1 << 63)
+    d, x = exactdet._cyclic_reduction(len(m), entries)
+    assert d == 3 and x.dtype == object
+    assert (max(abs(v) for v in x.ravel().tolist()) > 1 << 63) == (big > 1 << 63)
     assert char_rev(m) == char_rev_interpolated(m)
 
 
@@ -338,22 +338,21 @@ def test_self_check_prime_lies_outside_the_crt_set(monkeypatch, route):
 
 
 def engine_inputs(monkeypatch):
-    """The argument tuples of every ``_char_rev_by_characters`` call."""
+    """The labelled array X of every ``_char_rev_by_characters`` call."""
     engine = exactdet._char_rev_by_characters
     calls = []
     monkeypatch.setattr(exactdet, "_char_rev_by_characters",
-                        lambda *args: calls.append(args) or engine(*args))
+                        lambda x: calls.append(x) or engine(x))
     return calls
 
 
 def as_dict(x):
-    """The engine's pattern arrays as the dict (i, j, h) -> weight."""
-    rows, cols, labels, weights = x
-    return {(i, j, h): v for i, j, h, v in zip(rows.tolist(), cols.tolist(), labels.tolist(),
-                                               weights.tolist())}
+    """The engine's (r, r, m) labelled array as the dict (i, j, h) -> weight
+    of its nonzero entries."""
+    return {key: int(v) for key, v in np.ndenumerate(x) if v}
 
 
-def test_period3_product_drops_cancelled_entries(monkeypatch):
+def test_period3_product_zeroes_cancelled_entries(monkeypatch):
     # two length-3 paths from row 0 back to row 0, both of label 2 and of
     # weights +2 and -2: 0 -> 1 -> 2 -> 0 and 0 -> 3 -> 2 -> 0
     m = 3
@@ -363,15 +362,15 @@ def test_period3_product_drops_cancelled_entries(monkeypatch):
     })
     calls = engine_inputs(monkeypatch)
     assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
-    (r, k, arrays), = calls
-    x = as_dict(arrays)
-    assert (r, k) == (4, m) and 0 not in x.values() and len(x) == len(arrays[3])
-    assert (0, 0, 2) not in x
-    # the dense period-3 product of the lift agrees on sheet 0, deck 0
+    x, = calls
+    assert x.shape == (4, 4, m) and x.dtype == np.int64
+    assert x[0, 0, 2] == 0 and (0, 0, 2) not in as_dict(x)
+    # every (i, j, h) of X, zeros included, is the dense period-3 product of
+    # the lift from sheet 0 to deck h of sheet 0
     lifted = pattern.lift()
     cube = np.linalg.matrix_power(np.array(lifted.to_dense(), dtype=np.int64), 3)
     assert cube[0, 2 * 4] == 0
-    for (i, j, h), v in x.items():
+    for (i, j, h), v in np.ndenumerate(x):
         assert cube[i, h * 4 + j] == v
 
 
@@ -416,7 +415,7 @@ def cyclic_lift(r, m, x):
 @pytest.mark.parametrize("m,seed", [(1, 30), (3, 31), (8, 32)])
 def test_block_norm_bounds_every_character(m, seed):
     x = shared_cell_entries(3, m, seed)
-    norm_sq = exactdet._block_norm_sq(3, exactdet._entry_arrays(x))
+    norm_sq = exactdet._block_norm_sq(exactdet._labelled_array(3, m, x))
     # row 0 collapses its cell (0, 1): the bound is the collapsed row's norm
     collapsed = {}
     for (i, j, _h), v in x.items():
@@ -439,21 +438,52 @@ def test_block_norm_bounds_every_character(m, seed):
         assert (np.abs(block) ** 2).sum(axis=1).max() <= norm_sq + 1e-9
 
 
-@pytest.mark.parametrize("r,m,seed", [(2, 1, 10), (3, 2, 11), (2, 3, 12), (2, 4, 13), (2, 5, 14)])
-def test_orbit_engine_vs_dense_routes(r, m, seed):
+@pytest.mark.parametrize("r,m,seed", [(2, 1, 10), (3, 2, 11), (2, 3, 12), (2, 4, 13), (2, 5, 14),
+                                      (exactdet._FLOAT_MIN_ROWS, 3, 15)])
+def test_orbit_engine_vs_dense_routes(monkeypatch, r, m, seed):
+    # the last case builds twisted blocks of a nontrivial group for the
+    # float64 kernel; its 192-row lift is beyond the interpolated route, so
+    # the dense route over the trivial group is the reference there
     x = shared_cell_entries(r, m, seed)
     lifted = cyclic_lift(r, m, x)
-    expected = char_rev_interpolated(lifted)
-    engine, _stream = exactdet._char_rev_by_characters(r, m, exactdet._entry_arrays(x))
-    assert engine == char_rev(lifted) == expected
+    kernel = exactdet._charpolys_mod
+    dtypes = set()
+    monkeypatch.setattr(exactdet, "_charpolys_mod",
+                        lambda H, p: dtypes.add(H.dtype.name) or kernel(H, p))
+    engine, _stream = exactdet._char_rev_by_characters(exactdet._labelled_array(r, m, x))
+    float_path = r >= exactdet._FLOAT_MIN_ROWS
+    assert dtypes == {"float64" if float_path else "int64"}
+    assert engine == char_rev(lifted)
+    if not float_path:
+        assert engine == char_rev_interpolated(lifted)
 
 
 @pytest.mark.parametrize("m", [3, 8])
 def test_orbit_engine_wide_weights(m):
     # weights up to 80, one cell carrying two labels
     x = shared_cell_entries(4, m, 20 + m, lo=-80, hi=80)
-    engine, _stream = exactdet._char_rev_by_characters(4, m, exactdet._entry_arrays(x))
+    engine, _stream = exactdet._char_rev_by_characters(exactdet._labelled_array(4, m, x))
     assert engine == char_rev(cyclic_lift(4, m, x))
+
+
+def test_orbit_engine_group_entries_beyond_int64(monkeypatch):
+    # an entry of 3 * 2**63 + 5 at m = 3: the period-3 product runs on Python
+    # ints, and the engine reduces X's object array modulo each prime before
+    # building the twisted blocks of the characters of Z/3
+    pattern = random_pattern(3, 3, 16)
+    pattern.add(0, 1, 2, 3 * (1 << 63) + 5)
+    calls = engine_inputs(monkeypatch)
+    assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
+    x, = calls
+    assert x.shape == (3, 3, 3) and x.dtype == object
+    assert max(abs(v) for v in x.ravel().tolist()) > 1 << 63
+
+
+def test_orbit_engine_rejects_groups_beyond_int64_sums():
+    # a block entry sums m products of residues below 2**25 in int64, exact
+    # only for m below 8192; the check comes before any prime is taken
+    with pytest.raises(ValueError, match="groups of order below 8192"):
+        exactdet._char_rev_by_characters(np.zeros((1, 1, 8192), dtype=np.int64))
 
 
 def test_orbit_engine_equal_characters(monkeypatch):
@@ -465,7 +495,7 @@ def test_orbit_engine_equal_characters(monkeypatch):
         pattern.add(i, j, h, v)
     calls = engine_inputs(monkeypatch)
     assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
-    assert all(h % 2 == 0 for _i, _j, h in as_dict(calls[0][2]))
+    assert all(h % 2 == 0 for _i, _j, h in as_dict(calls[0]))
     assert exactdet._character_orbits(4) == [[0], [1, 3], [2]]
 
 
@@ -700,7 +730,7 @@ def test_engine_kernel_by_block_size(monkeypatch, r):
     # below _FLOAT_MIN_ROWS rows the engine runs the int64 kernel on primes
     # below 2**25, from there the float64 one on primes below its limit; the
     # other kernel gives the same determinant
-    x = exactdet._entry_arrays(shared_cell_entries(r, 1, r))
+    x = exactdet._labelled_array(r, 1, shared_cell_entries(r, 1, r))
     kernel = exactdet._charpolys_mod
     calls = []
 
@@ -712,14 +742,14 @@ def test_engine_kernel_by_block_size(monkeypatch, r):
         return kernel(H, p)
 
     monkeypatch.setattr(exactdet, "_charpolys_mod", recorded)
-    poly, _stream = exactdet._char_rev_by_characters(r, 1, x)
+    poly, _stream = exactdet._char_rev_by_characters(x)
     float_path = r >= exactdet._FLOAT_MIN_ROWS
     limit = exactdet._float_prime_limit(r) if float_path else PRIME_CAP
     assert {dtype for dtype, _p in calls} == {"float64" if float_path else "int64"}
     assert all(p < limit for _dtype, p in calls)
     calls.clear()
     monkeypatch.setattr(exactdet, "_FLOAT_MIN_ROWS", 1 << 20 if float_path else 0)
-    assert exactdet._char_rev_by_characters(r, 1, x)[0] == poly
+    assert exactdet._char_rev_by_characters(x)[0] == poly
     assert {dtype for dtype, _p in calls} == {"int64" if float_path else "float64"}
 
 
@@ -848,8 +878,9 @@ def test_char_rev_block_cyclic_vs_interpolated(sizes, seed, isolated, hi):
     m = block_cyclic(sizes, seed, lo=-hi, hi=hi, isolated=isolated)
     n = len(m)
     entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
-    d, r, _x = exactdet._cyclic_reduction(n, entries)
-    assert d == 3 and 3 * r <= n
+    d, x = exactdet._cyclic_reduction(n, entries)
+    r = len(x)
+    assert d == 3 and x.shape == (r, r, 1) and 3 * r <= n
     assert char_rev(m) == char_rev_interpolated(m)
 
 
@@ -876,11 +907,11 @@ def test_char_rev_self_check_catches_corrupted_reduction(monkeypatch):
     reduction = exactdet._cyclic_reduction
 
     def corrupted(n, entries):
-        d, r, (rows, cols, labels, weights) = reduction(n, entries)
+        d, x = reduction(n, entries)
         assert d == 3
-        weights = weights.copy()
-        weights[0] += 1
-        return d, r, (rows, cols, labels, weights)
+        x = x.copy()
+        x[0, 0, 0] += 1
+        return d, x
 
     monkeypatch.setattr(exactdet, "_cyclic_reduction", corrupted)
     with pytest.raises(ExactArithmeticError, match="char_rev self-check failed"):
