@@ -9,9 +9,10 @@ The routes and their parts:
   (i, j).  The lift is block-circulant over Z/m, so the determinant is the
   product over the m characters of Z/m of r x r twisted determinants.  These
   are taken modulo word-sized primes p = 1 (mod m), where the characters take
-  values in GF(p): modulo each prime of a slice of blocks, X is reduced once
-  and the twisted blocks sum_h X[:, :, h] * w**(c*h) come out of one int64
-  product with the powers of w.  The characters fall into Galois orbits
+  values in GF(p): modulo each prime of a slice of blocks, the twisted
+  blocks sum_h X[:, :, h] * w**(c*h) come out of one int64 product of X
+  (reduced mod p first only where that product could overflow) with the
+  powers of w.  The characters fall into Galois orbits
   {chi^t : t a unit mod m}, the classes of gcd(c, m) of the characters chi_c
   (``_character_orbits``), and each orbit's product is an integer polynomial
   of degree at most |O|*r: it is recombined by CRT on its own, under the
@@ -20,19 +21,19 @@ The routes and their parts:
   the sum of |O|**2, not m**2; the orbit factors are multiplied exactly.
   Exact integer arithmetic throughout, carried out residue-wise; where
   floats carry it, they carry integers a double holds exactly.
-* ``_charpolys_mod`` - the one characteristic-polynomial kernel: Hessenberg
-  reduction and the standard recurrence, each step run at once on a stack of
-  matrices, each slice modulo its own prime.  The reduction delays its row
-  operations: up to nb = ``_block_steps(r)`` of them stay pending as a
-  product F R and are applied with one matmul and one remainder.  The same
-  steps run on two stacks, chosen by block size: blocks below
-  ``_FLOAT_MIN_ROWS`` rows on int64 (residues in [0, p), p < 2**25, numpy's
-  own integer loops), larger ones on float64 through BLAS (balanced
-  residues, p below ``_float_prime_limit(r)``, so that every product and
-  partial sum is an integer of magnitude at most 2**53, which a double holds
-  exactly).  The engine makes one list of the (orbit, prime, character)
-  blocks and hands it over in slices of at most ``_CHUNK_ENTRIES`` entries,
-  the kernel's working-set budget.
+* ``_charpolys_power_sums`` and ``_charpolys_mod`` - the two
+  characteristic-polynomial kernels, each run at once on a stack of
+  matrices, each slice modulo its own prime, on float64 through BLAS:
+  balanced residues, primes below ``_float_prime_limit(r)``, so that every
+  product and partial sum is an integer of magnitude at most 2**53, which a
+  double holds exactly.  Blocks below ``_FLOAT_MIN_ROWS`` rows take power
+  sums: tr(X**k) for k <= r from about 2 sqrt(r) products, then Newton's
+  identities in int64.  Larger blocks take the Hessenberg reduction and the
+  standard recurrence, whose row operations are delayed: up to nb =
+  ``_block_steps(r)`` of them stay pending as a product F R and are applied
+  with one matmul and one remainder.  The engine makes one list of the
+  (orbit, prime, character) blocks and hands it over in slices whose
+  working set (``_kernel``) fits ``_CHUNK_ENTRIES`` entries.
 * ``_cube_rows`` - the one period-3 product.  Every operator of the paper
   raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
   on one class of the Z/3 grading.  It multiplies the pattern's three blocks
@@ -49,8 +50,10 @@ The routes and their parts:
 * ``_char_rev_reduced`` - the tail of both routes: engine, spread to u^d, self-check.
 * ``_self_check`` - the one self-check of both routes (under ``SELF_CHECK``):
   the unreduced dense operator's characteristic polynomial modulo a prime
-  the engine's CRT did not take, by the int64 kernel, so a determinant the
-  float64 kernel took is checked by integer arithmetic.
+  the engine's CRT did not take, by the Hessenberg kernel on an int64 stack
+  (residues in [0, p), numpy's own integer loops): every determinant is
+  checked in integer arithmetic on the unreduced operator, and one the
+  power-sum kernel took by another algorithm as well.
 
 The primes (``polynomials.primes_with_root``) and the CRT
 (``polynomials.crt_symmetric``) are shared with the modular gcd.
@@ -62,6 +65,7 @@ independent slow routes kept as test references.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt
 
@@ -221,20 +225,24 @@ def det_poly_matrix(M):
 
 def _block_steps(r):
     """Hessenberg steps per block of delayed row operations in
-    ``_charpolys_mod`` for r x r slices: one per 16 rows, at least one."""
-    return max(1, r // 16)
+    ``_charpolys_mod`` for r x r slices: one per 8 rows, at least one."""
+    return max(1, r // 8)
 
 
-# blocks of at least this many rows take the float64 kernel, smaller ones the
-# int64 kernel: the measured crossover, where BLAS products start to outweigh
-# the float kernel's extra numpy calls per step
+# blocks of at least this many rows take the float64 Hessenberg kernel
+# (``_charpolys_mod``), smaller ones the power-sum kernel
+# (``_charpolys_power_sums``): below the measured crossover, where the
+# working-set budget leaves the power-sum kernel so few blocks a call that
+# its interpreter time outweighs the Hessenberg kernel's r pivot steps
 _FLOAT_MIN_ROWS = 64
 
 
 def _float_prime_limit(r):
-    """2**((55 - bitlen r) // 2): the float64 kernel on r x r slices takes
-    primes below this (``_charpolys_mod``)."""
-    return 1 << ((55 - r.bit_length()) // 2)
+    """min(PRIME_CAP, 2**((55 - bitlen r) // 2)): the engine's float64
+    kernels take primes below this for r x r blocks (``_charpolys_mod``).
+    The cap keeps every prime of the engine's stream within the int64
+    kernel's range, so the self-check can take the next one."""
+    return min(PRIME_CAP, 1 << ((55 - r.bit_length()) // 2))
 
 
 def _remainder(x, p, out=None, tmp=None):
@@ -277,9 +285,10 @@ def _charpolys_mod(H, p):
     and a residue.  Two stacks share that arithmetic:
 
     * int64, residues in [0, p) with p < 2**25: products stay below 2**50
-      and every sum below 2**63, as r < 4096.
+      and every sum below 2**63, as r < 4096.  The self-check's stack.
     * float64, through BLAS, residues reduced by x - p*rint(x/p) with p below
-      ``_float_prime_limit(r)`` = 2**e, e = (55 - bitlen r) // 2.  x/p is
+      ``_float_prime_limit(r)`` <= 2**e, e = (55 - bitlen r) // 2: the
+      engine's stack for blocks of ``_FLOAT_MIN_ROWS`` rows or more.  x/p is
       correctly rounded, so rint(x/p) is the integer nearest x/p, or its
       neighbour when x/p lies within half an ulp of a half-integer; either
       way the residue has magnitude at most (p + 1)/2 <= 2**(e - 1).  A
@@ -391,6 +400,94 @@ def _charpolys_mod(H, p):
     return np.remainder(prev.astype(np.int64), p[:, None])
 
 
+def _baby_steps(r):
+    """s = ceil(sqrt r), at least 1: the powers X**1 .. X**s that
+    ``_charpolys_power_sums`` stores for r x r slices."""
+    return 1 + isqrt(max(r - 1, 0))
+
+
+@lru_cache(maxsize=256)
+def _negated_inverses(p, r):
+    """-1/k mod p for k = 0 .. r (0 at k = 0), p > r, as a read-only int64
+    array: the divisions of Newton's identities in ``_charpolys_power_sums``,
+    one table per prime and block size."""
+    table = np.array([0] + [-pow(k, -1, p) % p for k in range(1, r + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _charpolys_power_sums(H, p):
+    """``_charpolys_mod`` for the blocks below ``_FLOAT_MIN_ROWS`` rows, by
+    power sums and Newton's identities.
+
+    H is a (B, r, r) float64 stack of balanced residues, slice b modulo p_b
+    with |H_b| <= (p_b + 1)/2, and p a length-B int64 array of primes above r
+    and below ``_float_prime_limit(r)``; H is overwritten.  Returns, as
+    ``_charpolys_mod`` does, the (B, r + 1) int64 residues in [0, p_b) of the
+    coefficients of det(xI - H_b), lowest degree first.
+
+    det(I - tX) = exp(-sum_k tr(X**k) t**k / k), so its coefficients c_k
+    follow from the power sums p_k = tr(X**k), k <= r, by Newton's identities
+    k c_k = -sum_(i=1..k) p_i c_(k-i), which divide by k <= r < p; and
+    det(xI - X) = sum_k c_k x**(r-k).  The power sums come from s =
+    ``_baby_steps(r)`` stored powers X**1 .. X**s and giant powers formed one
+    at a time: p_(a*s+b) = tr(X**(a*s) X**b) is the sum over rows i of the
+    dot product of row i of X**b with row i of Y**a, Y = (X**s)^T.  That
+    takes s - 1 products for the stored powers and about r/s for the giant
+    ones, about 2 sqrt(r) products of r x r slices in place of r Hessenberg
+    steps, and one batch of dot products per giant power.
+
+    The float64 arithmetic is exact by ``_charpolys_mod``'s argument: every
+    entry of a product and every dot product sums r products of balanced
+    residues, each partial sum at most r ((p + 1)/2)**2 <= 2**53, and is
+    reduced before it is used; a trace adds r reduced dot products, or r
+    diagonal residues.  Newton's identities run in int64 on residues in
+    [0, p): a sum of k <= r products, each below p**2 < 2**(55 - bitlen r),
+    stays below 2**55, and -1/k mod p comes from a per-prime table
+    (``_negated_inverses``).
+
+    Working set: H, the s stored powers and two more buffers of H's size,
+    (s + 3) B r**2 floats.
+    """
+    B, r, _ = H.shape
+    if r >= int(p.min()):
+        raise ValueError("Newton's identities need primes above the block size")
+    p2 = p.astype(np.float64)[:, None, None]
+    s = _baby_steps(r)
+    powers = np.empty((B, s, r, r))
+    powers[:, 0] = H
+    for b in range(1, s):
+        np.matmul(powers[:, b - 1], powers[:, 0], out=powers[:, b])
+        _balanced_remainder(powers[:, b], p2, out=powers[:, b], tmp=H)
+    # sums[:, k] = p_k; the traces of the stored powers give p_1 .. p_min(s, r)
+    sums = np.zeros((B, r + 1))
+    sums[:, 1 : s + 1] = np.trace(powers, axis1=2, axis2=3)[:, :r]
+    # rows[:, i, b] is row i of X**(b + 1)
+    rows = powers.transpose(0, 2, 1, 3)
+    # Y = (X**s)^T; Y**a, a >= 2, alternates between H and one more buffer,
+    # the other of the two serving the remainder
+    y = np.ascontiguousarray(powers[:, s - 1].transpose(0, 2, 1))
+    spare = (H, np.empty_like(H))
+    giant = y
+    for a in range(1, -(-r // s)):
+        if a > 1:
+            giant = np.matmul(giant, y, out=spare[a % 2])
+            _balanced_remainder(giant, p2, out=giant, tmp=spare[1 - a % 2])
+        n = min(s, r - a * s)
+        dots = np.matmul(rows[:, :, :n], giant[:, :, :, None])[:, :, :, 0]
+        _balanced_remainder(dots, p2, out=dots)
+        sums[:, a * s + 1 : a * s + n + 1] = dots.sum(axis=1)
+    _balanced_remainder(sums, p2[:, :, 0], out=sums)
+    power_sums = np.remainder(sums.astype(np.int64), p[:, None])
+    inverses = np.stack([_negated_inverses(q, r) for q in p.tolist()])
+    c = np.zeros((B, r + 1), dtype=np.int64)
+    c[:, 0] = 1
+    for k in range(1, r + 1):
+        total = np.einsum("bi,bi->b", power_sums[:, 1 : k + 1], c[:, k - 1 :: -1])
+        c[:, k] = total % p * inverses[:, k] % p
+    return c[:, ::-1]
+
+
 NORM_FRACTION_BITS = 32
 
 
@@ -444,20 +541,44 @@ def _block_norm_sq(x):
     return int((cells * cells).sum(axis=1).max())
 
 
-# the kernel's working-set budget: stack entries (1.125 MiB of int64 or
-# float64) per call of ``_charpolys_mod``.  The stack and the kernel's buffer
-# (a quarter of it at most) grow with it, while a call's interpreter time goes
-# with r alone, so the budget takes all 13 primes of a one-orbit 104-row X
-# (dense P_B of a q=3 m=2 cover, float64 kernel) in one call
+# the kernels' working-set budget: entries (1.125 MiB of float64) per call of
+# ``_charpolys_power_sums`` or ``_charpolys_mod`` (``_kernel``).  The working
+# set grows with it, while a call's interpreter time goes with r alone, so the
+# budget takes all 13 primes of a one-orbit 104-row X (dense P_B of a q=3 m=2
+# cover, Hessenberg kernel) in one call
 _CHUNK_ENTRIES = 9 << 14
+
+
+def _kernel(r):
+    """(kernel, working set per block in entries): the characteristic-
+    polynomial kernel the engine runs on r x r blocks.  Below
+    ``_FLOAT_MIN_ROWS`` rows the power-sum kernel, whose s + 3 buffers of the
+    stack's size make (s + 3) r**2 entries a block, s = ``_baby_steps(r)``;
+    from there the float64 Hessenberg kernel, whose stack is its working set
+    up to the flush buffer (a quarter of the budget at most)."""
+    if r < _FLOAT_MIN_ROWS:
+        return _charpolys_power_sums, (_baby_steps(r) + 3) * r * r
+    return _charpolys_mod, r * r
+
+
+def _int64_labels(flat, top, p):
+    """The engine's labels (``flat``, one row per label h in Z/m) as the
+    int64 factor of the product with the powers of w modulo p.  ``top`` is m
+    times the largest |entry| for an int64 ``flat`` (None for Python ints):
+    while top * (p - 1) < 2**63, a block entry, a sum of m products of an
+    entry and a residue in [0, p), cannot overflow, and ``flat`` goes in as it
+    is; otherwise it is reduced mod p first, so each product stays below
+    p**2 < 2**50 and m < 8192 of them sum within int64."""
+    if top is not None and top * (p - 1) < 1 << 63:
+        return flat
+    return np.remainder(flat, p).astype(np.int64, copy=False)
 
 
 def _char_rev_by_characters(x):
     """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the
     mr x mr lift of an r x r pattern over Z/m.  The stream is
-    ``primes_with_root(m)`` (below ``_float_prime_limit(r)`` for blocks the
-    float64 kernel takes) past the primes the CRT took, so its next prime lies
-    outside the CRT set (``_self_check``).
+    ``primes_with_root(m, _float_prime_limit(r))`` past the primes the CRT
+    took, so its next prime lies outside the CRT set (``_self_check``).
 
     The pattern ``x`` is an (r, r, m) integer array, int64 or Python ints in
     an object array: x[i, j, h] is the weight of the entry from row i to
@@ -476,22 +597,21 @@ def _char_rev_by_characters(x):
     are multiplied exactly, smallest first.
 
     The (orbit, prime, character) blocks form one list, orbit by orbit, and
-    go through the batched kernel ``_charpolys_mod`` in slices of it: a
-    call's interpreter time goes with r, not with the number of blocks (r =
-    7 to 104 for the paper's operators), so one call per block would spend
-    its time in the interpreter rather than in arithmetic.  A slice holds as
-    many blocks as fit ``_CHUNK_ENTRIES`` entries (r*r per block), and at
-    least one; for each of its primes, x is reduced modulo the prime and its
-    blocks there are built with one int64 product, so memory stays bounded
-    however many primes the bounds need.  Each (orbit, prime) product
-    accumulates across slices.  Blocks of ``_FLOAT_MIN_ROWS`` rows or more go
-    to the kernel as float64 stacks of balanced residues, smaller ones as
-    int64 stacks.
+    go through a batched kernel (``_kernel``: power sums below
+    ``_FLOAT_MIN_ROWS`` rows, the float64 Hessenberg reduction from there) as
+    float64 stacks of balanced residues, in slices of the list: a call's
+    interpreter time goes with r, not with the number of blocks (r = 7 to 104
+    for the paper's operators), so one call per block would spend its time
+    in the interpreter rather than in arithmetic.  The slices are as few as
+    keep the kernel's working set within ``_CHUNK_ENTRIES`` entries (at least
+    one block each), and of equal size; for each prime of a slice, its blocks
+    are built with one int64 product (``_int64_labels``), so memory stays
+    bounded however many primes the bounds need.  Each (orbit, prime) product
+    accumulates across slices.
     """
     r, _, m = x.shape
     n = m * r
-    float_kernel = r >= _FLOAT_MIN_ROWS
-    stream = primes_with_root(m, _float_prime_limit(r) if float_kernel else PRIME_CAP)
+    stream = primes_with_root(m, _float_prime_limit(r))
     if n == 0:
         return IntPoly.one(), stream
     if r >= 4096:
@@ -518,25 +638,27 @@ def _char_rev_by_characters(x):
     # row h of flat holds label h of every entry, so the block of character c
     # modulo p is the row vector (w**(c*h))_h times flat mod p
     flat = x.reshape(r * r, m).T
+    top = None if x.dtype == object else int(np.abs(x).max()) * m
     per_orbit = [[np.ones(1, dtype=np.int64)] * take for take in takes]
-    size = max(1, _CHUNK_ENTRIES // (r * r))
+    # as few slices as fit the kernel's working set in the budget, of equal
+    # size, so that no slice holds more blocks than that takes
+    kernel, entries = _kernel(r)
+    slices = -(-len(blocks) // max(1, _CHUNK_ENTRIES // entries))
+    size = -(-len(blocks) // slices)
     for start in range(0, len(blocks), size):
         chunk = blocks[start : start + size]
         pb = np.array([roots[t][0] for _o, t, _c in chunk], dtype=np.int64)
-        stack = np.empty((len(chunk), r * r), dtype=np.float64 if float_kernel else np.int64)
+        stack = np.empty((len(chunk), r * r))
         for t in sorted({t for _o, t, _c in chunk}):
             p, w = roots[t]
             at = [b for b, (_o, s, _c) in enumerate(chunk) if s == t]
             powers = np.array([[pow(w, chunk[b][2] * h, p) for h in range(m)] for b in at],
                               dtype=np.int64)
-            # x reduces as Python ints when it holds them; every product of two
-            # residues is below p**2 < 2**50, and m of them sum within int64
-            values = powers @ np.remainder(flat, p).astype(np.int64, copy=False)
+            values = powers @ _int64_labels(flat, top, p)
             stack[at] = np.remainder(values, p, out=values)
-        if float_kernel:
-            # balanced residues, |v| <= (p - 1)/2
-            np.subtract(stack, pb[:, None], out=stack, where=stack > pb[:, None] // 2)
-        factors = _charpolys_mod(stack.reshape(len(chunk), r, r), pb)
+        # balanced residues, |v| <= (p - 1)/2
+        np.subtract(stack, pb[:, None], out=stack, where=stack > pb[:, None] // 2)
+        factors = kernel(stack.reshape(len(chunk), r, r), pb)
         for (o, t, _c), p, factor in zip(chunk, pb.tolist(), factors):
             # each product term is below p**2 < 2**50 and an output
             # coefficient sums at most r + 1 <= 8192 of them, so int64

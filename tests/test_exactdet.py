@@ -312,26 +312,35 @@ def add_modulus_to_top(monkeypatch, compute):
     assert not error.is_zero() and all(c % p == 0 for c in error.coeffs for p in primes)
 
 
+def spy_kernels(monkeypatch, record):
+    """Wrap both characteristic-polynomial kernels so that record(name, H, p)
+    sees every call, with the kernel's name, before the kernel runs."""
+    for name in ("_charpolys_power_sums", "_charpolys_mod"):
+        monkeypatch.setattr(exactdet, name, lambda H, p, name=name, kernel=getattr(exactdet, name):
+                            record(name, H, p) or kernel(H, p))
+
+
 @pytest.mark.parametrize("route", ["char_rev", "char_rev_factored", "char_rev_float64"])
 def test_self_check_prime_lies_outside_the_crt_set(monkeypatch, route):
     # char_rev_float64: an ungraded matrix of _FLOAT_MIN_ROWS rows, whose
-    # engine runs the float64 kernel and whose self-check the int64 one
+    # engine runs the float64 Hessenberg kernel; the other two run the
+    # power-sum kernel, and every self-check the int64 Hessenberg kernel
     float_rows = exactdet._FLOAT_MIN_ROWS
     compute = {
         "char_rev": lambda: char_rev(square_matrix(5, seed=14)),
         "char_rev_factored": lambda: char_rev_factored(random_pattern(3, 2, 5)),
         "char_rev_float64": lambda: char_rev(square_matrix(float_rows, lo=-1, hi=1, seed=15)),
     }[route]
-    kernel = exactdet._charpolys_mod
-    dtypes = []
-    monkeypatch.setattr(exactdet, "_charpolys_mod",
-                        lambda H, p: dtypes.append(H.dtype.name) or kernel(H, p))
+    calls = []
+    spy_kernels(monkeypatch, lambda name, H, p: calls.append((name, H.dtype.name)))
     add_modulus_to_top(monkeypatch, compute)
+    calls.clear()
     name = route.removesuffix("_float64")
     with pytest.raises(ExactArithmeticError, match=f"{name} self-check failed"):
         compute()
-    assert dtypes[-1] == "int64"
-    assert ("float64" in dtypes) == (route == "char_rev_float64")
+    engine = "_charpolys_mod" if route == "char_rev_float64" else "_charpolys_power_sums"
+    assert set(calls[:-1]) == {(engine, "float64")}
+    assert calls[-1] == ("_charpolys_mod", "int64")
 
 
 # -- the period-3 product and the Galois orbits of Z/m ------------------------
@@ -441,20 +450,19 @@ def test_block_norm_bounds_every_character(m, seed):
 @pytest.mark.parametrize("r,m,seed", [(2, 1, 10), (3, 2, 11), (2, 3, 12), (2, 4, 13), (2, 5, 14),
                                       (exactdet._FLOAT_MIN_ROWS, 3, 15)])
 def test_orbit_engine_vs_dense_routes(monkeypatch, r, m, seed):
-    # the last case builds twisted blocks of a nontrivial group for the
-    # float64 kernel; its 192-row lift is beyond the interpolated route, so
-    # the dense route over the trivial group is the reference there
+    # the small cases take the power-sum kernel; the last builds twisted
+    # blocks of a nontrivial group for the float64 Hessenberg kernel, and
+    # its 192-row lift is beyond the interpolated route, so the dense route
+    # over the trivial group is the reference there
     x = shared_cell_entries(r, m, seed)
     lifted = cyclic_lift(r, m, x)
-    kernel = exactdet._charpolys_mod
-    dtypes = set()
-    monkeypatch.setattr(exactdet, "_charpolys_mod",
-                        lambda H, p: dtypes.add(H.dtype.name) or kernel(H, p))
+    kernels = set()
+    spy_kernels(monkeypatch, lambda name, H, p: kernels.add((name, H.dtype.name)))
     engine, _stream = exactdet._char_rev_by_characters(exactdet._labelled_array(r, m, x))
-    float_path = r >= exactdet._FLOAT_MIN_ROWS
-    assert dtypes == {"float64" if float_path else "int64"}
+    hessenberg = r >= exactdet._FLOAT_MIN_ROWS
+    assert kernels == {("_charpolys_mod" if hessenberg else "_charpolys_power_sums", "float64")}
     assert engine == char_rev(lifted)
-    if not float_path:
+    if not hessenberg:
         assert engine == char_rev_interpolated(lifted)
 
 
@@ -477,6 +485,41 @@ def test_orbit_engine_group_entries_beyond_int64(monkeypatch):
     x, = calls
     assert x.shape == (3, 3, 3) and x.dtype == object
     assert max(abs(v) for v in x.ravel().tolist()) > 1 << 63
+
+
+def test_int64_labels_reduce_only_beyond_the_bound():
+    # the labels go into the int64 product with the powers of w unreduced
+    # while m times their largest |entry| times p - 1 stays below 2**63
+    p, m = MIXED_PRIMES[0], 3
+    most = ((1 << 63) - 1) // (p - 1)
+    flat = np.array([[most // m, -(most // m)], [5, 0], [-1, 2]], dtype=np.int64)
+    top = most // m * m
+    assert top * (p - 1) < 1 << 63 <= (top + m) * (p - 1)
+    assert exactdet._int64_labels(flat, top, p) is flat
+    reduced = exactdet._int64_labels(flat + np.array([[1, -1], [0, 0], [0, 0]]), top + m, p)
+    assert reduced.dtype == np.int64
+    assert reduced.tolist() == [[(most // m + 1) % p, -(most // m + 1) % p], [5, 0], [p - 1, 2]]
+    # Python ints are always reduced
+    assert exactdet._int64_labels(flat.astype(object), None, p).tolist() == (flat % p).tolist()
+
+
+@pytest.mark.parametrize("beyond", [False, True])
+def test_orbit_engine_entries_at_and_beyond_the_label_bound(monkeypatch, beyond):
+    # int64 entries as large as the first prime's bound allows, and one more:
+    # unreduced at every prime, then reduced at the first and unreduced at
+    # the smaller primes after it
+    r, m = 2, 3
+    p, _w = next(primes_with_root(m, exactdet._float_prime_limit(r)))
+    big = ((1 << 63) - 1) // ((p - 1) * m) + beyond
+    x = {(0, 1, 2): big, (1, 0, 1): -big, (1, 1, 0): 3, (0, 0, 2): 1}
+    kept = []
+    labels = exactdet._int64_labels
+    monkeypatch.setattr(exactdet, "_int64_labels",
+                        lambda flat, top, q: kept.append(labels(flat, top, q) is flat)
+                        or labels(flat, top, q))
+    engine, _stream = exactdet._char_rev_by_characters(exactdet._labelled_array(r, m, x))
+    assert len(kept) > 1 and kept[0] is not beyond and all(kept[1:])
+    assert engine == char_rev_interpolated(cyclic_lift(r, m, x))
 
 
 def test_orbit_engine_rejects_groups_beyond_int64_sums():
@@ -725,32 +768,103 @@ def test_charpolys_mod_float64_extreme_residues(r):
     assert assert_kernel_matches([block, ones], [p, p], reference=False) == [np.int64, np.float64]
 
 
+def test_float_prime_limit_within_the_int64_kernel():
+    # the engine's stream is the float64 kernels', capped at PRIME_CAP, so
+    # the self-check's int64 kernel can take its next prime
+    assert [exactdet._float_prime_limit(r) for r in (1, 7, 8, 31, 32, 63, 64)] == (
+        [PRIME_CAP] * 4 + [1 << 24] * 3)
+
+
+def power_sum_stacks(r, p, rng):
+    """Four r x r blocks modulo p, residues in [0, p): every entry +-(p-1)/2
+    (the largest balanced residues), random residues, a nilpotent block
+    (strictly upper triangular) and 7*I."""
+    half = (p - 1) // 2
+    extreme = [[half if rng.random() < 0.5 else p - half for _ in range(r)] for _ in range(r)]
+    uniform = random_block(r, p, rng, 1.0)
+    nilpotent = [[rng.randrange(p) if j > i else 0 for j in range(r)] for i in range(r)]
+    scalar = [[7 if i == j else 0 for j in range(r)] for i in range(r)]
+    return [extreme, uniform, nilpotent, scalar]
+
+
+@pytest.mark.parametrize("r", range(1, exactdet._FLOAT_MIN_ROWS))
+def test_power_sums_vs_hessenberg(r):
+    # every block size the engine gives the power-sum kernel, at the largest
+    # prime of its stream for that size, where the float64 sums come nearest
+    # their bound: the int64 Hessenberg kernel gives the same residues
+    p, = float_primes(r, 1)
+    rng = random.Random(r)
+    blocks = power_sum_stacks(r, p, rng)
+    primes = [p] * len(blocks)
+    expected = run_kernel(blocks, primes, None)
+    stack = kernel_stack(blocks, primes, np.float64)
+    assert np.abs(stack).max() == (p - 1) // 2
+    out = exactdet._charpolys_power_sums(stack, np.array(primes, dtype=np.int64))
+    assert out.dtype == np.int64 and np.array_equal(out, expected)
+    # det(xI - N) = x**r for nilpotent N; det(xI - 7I) = (x - 7)**r, whose
+    # reversal (1 - 7t)**r has coefficients C(r, k) (-7)**k
+    assert out[2].tolist() == [0] * r + [1]
+    assert out[3].tolist()[::-1] == [math.comb(r, k) * (-7) ** k % p for k in range(r + 1)]
+
+
+def test_power_sums_tiny_and_mixed_primes():
+    # no rows, and slices modulo the small primes the Hessenberg tests use
+    assert exactdet._charpolys_power_sums(np.zeros((2, 0, 0)),
+                                          np.array([7, 5], dtype=np.int64)).tolist() == [[1], [1]]
+    rng = random.Random(5)
+    r = 4
+    primes = [MIXED_PRIMES[0], 101, 7, 5]
+    blocks = [random_block(r, p, rng, 0.7) for p in primes]
+    out = exactdet._charpolys_power_sums(kernel_stack(blocks, primes, np.float64),
+                                         np.array(primes, dtype=np.int64))
+    assert np.array_equal(out, run_kernel(blocks, primes, None))
+
+
+@pytest.mark.parametrize("r,p", [(5, 5), (5, 3), (7, 7)])
+def test_power_sums_need_primes_above_the_block_size(r, p):
+    # Newton's identities divide by k = 1 .. r; one slice modulo p <= r
+    # among larger primes is refused
+    stack = np.zeros((2, r, r))
+    with pytest.raises(ValueError, match="primes above the block size"):
+        exactdet._charpolys_power_sums(stack, np.array([MIXED_PRIMES[0], p], dtype=np.int64))
+
+
+def test_power_sums_at_a_prime_just_above_the_block_size():
+    r, p = 6, 7
+    rng = random.Random(6)
+    blocks = [random_block(r, p, rng, 1.0) for _ in range(3)]
+    primes = [p] * 3
+    out = exactdet._charpolys_power_sums(kernel_stack(blocks, primes, np.float64),
+                                         np.array(primes, dtype=np.int64))
+    assert np.array_equal(out, run_kernel(blocks, primes, None))
+
+
 @pytest.mark.parametrize("r", [exactdet._FLOAT_MIN_ROWS - 1, exactdet._FLOAT_MIN_ROWS])
 def test_engine_kernel_by_block_size(monkeypatch, r):
-    # below _FLOAT_MIN_ROWS rows the engine runs the int64 kernel on primes
-    # below 2**25, from there the float64 one on primes below its limit; the
-    # other kernel gives the same determinant
+    # below _FLOAT_MIN_ROWS rows the engine runs the power-sum kernel, from
+    # there the Hessenberg one, both on float64 stacks of balanced residues
+    # modulo primes below the float64 limit; the other kernel gives the same
+    # determinant
     x = exactdet._labelled_array(r, 1, shared_cell_entries(r, 1, r))
-    kernel = exactdet._charpolys_mod
     calls = []
 
-    def recorded(H, p):
-        # the residues each stack holds: [0, p) on int64, balanced on float64
-        low, high = (-(p // 2), p // 2) if H.dtype == np.float64 else (0 * p, p - 1)
-        assert ((H >= low[:, None, None]) & (H <= high[:, None, None])).all()
-        calls.append((H.dtype.name, int(p.max())))
-        return kernel(H, p)
+    def recorded(name, H, p):
+        assert H.dtype == np.float64
+        assert (np.abs(H) <= (p // 2)[:, None, None]).all()
+        calls.append((name, int(p.max())))
 
-    monkeypatch.setattr(exactdet, "_charpolys_mod", recorded)
+    spy_kernels(monkeypatch, recorded)
     poly, _stream = exactdet._char_rev_by_characters(x)
-    float_path = r >= exactdet._FLOAT_MIN_ROWS
-    limit = exactdet._float_prime_limit(r) if float_path else PRIME_CAP
-    assert {dtype for dtype, _p in calls} == {"float64" if float_path else "int64"}
-    assert all(p < limit for _dtype, p in calls)
+    hessenberg = r >= exactdet._FLOAT_MIN_ROWS
+    kernel, other = "_charpolys_mod", "_charpolys_power_sums"
+    if not hessenberg:
+        kernel, other = other, kernel
+    assert {name for name, _p in calls} == {kernel}
+    assert all(p < exactdet._float_prime_limit(r) for _name, p in calls)
     calls.clear()
-    monkeypatch.setattr(exactdet, "_FLOAT_MIN_ROWS", 1 << 20 if float_path else 0)
+    monkeypatch.setattr(exactdet, "_FLOAT_MIN_ROWS", 1 << 20 if hessenberg else 0)
     assert exactdet._char_rev_by_characters(x)[0] == poly
-    assert {dtype for dtype, _p in calls} == {"int64" if float_path else "float64"}
+    assert {name for name, _p in calls} == {other}
 
 
 # -- chunking of the modular engine ------------------------------------------
@@ -759,17 +873,15 @@ def test_engine_kernel_by_block_size(monkeypatch, r):
 def results_by_chunk(monkeypatch, compute, *more):
     """compute() and the batch sizes of its kernel calls, at the default
     budget, a budget of 1 entry, one above every stack, and then at the
-    budgets ``more``; no call may take more than max(1, budget // r**2)
-    slices of r x r."""
-    kernel = exactdet._charpolys_mod
+    budgets ``more``; no call may take more than max(1, budget // w) slices
+    of r x r, w the kernel's working set per slice (``exactdet._kernel``)."""
     calls = []
 
-    def counted(H, p):
-        assert len(p) <= max(1, exactdet._CHUNK_ENTRIES // H.shape[1] ** 2)
+    def counted(_name, H, p):
+        assert len(p) <= max(1, exactdet._CHUNK_ENTRIES // exactdet._kernel(H.shape[1])[1])
         calls.append(len(p))
-        return kernel(H, p)
 
-    monkeypatch.setattr(exactdet, "_charpolys_mod", counted)
+    spy_kernels(monkeypatch, counted)
     out = []
     for entries in (exactdet._CHUNK_ENTRIES, 1, 1 << 60, *more):
         monkeypatch.setattr(exactdet, "_CHUNK_ENTRIES", entries)
@@ -782,20 +894,24 @@ def test_chunking_invariant_factored(monkeypatch, cover_m3):
     from zeta3.operators import build_lb_pattern
 
     pattern = build_lb_pattern(cover_m3).negated()
-    (default, split), (single, ones), (whole, one), (sixes, six), (fives, five) = (
-        results_by_chunk(monkeypatch, lambda: char_rev_factored(pattern),
-                         6 * 21 * 21, 5 * 21 * 21))
+    # the power-sum kernel's working set per 21 x 21 block: 5 stored powers
+    # and three more buffers of the block's size
+    block = exactdet._kernel(21)[1]
+    assert block == (5 + 3) * 21 * 21
+    (default, split), (single, ones), (whole, one), (sixes, six), (fours, four) = (
+        results_by_chunk(monkeypatch, lambda: char_rev_factored(pattern), 6 * block, 4 * block))
     # the period-3 product of the 21 x 21 pattern is again 21 x 21 (rho**2 =
     # 10) over Z/3, whose three characters fall into two Galois orbits: the
     # trivial one (degree 21, a 45-bit bound) takes 2 primes and {1, 2}
     # (degree 42, 88 bits) 4, so 10 blocks in all, in one call by default
-    # (each run ends with the self-check's call).  The blocks go orbit by
-    # orbit: slices of 6 hold the trivial orbit and {1, 2} at its first two
-    # primes, then the rest; slices of 5 split the two blocks of {1, 2} at
-    # its second prime across calls
+    # (each run ends with the self-check's call).  A budget of 6 blocks
+    # takes two calls of 5 blocks: the trivial orbit's 2, the 2 of {1, 2} at
+    # its first prime and 1 of the 2 at its second, then the rest, splitting
+    # an (orbit, prime) product across calls; one of 4 blocks takes three
+    # calls, of 4, 4 and 2 blocks
     assert split == one == [10, 1] and ones == [1] * 11
-    assert six == [6, 4, 1] and five == [5, 5, 1]
-    assert default == single == whole == sixes == fives
+    assert six == [5, 5, 1] and four == [4, 4, 2, 1]
+    assert default == single == whole == sixes == fours
 
 
 @pytest.mark.parametrize("graded", [True, False])
