@@ -11,7 +11,10 @@ aggressively, so every count below is a count with multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvalidComplexError
 
@@ -62,6 +65,27 @@ class ValidationReport:
         ]
 
 
+class Incidence(NamedTuple):
+    """The incidence tables of a valid complex as int64 index arrays, every
+    simplex named by its position in the sorted vertex, edge and chamber
+    tuples.
+
+    ``tail`` and ``head`` hold each edge's end vertices.  ``chamber_edges``
+    (N2 x 3) holds each chamber's edges by slot: slot k goes from type k to
+    type k + 1, so a valid complex has each edge at the one slot of its tail
+    type.  Place 3c + k of ``chamber_edges.ravel()`` is slot k of chamber c,
+    which is also the index of the directed chamber (c, k).  ``out_edges``
+    (N0 x (q^2+q+1)) lists the edges leaving each vertex, and
+    ``edge_places`` (N1 x (q+1)) the places of each edge; both rows are in
+    ascending order.  The two fixed widths are the local axioms."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    chamber_edges: np.ndarray
+    out_edges: np.ndarray
+    edge_places: np.ndarray
+
+
 @dataclass(frozen=True)
 class Presented:
     """Provenance of a complex built from a triangle presentation + voltages."""
@@ -76,7 +100,8 @@ class Geometric:
 
 
 class ComplexDescription:
-    """A finite complex; immutable after construction, validation cached."""
+    """A finite complex; immutable after construction, validation and
+    incidence tables cached."""
 
     def __init__(self, q, vertices, edges, chambers, provenance=None):
         self.q = int(q)
@@ -85,6 +110,7 @@ class ComplexDescription:
         self.chambers = tuple(sorted(Chamber(*c) for c in chambers))
         self.provenance = provenance if provenance is not None else Geometric()
         self._report = None
+        self._incidence = None
 
     def __eq__(self, other):
         if not isinstance(other, ComplexDescription):
@@ -246,6 +272,27 @@ class ComplexDescription:
         rep = self.validate()
         if not rep.ok:
             raise InvalidComplexError("; ".join(rep.lines()[:5]))
+
+    def incidence(self):
+        """The complex's ``Incidence`` tables; cached, valid complexes only."""
+        if self._incidence is not None:
+            return self._incidence
+        self.require_valid()
+        vertex_ids = np.array([v.id for v in self.vertices], dtype=np.int64)
+        edges = np.fromiter(chain.from_iterable(self.edges), np.int64).reshape(-1, 3)
+        chambers = np.fromiter(chain.from_iterable(self.chambers), np.int64).reshape(-1, 4)
+        # the tuples are sorted by id, so an id's position is its rank
+        tail, head = np.searchsorted(vertex_ids, edges[:, 1:].T)
+        chamber_edges = np.searchsorted(edges[:, 0], chambers[:, 1:])
+        q = self.q
+        self._incidence = Incidence(
+            tail=tail,
+            head=head,
+            chamber_edges=chamber_edges,
+            out_edges=np.argsort(tail, kind="stable").reshape(-1, q * q + q + 1),
+            edge_places=np.argsort(chamber_edges.ravel(), kind="stable").reshape(-1, q + 1),
+        )
+        return self._incidence
 
     # -- counts and directed chambers -------------------------------------
 

@@ -42,7 +42,8 @@ The routes and their parts:
   X as the engine's (r, r, m) array, int64 or, when the weights outgrow it,
   Python ints in an object array; a dense matrix is the case m = 1.
 * ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
-  of a grading found in M's pattern (else X = M), over the trivial group.
+  of a grading found in M's pattern (``_type_grading``, a breadth-first
+  search over its entry arrays; else X = M), over the trivial group.
 * ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
   pattern (operators.LabelledMatrix), without building the lift: X on sheet
   0 is the lift of an r x r pattern over the deck group Z/m, taken with its
@@ -706,49 +707,57 @@ def _self_check(route, poly, n, operator, stream):
         raise ExactArithmeticError(f"{route} self-check failed modulo {p}")
 
 
-def _type_grading(n, keys):
-    """Labels g in Z/3 of 0..n-1 with g(j) = g(i) + 1 on every (i, j) in keys,
-    or None when there are none.
+def _type_grading(n, rows, cols):
+    """Labels g in Z/3 of 0..n-1 (an int64 array) with g(j) = g(i) + 1 on
+    every entry (rows[k], cols[k]), or None when there are none.
 
-    A graph search over the pattern, each component started at label 0.
+    A breadth-first search over the pattern, component by component, each
+    started at its least index with label 0: every step labels, across
+    every entry with one end labelled, the other end, one step on along the
+    entry.  Where a grading exists every label is forced, so the search
+    finds it; otherwise no labelling passes the check on every entry.
     """
-    steps = [[] for _ in range(n)]
-    for i, j in keys:
-        steps[i].append((j, 1))
-        steps[j].append((i, 2))
-    g = [None] * n
-    for start in range(n):
-        if g[start] is not None:
-            continue
-        g[start] = 0
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, step in steps[i]:
-                want = (g[i] + step) % 3
-                if g[j] is None:
-                    g[j] = want
-                    stack.append(j)
-                elif g[j] != want:
-                    return None
-    return g
+    g = np.full(n, -1)
+    while True:
+        unlabelled = np.flatnonzero(g < 0)
+        if not len(unlabelled):
+            break
+        g[unlabelled[0]] = 0
+        while True:
+            known = g >= 0
+            at_row, at_col = known[rows], known[cols]
+            forward = at_row > at_col
+            backward = at_col > at_row
+            if not (forward.any() or backward.any()):
+                break
+            g[cols[forward]] = (g[rows[forward]] + 1) % 3
+            g[rows[backward]] = (g[cols[backward]] + 2) % 3
+    return g if np.array_equal(g[cols], (g[rows] + 1) % 3) else None
 
 
-def _entry_keys(entries):
-    """The keys of a Z/m-labelled pattern, the dict (i, j, h) -> weight, as
-    three arrays: rows, columns and labels."""
-    return np.fromiter(chain.from_iterable(entries), np.int64, 3 * len(entries)).reshape(-1, 3).T
-
-
-def _labelled_array(n, m, entries):
-    """The (n, n, m) array x of a Z/m-labelled pattern, the dict (i, j, h) ->
-    weight: x[i, j, h] the weight of (i, j, h), zero off the keys.  int64
-    when every weight is below 2**62 in magnitude, else Python ints in an
-    object array."""
+def _entry_arrays(entries):
+    """A Z/m-labelled pattern, the dict (i, j, h) -> weight, as four arrays:
+    rows, columns, labels and weights, the weights int64 when every one is
+    below 2**62 in magnitude, else Python ints in an object array."""
+    keys = np.fromiter(chain.from_iterable(entries), np.int64, 3 * len(entries)).reshape(-1, 3)
     values = list(entries.values())
     small = max(map(abs, values), default=0) < 1 << 62
+    return (*keys.T, np.array(values, dtype=np.int64 if small else object))
+
+
+def _top(values):
+    """The largest |value| of a weight array, as a Python int (0 if empty)."""
+    return int(np.abs(values).max()) if len(values) else 0
+
+
+def _labelled_array(n, m, rows, cols, labels, values):
+    """The (n, n, m) array x of a Z/m-labelled pattern given as entry arrays
+    (``_entry_arrays``): x[i, j, h] the weight of (i, j, h), zero off the
+    entries.  int64 when every weight is below 2**62 in magnitude, else
+    Python ints in an object array."""
+    small = values.dtype != object and _top(values) < 1 << 62
     x = np.zeros((n, n, m), dtype=np.int64 if small else object)
-    x[tuple(_entry_keys(entries))] = values
+    x[rows, cols, labels] = values
     return x
 
 
@@ -766,19 +775,20 @@ def _group_product(a, b):
     return c
 
 
-def _cube_rows(n, m, entries, classes):
+def _cube_rows(n, m, rows, cols, labels, values, classes):
     """X = M^3 on the rows of one class, as the engine's (r, r, m) labelled
     array (``_char_rev_by_characters``): X[a, b, h] the entry from the
     class's row a to deck h of its row b.
 
-    M is the lift over the deck group Z/m of an n x n pattern, ``entries``
-    the dict (i, j, h) -> weight, h in Z/m, and ``classes`` = (V_0, V_1,
-    V_2), every entry from a row of V_t going to a column of V_(t+1); so X =
-    B_0 B_1 B_2 on V_0, B_t the pattern's rows of V_t and columns of
-    V_(t+1), each built from the entries alone.  Dense char_rev passes the
-    classes of a Z/3 grading of M, at m = 1 with every label 0;
-    char_rev_factored passes its three sheets, each all n rows, since every
-    entry raises the sheet of a Z/3 x Z/m lift by one.  The products are of
+    M is the lift over the deck group Z/m of an n x n pattern, given as its
+    entry arrays (``_entry_arrays``: entry k from row rows[k] to column
+    cols[k] with label labels[k] in Z/m and weight values[k]), and
+    ``classes`` = (V_0, V_1, V_2), every entry from a row of V_t going to a
+    column of V_(t+1); so X = B_0 B_1 B_2 on V_0, B_t the pattern's rows of
+    V_t and columns of V_(t+1), each built from the entries alone.  Dense
+    char_rev passes the classes of a Z/3 grading of M, at m = 1 with every
+    label 0; char_rev_factored passes its three sheets, each all n rows,
+    since every entry raises the sheet of a Z/3 x Z/m lift by one.  The products are of
     Z/m-labelled matrices (``_group_product``): labels add mod m along each
     path.
 
@@ -789,12 +799,10 @@ def _cube_rows(n, m, entries, classes):
     exactly.  Larger weights take Python ints in object arrays, exact at any
     size.
     """
-    rows, cols, labels = _entry_keys(entries)
-    values = list(entries.values())
     d = np.bincount(rows, minlength=1).max()
-    exact_float = (max(map(abs, values), default=0) * int(d)) ** 3 <= 1 << 53
+    exact_float = (_top(values) * int(d)) ** 3 <= 1 << 53
     dtype = np.float64 if exact_float else object
-    weights = np.array(values, dtype=dtype)
+    weights = values.astype(dtype)
     local = np.zeros(n, dtype=np.int64)
     for members in classes:
         local[members] = np.arange(len(members))
@@ -811,23 +819,24 @@ def _cube_rows(n, m, entries, classes):
     return cube.astype(np.int64 if exact_float else object, order="C")
 
 
-def _cyclic_reduction(n, entries):
+def _cyclic_reduction(n, rows, cols, values):
     """(d, X): det(I - uM) = det(I - u^d X) for X an r x r matrix.
 
     When M's pattern carries a Z/3 grading with classes V_0, V_1, V_2, M maps
     V_t into V_(t+1) by blocks B_t, and Sylvester's identity
     det(I - AB) = det(I - BA) gives det(I - uM) = det(I - u^3 B_t B_(t+1) B_(t+2));
     X is that product on the smallest class, i.e. M^3 restricted to it
-    (``_cube_rows``).  Without a grading, d = 1 and X = M.  ``entries`` maps
-    (row, col) to an integer; X is the engine's (r, r, 1) labelled array.
+    (``_cube_rows``).  Without a grading, d = 1 and X = M.  M's nonzero
+    entries are values[k] at (rows[k], cols[k]), the weights int64 or Python
+    ints in an object array; X is the engine's (r, r, 1) labelled array.
     """
-    labelled = {(i, j, 0): v for (i, j), v in entries.items()}
-    grading = _type_grading(n, entries)
+    labels = np.zeros(len(rows), dtype=np.int64)
+    grading = _type_grading(n, rows, cols)
     if grading is None:
-        return 1, _labelled_array(n, 1, labelled)
-    classes = [[i for i, g in enumerate(grading) if g == t] for t in range(3)]
+        return 1, _labelled_array(n, 1, rows, cols, labels, values)
+    classes = [np.flatnonzero(grading == t) for t in range(3)]
     t = min(range(3), key=lambda t: len(classes[t]))
-    return 3, _cube_rows(n, 1, labelled, classes[t:] + classes[:t])
+    return 3, _cube_rows(n, 1, rows, cols, labels, values, classes[t:] + classes[:t])
 
 
 def _char_rev_reduced(route, d, x, n, operator):
@@ -854,12 +863,16 @@ def char_rev(M):
     self-check compares with M itself, so it also sees a wrong reduction.
     """
     if hasattr(M, "to_dense"):
-        n, entries = M.n, M.entries
+        n, rows, cols, values = M.n, M.rows, M.cols, M.values
     else:
         dense = _as_int_rows(M)
         n = len(dense)
-        entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
-    d, x = _cyclic_reduction(n, entries)
+        cells = np.array(dense, dtype=object).reshape(n, n)
+        rows, cols = np.nonzero(cells)
+        values = cells[rows, cols]
+        if _top(values) < 1 << 62:
+            values = values.astype(np.int64)
+    d, x = _cyclic_reduction(n, rows, cols, values)
     return _char_rev_reduced("char_rev", d, x, n, lambda: M)
 
 
@@ -877,7 +890,7 @@ def char_rev_factored(pattern, reference=None):
     compares two independent constructions.
     """
     r, m = pattern.r, pattern.m
-    x = _cube_rows(r, m, pattern.entries, [range(r)] * 3)
+    x = _cube_rows(r, m, *_entry_arrays(pattern.entries), [range(r)] * 3)
     return _char_rev_reduced("char_rev_factored", 3, x, 3 * m * r, reference or pattern.lift)
 
 

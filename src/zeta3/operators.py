@@ -5,8 +5,9 @@ operator A1, q^2 for the edge operator, q for the directed-chamber operator.
 Those row sums double as the cross-check that the combinatorial successor
 rules below implement the intended coset actions.
 
-Every complex, presented or given by explicit lists, gets L_E and L_B from
-the incidence rules.
+Every complex, presented or given by explicit lists, gets A1, L_E and L_B
+from the incidence rules, applied with whole-array operations to its cached
+incidence tables (``ComplexDescription.incidence``).
 
 Presented complexes also have a voltage-labelled base form of L_E, L_B and
 the vertex companion (``LabelledMatrix``, from the generator rules): G =
@@ -18,34 +19,80 @@ pattern; the tests compare its lift with the incidence-rule operators.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .complexes import ComplexDescription, Presented
 
 
-class SparseIntegerMatrix:
-    """Square integer matrix in sparse form: (row, col) -> multiplicity."""
+def _weights(values):
+    """A list of ints as an int64 array, or as Python ints in an object
+    array when one outgrows int64."""
+    big = max(map(abs, values), default=0) >= 1 << 63
+    return np.array(values, dtype=object if big else np.int64)
 
-    __slots__ = ("n", "entries")
+
+class SparseIntegerMatrix:
+    """Square integer matrix in sparse form: (row, col) -> multiplicity.
+
+    The nonzero entries are three aligned arrays, ``rows``, ``cols`` and
+    ``values``, in ascending (row, col) order with one entry per cell: int64,
+    the values Python ints in an object array when one outgrows int64.
+    ``entries`` is the same as a read-only mapping.  Immutable: every method
+    that changes an entry returns a new matrix.
+    """
+
+    __slots__ = ("n", "rows", "cols", "values", "_entries")
 
     def __init__(self, n, entries=None):
-        self.n = int(n)
-        self.entries = {}
-        if entries:
-            for (i, j), v in dict(entries).items():
-                self.add(i, j, v)
+        entries = dict(entries) if entries else {}
+        keys = np.array(list(entries), dtype=np.int64).reshape(len(entries), 2)
+        self._assign(n, keys[:, 0], keys[:, 1], _weights(list(entries.values())))
 
-    def add(self, i, j, v=1):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError((i, j))
-        if v == 0:
-            return
-        key = (i, j)
-        new = self.entries.get(key, 0) + v
-        if new == 0:
-            del self.entries[key]
-        else:
-            self.entries[key] = new
+    @classmethod
+    def from_arrays(cls, n, rows, cols, values):
+        """The n x n matrix with entry values[k] added at (rows[k], cols[k]):
+        repeated cells sum, and cells summing to zero are dropped.  ``values``
+        may be one int for every entry."""
+        values = np.asarray(values)
+        if values.dtype != object:
+            values = values.astype(np.int64, copy=False)
+        if values.ndim == 0:
+            values = np.full(len(rows), values, dtype=values.dtype)
+        out = cls.__new__(cls)
+        out._assign(n, rows, cols, values)
+        return out
+
+    def _assign(self, n, rows, cols, values):
+        self.n = n = int(n)
+        self._entries = None
+        # a negative index wraps to a large unsigned one
+        if len(rows) and np.concatenate((rows, cols)).astype(np.uint64).max() >= n:
+            raise IndexError(f"an entry lies outside the {n} x {n} matrix")
+        cells = rows * n + cols
+        if (cells[1:] <= cells[:-1]).any():
+            # sort, then sum each run of one cell, in Python ints where an
+            # int64 sum could overflow
+            if values.dtype != object and len(values) * int(np.abs(values).max()) >= 1 << 63:
+                values = values.astype(object)
+            order = cells.argsort(kind="stable")
+            cells = cells[order]
+            first = np.concatenate(([True], cells[1:] != cells[:-1])).nonzero()[0]
+            values = np.add.reduceat(values[order], first)
+            cells = cells[first]
+        nonzero = values != 0
+        if not nonzero.all():
+            cells, values = cells[nonzero], values[nonzero]
+        self.rows, self.cols = np.divmod(cells, max(n, 1))
+        self.values = np.array(values)
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            cells = zip(self.rows.tolist(), self.cols.tolist())
+            self._entries = MappingProxyType(dict(zip(cells, self.values.tolist())))
+        return self._entries
 
     def get(self, i, j):
         return self.entries.get((i, j), 0)
@@ -53,57 +100,51 @@ class SparseIntegerMatrix:
     def __eq__(self, other):
         if not isinstance(other, SparseIntegerMatrix):
             return NotImplemented
-        return self.n == other.n and self.entries == other.entries
+        return (self.n == other.n and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self):
-        return f"SparseIntegerMatrix(n={self.n}, nnz={len(self.entries)})"
+        return f"SparseIntegerMatrix(n={self.n}, nnz={len(self.values)})"
 
     def transpose(self):
-        return SparseIntegerMatrix(
-            self.n, {(j, i): v for (i, j), v in self.entries.items()}
-        )
+        return SparseIntegerMatrix.from_arrays(self.n, self.cols, self.rows, self.values)
 
     def negated(self):
-        return SparseIntegerMatrix(
-            self.n, {k: -v for k, v in self.entries.items()}
-        )
+        return SparseIntegerMatrix.from_arrays(self.n, self.rows, self.cols, -self.values)
 
-    def row_sums(self):
+    def _sums(self, index):
         sums = [0] * self.n
-        for (i, _j), v in self.entries.items():
+        for i, v in zip(index.tolist(), self.values.tolist()):
             sums[i] += v
         return sums
 
+    def row_sums(self):
+        return self._sums(self.rows)
+
     def col_sums(self):
-        sums = [0] * self.n
-        for (_i, j), v in self.entries.items():
-            sums[j] += v
-        return sums
+        return self._sums(self.cols)
 
     def trace(self):
-        return sum(v for (i, j), v in self.entries.items() if i == j)
+        return int(self.values[self.rows == self.cols].sum())
 
     def to_dense(self):
-        rows = [[0] * self.n for _ in range(self.n)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        return self.to_numpy().tolist()
 
     def to_numpy(self):
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for (i, j), v in self.entries.items():
-            a[i, j] = v
+        a = np.zeros((self.n, self.n), dtype=self.values.dtype)
+        a[self.rows, self.cols] = self.values
         return a
 
     def with_increment(self, i, j, delta=1):
         """Copy with one entry bumped; used by identity mutation tests."""
-        out = SparseIntegerMatrix(self.n, self.entries)
-        out.add(i, j, delta)
-        return out
+        return SparseIntegerMatrix.from_arrays(
+            self.n, np.append(self.rows, i), np.append(self.cols, j),
+            np.append(self.values, delta))
 
     def triplets(self):
         """Sorted (row, col, value) triples."""
-        return [(i, j, v) for (i, j), v in sorted(self.entries.items())]
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
 
 
 class LabelledMatrix:
@@ -143,23 +184,14 @@ class LabelledMatrix:
     def lift(self):
         """The 3mr x 3mr matrix the pattern stands for."""
         r, m = self.r, self.m
-        out = SparseIntegerMatrix(3 * m * r)
-        for g3 in range(3):
-            for gm in range(m):
-                for (i, j, h), v in self.entries.items():
-                    tgt = (((g3 + 1) % 3) * m + (gm + h) % m) * r + j
-                    out.add((g3 * m + gm) * r + i, tgt, v)
-        return out
-
-
-# -- index orderings ----------------------------------------------------------
-
-
-def vertex_index(cx: ComplexDescription):
-    return {v.id: k for k, v in enumerate(cx.vertices)}
-
-def edge_index(cx: ComplexDescription):
-    return {e.id: k for k, e in enumerate(cx.edges)}
+        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, 3)
+        i, j, h = keys.T
+        g3 = np.arange(3)[:, None, None]
+        gm = np.arange(m)[:, None]
+        rows = (g3 * m + gm) * r + i
+        cols = (((g3 + 1) % 3) * m + (gm + h) % m) * r + j
+        values = np.broadcast_to(_weights(list(self.entries.values())), rows.shape).ravel()
+        return SparseIntegerMatrix.from_arrays(3 * m * r, rows.ravel(), cols.ravel(), values)
 
 
 # -- vertex operators ---------------------------------------------------------
@@ -167,12 +199,8 @@ def edge_index(cx: ComplexDescription):
 
 def build_a1(cx: ComplexDescription):
     """A1[u][v] = number of type-one edges u -> v; row sums q^2+q+1."""
-    cx.require_valid()
-    vidx = vertex_index(cx)
-    m = SparseIntegerMatrix(len(cx.vertices))
-    for e in cx.edges:
-        m.add(vidx[e.tail], vidx[e.head])
-    return m
+    inc = cx.incidence()
+    return SparseIntegerMatrix.from_arrays(len(cx.vertices), inc.tail, inc.head, 1)
 
 
 def build_a2(cx: ComplexDescription):
@@ -208,23 +236,23 @@ def build_companion_pattern(cx: ComplexDescription):
 
 def build_le(cx: ComplexDescription):
     """Edge adjacency operator, row sums q^2: e -> e' when head(e) = tail(e')
-    and no chamber contains both."""
-    cx.require_valid()
-    eidx = edge_index(cx)
-    by_tail = {}
-    for e in cx.edges:
-        by_tail.setdefault(e.tail, []).append(e)
-    chambers_of = {e.id: set() for e in cx.edges}
-    for c in cx.chambers:
-        for eid in c.edge_ids:
-            chambers_of[eid].add(c.id)
-    m = SparseIntegerMatrix(len(cx.edges))
-    for e in cx.edges:
-        mine = chambers_of[e.id]
-        for succ in by_tail.get(e.head, ()):
-            if mine.isdisjoint(chambers_of[succ.id]):
-                m.add(eidx[e.id], eidx[succ.id])
-    return m
+    and no chamber contains both.
+
+    The candidates e' of row e are the out-edges of head(e).  A chamber
+    holding e and a candidate holds them at consecutive slots, e' after e
+    (the slots run through types 0 -> 1 -> 2 -> 0), so those are the pairs
+    struck out."""
+    inc = cx.incidence()
+    d = inc.out_edges.shape[1]
+    candidates = inc.out_edges[inc.head]
+    # the slot of each edge among its tail's out-edges
+    slot = np.empty(len(inc.tail), dtype=np.int64)
+    slot[inc.out_edges] = np.arange(d)
+    keep = np.ones(candidates.shape, dtype=bool)
+    ce = inc.chamber_edges
+    keep[ce, slot[ce[:, [1, 2, 0]]]] = False
+    rows, slots = np.nonzero(keep)
+    return SparseIntegerMatrix.from_arrays(len(inc.tail), rows, candidates[rows, slots], 1)
 
 
 def _presented_data(cx):
@@ -256,25 +284,17 @@ def build_le_pattern(cx: ComplexDescription):
 def build_lb(cx: ComplexDescription):
     """Directed chamber adjacency operator, row sums q: (c, r) steps to
     (c', r+1) for every chamber c' != c containing the second edge of (c, r)
-    at slot r+1."""
-    cx.require_valid()
-    dcs = cx.directed_chambers()
-    didx = {dc: k for k, dc in enumerate(dcs)}
-    chamber_by_id = {c.id: c for c in cx.chambers}
-    slot_map = {}
-    for c in cx.chambers:
-        for pos, eid in enumerate(c.edge_ids):
-            slot_map.setdefault((eid, pos), []).append(c.id)
-    m = SparseIntegerMatrix(len(dcs))
-    for dc in dcs:
-        c = chamber_by_id[dc.chamber_id]
-        r2 = (dc.rotation + 1) % 3
-        f2 = c.edge_ids[r2]
-        src = didx[dc]
-        for cid in slot_map.get((f2, r2), ()):
-            if cid != c.id:
-                m.add(src, didx[(cid, r2)])
-    return m
+    at slot r+1.
+
+    Directed chamber (c, r) is place 3c + r of the chamber-edge table
+    (``Incidence``): its second edge sits at place 3c + r + 1 (mod 3 within
+    c), and the row's entries are the other places of that edge."""
+    inc = cx.incidence()
+    n = inc.chamber_edges.size
+    second = np.arange(n).reshape(-1, 3)[:, [1, 2, 0]].ravel()
+    candidates = inc.edge_places[inc.chamber_edges.ravel()[second]]
+    rows, k = np.nonzero(candidates != second[:, None])
+    return SparseIntegerMatrix.from_arrays(n, rows, candidates[rows, k], 1)
 
 
 def build_lb_pattern(cx: ComplexDescription):

@@ -82,14 +82,12 @@ def vertex_companion(a1: SparseIntegerMatrix, a2: SparseIntegerMatrix, q):
     det(I - u C) = det(I - A1 u + q A2 u^2 - q^3 u^3 I).
     """
     n = a1.n
-    c = SparseIntegerMatrix(3 * n, a1.entries)
-    for (i, j), v in a2.entries.items():
-        c.add(i, n + j, -q * v)
-    for i in range(n):
-        c.add(i, 2 * n + i, q ** 3)
-        c.add(n + i, i)
-        c.add(2 * n + i, n + i)
-    return c
+    eye = np.arange(n)
+    rows = np.concatenate([a1.rows, a2.rows, eye, n + eye, 2 * n + eye])
+    cols = np.concatenate([a1.cols, n + a2.cols, 2 * n + eye, eye, n + eye])
+    ones = np.ones(n, dtype=np.int64)
+    values = np.concatenate([a1.values, -q * a2.values, q ** 3 * ones, ones, ones])
+    return SparseIntegerMatrix.from_arrays(3 * n, rows, cols, values)
 
 
 def edge_determinant(cx: ComplexDescription):
@@ -178,7 +176,10 @@ def counts_from_edge_determinant(p_e: IntPoly, max_len):
     underlies it."""
     if max_len < 1:
         return []
-    g = p_e * p_e.substitute_square()
+    # g = P_E(u) P_E(u^2) up to u^max_len, all of g that the series reads
+    a = list(p_e.coeffs[: max_len + 1])
+    a += [0] * (max_len + 1 - len(a))
+    g = IntPoly([sum(a[k - 2 * j] * a[j] for j in range(k // 2 + 1)) for k in range(max_len + 1)])
     series = g.log_derivative_series(max_len)  # u g'/g
     counts = [-series[m] for m in range(1, max_len + 1)]
     for ell, value in enumerate(counts, start=1):
@@ -189,28 +190,32 @@ def counts_from_edge_determinant(p_e: IntPoly, max_len):
     return counts
 
 
+def _exact_dtype(bound):
+    """The cheapest dtype whose products and sums are exact on integers up
+    to ``bound`` in magnitude: float64 (BLAS) below 2**53, int64 below
+    2**62, else Python ints in object arrays."""
+    if bound < 2 ** 53:
+        return np.float64
+    if bound < 2 ** 62:
+        return np.int64
+    return object
+
+
 def edge_trace_powers(le: SparseIntegerMatrix, max_len):
     """[trace(L_E^m) for m = 1..max_len], exact.
 
     The powers are taken in float64 (BLAS) when every partial sum certainly
     stays below 2**53, else in int64 when it certainly stays below 2**62,
-    else in Python ints.
+    else in Python ints (``_exact_dtype``).
     """
     if max_len < 1:
         return []
     base = le.to_numpy()
     n = base.shape[0]
     # with R the largest absolute row sum, every partial sum of every product
-    # and trace is an integer of magnitude at most n * R**max_len; below 2**53
-    # a double holds each one exactly, and the product runs on BLAS
+    # and trace is an integer of magnitude at most n * R**max_len
     row_sum = int(np.abs(base).sum(axis=1).max()) if n else 0
-    bound = n * max(1, row_sum) ** max_len
-    if bound < 2 ** 53:
-        work = base.astype(np.float64)
-    elif bound < 2 ** 62:
-        work = base
-    else:
-        work = base.astype(object)
+    work = base.astype(_exact_dtype(n * max(1, row_sum) ** max_len))
     acc = work
     traces = [int(np.trace(acc))]
     for _ in range(max_len - 1):
@@ -232,40 +237,36 @@ def counts_from_traces(traces):
 
 def walk_count_oracle(cx: ComplexDescription, max_len):
     """[closed m-step admissible edge sequences for m = 1..max_len], counted
-    over successor lists.
+    by stepping walks one edge at a time.
 
-    Walks over type-one edges where consecutive edges share no chamber; the
-    successor lists come from ``cx.chambers``.  For each start edge, one walk
-    of max_len steps counts the sequences of each length by the edge they end
-    at; after m steps the closed ones end at the start.  Entry m - 1 must
-    equal trace(L_E^m).  Never touches the operator matrices.
+    Walks over type-one edges where consecutive edges share no chamber: e'
+    may follow e when head(e) = tail(e') and no chamber lists both, read off
+    the complex's edge ends and chamber edge lists (``cx.incidence()``) by a
+    rule of its own, apart from ``build_le``'s.  A count matrix, row s for
+    start edge s, holds the number of sequences of each length from s by the
+    edge they end at; one step moves every count to the successors of its
+    edge, and after m steps the closed ones are the counts at their own
+    start, the diagonal.  Entry m - 1 must equal trace(L_E^m).  Never
+    touches the operator matrices.
+
+    The counts are nonnegative and a step multiplies a row's total by at
+    most R, the most successors of an edge, so every partial sum stays at
+    most N1 * R**max_len: exact in float64 while that is below 2**53
+    (``_exact_dtype``), in integers beyond.
     """
     if max_len < 1:
         raise ValueError("walk length must be >= 1")
-    cx.require_valid()
-    edges = cx.edges
-    chambers_of = {e.id: set() for e in edges}
-    for c in cx.chambers:
-        for eid in c.edge_ids:
-            chambers_of[eid].add(c.id)
-    by_tail = {}
-    for k, e in enumerate(edges):
-        by_tail.setdefault(e.tail, []).append(k)
-    succ = []
-    for e in edges:
-        mine = chambers_of[e.id]
-        succ.append(
-            [k for k in by_tail.get(e.head, ()) if mine.isdisjoint(chambers_of[edges[k].id])]
-        )
-
-    totals = [0] * max_len
-    for start in range(len(edges)):
-        ending_at = {start: 1}
-        for length in range(max_len):
-            step = {}
-            for k, count in ending_at.items():
-                for nxt in succ[k]:
-                    step[nxt] = step.get(nxt, 0) + count
-            ending_at = step
-            totals[length] += ending_at.get(start, 0)
+    inc = cx.incidence()
+    follows = inc.head[:, None] == inc.tail[None, :]
+    lists = inc.chamber_edges
+    # every pair of edges of one chamber, in either order
+    follows[lists[:, :, None], lists[:, None, :]] = False
+    n1 = len(follows)
+    most = int(follows.sum(axis=1).max())
+    succ = follows.astype(np.int64).astype(_exact_dtype(n1 * max(1, most) ** max_len))
+    counts = np.eye(n1, dtype=succ.dtype)
+    totals = []
+    for _ in range(max_len):
+        counts = counts @ succ
+        totals.append(int(np.trace(counts)))
     return totals

@@ -106,3 +106,35 @@ def p4_m2_covers(presentations3):
     """Presentation 4's three connected m=2 covers: L_B has 312 rows, and its
     period-3 product X 104."""
     return [cx for _v, cx in connected_covers(presentations3[4], 2)]
+
+
+def geometric_copy(cx):
+    """The same complex as explicit lists, without its presentation."""
+    return ComplexDescription(q=cx.q, vertices=cx.vertices, edges=cx.edges,
+                              chambers=cx.chambers, provenance=Geometric())
+
+
+@pytest.fixture(scope="session")
+def rich2(plane2):
+    """The base of q=2 presentation 2 (``zeta3 gen --presentation-index 2``)."""
+    search = iter_triangle_presentations(plane2)
+    return base_quotient(next(p for k, p in enumerate(search) if k == 2))
+
+
+@pytest.fixture(scope="session")
+def rewired2(base2):
+    """The q=2 base with the middle edges of chambers 0 and 3 swapped: it
+    passes validation but is no quotient."""
+    chambers = [list(c) for c in base2.chambers]
+    chambers[0][1], chambers[3][1] = chambers[3][1], chambers[0][1]
+    return ComplexDescription(q=2, vertices=base2.vertices, edges=base2.edges,
+                              chambers=chambers, provenance=Geometric())
+
+
+@pytest.fixture(scope="session")
+def reference_battery(small_battery, base3, p4_m2_covers, rich2, rewired2):
+    """The complexes the array builders are compared on with their per-entry
+    references: the q=2 battery, the q=3 base and p4's first two m=2 covers,
+    the geometric copy of each, and the rich and rewired q=2 files."""
+    presented = small_battery + [base3] + p4_m2_covers[:2] + [rich2]
+    return presented + [geometric_copy(cx) for cx in presented] + [rewired2]

@@ -188,6 +188,34 @@ def test_verify_golden(base_file, corrupted_file, tmp_path, capsys):
     }
 
 
+def dumped_hashes(path, out_dir):
+    main(["verify", str(path), "--dump-matrices", str(out_dir)])
+    return {name: hashlib.sha256((out_dir / f"{name}.txt").read_bytes()).hexdigest()
+            for name in ("A1", "A2", "LE", "LB")}
+
+
+def test_dump_matrices_golden(corrupted_file, p4_m2_covers, tmp_path, capsys):
+    # recorded with the per-entry dict builders: the geometric copy of p4's
+    # first m=2 cover, and the rewired q=2 file, whose parallel edges give A1
+    # multiplicities
+    cx = p4_m2_covers[0]
+    geometric = tmp_path / "p4m2.cx"
+    save(ComplexDescription(q=cx.q, vertices=cx.vertices, edges=cx.edges, chambers=cx.chambers,
+                            provenance=Geometric()), geometric)
+    assert dumped_hashes(geometric, tmp_path / "p4m2") == {
+        "A1": "25897911dc6c0a82fb01950c741fac95363222abdbc29810b770c25f393d6201",
+        "A2": "fc578551b0cf1c0db8dedfde8001a3b55b35663017fc2a1caf78c9d6aad80cdd",
+        "LE": "6f7ff2ed35b20fb5c6419395aca1dc7194968a0d2e903bb953864cbf67cc699f",
+        "LB": "d0d2cd0d3ab4816008b827ce042c4d1ffc1f21db99ee071b43371ca7c446eacc",
+    }
+    assert dumped_hashes(corrupted_file, tmp_path / "rewired") == {
+        "A1": "bb669eee3d4cd1ca57205fb2401ab33a47b4045c87846d6d93b4f4271e8f7715",
+        "A2": "1f2d18f9dd7c5d16f56baf21bebf7e2c17402627c96ef08caaf9289edfdb9297",
+        "LE": "ab0c1d5be9b6b6c7974b79eeb9a5efec45558db697d6010b48fb8837f10bba31",
+        "LB": "a6284dd204278e4aa172a30bf16070da6b10138f8e6259dc0737a575a7044886",
+    }
+
+
 def test_cover_roundtrip_and_verify(rich_file, tmp_path, capsys):
     cover = tmp_path / "c2.cx"
     assert main(["cover", "--base", str(rich_file), "--m", "2",

@@ -200,8 +200,7 @@ def test_char_rev_graded_entries_beyond_int64(big):
     i, j = next((i, j) for i in range(len(m)) for j in range(len(m)) if m[i][j])
     m[i][j] = big
     m[j if m[j][i] == 0 else i][i] = 0  # keep the grading: no entry back
-    entries = {(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
-    d, x = exactdet._cyclic_reduction(len(m), entries)
+    d, x = exactdet._cyclic_reduction(len(m), *dense_arrays(m))
     assert d == 3 and x.dtype == object
     assert (max(abs(v) for v in x.ravel().tolist()) > 1 << 63) == (big > 1 << 63)
     assert char_rev(m) == char_rev_interpolated(m)
@@ -412,6 +411,11 @@ def shared_cell_entries(r, m, seed, lo=-5, hi=5):
     return x
 
 
+def labelled_array(r, m, x):
+    """The engine's (r, r, m) array of a pattern given as a dict."""
+    return exactdet._labelled_array(r, m, *exactdet._entry_arrays(x))
+
+
 def cyclic_lift(r, m, x):
     """The mr x mr dense lift over Z/m: entry (g*r + i, (g + h)*r + j)."""
     lifted = [[0] * (m * r) for _ in range(m * r)]
@@ -424,7 +428,7 @@ def cyclic_lift(r, m, x):
 @pytest.mark.parametrize("m,seed", [(1, 30), (3, 31), (8, 32)])
 def test_block_norm_bounds_every_character(m, seed):
     x = shared_cell_entries(3, m, seed)
-    norm_sq = exactdet._block_norm_sq(exactdet._labelled_array(3, m, x))
+    norm_sq = exactdet._block_norm_sq(labelled_array(3, m, x))
     # row 0 collapses its cell (0, 1): the bound is the collapsed row's norm
     collapsed = {}
     for (i, j, _h), v in x.items():
@@ -458,7 +462,7 @@ def test_orbit_engine_vs_dense_routes(monkeypatch, r, m, seed):
     lifted = cyclic_lift(r, m, x)
     kernels = set()
     spy_kernels(monkeypatch, lambda name, H, p: kernels.add((name, H.dtype.name)))
-    engine, _stream = exactdet._char_rev_by_characters(exactdet._labelled_array(r, m, x))
+    engine, _stream = exactdet._char_rev_by_characters(labelled_array(r, m, x))
     hessenberg = r >= exactdet._FLOAT_MIN_ROWS
     assert kernels == {("_charpolys_mod" if hessenberg else "_charpolys_power_sums", "float64")}
     assert engine == char_rev(lifted)
@@ -470,7 +474,7 @@ def test_orbit_engine_vs_dense_routes(monkeypatch, r, m, seed):
 def test_orbit_engine_wide_weights(m):
     # weights up to 80, one cell carrying two labels
     x = shared_cell_entries(4, m, 20 + m, lo=-80, hi=80)
-    engine, _stream = exactdet._char_rev_by_characters(exactdet._labelled_array(4, m, x))
+    engine, _stream = exactdet._char_rev_by_characters(labelled_array(4, m, x))
     assert engine == char_rev(cyclic_lift(4, m, x))
 
 
@@ -517,7 +521,7 @@ def test_orbit_engine_entries_at_and_beyond_the_label_bound(monkeypatch, beyond)
     monkeypatch.setattr(exactdet, "_int64_labels",
                         lambda flat, top, q: kept.append(labels(flat, top, q) is flat)
                         or labels(flat, top, q))
-    engine, _stream = exactdet._char_rev_by_characters(exactdet._labelled_array(r, m, x))
+    engine, _stream = exactdet._char_rev_by_characters(labelled_array(r, m, x))
     assert len(kept) > 1 and kept[0] is not beyond and all(kept[1:])
     assert engine == char_rev_interpolated(cyclic_lift(r, m, x))
 
@@ -845,7 +849,7 @@ def test_engine_kernel_by_block_size(monkeypatch, r):
     # there the Hessenberg one, both on float64 stacks of balanced residues
     # modulo primes below the float64 limit; the other kernel gives the same
     # determinant
-    x = exactdet._labelled_array(r, 1, shared_cell_entries(r, 1, r))
+    x = labelled_array(r, 1, shared_cell_entries(r, 1, r))
     calls = []
 
     def recorded(name, H, p):
@@ -919,8 +923,7 @@ def test_chunking_invariant_dense(monkeypatch, graded):
     m = block_cyclic((5, 5, 5), 30, density=0.7, lo=-9, hi=9)
     if not graded:
         m[0][0] = 3
-    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
-    assert exactdet._cyclic_reduction(len(m), entries)[0] == (3 if graded else 1)
+    assert exactdet._cyclic_reduction(len(m), *dense_arrays(m))[0] == (3 if graded else 1)
     (default, split), (single, ones), (whole, one) = results_by_chunk(
         monkeypatch, lambda: char_rev(m))
     # each run ends with the self-check's call on the 15 x 15 matrix
@@ -969,6 +972,14 @@ def test_row_norm_ceiling_exact_on_squares():
 # -- period-3 reduction --------------------------------------------------------
 
 
+def dense_arrays(m):
+    """A dense matrix's nonzero entries as ``_cyclic_reduction`` takes them:
+    rows, columns and weights."""
+    rows, cols, _labels, values = exactdet._entry_arrays(
+        {(i, j, 0): v for i, row in enumerate(m) for j, v in enumerate(row) if v})
+    return rows, cols, values
+
+
 def block_cyclic(sizes, seed, density=0.5, lo=-4, hi=4, isolated=0):
     """Random matrix with entries only from class t to class t + 1 (mod 3),
     classes of the given sizes interleaved in random order, plus `isolated`
@@ -993,11 +1004,65 @@ def block_cyclic(sizes, seed, density=0.5, lo=-4, hi=4, isolated=0):
 def test_char_rev_block_cyclic_vs_interpolated(sizes, seed, isolated, hi):
     m = block_cyclic(sizes, seed, lo=-hi, hi=hi, isolated=isolated)
     n = len(m)
-    entries = {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
-    d, x = exactdet._cyclic_reduction(n, entries)
+    d, x = exactdet._cyclic_reduction(n, *dense_arrays(m))
     r = len(x)
     assert d == 3 and x.shape == (r, r, 1) and 3 * r <= n
     assert char_rev(m) == char_rev_interpolated(m)
+
+
+def reference_grading(n, keys):
+    """The grading search before it took index arrays: a graph search over
+    the (row, col) keys, each component started at its least index with
+    label 0; None when some entry breaks the labels."""
+    steps = [[] for _ in range(n)]
+    for i, j in keys:
+        steps[i].append((j, 1))
+        steps[j].append((i, 2))
+    g = [None] * n
+    for start in range(n):
+        if g[start] is not None:
+            continue
+        g[start] = 0
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j, step in steps[i]:
+                want = (g[i] + step) % 3
+                if g[j] is None:
+                    g[j] = want
+                    stack.append(j)
+                elif g[j] != want:
+                    return None
+    return g
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_type_grading_matches_reference_search(seed):
+    # graded patterns, with isolated indices and several components, and the
+    # same with one entry that may break the grading (a loop, an entry
+    # against the grading, or one joining two components)
+    rng = random.Random(seed)
+    sizes = tuple(rng.randrange(4) for _ in range(3))
+    m = block_cyclic(sizes, seed, density=rng.choice((0.1, 0.3, 0.7)), isolated=rng.randrange(3))
+    if rng.random() < 0.5:
+        m = [row + [0] * len(m) for row in m] + [[0] * len(m) + row for row in m]
+    n = len(m)
+    patterns = [m]
+    for _ in range(3):
+        broken = [row[:] for row in m]
+        if n:
+            broken[rng.randrange(n)][rng.randrange(n)] = 1
+        patterns.append(broken)
+    graded = 0
+    for pattern in patterns:
+        rows, cols, _values = dense_arrays(pattern)
+        want = reference_grading(n, zip(rows.tolist(), cols.tolist()))
+        got = exactdet._type_grading(n, rows, cols)
+        assert (got is None) == (want is None)
+        if want is not None:
+            graded += 1
+            assert got.tolist() == want
+    assert graded >= 1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1011,8 +1076,7 @@ def test_char_rev_ungraded_matches(seed):
     two_cycle = [row[:] for row in m]
     two_cycle[j][i] = -3
     for mat in (looped, two_cycle):
-        entries = {(a, b): v for a, row in enumerate(mat) for b, v in enumerate(row) if v}
-        assert exactdet._cyclic_reduction(n, entries)[0] == 1
+        assert exactdet._cyclic_reduction(n, *dense_arrays(mat))[0] == 1
         assert char_rev(mat) == char_rev_interpolated(mat)
 
 
@@ -1022,8 +1086,8 @@ def test_char_rev_self_check_catches_corrupted_reduction(monkeypatch):
     m = block_cyclic((3, 4, 3), 12, density=0.8)
     reduction = exactdet._cyclic_reduction
 
-    def corrupted(n, entries):
-        d, x = reduction(n, entries)
+    def corrupted(n, *arrays):
+        d, x = reduction(n, *arrays)
         assert d == 3
         x = x.copy()
         x[0, 0, 0] += 1

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zeta3.complexes import ComplexDescription, Geometric
@@ -16,6 +17,87 @@ from zeta3.operators import (
 )
 
 
+# -- per-entry references -------------------------------------------------------
+#
+# The builders before they took the incidence tables: a walk over the edges
+# and chambers, one dict entry at a time.  Each returns the dict
+# (row, col) -> value of its operator.
+
+
+def _bump(entries, key, v=1):
+    entries[key] = entries.get(key, 0) + v
+    if not entries[key]:
+        del entries[key]
+
+
+def reference_a1(cx):
+    vidx = {v.id: k for k, v in enumerate(cx.vertices)}
+    out = {}
+    for e in cx.edges:
+        _bump(out, (vidx[e.tail], vidx[e.head]))
+    return out
+
+
+def reference_le(cx):
+    eidx = {e.id: k for k, e in enumerate(cx.edges)}
+    by_tail = {}
+    for e in cx.edges:
+        by_tail.setdefault(e.tail, []).append(e)
+    chambers_of = {e.id: set() for e in cx.edges}
+    for c in cx.chambers:
+        for eid in c.edge_ids:
+            chambers_of[eid].add(c.id)
+    out = {}
+    for e in cx.edges:
+        for succ in by_tail.get(e.head, ()):
+            if chambers_of[e.id].isdisjoint(chambers_of[succ.id]):
+                _bump(out, (eidx[e.id], eidx[succ.id]))
+    return out
+
+
+def reference_lb(cx):
+    dcs = cx.directed_chambers()
+    didx = {dc: k for k, dc in enumerate(dcs)}
+    chamber_by_id = {c.id: c for c in cx.chambers}
+    slot_map = {}
+    for c in cx.chambers:
+        for pos, eid in enumerate(c.edge_ids):
+            slot_map.setdefault((eid, pos), []).append(c.id)
+    out = {}
+    for dc in dcs:
+        c = chamber_by_id[dc.chamber_id]
+        r2 = (dc.rotation + 1) % 3
+        for cid in slot_map.get((c.edge_ids[r2], r2), ()):
+            if cid != c.id:
+                _bump(out, (didx[dc], didx[(cid, r2)]))
+    return out
+
+
+def reference_companion(a1, a2, q, n):
+    out = dict(a1)
+    for (i, j), v in a2.items():
+        _bump(out, (i, n + j), -q * v)
+    for i in range(n):
+        _bump(out, (i, 2 * n + i), q ** 3)
+        _bump(out, (n + i, i))
+        _bump(out, (2 * n + i, n + i))
+    return out
+
+
+def test_builders_match_per_entry_references(reference_battery):
+    # multiplicities included: A1 of a q=2 base holds 7 parallel edges a cell
+    for cx in reference_battery:
+        a1, a2 = reference_a1(cx), {(j, i): v for (i, j), v in reference_a1(cx).items()}
+        le, lb = reference_le(cx), reference_lb(cx)
+        built = {"A1": build_a1(cx), "A2": build_a2(cx), "LE": build_le(cx), "LB": build_lb(cx)}
+        for name, want in (("A1", a1), ("A2", a2), ("LE", le), ("LB", lb)):
+            assert built[name].entries == want, (cx, name)
+            assert built[name].triplets() == [(i, j, v) for (i, j), v in sorted(want.items())]
+        assert built["LB"].negated().entries == {k: -v for k, v in lb.items()}
+        companion = vertex_companion(built["A1"], built["A2"], cx.q)
+        assert companion.entries == reference_companion(a1, a2, cx.q, len(cx.vertices))
+
+
 def test_sparse_matrix_basics():
     m = SparseIntegerMatrix(3, {(0, 1): 2, (2, 2): 1})
     assert m.get(0, 1) == 2
@@ -29,6 +111,31 @@ def test_sparse_matrix_basics():
     assert m.triplets() == [(0, 1, 2), (2, 2, 1)]
     canceled = m.with_increment(2, 2, -1)
     assert (2, 2) not in canceled.entries
+    assert len(canceled.entries) == 1 and canceled.values.tolist() == [2]
+
+
+def test_sparse_matrix_from_arrays():
+    # repeated cells sum, cells summing to zero drop, and the arrays come out
+    # in (row, col) order; an entry outside the matrix raises
+    m = SparseIntegerMatrix.from_arrays(
+        3, np.array([2, 0, 2, 1, 0]), np.array([1, 2, 1, 1, 2]), np.array([4, 5, -1, 2, -5]))
+    assert m.triplets() == [(1, 1, 2), (2, 1, 3)]
+    assert m == SparseIntegerMatrix(3, {(2, 1): 3, (1, 1): 2})
+    swap = SparseIntegerMatrix.from_arrays(2, np.array([1, 0]), np.array([0, 1]), 1)
+    assert swap.triplets() == [(0, 1, 1), (1, 0, 1)]
+    for i, j in ((3, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            SparseIntegerMatrix.from_arrays(3, np.array([i]), np.array([j]), 1)
+        with pytest.raises(IndexError):
+            SparseIntegerMatrix(3, {(i, j): 1})
+    # weights beyond int64 stay Python ints
+    big = SparseIntegerMatrix(2, {(0, 1): 3 << 63, (1, 0): -1})
+    assert big.values.dtype == object and big.negated().get(0, 1) == -(3 << 63)
+    assert big.to_dense() == [[0, 3 << 63], [-1, 0]]
+    # and so do int64 weights whose sum outgrows int64
+    top = (1 << 63) - 1
+    doubled = SparseIntegerMatrix(2, {(1, 1): top}).with_increment(1, 1, top)
+    assert doubled.triplets() == [(1, 1, 2 * top)] and doubled.row_sums() == [0, 2 * top]
 
 
 def test_labelled_matrix_basics():

@@ -340,6 +340,60 @@ def test_negative_counts_raise():
         geodesic_counts(bogus, 3)
 
 
+def reference_walk_counts(cx, max_len):
+    """The oracle before its count matrix: successor lists from the chambers,
+    then one dict walk per start edge, counting the sequences of each length
+    by the edge they end at."""
+    edges = cx.edges
+    chambers_of = {e.id: set() for e in edges}
+    for c in cx.chambers:
+        for eid in c.edge_ids:
+            chambers_of[eid].add(c.id)
+    by_tail = {}
+    for k, e in enumerate(edges):
+        by_tail.setdefault(e.tail, []).append(k)
+    succ = [[k for k in by_tail.get(e.head, ())
+             if chambers_of[e.id].isdisjoint(chambers_of[edges[k].id])] for e in edges]
+    totals = [0] * max_len
+    for start in range(len(edges)):
+        ending_at = {start: 1}
+        for length in range(max_len):
+            step = {}
+            for k, count in ending_at.items():
+                for nxt in succ[k]:
+                    step[nxt] = step.get(nxt, 0) + count
+            ending_at = step
+            totals[length] += ending_at.get(start, 0)
+    return totals
+
+
+def test_walk_oracle_matches_reference_walk(reference_battery):
+    for cx in reference_battery:
+        assert walk_count_oracle(cx, 8) == reference_walk_counts(cx, 8), cx
+
+
+def test_walk_oracle_routes_agree(base3):
+    # the q=3 base has 39 edges of 9 successors each: lengths up to 15 count
+    # in float64, 16 and 17 in int64, longer ones in Python ints
+    assert 39 * 9 ** 15 < 2 ** 53 <= 39 * 9 ** 16 and 39 * 9 ** 17 < 2 ** 62 <= 39 * 9 ** 18
+    exact = reference_walk_counts(base3, 21)
+    for length in (15, 16, 17, 18, 21):
+        assert walk_count_oracle(base3, length) == exact[:length]
+    # past a double's exact range at 18, past int64 at 21
+    assert exact[17] > 2 ** 53 and exact[20] > 2 ** 63
+
+
+def test_counts_read_only_the_series_prefix(small_battery, base3):
+    # counts_from_edge_determinant forms P_E(u) P_E(u^2) only up to u^max_len,
+    # past deg P_E as well
+    for cx in small_battery + [base3]:
+        p_e = zeta_parts(cx).p_e
+        full = p_e * p_e.substitute_square()
+        for max_len in (1, 7, p_e.degree + 5):
+            series = full.log_derivative_series(max_len)
+            assert zeta.counts_from_edge_determinant(p_e, max_len) == [-c for c in series[1:]]
+
+
 def test_walk_oracle_matches_traces(base2, cover_m2):
     # one walk records the closed walks of every length up to 6
     for cx in (base2, cover_m2):
