@@ -277,30 +277,25 @@ def build_parser():
         default=0,
         help="take the k-th presentation in search order instead of the first",
     )
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("cover", help="generate an abelian cover of a base file")
     p.add_argument("--base", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--voltage-index", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("validate", help="check the complex axioms")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("verify", help="verify the determinant identity exactly")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dump-matrices", metavar="DIR", default=None,
                    help="write operator matrices as 'row col value' triplets")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="zero classification and census report")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("geodesics", help="closed geodesic counts")
     p.add_argument("path")
@@ -308,15 +303,23 @@ def build_parser():
     p.add_argument("--oracle", action="store_true",
                    help="re-derive counts up to length 6 by walk enumeration")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_geodesics)
     return parser
 
 
+# the parser of ``main``, built on its first call: argparse parsers hold no
+# state between parse_args calls
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up at call time, so a wrapped or replaced cmd_* is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

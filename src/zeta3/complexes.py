@@ -99,6 +99,49 @@ class Geometric:
     """Provenance of a complex given by explicit vertex/edge/chamber lists."""
 
 
+def _fields(records, width):
+    """The records (tuples of ``width`` ints) as a (len, width) int64 array,
+    or as Python ints in an object array when one outgrows int64."""
+    try:
+        flat = np.fromiter(chain.from_iterable(records), np.int64, width * len(records))
+    except OverflowError:
+        flat = np.array(list(chain.from_iterable(records)), dtype=object)
+    return flat.reshape(-1, width)
+
+
+def _repeats(ids):
+    """Whether each of the sorted ``ids`` repeats an earlier one."""
+    return np.concatenate(([False], ids[1:] == ids[:-1]))
+
+
+def _positions(ids, refs):
+    """(position of each of ``refs`` in the sorted ``ids``, whether it is
+    there): the position is the first of that id, or meaningless where the id
+    is missing."""
+    at = np.searchsorted(ids, refs)
+    if not len(ids):
+        return at, np.zeros(at.shape, dtype=bool)
+    return at, ids[np.minimum(at, len(ids) - 1)] == refs
+
+
+def _component_count(n, a, b):
+    """The connected components of the graph on 0..n-1 with an edge between
+    a[k] and b[k] for every k, counted by a breadth-first search from each
+    least unreached vertex that reaches a whole frontier per step."""
+    reached = np.zeros(n, dtype=bool)
+    count = 0
+    while not reached.all():
+        count += 1
+        reached[np.argmin(reached)] = True
+        while True:
+            at_a, at_b = reached[a], reached[b]
+            frontier = np.concatenate((b[at_a & ~at_b], a[at_b & ~at_a]))
+            if not len(frontier):
+                break
+            reached[frontier] = True
+    return count
+
+
 class ComplexDescription:
     """A finite complex; immutable after construction, validation and
     incidence tables cached."""
@@ -110,6 +153,7 @@ class ComplexDescription:
         self.chambers = tuple(sorted(Chamber(*c) for c in chambers))
         self.provenance = provenance if provenance is not None else Geometric()
         self._report = None
+        self._index = None
         self._incidence = None
 
     def __eq__(self, other):
@@ -137,132 +181,128 @@ class ComplexDescription:
     # -- validation ------------------------------------------------------
 
     def validate(self):
-        """Check every structural requirement and local axiom; cached."""
-        if self._report is not None:
-            return self._report
-        rep = ValidationReport()
+        """Check every structural requirement and local axiom; cached.
+
+        The checks run on arrays of the ids and of the positions they name
+        (``_fields``, ``_positions``); the messages, by id, are built only
+        for the records a check fails, in the order of the records.
+        """
+        if self._report is None:
+            report = ValidationReport()
+            self._check(report)
+            self._report = report
+        return self._report
+
+    def _check(self, rep):
+        """Fill ``rep`` with the messages of ``validate``."""
         q = self.q
         if q < 2:
             rep.structural.append(f"q={q} below 2")
 
-        vtypes = {}
-        for v in self.vertices:
-            if v.id in vtypes:
+        vid, vtype = _fields(self.vertices, 2).T
+        edges = _fields(self.edges, 3)
+        chambers = _fields(self.chambers, 4)
+        tail, tail_found = _positions(vid, edges[:, 1])
+        head, head_found = _positions(vid, edges[:, 2])
+        slots, slot_found = _positions(edges[:, 0], chambers[:, 1:])
+
+        repeat = _repeats(vid)
+        bad_type = (vtype < 0) | (vtype > 2)
+        for i in np.flatnonzero(repeat | bad_type).tolist():
+            v = self.vertices[i]
+            if repeat[i]:
                 rep.structural.append(f"duplicate vertex id {v.id}")
-            vtypes[v.id] = v.vtype
-            if v.vtype not in (0, 1, 2):
+            if bad_type[i]:
                 rep.structural.append(f"vertex {v.id} has type {v.vtype} outside Z/3")
 
-        edges = {}
-        for e in self.edges:
-            if e.id in edges:
+        repeat = _repeats(edges[:, 0])
+        for i in np.flatnonzero(repeat | ~tail_found | ~head_found).tolist():
+            e = self.edges[i]
+            if repeat[i]:
                 rep.structural.append(f"duplicate edge id {e.id}")
-            edges[e.id] = e
-            for endpoint in (e.tail, e.head):
-                if endpoint not in vtypes:
+            for endpoint, found in ((e.tail, tail_found[i]), (e.head, head_found[i])):
+                if not found:
                     rep.structural.append(f"edge {e.id} references missing vertex {endpoint}")
 
-        seen_cids = set()
-        for c in self.chambers:
-            if c.id in seen_cids:
+        repeat = _repeats(chambers[:, 0])
+        for i in np.flatnonzero(repeat | ~slot_found.all(axis=1)).tolist():
+            c = self.chambers[i]
+            if repeat[i]:
                 rep.structural.append(f"duplicate chamber id {c.id}")
-            seen_cids.add(c.id)
-            for eid in c.edge_ids:
-                if eid not in edges:
+            for eid, found in zip(c.edge_ids, slot_found[i]):
+                if not found:
                     rep.structural.append(f"chamber {c.id} references missing edge {eid}")
 
         if rep.structural:
-            self._report = rep
-            return rep
+            return
 
         if not self.vertices:
             rep.violations.append("complex is empty")
-            self._report = rep
-            return rep
+            return
 
         # typed edge rule: head type = tail type + 1 (mod 3)
-        for e in self.edges:
-            if vtypes[e.head] != (vtypes[e.tail] + 1) % 3:
-                rep.violations.append(
-                    f"edge {e.id} breaks the type rule: "
-                    f"{vtypes[e.tail]} -> {vtypes[e.head]}"
-                )
+        vtype = vtype.astype(np.int64)
+        tail_type, head_type = vtype[tail], vtype[head]
+        for i in np.flatnonzero(head_type != (tail_type + 1) % 3).tolist():
+            rep.violations.append(
+                f"edge {self.edges[i].id} breaks the type rule: "
+                f"{tail_type[i]} -> {head_type[i]}"
+            )
 
-        # chamber closure through types 0 -> 1 -> 2 -> 0
-        for c in self.chambers:
-            es = [edges[eid] for eid in c.edge_ids]
-            for pos, e in enumerate(es):
-                if vtypes[e.tail] != pos:
-                    rep.violations.append(
-                        f"chamber {c.id} edge {e.id} at position {pos} "
-                        f"has tail type {vtypes[e.tail]}"
-                    )
-            if not (es[0].head == es[1].tail and es[1].head == es[2].tail and es[2].head == es[0].tail):
+        # chamber closure through types 0 -> 1 -> 2 -> 0: slot k has tail
+        # type k, and each slot's head is the next slot's tail
+        slot_type = tail_type[slots]
+        misplaced = slot_type != np.arange(3)
+        unclosed = (head[slots] != tail[slots][:, [1, 2, 0]]).any(axis=1)
+        for i in np.flatnonzero(misplaced.any(axis=1) | unclosed).tolist():
+            c = self.chambers[i]
+            for pos in np.flatnonzero(misplaced[i]).tolist():
+                rep.violations.append(
+                    f"chamber {c.id} edge {c.edge_ids[pos]} at position {pos} "
+                    f"has tail type {slot_type[i, pos]}"
+                )
+            if unclosed[i]:
                 rep.violations.append(f"chamber {c.id} edges do not close a triangle")
 
         # regular in/out degree q^2 + q + 1
+        n0 = len(self.vertices)
         target_deg = q * q + q + 1
-        outdeg = {v.id: 0 for v in self.vertices}
-        indeg = {v.id: 0 for v in self.vertices}
-        for e in self.edges:
-            outdeg[e.tail] += 1
-            indeg[e.head] += 1
-        for v in self.vertices:
-            if outdeg[v.id] != target_deg:
+        outdeg = np.bincount(tail, minlength=n0)
+        indeg = np.bincount(head, minlength=n0)
+        for i in np.flatnonzero((outdeg != target_deg) | (indeg != target_deg)).tolist():
+            v = self.vertices[i]
+            if outdeg[i] != target_deg:
                 rep.violations.append(
-                    f"vertex {v.id} has out-degree {outdeg[v.id]}, expected {target_deg}"
+                    f"vertex {v.id} has out-degree {outdeg[i]}, expected {target_deg}"
                 )
-            if indeg[v.id] != target_deg:
+            if indeg[i] != target_deg:
                 rep.violations.append(
-                    f"vertex {v.id} has in-degree {indeg[v.id]}, expected {target_deg}"
+                    f"vertex {v.id} has in-degree {indeg[i]}, expected {target_deg}"
                 )
 
         # every edge in q+1 chambers, with multiplicity
-        chamber_count = {e.id: 0 for e in self.edges}
-        for c in self.chambers:
-            for eid in c.edge_ids:
-                chamber_count[eid] += 1
-        for e in self.edges:
-            if chamber_count[e.id] != q + 1:
-                rep.violations.append(
-                    f"edge {e.id} lies in {chamber_count[e.id]} chambers, expected {q + 1}"
-                )
+        chamber_count = np.bincount(slots.ravel(), minlength=len(self.edges))
+        for i in np.flatnonzero(chamber_count != q + 1).tolist():
+            rep.violations.append(
+                f"edge {self.edges[i].id} lies in {chamber_count[i]} chambers, expected {q + 1}"
+            )
 
         # type-preserving quotient: the three type classes have equal size
-        class_sizes = [0, 0, 0]
-        for v in self.vertices:
-            class_sizes[v.vtype] += 1
-        if len(self.vertices) % 3 != 0 or len(set(class_sizes)) != 1:
+        class_sizes = np.bincount(vtype, minlength=3).tolist()
+        if n0 % 3 != 0 or len(set(class_sizes)) != 1:
             rep.violations.append(
                 f"vertex type classes have sizes {class_sizes}, expected equal thirds"
             )
 
         # one component: the trivial zeros, the census and the criteria all
         # count the complex once (abelian_cover rejects disconnected covers)
-        neighbours = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            neighbours[e.tail].append(e.head)
-            neighbours[e.head].append(e.tail)
-        reached = set()
-        components = 0
-        for v in self.vertices:
-            if v.id in reached:
-                continue
-            components += 1
-            reached.add(v.id)
-            stack = [v.id]
-            while stack:
-                for w in neighbours[stack.pop()]:
-                    if w not in reached:
-                        reached.add(w)
-                        stack.append(w)
+        components = _component_count(n0, tail, head)
         if components > 1:
             rep.violations.append(
                 f"1-skeleton has {components} connected components, expected 1"
             )
 
-        self._report = rep
-        return rep
+        self._index = (tail, head, slots)
 
     @property
     def is_valid(self):
@@ -278,12 +318,9 @@ class ComplexDescription:
         if self._incidence is not None:
             return self._incidence
         self.require_valid()
-        vertex_ids = np.array([v.id for v in self.vertices], dtype=np.int64)
-        edges = np.fromiter(chain.from_iterable(self.edges), np.int64).reshape(-1, 3)
-        chambers = np.fromiter(chain.from_iterable(self.chambers), np.int64).reshape(-1, 4)
-        # the tuples are sorted by id, so an id's position is its rank
-        tail, head = np.searchsorted(vertex_ids, edges[:, 1:].T)
-        chamber_edges = np.searchsorted(edges[:, 0], chambers[:, 1:])
+        # validate's positions of the ids: the tuples are sorted by id, so an
+        # id's position is its rank
+        tail, head, chamber_edges = self._index
         q = self.q
         self._incidence = Incidence(
             tail=tail,

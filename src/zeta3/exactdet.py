@@ -9,10 +9,11 @@ The routes and their parts:
   (i, j).  The lift is block-circulant over Z/m, so the determinant is the
   product over the m characters of Z/m of r x r twisted determinants.  These
   are taken modulo word-sized primes p = 1 (mod m), where the characters take
-  values in GF(p): modulo each prime of a slice of blocks, the twisted
-  blocks sum_h X[:, :, h] * w**(c*h) come out of one int64 product of X
-  (reduced mod p first only where that product could overflow) with the
-  powers of w.  The characters fall into Galois orbits
+  values in GF(p): every twisted block sum_h X[:, :, h] * w**(c*h) mod p of
+  a slice of blocks comes out of one int64 product of a (blocks x m) table
+  of w**(c*h) mod p with X's label rows, then one remainder by each block's
+  prime (``_twisted_blocks``; X reduced mod each prime first only where
+  that product could overflow).  The characters fall into Galois orbits
   {chi^t : t a unit mod m}, the classes of gcd(c, m) of the characters chi_c
   (``_character_orbits``), and each orbit's product is an integer polynomial
   of degree at most |O|*r: it is recombined by CRT on its own, under the
@@ -575,6 +576,46 @@ def _int64_labels(flat, top, p):
     return np.remainder(flat, p).astype(np.int64, copy=False)
 
 
+def _powers_mod(w, e, p):
+    """w[t] ** e mod p[t] for every t and every exponent of the vector e, as
+    a (len(w), len(e)) int64 array, by binary powering: residues below
+    p < 2**25, so every product stays below 2**50."""
+    out = np.ones((len(w), len(e)), dtype=np.int64)
+    p = p[:, None]
+    square = w[:, None] % p
+    e = e.copy()
+    while e.any():
+        odd = (e & 1).astype(bool)
+        out[:, odd] = out[:, odd] * square % p
+        square = square * square % p
+        e >>= 1
+    return out
+
+
+def _twisted_blocks(flat, top, table, p):
+    """The twisted blocks of one slice, as the (B, r*r) float64 stack of
+    balanced residues the kernels take: row b is table[b] @ flat modulo p[b],
+    table[b, h] = w**(c*h) mod p[b] for block b's character c.
+
+    One int64 product and one remainder by each block's prime build the
+    whole slice while ``_int64_labels`` lets ``flat`` go in unreduced at the
+    slice's largest prime, and so at every prime of it; otherwise each prime
+    takes its own product with ``flat`` reduced as ``_int64_labels`` says.
+    """
+    labels = _int64_labels(flat, top, int(p.max()))
+    if labels is flat:
+        values = table @ flat
+    else:
+        values = np.empty((len(p), flat.shape[1]), dtype=np.int64)
+        for q in np.unique(p).tolist():
+            at = p == q
+            values[at] = table[at] @ _int64_labels(flat, top, q)
+    np.remainder(values, p[:, None], out=values)
+    # residues in [0, p) are exact doubles; balanced, |v| <= (p - 1)/2
+    stack = values.astype(np.float64)
+    return _balanced_remainder(stack, p[:, None].astype(np.float64), out=stack)
+
+
 def _char_rev_by_characters(x):
     """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the
     mr x mr lift of an r x r pattern over Z/m.  The stream is
@@ -605,10 +646,12 @@ def _char_rev_by_characters(x):
     for the paper's operators), so one call per block would spend its time
     in the interpreter rather than in arithmetic.  The slices are as few as
     keep the kernel's working set within ``_CHUNK_ENTRIES`` entries (at least
-    one block each), and of equal size; for each prime of a slice, its blocks
-    are built with one int64 product (``_int64_labels``), so memory stays
-    bounded however many primes the bounds need.  Each (orbit, prime) product
-    accumulates across slices.
+    one block each), and of equal size.  Every block of a slice is built at
+    once (``_twisted_blocks``): its row of the table of w**(c*h) mod p, taken
+    from the powers of each root (``_powers_mod``), goes into one int64
+    product with X's label rows, then one remainder by the block's prime.
+    So memory stays bounded however many primes the bounds need.  Each
+    (orbit, prime) product accumulates across slices.
     """
     r, _, m = x.shape
     n = m * r
@@ -635,6 +678,13 @@ def _char_rev_by_characters(x):
             break
     takes = [next(t + 1 for t, mod in enumerate(moduli) if mod > bound) for bound in bounds]
     blocks = [(o, t, c) for o, orbit in enumerate(orbits) for t in range(takes[o]) for c in orbit]
+    prime_of, character = np.array(blocks, dtype=np.int64)[:, 1:].T
+    primes = np.array([p for p, _w in roots], dtype=np.int64)
+    # powers[t, e] = w**e mod p for the t-th (p, w), e < m: w has order m,
+    # so block b takes w**(c*h) from exponent c*h mod m
+    powers = _powers_mod(np.array([w for _p, w in roots], dtype=np.int64),
+                         np.arange(m), primes)
+    exponents = character[:, None] * np.arange(m) % m
 
     # row h of flat holds label h of every entry, so the block of character c
     # modulo p is the row vector (w**(c*h))_h times flat mod p
@@ -647,26 +697,18 @@ def _char_rev_by_characters(x):
     slices = -(-len(blocks) // max(1, _CHUNK_ENTRIES // entries))
     size = -(-len(blocks) // slices)
     for start in range(0, len(blocks), size):
-        chunk = blocks[start : start + size]
-        pb = np.array([roots[t][0] for _o, t, _c in chunk], dtype=np.int64)
-        stack = np.empty((len(chunk), r * r))
-        for t in sorted({t for _o, t, _c in chunk}):
-            p, w = roots[t]
-            at = [b for b, (_o, s, _c) in enumerate(chunk) if s == t]
-            powers = np.array([[pow(w, chunk[b][2] * h, p) for h in range(m)] for b in at],
-                              dtype=np.int64)
-            values = powers @ _int64_labels(flat, top, p)
-            stack[at] = np.remainder(values, p, out=values)
-        # balanced residues, |v| <= (p - 1)/2
-        np.subtract(stack, pb[:, None], out=stack, where=stack > pb[:, None] // 2)
-        factors = kernel(stack.reshape(len(chunk), r, r), pb)
-        for (o, t, _c), p, factor in zip(chunk, pb.tolist(), factors):
+        at = slice(start, start + size)
+        pb = primes[prime_of[at]]
+        table = powers[prime_of[at, None], exponents[at]]
+        stack = _twisted_blocks(flat, top, table, pb)
+        factors = kernel(stack.reshape(len(pb), r, r), pb)
+        for (o, t, _c), p, factor in zip(blocks[at], pb.tolist(), factors):
             # each product term is below p**2 < 2**50 and an output
             # coefficient sums at most r + 1 <= 8192 of them, so int64
             # cannot overflow
             per_orbit[o][t] = np.convolve(per_orbit[o][t], factor[::-1]) % p
 
-    primes = [p for p, _w in roots]
+    primes = primes.tolist()
     parts = sorted((IntPoly(crt_symmetric(residues, primes[: len(residues)]))
                     for residues in per_orbit), key=lambda f: f.degree)
     poly = parts[0]

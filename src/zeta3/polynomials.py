@@ -430,11 +430,11 @@ PRIME_CAP = (1 << 25) - 1
 _PRIME_TABLES = {}
 
 
-def _odd_primes(limit):
+def _odd_primes(limit, skip=0):
     """Yield the odd primes below ``limit``, descending, from its table in
-    ``_PRIME_TABLES``."""
+    ``_PRIME_TABLES``, past the first ``skip`` of them."""
     table = _PRIME_TABLES.setdefault(limit, [])
-    t = 0
+    t = skip
     while True:
         if t == len(table):
             start = table[-1] - 2 if table else (limit - 2) | 1
@@ -446,21 +446,51 @@ def _odd_primes(limit):
         t += 1
 
 
+def _root_of_order(k, p):
+    """The first w = a**((p - 1)/k) mod p, a = 2, 3, ..., of exact
+    multiplicative order k in GF(p), p = 1 (mod k)."""
+    candidates = (pow(a, (p - 1) // k, p) for a in range(2, p))
+    return next(w for w in candidates if all(pow(w, d, p) != 1 for d in range(1, k) if k % d == 0))
+
+
+class _RootTable:
+    """The pairs (p, w) of one ``primes_with_root(k, limit)`` stream found so
+    far, and how many odd primes below ``limit`` the search has passed."""
+
+    __slots__ = ("pairs", "scanned")
+
+    def __init__(self):
+        self.pairs = []
+        self.scanned = 0
+
+
+# (k, limit) -> its ``_RootTable``; ``primes_with_root`` extends each on
+# demand, so the search for w runs once per prime and process
+_ROOT_TABLES = {}
+
+
 def primes_with_root(k, limit=PRIME_CAP):
     """Yield (p, w) for the primes p = 1 (mod k) below ``limit`` (at most
     PRIME_CAP), descending, with w an element of exact multiplicative order k
-    in GF(p).
+    in GF(p) (``_root_of_order``).
 
-    k = 1 yields every odd prime below ``limit``, each with w = 1.
+    k = 1 yields every odd prime below ``limit``, each with w = 1.  The pairs
+    come from a table per (k, limit) in ``_ROOT_TABLES``, extended one pair at
+    a time as a stream reads past its end.
     """
-    for p in _odd_primes(limit):
-        if (p - 1) % k:
-            continue
-        for a in range(2, p):
-            w = pow(a, (p - 1) // k, p)
-            if all(pow(w, d, p) != 1 for d in range(1, k) if k % d == 0):
-                yield p, w
-                break
+    table = _ROOT_TABLES.setdefault((k, limit), _RootTable())
+    t = 0
+    while True:
+        if t == len(table.pairs):
+            for p in _odd_primes(limit, table.scanned):
+                table.scanned += 1
+                if (p - 1) % k == 0:
+                    table.pairs.append((p, _root_of_order(k, p)))
+                    break
+            else:
+                return
+        yield table.pairs[t]
+        t += 1
 
 
 def crt_symmetric(rows, primes):

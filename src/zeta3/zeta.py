@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .complexes import ComplexDescription, Presented
-from .exactdet import char_rev, char_rev_factored
+from .exactdet import _cyclic_reduction, char_rev, char_rev_factored
 from .errors import ExactArithmeticError
 from .operators import (
     SparseIntegerMatrix,
@@ -202,25 +202,35 @@ def _exact_dtype(bound):
 
 
 def edge_trace_powers(le: SparseIntegerMatrix, max_len):
-    """[trace(L_E^m) for m = 1..max_len], exact.
+    """[trace(L_E^k) for k = 1..max_len], exact.
 
-    The powers are taken in float64 (BLAS) when every partial sum certainly
-    stays below 2**53, else in int64 when it certainly stays below 2**62,
-    else in Python ints (``_exact_dtype``).
+    L_E raises the tail type by one, so its pattern carries a Z/3 grading
+    and ``exactdet._cyclic_reduction`` gives (3, X), X = L_E^3 on the
+    smallest class: L_E^k maps each class into another unless 3 | k, so
+    trace(L_E^k) is 0 for 3 not dividing k, and trace((L_E^3)^j) is 3
+    trace(X^j), the three cyclic products of the blocks having equal traces.
+    An L_E without a grading (a corrupted operator) gives (1, L_E) and takes
+    every power of L_E itself.
+
+    With R the largest absolute row sum of L_E, every partial sum of every
+    product and trace taken, of L_E's powers or of X's (X^j is L_E^(3j) on
+    one class, 3j <= max_len), is an integer of magnitude at most
+    n * R**max_len; the powers run in float64 (BLAS) when that is below
+    2**53, else in int64 when it is below 2**62, else in Python ints
+    (``_exact_dtype``).
     """
     if max_len < 1:
         return []
-    base = le.to_numpy()
-    n = base.shape[0]
-    # with R the largest absolute row sum, every partial sum of every product
-    # and trace is an integer of magnitude at most n * R**max_len
-    row_sum = int(np.abs(base).sum(axis=1).max()) if n else 0
-    work = base.astype(_exact_dtype(n * max(1, row_sum) ** max_len))
-    acc = work
-    traces = [int(np.trace(acc))]
-    for _ in range(max_len - 1):
-        acc = acc @ work
-        traces.append(int(np.trace(acc)))
+    n = le.n
+    d, x = _cyclic_reduction(n, le.rows, le.cols, le.values)
+    row_sum = int(np.abs(le.to_numpy()).sum(axis=1).max()) if n else 0
+    work = x[:, :, 0].astype(_exact_dtype(n * max(1, row_sum) ** max_len))
+    traces = [0] * max_len
+    power = work
+    for k in range(d, max_len + 1, d):
+        if k > d:
+            power = power @ work
+        traces[k - 1] = d * int(np.trace(power))
     return traces
 
 

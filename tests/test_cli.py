@@ -95,6 +95,23 @@ def test_validate_ok(base_file, capsys):
     assert "N0=3" in out and "chi=3" in out
 
 
+def test_main_builds_one_parser_and_finds_commands_at_call_time(base_file, capsys, monkeypatch):
+    # the parser is built on the first call and kept; the command is looked
+    # up in the module when it runs, so a replaced cmd_validate is reached
+    from zeta3 import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert main(["validate", str(base_file)]) == 0
+    assert "N0=3" in capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.path) or 7)
+    assert main(["validate", str(base_file)]) == 7
+    assert seen == [str(base_file)] and built == [1]
+
+
 @pytest.fixture()
 def broken_file(tmp_path, base2):
     """The q=2 base without its first chamber: fails the local axioms."""

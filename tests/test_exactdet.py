@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -246,6 +247,43 @@ def test_primes_with_root_below_a_limit(k, rows):
         assert primes == odd[:12]
     assert set(primes) <= set(polynomials._PRIME_TABLES[limit])
     assert all(p > 1 << 24 for p in polynomials._PRIME_TABLES.get(PRIME_CAP, []))
+
+
+def fresh_primes_with_root(k, limit):
+    """The stream primes_with_root(k, limit) promises, searched afresh:
+    every odd n below limit, descending, that is prime and 1 mod k, with the
+    first a**((n - 1)/k), a = 2, 3, ..., of exact order k."""
+    for n in range((limit - 2) | 1, 2, -2):
+        if (n - 1) % k or not _is_probable_prime(n):
+            continue
+        for a in range(2, n):
+            w = pow(a, (n - 1) // k, n)
+            if all(pow(w, d, n) != 1 for d in range(1, k) if k % d == 0):
+                yield n, w
+                break
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8])
+@pytest.mark.parametrize("rows", [7, exactdet._FLOAT_MIN_ROWS, 128])
+def test_memoised_primes_with_root_match_a_fresh_search(k, rows, monkeypatch):
+    # at the engine's limits (PRIME_CAP, 2**24 and 2**23): a stream read past
+    # the table's end extends it, and a second stream reads the same pairs
+    # without searching for w again
+    limit = exactdet._float_prime_limit(rows)
+    head = list(islice(primes_with_root(k, limit), 3))
+    searches = []
+    root = polynomials._root_of_order
+    monkeypatch.setattr(polynomials, "_root_of_order",
+                        lambda k, p: searches.append(p) or root(k, p))
+    stream = primes_with_root(k, limit)
+    longer = list(islice(stream, 40))
+    expected = list(islice(fresh_primes_with_root(k, limit), 41))
+    assert longer[:3] == head and longer == expected[:40]
+    found = len(searches)
+    assert list(islice(primes_with_root(k, limit), 40)) == longer and len(searches) == found
+    # the first stream goes on past every pair the table holds, and no
+    # prime's w is searched twice
+    assert next(stream) == expected[40] and len(set(searches)) == len(searches)
 
 
 def random_pattern(r, m, seed, nnz=None, lo=-3, hi=3):
@@ -507,22 +545,37 @@ def test_int64_labels_reduce_only_beyond_the_bound():
     assert exactdet._int64_labels(flat.astype(object), None, p).tolist() == (flat % p).tolist()
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 8191])
+def test_powers_mod_matches_pow(m):
+    roots = list(islice(primes_with_root(m), 3))
+    w = np.array([w for _p, w in roots], dtype=np.int64)
+    p = np.array([p for p, _w in roots], dtype=np.int64)
+    e = np.arange(m)
+    table = exactdet._powers_mod(w, e, p)
+    assert table.tolist() == [[pow(a, k, q) for k in range(m)] for q, a in roots]
+    # w has exact order m: its powers below m are distinct
+    assert all(len(set(row)) == m for row in table.tolist())
+
+
 @pytest.mark.parametrize("beyond", [False, True])
 def test_orbit_engine_entries_at_and_beyond_the_label_bound(monkeypatch, beyond):
     # int64 entries as large as the first prime's bound allows, and one more:
-    # unreduced at every prime, then reduced at the first and unreduced at
-    # the smaller primes after it
+    # the slice's largest prime decides.  At the bound, one unreduced product
+    # builds every block of the slice; beyond it, each prime takes its own
+    # product, with the labels reduced at the first prime only
     r, m = 2, 3
     p, _w = next(primes_with_root(m, exactdet._float_prime_limit(r)))
     big = ((1 << 63) - 1) // ((p - 1) * m) + beyond
     x = {(0, 1, 2): big, (1, 0, 1): -big, (1, 1, 0): 3, (0, 0, 2): 1}
-    kept = []
+    calls = []
     labels = exactdet._int64_labels
     monkeypatch.setattr(exactdet, "_int64_labels",
-                        lambda flat, top, q: kept.append(labels(flat, top, q) is flat)
+                        lambda flat, top, q: calls.append((q, labels(flat, top, q) is not flat))
                         or labels(flat, top, q))
     engine, _stream = exactdet._char_rev_by_characters(labelled_array(r, m, x))
-    assert len(kept) > 1 and kept[0] is not beyond and all(kept[1:])
+    assert calls[0] == (p, beyond)
+    assert {q for q, reduced in calls if reduced} == ({p} if beyond else set())
+    assert len(calls) > 2 if beyond else len(calls) == 1
     assert engine == char_rev_interpolated(cyclic_lift(r, m, x))
 
 

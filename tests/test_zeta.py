@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from zeta3 import zeta
@@ -284,15 +285,58 @@ def test_geodesic_counts_cover(cover_m2):
     assert counts == counts_from_traces(traces)
 
 
-def test_edge_trace_routes_agree(base2):
+def spy(monkeypatch, name):
+    """Replace zeta's ``name`` by a wrapper that records its results."""
+    results = []
+    fn = getattr(zeta, name)
+
+    def recorded(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(zeta, name, recorded)
+    return results
+
+
+def reference_traces(le, max_len):
+    """trace(L_E^k), k = 1..max_len, by dense powers in Python ints."""
+    n = le.n
+    m = [[le.get(i, j) for j in range(n)] for i in range(n)]
+    power, out = m, []
+    for _ in range(max_len):
+        out.append(sum(power[i][i] for i in range(n)))
+        power = [[sum(row[t] * m[t][j] for t in range(n) if row[t]) for j in range(n)]
+                 for row in power]
+    return out
+
+
+@pytest.mark.parametrize("name", ["base2", "cover_m2", "base3", "ungraded"])
+def test_edge_trace_powers_match_python_int_powers(name, request, monkeypatch):
+    # a genuine L_E takes its period-3 block; the corrupted L_E of the
+    # benchmark's self-test (one diagonal entry more) has no grading and
+    # takes its own powers
+    le = build_le(request.getfixturevalue("base2" if name == "ungraded" else name))
+    if name == "ungraded":
+        le = le.with_increment(0, 0)
+    reductions = spy(monkeypatch, "_cyclic_reduction")
+    assert edge_trace_powers(le, 9) == reference_traces(le, 9)
+    assert [d for d, _x in reductions] == [1 if name == "ungraded" else 3]
+
+
+def test_edge_trace_routes_agree(base2, monkeypatch):
     # L_E of the base is 21 x 21 and 4-regular: lengths up to 24 take float64,
-    # 25 to 30 int64 and longer ones Python ints
+    # 25 to 30 int64 and longer ones Python ints, on its 7-row period-3 block
     le = build_le(base2)
     assert 21 * 4 ** 24 < 2 ** 53 <= 21 * 4 ** 25 and 21 * 4 ** 31 >= 2 ** 62
+    dtypes = spy(monkeypatch, "_exact_dtype")
+    reductions = spy(monkeypatch, "_cyclic_reduction")
     exact = edge_trace_powers(le, 31)
     assert edge_trace_powers(le, 24) == exact[:24]
     assert edge_trace_powers(le, 25) == exact[:25]
+    assert dtypes == [object, np.float64, np.int64]
+    assert [(d, x.shape) for d, x in reductions] == [(3, (7, 7, 1))] * 3
     assert all(isinstance(t, int) for t in exact) and exact[23] > 2 ** 48
+    assert exact == reference_traces(le, 31)
 
 
 def test_edge_trace_powers_negative_entries():
