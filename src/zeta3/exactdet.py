@@ -10,16 +10,20 @@ The routes and their parts:
   product over the m characters of Z/m of r x r twisted determinants.  These
   are taken modulo word-sized primes p = 1 (mod m), where the characters take
   values in GF(p): every twisted block sum_h X[:, :, h] * w**(c*h) mod p of
-  a slice of blocks comes out of one int64 product of a (blocks x m) table
-  of w**(c*h) mod p with X's label rows, then one remainder by each block's
-  prime (``_twisted_blocks``; X reduced mod each prime first only where
-  that product could overflow).  The characters fall into Galois orbits
-  {chi^t : t a unit mod m}, the classes of gcd(c, m) of the characters chi_c
-  (``_character_orbits``), and each orbit's product is an integer polynomial
-  of degree at most |O|*r: it is recombined by CRT on its own, under the
-  Hadamard-style bound of |O|*r rows of norm rho, rho**2 the largest squared
-  row norm of the pattern with its group labels collapsed onto their cells.  The kernel work goes as
-  the sum of |O|**2, not m**2; the orbit factors are multiplied exactly.
+  a slice of blocks comes out of one product of a (blocks x m) table of
+  w**(c*h) mod p with X's label rows, then one remainder by each block's
+  prime (``_twisted_blocks``).  While top * max(p) < 2**53, top = m
+  max|X|, that is one float64 BLAS product and one balanced remainder, every
+  partial sum an integer a double holds exactly; beyond it, and for X of
+  Python ints, an int64 product and remainder, X reduced mod each prime
+  first only where that product could overflow.  The characters fall into
+  Galois orbits {chi^t : t a unit mod m}, the classes of gcd(c, m) of the
+  characters chi_c (``_character_orbits``), and each orbit's product is an
+  integer polynomial of degree at most |O|*r: it is recombined by CRT on
+  its own, under the Hadamard-style bound of |O|*r rows of norm rho, rho**2
+  the largest squared row norm of the pattern with its group labels
+  collapsed onto their cells.  The kernel work goes as the sum of |O|**2,
+  not m**2; the orbit factors are multiplied exactly.
   Exact integer arithmetic throughout, carried out residue-wise; where
   floats carry it, they carry integers a double holds exactly.
 * ``_charpolys_power_sums`` and ``_charpolys_mod`` - the two
@@ -38,10 +42,11 @@ The routes and their parts:
 * ``_cube_rows`` - the one period-3 product.  Every operator of the paper
   raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
   on one class of the Z/3 grading.  It multiplies the pattern's three blocks
-  as Z/m-labelled arrays, adding labels mod m, on float64 through BLAS while
-  every partial sum stays below 2**53 and on Python ints beyond, and returns
-  X as the engine's (r, r, m) array, int64 or, when the weights outgrow it,
-  Python ints in an object array; a dense matrix is the case m = 1.
+  (on the factored route the whole pattern, built once) as Z/m-labelled
+  arrays, adding labels mod m, on float64 through BLAS while every partial
+  sum stays below 2**53 and on Python ints beyond, and returns X as the
+  engine's (r, r, m) array, int64 or, when the weights outgrow it, Python
+  ints in an object array; a dense matrix is the case m = 1.
 * ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
   of a grading found in M's pattern (``_type_grading``, a breadth-first
   search over its entry arrays; else X = M), over the trivial group.
@@ -326,20 +331,23 @@ def _charpolys_mod(H, p):
         if j:
             below = mod(below - np.matmul(F[:, k + 1 :, :j], R[:, :j, k, None])[:, :, 0], p1)
         # each slice's pivot: the first nonzero of column k below row k; a
-        # slice without one keeps row k+1 (a zero) and gets multipliers 0
-        off = np.argmax(below != 0, axis=1)
-        moved = np.nonzero(off)[0]
-        if moved.size:
-            to = k + 1 + off[moved]
-            H[moved, to], H[moved, k + 1] = H[moved, k + 1], H[moved, to]
-            H[moved, :, to], H[moved, :, k + 1] = H[moved, :, k + 1], H[moved, :, to]
-            # with nothing pending, F and R hold no live entry there, and
-            # below is a view of H that moved with its rows
-            if j:
-                F[moved, to], F[moved, k + 1] = F[moved, k + 1], F[moved, to]
-                R[moved, :, to], R[moved, :, k + 1] = R[moved, :, k + 1], R[moved, :, to]
-                at = off[moved]
-                below[moved, at], below[moved, 0] = below[moved, 0], below[moved, at]
+        # slice without one keeps row k+1 (a zero) and gets multipliers 0.
+        # Random residues almost never give a zero subdiagonal entry, so the
+        # search runs only when some slice has one
+        if not below[:, 0].all():
+            off = np.argmax(below != 0, axis=1)
+            moved = np.nonzero(off)[0]
+            if moved.size:
+                to = k + 1 + off[moved]
+                H[moved, to], H[moved, k + 1] = H[moved, k + 1], H[moved, to]
+                H[moved, :, to], H[moved, :, k + 1] = H[moved, :, k + 1], H[moved, :, to]
+                # with nothing pending, F and R hold no live entry there, and
+                # below is a view of H that moved with its rows
+                if j:
+                    F[moved, to], F[moved, k + 1] = F[moved, k + 1], F[moved, to]
+                    R[moved, :, to], R[moved, :, k + 1] = R[moved, :, k + 1], R[moved, :, to]
+                    at = off[moved]
+                    below[moved, at], below[moved, 0] = below[moved, 0], below[moved, at]
         inv = np.array([pow(int(a), -1, q) if a else 0
                         for a, q in zip(below[:, 0].tolist(), primes)], dtype=H.dtype)
         f = mod(below[:, 1:] * inv[:, None], p1)
@@ -597,11 +605,28 @@ def _twisted_blocks(flat, top, table, p):
     balanced residues the kernels take: row b is table[b] @ flat modulo p[b],
     table[b, h] = w**(c*h) mod p[b] for block b's character c.
 
-    One int64 product and one remainder by each block's prime build the
-    whole slice while ``_int64_labels`` lets ``flat`` go in unreduced at the
+    While top * max(p) < 2**53 (``top`` m times the largest |entry| of an
+    int64 ``flat``), one float64 BLAS product and one balanced remainder
+    build the whole slice: an entry of the product sums m terms, each an
+    entry times a residue in [0, p), so every partial sum is an integer of
+    magnitude below top * max(p) < 2**53, which a double holds exactly (at
+    m = 1 the table is a column of ones).  The remainder x - p*rint(x/p) of
+    such an x is exact, as in ``_charpolys_mod``: rint(x/p) lies within one
+    of x/p, so p*rint(x/p) and the residue are integers of magnitude at most
+    |x| + p, below 2**53 (|x| <= top (p - 1): below top * p when top >= p,
+    below p**2 + p otherwise, p < 2**25), and the residue has magnitude at
+    most (p + 1)/2.
+
+    Beyond that bound, and for Python ints (``top`` None), the product runs
+    in int64, then one remainder by each block's prime: one product builds
+    the slice while ``_int64_labels`` lets ``flat`` go in unreduced at the
     slice's largest prime, and so at every prime of it; otherwise each prime
     takes its own product with ``flat`` reduced as ``_int64_labels`` says.
     """
+    pf = p[:, None].astype(np.float64)
+    if top is not None and top * int(p.max()) < 1 << 53:
+        stack = table.astype(np.float64) @ flat.astype(np.float64)
+        return _balanced_remainder(stack, pf, out=stack)
     labels = _int64_labels(flat, top, int(p.max()))
     if labels is flat:
         values = table @ flat
@@ -613,7 +638,7 @@ def _twisted_blocks(flat, top, table, p):
     np.remainder(values, p[:, None], out=values)
     # residues in [0, p) are exact doubles; balanced, |v| <= (p - 1)/2
     stack = values.astype(np.float64)
-    return _balanced_remainder(stack, p[:, None].astype(np.float64), out=stack)
+    return _balanced_remainder(stack, pf, out=stack)
 
 
 def _char_rev_by_characters(x):
@@ -648,8 +673,9 @@ def _char_rev_by_characters(x):
     keep the kernel's working set within ``_CHUNK_ENTRIES`` entries (at least
     one block each), and of equal size.  Every block of a slice is built at
     once (``_twisted_blocks``): its row of the table of w**(c*h) mod p, taken
-    from the powers of each root (``_powers_mod``), goes into one int64
-    product with X's label rows, then one remainder by the block's prime.
+    from the powers of each root (``_powers_mod``), goes into one product
+    with X's label rows, float64 below 2**53 and int64 beyond, then one
+    remainder by the block's prime.
     So memory stays bounded however many primes the bounds need.  Each
     (orbit, prime) product accumulates across slices.
     """
@@ -817,7 +843,7 @@ def _group_product(a, b):
     return c
 
 
-def _cube_rows(n, m, rows, cols, labels, values, classes):
+def _cube_rows(n, m, rows, cols, labels, values, classes=None):
     """X = M^3 on the rows of one class, as the engine's (r, r, m) labelled
     array (``_char_rev_by_characters``): X[a, b, h] the entry from the
     class's row a to deck h of its row b.
@@ -829,10 +855,11 @@ def _cube_rows(n, m, rows, cols, labels, values, classes):
     column of V_(t+1); so X = B_0 B_1 B_2 on V_0, B_t the pattern's rows of
     V_t and columns of V_(t+1), each built from the entries alone.  Dense
     char_rev passes the classes of a Z/3 grading of M, at m = 1 with every
-    label 0; char_rev_factored passes its three sheets, each all n rows,
-    since every entry raises the sheet of a Z/3 x Z/m lift by one.  The products are of
-    Z/m-labelled matrices (``_group_product``): labels add mod m along each
-    path.
+    label 0.  char_rev_factored passes None, for its three sheets, each all
+    n rows, since every entry raises the sheet of a Z/3 x Z/m lift by one:
+    there B_0 = B_1 = B_2 is the whole pattern, built once.  The products
+    are of Z/m-labelled matrices (``_group_product``): labels add mod m
+    along each path.
 
     The products run on float64 through BLAS when (W d)**3 <= 2**53, W the
     largest |weight| and d the most entries of a row: W d bounds every row's
@@ -845,18 +872,23 @@ def _cube_rows(n, m, rows, cols, labels, values, classes):
     exact_float = (_top(values) * int(d)) ** 3 <= 1 << 53
     dtype = np.float64 if exact_float else object
     weights = values.astype(dtype)
-    local = np.zeros(n, dtype=np.int64)
-    for members in classes:
-        local[members] = np.arange(len(members))
-    blocks = []
-    for t in range(3):
-        source = np.zeros(n, dtype=bool)
-        source[classes[t]] = True
-        sel = source[rows]
-        # the product's layout: (row, label, column)
-        block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
-        block[local[rows[sel]], labels[sel], local[cols[sel]]] = weights[sel]
-        blocks.append(block)
+    # each block's layout: (row, label, column)
+    if classes is None:
+        block = np.zeros((n, m, n), dtype=dtype)
+        block[rows, labels, cols] = weights
+        blocks = [block] * 3
+    else:
+        local = np.zeros(n, dtype=np.int64)
+        for members in classes:
+            local[members] = np.arange(len(members))
+        blocks = []
+        for t in range(3):
+            source = np.zeros(n, dtype=bool)
+            source[classes[t]] = True
+            sel = source[rows]
+            block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
+            block[local[rows[sel]], labels[sel], local[cols[sel]]] = weights[sel]
+            blocks.append(block)
     cube = _group_product(_group_product(blocks[0], blocks[1]), blocks[2]).transpose(0, 2, 1)
     return cube.astype(np.int64 if exact_float else object, order="C")
 
@@ -932,7 +964,7 @@ def char_rev_factored(pattern, reference=None):
     compares two independent constructions.
     """
     r, m = pattern.r, pattern.m
-    x = _cube_rows(r, m, *_entry_arrays(pattern.entries), [range(r)] * 3)
+    x = _cube_rows(r, m, *_entry_arrays(pattern.entries))
     return _char_rev_reduced("char_rev_factored", 3, x, 3 * m * r, reference or pattern.lift)
 
 

@@ -129,8 +129,8 @@ class IntPoly:
         if not a or not b:
             return IntPoly.zero()
         out = [0] * (len(a) + len(b) - 1)
-        # the identity check multiplies the paper's determinants, polynomials
-        # in u^3: skip the zeros of both factors
+        # skip the zeros of both factors, most of the coefficients of a
+        # polynomial in u^3 such as the paper's determinants
         terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:

@@ -13,6 +13,10 @@ and the identity checked, in cleared-denominator form, is
 with the cube factor moved to the right-hand side when chi < 0.  The factor
 P_E(u^2) is det(I - L_E^t u^2): reversed characteristic polynomials are
 transpose-invariant, so the type-two edge operator never needs to be built.
+The check (``verify_identity``) runs in w = u^e, e = 3 for every genuine
+complex, whose three determinants are polynomials in u^3 by the type
+grading below, and e = 1 otherwise: two products of object arrays of Python
+ints, exact at any size, and (1 - u^3)^|chi| as |chi| differences.
 
 Every one of these operators raises the vertex type by one step (A1 and the
 companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
@@ -136,29 +140,60 @@ class IdentityVerdict:
     rhs: Optional[IntPoly] = None
 
 
+def _times_one_minus(x, lag):
+    """x * (1 - w**lag) for a coefficient array x: new[n] = x[n] - x[n - lag]."""
+    out = np.concatenate([x, np.zeros(lag, dtype=object)])
+    out[lag:] -= x
+    return out
+
+
+def _spread(x, e):
+    """The IntPoly in u of a coefficient array x in w = u**e."""
+    coeffs = [0] * (e * (len(x) - 1) + 1)
+    coeffs[::e] = x.tolist()
+    return IntPoly(coeffs)
+
+
 def verify_identity(parts: ZetaParts):
-    """Exact coefficient-by-coefficient check of the cleared identity."""
-    cube = IntPoly([1, 0, 0, -1])  # 1 - u^3
-    lhs = parts.p_e * parts.p_e.substitute_square()
-    rhs = parts.p_a * parts.p_b
-    if parts.chi >= 0:
-        lhs = cube ** parts.chi * lhs
-    else:
-        rhs = cube ** (-parts.chi) * rhs
-    if lhs == rhs:
+    """Exact coefficient-by-coefficient check of the cleared identity.
+
+    Both sides are polynomials in w = u**e, e = 3 when P_A, P_E and P_B all
+    are, as the Z/3 type grading makes them for every genuine complex, and
+    e = 1 otherwise (a corrupted operator).  The check runs in w: E(w) E(w^2)
+    and A(w) B(w) are one ``np.convolve`` each on object arrays of Python
+    ints, whose products and sums numpy's loop takes in Python-int
+    arithmetic, exact at any size; the factor (1 - u^3)^|chi| =
+    (1 - w^(3/e))^|chi| goes onto its side as |chi| lag-(3/e) differences,
+    new[n] = old[n] - old[n - 3/e].  Every coefficient of u not at a
+    multiple of e is zero on both sides, so the first differing coefficient
+    of u is the first differing one of w, at e times its index; a failure's
+    witness and both sides are read from the w arrays spread back to u.
+    """
+    polys = (parts.p_a, parts.p_e, parts.p_b)
+    e = 1 if any(any(p.coeffs[1::3]) or any(p.coeffs[2::3]) for p in polys) else 3
+    a, pe, b = (np.array(p.coeffs[::e] or (0,), dtype=object) for p in polys)
+    pe_square = np.zeros(2 * len(pe) - 1, dtype=object)
+    pe_square[::2] = pe
+    lhs = np.convolve(pe, pe_square)
+    rhs = np.convolve(a, b)
+    for _ in range(max(parts.chi, 0)):
+        lhs = _times_one_minus(lhs, 3 // e)
+    for _ in range(max(-parts.chi, 0)):
+        rhs = _times_one_minus(rhs, 3 // e)
+    size = max(len(lhs), len(rhs))
+    lhs, rhs = (np.concatenate([x, np.zeros(size - len(x), dtype=object)]) for x in (lhs, rhs))
+    differ = np.flatnonzero(lhs != rhs)
+    if not len(differ):
         return IdentityVerdict(holds=True)
-    top = max(lhs.degree, rhs.degree)
-    for k in range(top + 1):
-        if lhs.cf(k) != rhs.cf(k):
-            return IdentityVerdict(
-                holds=False,
-                witness_index=k,
-                lhs_coefficient=lhs.cf(k),
-                rhs_coefficient=rhs.cf(k),
-                lhs=lhs,
-                rhs=rhs,
-            )
-    raise AssertionError("unreachable")  # pragma: no cover
+    k = int(differ[0])
+    return IdentityVerdict(
+        holds=False,
+        witness_index=e * k,
+        lhs_coefficient=lhs[k],
+        rhs_coefficient=rhs[k],
+        lhs=_spread(lhs, e),
+        rhs=_spread(rhs, e),
+    )
 
 
 # -- geodesic counting --------------------------------------------------------

@@ -420,6 +420,25 @@ def test_period3_product_zeroes_cancelled_entries(monkeypatch):
         assert cube[i, h * 4 + j] == v
 
 
+@pytest.mark.parametrize("m,seed,hi,dtype", [
+    (1, 40, 3, np.int64),
+    (3, 41, 3, np.int64),
+    (7, 42, 60, np.int64),
+    (2, 43, 1 << 20, object),   # int64 weights whose cube outgrows 2**53
+    (3, 44, 1 << 70, object),   # weights beyond int64
+])
+def test_cube_rows_one_block_matches_three_block_build(m, seed, hi, dtype):
+    # char_rev_factored's three sheets are all the pattern's rows: the block
+    # built once equals the three blocks built class by class
+    r = 6
+    pattern = random_pattern(r, m, seed, nnz=4 * r, lo=-hi, hi=hi)
+    arrays = exactdet._entry_arrays(pattern.entries)
+    once = exactdet._cube_rows(r, m, *arrays)
+    thrice = exactdet._cube_rows(r, m, *arrays, [range(r)] * 3)
+    assert once.dtype == thrice.dtype == dtype
+    assert once.shape == (r, r, m) and once.tolist() == thrice.tolist()
+
+
 @pytest.mark.parametrize("m,sizes", [
     (3, [1, 2]),           # Z/3: the trivial character and the pair of order 3
     (7, [1, 6]),           # Z/7: one orbit per order 1, 7
@@ -577,6 +596,46 @@ def test_orbit_engine_entries_at_and_beyond_the_label_bound(monkeypatch, beyond)
     assert {q for q, reduced in calls if reduced} == ({p} if beyond else set())
     assert len(calls) > 2 if beyond else len(calls) == 1
     assert engine == char_rev_interpolated(cyclic_lift(r, m, x))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8191])
+def test_twisted_blocks_float_route_matches_int64_route(monkeypatch, m):
+    # a block entry sums m terms, an entry times a residue below p, so its
+    # partial sums stay below top * max(p), top m times the largest |entry|:
+    # one float64 product while that is below 2**53, the int64 product from
+    # there and for Python ints.  Entries at the bound and one more, against
+    # Python-int products; for m > 1 a column of extreme entries takes its
+    # sums to about half the bound
+    r = 2
+    roots = list(islice(primes_with_root(m, exactdet._float_prime_limit(r)), 3))
+    p = np.repeat(np.array([q for q, _w in roots], dtype=np.int64), 2)
+    w = np.repeat(np.array([a for _q, a in roots], dtype=np.int64), 2)
+    # two characters a prime, the trivial one at m = 1 (a column of ones)
+    characters = np.tile([1 % m, m - 1], 3)
+    powers = exactdet._powers_mod(w, np.arange(m), p)
+    table = powers[np.arange(len(p))[:, None], characters[:, None] * np.arange(m) % m]
+    if m == 1:
+        assert table.tolist() == [[1]] * len(p)
+    most = ((1 << 53) - 1) // (int(p.max()) * m)
+    calls = []
+    labels = exactdet._int64_labels
+    monkeypatch.setattr(exactdet, "_int64_labels",
+                        lambda flat, top, q: calls.append(q) or labels(flat, top, q))
+    rng = np.random.default_rng(m)
+    for extra in (0, 1):
+        flat = rng.integers(-most, most + 1, size=(m, r * r))
+        flat[:, 0], flat[:, -1] = most + extra, -most - extra
+        top = (most + extra) * m
+        assert (top * int(p.max()) < 1 << 53) is not extra
+        expected = (table.astype(object) @ flat.astype(object)) % p.astype(object)[:, None]
+        for x, x_top in ((flat, top), (flat.astype(object), None)):
+            calls.clear()
+            stack = exactdet._twisted_blocks(x, x_top, table, p)
+            assert bool(calls) is bool(extra or x_top is None)
+            assert stack.dtype == np.float64 and stack.shape == (len(p), r * r)
+            assert (np.abs(stack) <= (p[:, None] + 1) // 2).all()
+            residues = np.remainder(stack.astype(np.int64), p[:, None])
+            assert residues.tolist() == expected.tolist()
 
 
 def test_orbit_engine_rejects_groups_beyond_int64_sums():

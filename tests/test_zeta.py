@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,8 @@ from zeta3.operators import (
 )
 from zeta3.polynomials import IntPoly
 from zeta3.zeta import (
+    IdentityVerdict,
+    ZetaParts,
     counts_from_traces,
     edge_trace_powers,
     geodesic_counts,
@@ -250,6 +255,82 @@ def test_identity_negative_chi_branch():
         p_b=IntPoly.one(),
     )
     assert not verify_identity(broken).holds
+
+
+def reference_verdict(parts):
+    """The cleared identity checked by IntPoly products in u, the cube factor
+    expanded by powering: the reference for verify_identity's w-domain
+    arrays."""
+    cube = IntPoly([1, 0, 0, -1])  # 1 - u^3
+    lhs = parts.p_e * parts.p_e.substitute_square()
+    rhs = parts.p_a * parts.p_b
+    if parts.chi >= 0:
+        lhs = cube ** parts.chi * lhs
+    else:
+        rhs = cube ** (-parts.chi) * rhs
+    if lhs == rhs:
+        return IdentityVerdict(holds=True)
+    k = next(k for k in range(max(lhs.degree, rhs.degree) + 1) if lhs.cf(k) != rhs.cf(k))
+    return IdentityVerdict(holds=False, witness_index=k, lhs_coefficient=lhs.cf(k),
+                           rhs_coefficient=rhs.cf(k), lhs=lhs, rhs=rhs)
+
+
+def random_parts(rng, chi, graded):
+    """ZetaParts whose identity holds by construction.
+
+    E = (1 - u^3)^k G, so E(u) E(u^2) = (1 - u^3)^(2k) (1 + u^3)^k G(u) G(u^2),
+    and A and B split the factors (1 - u^3)^(chi + 2k) (1 + u^3)^k, G(u) and
+    G(u^2) between them at random; 2k >= -chi.  G has constant term 1 and
+    random coefficients up to 2**70 in magnitude, in u^3 alone when graded."""
+    step = 3 if graded else 1
+    g = [1] + [0] * (step * rng.randint(0, 5))
+    for i in range(step, len(g), step):
+        g[i] = rng.choice([0, rng.randint(-9, 9), rng.randint(-(1 << 70), 1 << 70)])
+    g = IntPoly(g)
+    k = max(-chi + 1, 0) // 2 + rng.randint(0, 1)
+    factors = ([IntPoly([1, 0, 0, -1])] * (chi + 2 * k) + [IntPoly([1, 0, 0, 1])] * k
+               + [g, g.substitute_square()])
+    a = b = IntPoly.one()
+    for f in factors:
+        if rng.random() < 0.5:
+            a = a * f
+        else:
+            b = b * f
+    p_e = IntPoly([1, 0, 0, -1]) ** k * g
+    return ZetaParts(q=2, n0=0, n1=0, n2=0, chi=chi, p_a=a, p_e=p_e, p_b=b)
+
+
+def perturbed(rng, parts):
+    """``parts`` with one coefficient of P_A, P_E or P_B moved, at a multiple
+    of 3 or not, or with one of them zero."""
+    which = rng.choice(["p_a", "p_e", "p_b"])
+    poly = getattr(parts, which)
+    if rng.random() < 0.1:
+        return replace(parts, **{which: IntPoly.zero()})
+    coeffs = list(poly.coeffs) + [0] * 4
+    coeffs[rng.randrange(len(coeffs))] += rng.choice([-1, 1]) * rng.randint(1, 1 << 40)
+    return replace(parts, **{which: IntPoly(coeffs)})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_matches_intpoly_products(seed):
+    # chi > 0, = 0 and < 0; polynomials in u^3 and not; identities that hold
+    # and that fail: the verdict equals the reference field by field, the
+    # witness coefficients Python ints
+    rng = random.Random(seed)
+    outcomes = set()
+    for chi in (-5, -2, -1, 0, 1, 3, 21):
+        for graded in (True, False):
+            parts = random_parts(rng, chi, graded)
+            for candidate in (parts, perturbed(rng, parts)):
+                verdict = verify_identity(candidate)
+                assert verdict == reference_verdict(candidate)
+                if not verdict.holds:
+                    assert type(verdict.lhs_coefficient) is int
+                    assert type(verdict.rhs_coefficient) is int
+                outcomes.add((chi > 0, chi < 0, verdict.holds))
+    assert outcomes == {(a, b, holds) for a, b in ((True, False), (False, False), (False, True))
+                        for holds in (True, False)}
 
 
 def test_corrupted_geometric_complex_fails_identity(base2):
