@@ -41,26 +41,28 @@ The routes and their parts:
   working set (``_kernel``) fits ``_CHUNK_ENTRIES`` entries.
 * ``_cube_rows`` - the one period-3 product.  Every operator of the paper
   raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
-  on one class of the Z/3 grading.  It multiplies the pattern's three blocks
-  (on the factored route the whole pattern, built once) as Z/m-labelled
-  arrays, adding labels mod m, on float64 through BLAS while every partial
-  sum stays below 2**53 and on Python ints beyond, and returns X as the
-  engine's (r, r, m) array, int64 or, when the weights outgrow it, Python
-  ints in an object array; a dense matrix is the case m = 1.
-* ``char_rev`` - det(I - u*M) for an integer matrix: X on the smallest class
-  of a grading found in M's pattern (``_type_grading``, a breadth-first
-  search over its entry arrays; else X = M), over the trivial group.
-* ``char_rev_factored`` - det(I - u*M) for the lift M of a voltage-labelled
-  pattern (operators.LabelledMatrix), without building the lift: X on sheet
-  0 is the lift of an r x r pattern over the deck group Z/m, taken with its
-  m characters.
-* ``_char_rev_reduced`` - the tail of both routes: engine, spread to u^d, self-check.
-* ``_self_check`` - the one self-check of both routes (under ``SELF_CHECK``):
-  the unreduced dense operator's characteristic polynomial modulo a prime
-  the engine's CRT did not take, by the Hessenberg kernel on an int64 stack
-  (residues in [0, p), numpy's own integer loops): every determinant is
-  checked in integer arithmetic on the unreduced operator, and one the
-  power-sum kernel took by another algorithm as well.
+  on one class of the Z/3 grading (``grading_classes``, a breadth-first
+  search over the pattern's entry arrays, ``_type_grading``).  It multiplies
+  the pattern's three blocks between the classes as Z/m-labelled arrays,
+  adding labels mod m, on float64 through BLAS while every partial sum stays
+  below 2**53 and on Python ints beyond, and returns X as the engine's
+  (r, r, m) array, int64 or, when the weights outgrow it, Python ints in an
+  object array.
+* ``char_rev_labelled`` - the one route: det(I - u*M) for the lift M over
+  Z/m of an n x n pattern whose entries carry labels in Z/m, given as entry
+  arrays (repeated entries sum) with the classes of its grading.  It takes X
+  by ``_cube_rows`` (without a grading, X is the pattern), runs the engine,
+  spreads the coefficients back to u and, under ``SELF_CHECK``, checks the
+  result.  No lift is built.  zeta passes a presented complex's base
+  quotient operators, labelled by the voltages of their edges.
+* ``char_rev`` - det(I - u*M) for an integer matrix: ``char_rev_labelled``
+  at m = 1, every label 0, on the grading found in M's own pattern.
+* ``_self_check`` - the one self-check (under ``SELF_CHECK``): the unreduced
+  dense operator's characteristic polynomial modulo a prime the engine's CRT
+  did not take, by the Hessenberg kernel on an int64 stack (residues in
+  [0, p), numpy's own integer loops): every determinant is checked in
+  integer arithmetic on the unreduced operator, and one the power-sum kernel
+  took by another algorithm as well.
 
 The primes (``polynomials.primes_with_root``) and the CRT
 (``polynomials.crt_symmetric``) are shared with the modular gcd.
@@ -73,7 +75,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -81,8 +82,8 @@ import numpy as np
 from .errors import ExactArithmeticError
 from .polynomials import PRIME_CAP, IntPoly, crt_symmetric, primes_with_root
 
-# When enabled (the test suite turns it on), every char_rev and
-# char_rev_factored call compares each coefficient of its result with the
+# When enabled (the test suite turns it on), every char_rev_labelled call
+# (char_rev's included) compares each coefficient of its result with the
 # unreduced dense operator's characteristic polynomial modulo a prime outside
 # its CRT set (``_self_check``); SELF_CHECK_CALLS counts the checked calls.
 SELF_CHECK = False
@@ -748,7 +749,7 @@ def _char_rev_by_characters(x):
     return poly, stream
 
 
-def _self_check(route, poly, n, operator, stream):
+def _self_check(poly, n, operator, stream):
     """Raise unless every coefficient of ``poly`` matches det(I - u*A) modulo
     the next prime of ``stream``, A = operator() the unreduced n x n dense
     operator.
@@ -766,13 +767,13 @@ def _self_check(route, poly, n, operator, stream):
     dense = _as_int_rows(operator())
     if len(dense) != n:
         raise ExactArithmeticError(
-            f"{route} self-check: operator of dimension {len(dense)}, expected {n}"
+            f"char_rev self-check: operator of dimension {len(dense)}, expected {n}"
         )
     p, _w = next(stream)
     stack = np.array([[[v % p for v in row] for row in dense]], dtype=np.int64)
     direct = _charpolys_mod(stack, np.array([p], dtype=np.int64))[0, ::-1].tolist()
     if poly.degree > n or any((poly.cf(d) - c) % p for d, c in enumerate(direct)):
-        raise ExactArithmeticError(f"{route} self-check failed modulo {p}")
+        raise ExactArithmeticError(f"char_rev self-check failed modulo {p}")
 
 
 def _type_grading(n, rows, cols):
@@ -803,29 +804,19 @@ def _type_grading(n, rows, cols):
     return g if np.array_equal(g[cols], (g[rows] + 1) % 3) else None
 
 
-def _entry_arrays(entries):
-    """A Z/m-labelled pattern, the dict (i, j, h) -> weight, as four arrays:
-    rows, columns, labels and weights, the weights int64 when every one is
-    below 2**62 in magnitude, else Python ints in an object array."""
-    keys = np.fromiter(chain.from_iterable(entries), np.int64, 3 * len(entries)).reshape(-1, 3)
-    values = list(entries.values())
-    small = max(map(abs, values), default=0) < 1 << 62
-    return (*keys.T, np.array(values, dtype=np.int64 if small else object))
-
-
 def _top(values):
     """The largest |value| of a weight array, as a Python int (0 if empty)."""
     return int(np.abs(values).max()) if len(values) else 0
 
 
 def _labelled_array(n, m, rows, cols, labels, values):
-    """The (n, n, m) array x of a Z/m-labelled pattern given as entry arrays
-    (``_entry_arrays``): x[i, j, h] the weight of (i, j, h), zero off the
-    entries.  int64 when every weight is below 2**62 in magnitude, else
+    """The (n, n, m) array x of a Z/m-labelled pattern given as entry arrays:
+    x[i, j, h] the sum of the weights of its entries (i, j, h), zero off the
+    entries.  int64 when those sums stay below 2**62 in magnitude, else
     Python ints in an object array."""
-    small = values.dtype != object and _top(values) < 1 << 62
+    small = values.dtype != object and _top(values) * len(values) < 1 << 62
     x = np.zeros((n, n, m), dtype=np.int64 if small else object)
-    x[rows, cols, labels] = values
+    np.add.at(x, (rows, cols, labels), values)
     return x
 
 
@@ -843,23 +834,20 @@ def _group_product(a, b):
     return c
 
 
-def _cube_rows(n, m, rows, cols, labels, values, classes=None):
+def _cube_rows(n, m, rows, cols, labels, values, classes):
     """X = M^3 on the rows of one class, as the engine's (r, r, m) labelled
     array (``_char_rev_by_characters``): X[a, b, h] the entry from the
     class's row a to deck h of its row b.
 
     M is the lift over the deck group Z/m of an n x n pattern, given as its
-    entry arrays (``_entry_arrays``: entry k from row rows[k] to column
-    cols[k] with label labels[k] in Z/m and weight values[k]), and
-    ``classes`` = (V_0, V_1, V_2), every entry from a row of V_t going to a
-    column of V_(t+1); so X = B_0 B_1 B_2 on V_0, B_t the pattern's rows of
-    V_t and columns of V_(t+1), each built from the entries alone.  Dense
-    char_rev passes the classes of a Z/3 grading of M, at m = 1 with every
-    label 0.  char_rev_factored passes None, for its three sheets, each all
-    n rows, since every entry raises the sheet of a Z/3 x Z/m lift by one:
-    there B_0 = B_1 = B_2 is the whole pattern, built once.  The products
-    are of Z/m-labelled matrices (``_group_product``): labels add mod m
-    along each path.
+    entry arrays: entry k from row rows[k] to column cols[k] with label
+    labels[k] in Z/m and weight values[k], entries that repeat a (row,
+    column, label) summing.  ``classes`` = (V_0, V_1, V_2) is a Z/3 grading
+    of the pattern (``grading_classes``), every entry from a row of V_t going
+    to a column of V_(t+1); so X = B_0 B_1 B_2 on V_0, B_t the pattern's rows
+    of V_t and columns of V_(t+1), each built from the entries alone.  The
+    products are of Z/m-labelled matrices (``_group_product``): labels add
+    mod m along each path.  A dense matrix is the case m = 1, every label 0.
 
     The products run on float64 through BLAS when (W d)**3 <= 2**53, W the
     largest |weight| and d the most entries of a row: W d bounds every row's
@@ -872,69 +860,80 @@ def _cube_rows(n, m, rows, cols, labels, values, classes=None):
     exact_float = (_top(values) * int(d)) ** 3 <= 1 << 53
     dtype = np.float64 if exact_float else object
     weights = values.astype(dtype)
+    local = np.zeros(n, dtype=np.int64)
+    for members in classes:
+        local[members] = np.arange(len(members))
     # each block's layout: (row, label, column)
-    if classes is None:
-        block = np.zeros((n, m, n), dtype=dtype)
-        block[rows, labels, cols] = weights
-        blocks = [block] * 3
-    else:
-        local = np.zeros(n, dtype=np.int64)
-        for members in classes:
-            local[members] = np.arange(len(members))
-        blocks = []
-        for t in range(3):
-            source = np.zeros(n, dtype=bool)
-            source[classes[t]] = True
-            sel = source[rows]
-            block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
-            block[local[rows[sel]], labels[sel], local[cols[sel]]] = weights[sel]
-            blocks.append(block)
+    blocks = []
+    for t in range(3):
+        source = np.zeros(n, dtype=bool)
+        source[classes[t]] = True
+        sel = source[rows]
+        block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
+        np.add.at(block, (local[rows[sel]], labels[sel], local[cols[sel]]), weights[sel])
+        blocks.append(block)
     cube = _group_product(_group_product(blocks[0], blocks[1]), blocks[2]).transpose(0, 2, 1)
     return cube.astype(np.int64 if exact_float else object, order="C")
 
 
-def _cyclic_reduction(n, rows, cols, values):
-    """(d, X): det(I - uM) = det(I - u^d X) for X an r x r matrix.
-
-    When M's pattern carries a Z/3 grading with classes V_0, V_1, V_2, M maps
-    V_t into V_(t+1) by blocks B_t, and Sylvester's identity
-    det(I - AB) = det(I - BA) gives det(I - uM) = det(I - u^3 B_t B_(t+1) B_(t+2));
-    X is that product on the smallest class, i.e. M^3 restricted to it
-    (``_cube_rows``).  Without a grading, d = 1 and X = M.  M's nonzero
-    entries are values[k] at (rows[k], cols[k]), the weights int64 or Python
-    ints in an object array; X is the engine's (r, r, 1) labelled array.
-    """
-    labels = np.zeros(len(rows), dtype=np.int64)
+def grading_classes(n, rows, cols):
+    """The classes (V_0, V_1, V_2) of the Z/3 grading of an n x n pattern
+    with entries (rows[k], cols[k]) (``_type_grading``), rotated so that V_0
+    is the smallest, or None when it has none."""
     grading = _type_grading(n, rows, cols)
     if grading is None:
-        return 1, _labelled_array(n, 1, rows, cols, labels, values)
+        return None
     classes = [np.flatnonzero(grading == t) for t in range(3)]
     t = min(range(3), key=lambda t: len(classes[t]))
-    return 3, _cube_rows(n, 1, rows, cols, labels, values, classes[t:] + classes[:t])
+    return tuple(classes[t:] + classes[:t])
 
 
-def _char_rev_reduced(route, d, x, n, operator):
-    """det(I - u*M) = det(I - u^d X) for both routes: det(I - tX) from the
-    engine (X the (r, r, m) labelled array of an r x r pattern over Z/m), its
-    coefficients spread to t = u^d, then (under ``SELF_CHECK``) compared with
-    operator(), the unreduced n x n M."""
+def _cyclic_reduction(n, m, rows, cols, labels, values, classes):
+    """(d, X): det(I - uM) = det(I - u^d X), M the lift over Z/m of the
+    labelled pattern of ``_cube_rows`` and X the engine's (r, r, m) array.
+
+    With the classes V_0, V_1, V_2 of a Z/3 grading, M maps V_t into V_(t+1)
+    by blocks B_t, and Sylvester's identity det(I - AB) = det(I - BA) gives
+    det(I - uM) = det(I - u^3 B_0 B_1 B_2); X is that product on V_0, i.e.
+    M^3 restricted to it (``_cube_rows``).  Without a grading (``classes``
+    None), d = 1 and X is the pattern itself.
+    """
+    if classes is None:
+        return 1, _labelled_array(n, m, rows, cols, labels, values)
+    return 3, _cube_rows(n, m, rows, cols, labels, values, classes)
+
+
+def char_rev_labelled(n, m, rows, cols, labels, values, classes, operator):
+    """det(I - u*M) as an IntPoly, M the mn x mn lift over Z/m of an n x n
+    pattern whose entry k goes from rows[k] to cols[k] with label labels[k]
+    in Z/m and weight values[k] (int64, or Python ints in an object array);
+    entries that repeat a (row, column, label) sum.
+
+    ``classes`` is the pattern's Z/3 grading (``grading_classes``), or None.
+    ``_cyclic_reduction`` takes the pattern to X with det(I - uM) =
+    det(I - u^d X), the engine takes det(I - tX) over the m characters of
+    Z/m, and its coefficients are spread to t = u^d; no lift is built.
+    Under ``SELF_CHECK`` the result is compared with operator(), the
+    unreduced mn x mn M up to a relabelling of its rows and columns.
+    """
+    d, x = _cyclic_reduction(n, m, rows, cols, labels, values, classes)
     reduced, stream = _char_rev_by_characters(x)
     coeffs = [0] * (d * reduced.degree + 1)
     coeffs[::d] = reduced.coeffs
     poly = IntPoly(coeffs)
     if SELF_CHECK and n:
-        _self_check(route, poly, n, operator, stream)
+        _self_check(poly, m * n, operator, stream)
     return poly
 
 
 def char_rev(M):
-    """det(I - u*M) as an IntPoly, for a square integer matrix.
+    """det(I - u*M) as an IntPoly, for a square integer matrix: the case m = 1
+    of ``char_rev_labelled``, every label 0.
 
-    ``_cyclic_reduction`` takes M to X with det(I - uM) = det(I - u^d X): the
-    period-3 product of a Z/3-graded M (vertex type, edge tail type, chamber
-    rotation), else d = 1 and X = M.  The engine's trivial-group case takes
-    det(I - tX), whose coefficients are then spread to t = u^d.  The
-    self-check compares with M itself, so it also sees a wrong reduction.
+    The grading is the one in M's own nonzero pattern (vertex type, edge tail
+    type, chamber rotation), so X is the period-3 product on its smallest
+    class; without one, X = M.  The self-check compares with M itself, so it
+    also sees a wrong reduction.
     """
     if hasattr(M, "to_dense"):
         n, rows, cols, values = M.n, M.rows, M.cols, M.values
@@ -946,26 +945,9 @@ def char_rev(M):
         values = cells[rows, cols]
         if _top(values) < 1 << 62:
             values = values.astype(np.int64)
-    d, x = _cyclic_reduction(n, rows, cols, values)
-    return _char_rev_reduced("char_rev", d, x, n, lambda: M)
-
-
-def char_rev_factored(pattern, reference=None):
-    """det(I - u*M) as an IntPoly, M the 3mr x 3mr lift of a LabelledMatrix.
-
-    Every entry raises the sheet by one, so det(I - uM) = det(I - u^3 X), X =
-    M^3 on sheet 0: the lift over the deck group Z/m of the r x r pattern that
-    ``_cube_rows`` walks from the pattern's own entries, labels adding mod m
-    along each path.  No lift is built.  The engine takes det(I - tX) over
-    the m characters of Z/m, and its coefficients are spread to t = u^3.
-    ``reference`` returns the dense operator the self-check compares with, up
-    to a relabelling of rows and columns (default: the lift); zeta passes the
-    incidence-rule operator or the dense vertex companion, so the check
-    compares two independent constructions.
-    """
-    r, m = pattern.r, pattern.m
-    x = _cube_rows(r, m, *_entry_arrays(pattern.entries))
-    return _char_rev_reduced("char_rev_factored", 3, x, 3 * m * r, reference or pattern.lift)
+    labels = np.zeros(len(rows), dtype=np.int64)
+    return char_rev_labelled(n, 1, rows, cols, labels, values,
+                             grading_classes(n, rows, cols), lambda: M)
 
 
 def char_rev_interpolated(M):

@@ -9,12 +9,13 @@ Every complex, presented or given by explicit lists, gets A1, L_E and L_B
 from the incidence rules, applied with whole-array operations to its cached
 incidence tables (``ComplexDescription.incidence``).
 
-Presented complexes also have a voltage-labelled base form of L_E, L_B and
-the vertex companion (``LabelledMatrix``, from the generator rules): G =
-Z/3 x Z/m acts freely on them, so each is the lift of a small pattern.
-Every entry raises the sheet (the Z/3 part, the vertex type) by one and
-carries a label in the cover's deck group Z/m.  The determinants take the
-pattern; the tests compare its lift with the incidence-rule operators.
+Each rule also says which edge every entry steps across (``a1_steps``,
+``le_steps``, ``lb_steps``): A1's entry is its edge, L_E's the row's edge,
+and L_B's the edge of the row's chamber at the row's slot.  In a cover cut
+out by voltages on a base's edges, an entry of the base's operator lifts to
+the entries that step from sheet g to sheet g + c, c that edge's voltage,
+so the base's operator labelled with the voltages is the cover's over its
+deck group (zeta takes a presented complex's determinants this way).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .complexes import ComplexDescription, Presented
+from .complexes import ComplexDescription
 
 
 def _weights(values):
@@ -147,60 +148,20 @@ class SparseIntegerMatrix:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
 
 
-class LabelledMatrix:
-    """Square r x r pattern whose entries carry the group element (1, h) of
-    G = Z/3 x Z/m: every entry raises the sheet by one, h is its deck label.
-
-    ``entries`` maps (i, j, h), h in Z/m, to an integer weight.  The lift is
-    the 3mr x 3mr matrix whose entry ((g, i), (g + (1, h), j)) is the weight
-    of (i, j, h), the lifted index of (g, i) being (g3 * m + gm) * r + i.
-    """
-
-    __slots__ = ("r", "m", "entries")
-
-    def __init__(self, r, m, entries=None):
-        self.r = int(r)
-        self.m = int(m)
-        self.entries = {}
-        if entries:
-            for (i, j, h), v in dict(entries).items():
-                self.add(i, j, h, v)
-
-    def add(self, i, j, h, v=1):
-        if not (0 <= i < self.r and 0 <= j < self.r):
-            raise IndexError((i, j))
-        if v == 0:
-            return
-        key = (i, j, h % self.m)
-        new = self.entries.get(key, 0) + v
-        if new == 0:
-            del self.entries[key]
-        else:
-            self.entries[key] = new
-
-    def negated(self):
-        return LabelledMatrix(self.r, self.m, {k: -v for k, v in self.entries.items()})
-
-    def lift(self):
-        """The 3mr x 3mr matrix the pattern stands for."""
-        r, m = self.r, self.m
-        keys = np.array(list(self.entries), dtype=np.int64).reshape(-1, 3)
-        i, j, h = keys.T
-        g3 = np.arange(3)[:, None, None]
-        gm = np.arange(m)[:, None]
-        rows = (g3 * m + gm) * r + i
-        cols = (((g3 + 1) % 3) * m + (gm + h) % m) * r + j
-        values = np.broadcast_to(_weights(list(self.entries.values())), rows.shape).ravel()
-        return SparseIntegerMatrix.from_arrays(3 * m * r, rows.ravel(), cols.ravel(), values)
-
-
 # -- vertex operators ---------------------------------------------------------
+
+
+def a1_steps(cx: ComplexDescription):
+    """A1's entries, one per edge, as (n, rows, cols, edges): entry k steps
+    from vertex rows[k] to vertex cols[k] across edge edges[k]."""
+    inc = cx.incidence()
+    return len(cx.vertices), inc.tail, inc.head, np.arange(len(inc.tail))
 
 
 def build_a1(cx: ComplexDescription):
     """A1[u][v] = number of type-one edges u -> v; row sums q^2+q+1."""
-    inc = cx.incidence()
-    return SparseIntegerMatrix.from_arrays(len(cx.vertices), inc.tail, inc.head, 1)
+    n, rows, cols, _edges = a1_steps(cx)
+    return SparseIntegerMatrix.from_arrays(n, rows, cols, 1)
 
 
 def build_a2(cx: ComplexDescription):
@@ -208,35 +169,12 @@ def build_a2(cx: ComplexDescription):
     return build_a1(cx).transpose()
 
 
-def build_companion_pattern(cx: ComplexDescription):
-    """The block companion of the vertex pencil (zeta.vertex_companion) as a
-    labelled 3 x 3 pattern over its blocks.
-
-    A1 steps vertex (t, g) to (t + 1, g + c(x)) and A2 to (t - 1, g - c(x)),
-    for every point x.  Put vertex (t, g) of block b on sheet t - b: then every
-    entry of the companion raises the sheet by one, and its blocks are
-    (0, 0) = A1 (label c(x), weight 1), (0, 1) = -q A2 (label -c(x), weight
-    -q), (0, 2) = q^3 I, (1, 0) = I and (2, 1) = I (label 0).  Its lift is
-    the companion up to the order of rows and columns."""
-    cx.require_valid()
-    _pres, n, m_mod, c = _presented_data(cx)
-    q = cx.q
-    pattern = LabelledMatrix(3, m_mod)
-    for x in range(n):
-        pattern.add(0, 0, c[x])
-        pattern.add(0, 1, -c[x], -q)
-    pattern.add(0, 2, 0, q ** 3)
-    pattern.add(1, 0, 0)
-    pattern.add(2, 1, 0)
-    return pattern
-
-
 # -- edge operator ------------------------------------------------------------
 
 
-def build_le(cx: ComplexDescription):
-    """Edge adjacency operator, row sums q^2: e -> e' when head(e) = tail(e')
-    and no chamber contains both.
+def le_steps(cx: ComplexDescription):
+    """L_E's entries as (n, rows, cols, edges): entry k steps from edge
+    rows[k] to edge cols[k] across edges[k] = rows[k].
 
     The candidates e' of row e are the out-edges of head(e).  A chamber
     holding e and a candidate holds them at consecutive slots, e' after e
@@ -252,61 +190,39 @@ def build_le(cx: ComplexDescription):
     ce = inc.chamber_edges
     keep[ce, slot[ce[:, [1, 2, 0]]]] = False
     rows, slots = np.nonzero(keep)
-    return SparseIntegerMatrix.from_arrays(len(inc.tail), rows, candidates[rows, slots], 1)
+    return len(inc.tail), rows, candidates[rows, slots], rows
 
 
-def _presented_data(cx):
-    if not isinstance(cx.provenance, Presented):
-        raise ValueError("a presented complex is required")
-    pres = cx.provenance.presentation
-    volt = cx.provenance.voltage
-    return pres, pres.plane.n, volt.m, volt.c
-
-
-def build_le_pattern(cx: ComplexDescription):
-    """L_E as a labelled n x n pattern by the generator rule: (x, y) carries
-    c(x) for every y off lam(x).  Its lift is build_le entry for entry."""
-    cx.require_valid()
-    pres, n, m_mod, c = _presented_data(cx)
-    line_pts = pres.plane.all_line_points
-    pattern = LabelledMatrix(n, m_mod)
-    for x in range(n):
-        on_line = line_pts[pres.lam[x]]
-        for y in range(n):
-            if y not in on_line:
-                pattern.add(x, y, c[x])
-    return pattern
+def build_le(cx: ComplexDescription):
+    """Edge adjacency operator, row sums q^2: e -> e' when head(e) = tail(e')
+    and no chamber contains both (``le_steps``)."""
+    n, rows, cols, _edges = le_steps(cx)
+    return SparseIntegerMatrix.from_arrays(n, rows, cols, 1)
 
 
 # -- directed chamber operator --------------------------------------------
 
 
-def build_lb(cx: ComplexDescription):
-    """Directed chamber adjacency operator, row sums q: (c, r) steps to
-    (c', r+1) for every chamber c' != c containing the second edge of (c, r)
-    at slot r+1.
+def lb_steps(cx: ComplexDescription):
+    """L_B's entries as (n, rows, cols, edges): entry k steps from directed
+    chamber rows[k] to cols[k] across edges[k], the edge of the row's
+    chamber at the row's slot.
 
     Directed chamber (c, r) is place 3c + r of the chamber-edge table
     (``Incidence``): its second edge sits at place 3c + r + 1 (mod 3 within
     c), and the row's entries are the other places of that edge."""
     inc = cx.incidence()
-    n = inc.chamber_edges.size
+    places = inc.chamber_edges.ravel()
+    n = len(places)
     second = np.arange(n).reshape(-1, 3)[:, [1, 2, 0]].ravel()
-    candidates = inc.edge_places[inc.chamber_edges.ravel()[second]]
+    candidates = inc.edge_places[places[second]]
     rows, k = np.nonzero(candidates != second[:, None])
-    return SparseIntegerMatrix.from_arrays(n, rows, candidates[rows, k], 1)
+    return n, rows, candidates[rows, k], places[rows]
 
 
-def build_lb_pattern(cx: ComplexDescription):
-    """L_B as a labelled pattern over the sorted triples by the generator
-    rule: (t, t') carries c(t0) when t'0 = t1 and t'1 != t2.  Its lift is
-    build_lb up to the order of directed chambers."""
-    cx.require_valid()
-    pres, _n, m_mod, c = _presented_data(cx)
-    triples = pres.sorted_triples()
-    pattern = LabelledMatrix(len(triples), m_mod)
-    for i, t in enumerate(triples):
-        for j, s in enumerate(triples):
-            if s[0] == t[1] and s[1] != t[2]:
-                pattern.add(i, j, c[t[0]])
-    return pattern
+def build_lb(cx: ComplexDescription):
+    """Directed chamber adjacency operator, row sums q: (c, r) steps to
+    (c', r+1) for every chamber c' != c containing the second edge of (c, r)
+    at slot r+1 (``lb_steps``)."""
+    n, rows, cols, _edges = lb_steps(cx)
+    return SparseIntegerMatrix.from_arrays(n, rows, cols, 1)

@@ -20,41 +20,48 @@ ints, exact at any size, and (1 - u^3)^|chi| as |chi| differences.
 
 Every one of these operators raises the vertex type by one step (A1 and the
 companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
-each determinant is det(I - u^3 X), X the period-3 product, and both
-determinant routes take that product.  P_A is the determinant of the
-3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).  For a
-presented complex, all three come from exactdet.char_rev_factored on
-voltage-labelled patterns (the 3 x 3 companion pattern, L_E's and L_B's):
-there X is the lift of a small pattern over the cover's deck group Z/m, and
-its determinant is a product over the m characters of Z/m of twisted
-determinants, taken orbit by orbit: each Galois orbit of characters gives an
-integer factor under its own CRT bound, and the factors are multiplied back
-exactly.  Every other complex, and injected operators, take the other
-route: dense char_rev of the four operators, the engine's one-orbit case.
-It finds the Z/3 grading in the matrix's own nonzero pattern and takes X on
-the smallest class, a third of the size; an operator without the grading
-takes the unreduced route.
+each determinant is det(I - u^3 X), X the period-3 product, and every one
+takes exactdet.char_rev_labelled.  P_A is the determinant of the
+3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).  A
+complex given by explicit lists, and injected operators, take dense
+char_rev of the four operators: the route at m = 1 with every label 0, on
+the grading it finds in the operator's own pattern (an operator without one
+takes the unreduced route).  A presented complex is its base quotient, the
+3-vertex complex of its presentation, with voltages on the base's edges:
+each entry of the base's incidence-rule operators steps across one edge
+(``operators.a1_steps``, ``le_steps``, ``lb_steps``) and carries that
+edge's voltage c(x) in the deck group Z/m, A2's entries in the companion
+-c(x) and its identity blocks 0.  The lift of each labelled operator is
+the cover's operator up to the order of rows and columns, so X is the lift
+of a small pattern over Z/m, and its determinant is a product over the m
+characters of Z/m of twisted determinants, taken orbit by orbit: each
+Galois orbit of characters gives an integer factor under its own CRT
+bound, and the factors are multiplied back exactly.  All of that but the
+labels depends on the presentation alone and is built once per
+presentation (``_base_operators``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache, partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .complexes import ComplexDescription, Presented
-from .exactdet import _cyclic_reduction, char_rev, char_rev_factored
+from .construct import base_quotient
+from .exactdet import _cyclic_reduction, char_rev, char_rev_labelled, grading_classes
 from .errors import ExactArithmeticError
 from .operators import (
     SparseIntegerMatrix,
+    a1_steps,
     build_a1,
     build_a2,
-    build_companion_pattern,
     build_lb,
-    build_lb_pattern,
     build_le,
-    build_le_pattern,
+    lb_steps,
+    le_steps,
 )
 from .polynomials import IntPoly
 
@@ -79,48 +86,131 @@ class ZetaParts:
         return self.p_b.degree == 3 * self.n2
 
 
+def _companion_entries(n, a1, a2, q):
+    """The entries (rows, cols, values) of the block companion of n x n
+    operators A1 and A2, each given as (rows, cols, values): A1's entries
+    first, then those of -q A2, then the 3n of the identity blocks."""
+    eye = np.arange(n)
+    ones = np.ones(n, dtype=np.int64)
+    rows = np.concatenate([a1[0], a2[0], eye, n + eye, 2 * n + eye])
+    cols = np.concatenate([a1[1], n + a2[1], 2 * n + eye, eye, n + eye])
+    values = np.concatenate([a1[2], -q * a2[2], q ** 3 * ones, ones, ones])
+    return rows, cols, values
+
+
 def vertex_companion(a1: SparseIntegerMatrix, a2: SparseIntegerMatrix, q):
     """The block companion [[A1, -q A2, q^3 I], [I, 0, 0], [0, I, 0]].
 
     Its reversed characteristic polynomial is the vertex determinant:
     det(I - u C) = det(I - A1 u + q A2 u^2 - q^3 u^3 I).
     """
-    n = a1.n
-    eye = np.arange(n)
-    rows = np.concatenate([a1.rows, a2.rows, eye, n + eye, 2 * n + eye])
-    cols = np.concatenate([a1.cols, n + a2.cols, 2 * n + eye, eye, n + eye])
-    ones = np.ones(n, dtype=np.int64)
-    values = np.concatenate([a1.values, -q * a2.values, q ** 3 * ones, ones, ones])
-    return SparseIntegerMatrix.from_arrays(3 * n, rows, cols, values)
+    entries = _companion_entries(
+        a1.n, (a1.rows, a1.cols, a1.values), (a2.rows, a2.cols, a2.values), q)
+    return SparseIntegerMatrix.from_arrays(3 * a1.n, *entries)
+
+
+class _BaseOperator(NamedTuple):
+    """An operator of a base quotient as char_rev_labelled takes it: entry k
+    from rows[k] to cols[k] with weight values[k], parallel entries kept
+    apart, carrying sign[k] * c(generator[k]) in a cover of voltage c; and
+    the classes of its Z/3 grading.  Every array is read-only."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    generator: np.ndarray
+    sign: np.ndarray
+    classes: tuple
+
+
+@lru_cache(maxsize=64)
+def _base_operators(presentation):
+    """The companion, L_E and -L_B of a presentation's base quotient as
+    ``_BaseOperator``, keyed "A", "E" and "B".
+
+    They depend on the presentation alone, so they are built once per
+    presentation and every cover adds only its labels.  The base numbers
+    the edge of generator x leaving vertex type t as t*n + x
+    (``construct.abelian_cover``), so an entry stepping across edge e
+    carries generator e mod n.
+    """
+    base = base_quotient(presentation)
+    gens = presentation.plane.n
+
+    def labelled(n, rows, cols, values, edges, sign):
+        arrays = (rows, cols, values, edges % gens, sign)
+        classes = grading_classes(n, rows, cols)
+        for a in arrays + classes:
+            a.flags.writeable = False
+        return _BaseOperator(n, *arrays, classes)
+
+    n0, tail, head, edges = a1_steps(base)
+    ones = np.ones(len(edges), dtype=np.int64)
+    identity = np.zeros(3 * n0, dtype=np.int64)
+    n1, le_rows, le_cols, le_edges = le_steps(base)
+    nb, lb_rows, lb_cols, lb_edges = lb_steps(base)
+    return {
+        "A": labelled(3 * n0,
+                      *_companion_entries(n0, (tail, head, ones), (head, tail, ones), base.q),
+                      np.concatenate([edges, edges, identity]),
+                      np.concatenate([ones, -ones, identity])),
+        "E": labelled(n1, le_rows, le_cols, np.ones(len(le_rows), dtype=np.int64),
+                      le_edges, np.ones(len(le_rows), dtype=np.int64)),
+        "B": labelled(nb, lb_rows, lb_cols, -np.ones(len(lb_rows), dtype=np.int64),
+                      lb_edges, np.ones(len(lb_rows), dtype=np.int64)),
+    }
+
+
+# the complex's own operator of each determinant; build_* are looked up at
+# call time, so rebinding them in this module takes effect
+_OPERATORS = {
+    "A": lambda cx: vertex_companion(build_a1(cx), build_a2(cx), cx.q),
+    "E": lambda cx: build_le(cx),
+    "B": lambda cx: build_lb(cx).negated(),
+}
+
+
+def _determinant(cx: ComplexDescription, tag):
+    """det(I - uM) for M = _OPERATORS[tag](cx), the complex's own operator.
+
+    A presented complex takes its base quotient's operator, each entry
+    labelled by the cover's voltage (``_base_operators``), and builds M only
+    for the self-check; any other takes dense char_rev of M.
+    """
+    cx.require_valid()
+    operator = partial(_OPERATORS[tag], cx)
+    if not isinstance(cx.provenance, Presented):
+        return char_rev(operator())
+    voltage = cx.provenance.voltage
+    base = _base_operators(cx.provenance.presentation)[tag]
+    labels = base.sign * np.asarray(voltage.c, dtype=np.int64)[base.generator] % voltage.m
+    return char_rev_labelled(base.n, voltage.m, base.rows, base.cols, labels, base.values,
+                             base.classes, operator)
 
 
 def edge_determinant(cx: ComplexDescription):
-    """P_E = det(I - L_E u) alone: from the L_E pattern for a presented
-    complex, else by dense char_rev of the incidence-rule operator."""
-    if isinstance(cx.provenance, Presented):
-        return char_rev_factored(build_le_pattern(cx), lambda: build_le(cx))
-    return char_rev(build_le(cx))
+    """P_E = det(I - L_E u) alone (``_determinant``)."""
+    return _determinant(cx, "E")
 
 
 def zeta_parts(cx: ComplexDescription, operators=None):
     """Build (P_A, P_E, P_B) for a valid complex.
 
-    A presented complex takes char_rev_factored on its patterns; any other
-    takes dense char_rev on its four operators, as do ``operators``, prebuilt
-    (A1, A2, LE, LB) injected to corrupt an entry.  The factored P_A checks
-    against the dense companion, so ``build_a1`` and ``build_a2`` run on a
-    presented complex only under ``exactdet.SELF_CHECK``.
+    The complex's determinants take ``_determinant``: a presented complex
+    its base quotient's operators labelled by its voltages, any other dense
+    char_rev of its own operators.  ``operators``, prebuilt (A1, A2, LE, LB)
+    injected to corrupt an entry, take dense char_rev.  A presented complex
+    builds its own operators only under ``exactdet.SELF_CHECK``, which
+    compares each determinant with them (the dense companion for P_A).
     """
     cx.require_valid()
     n0, n1, n2, chi = cx.counts()
     q = cx.q
-    if operators is None and isinstance(cx.provenance, Presented):
-        p_e = edge_determinant(cx)
-        p_b = char_rev_factored(build_lb_pattern(cx).negated(), lambda: build_lb(cx).negated())
-        p_a = char_rev_factored(build_companion_pattern(cx),
-                                lambda: vertex_companion(build_a1(cx), build_a2(cx), q))
+    if operators is None:
+        p_e, p_b, p_a = (_determinant(cx, tag) for tag in "EBA")
     else:
-        a1, a2, le, lb = operators or (build_a1(cx), build_a2(cx), build_le(cx), build_lb(cx))
+        a1, a2, le, lb = operators
         p_e = char_rev(le)
         p_b = char_rev(lb.negated())
         p_a = char_rev(vertex_companion(a1, a2, q))
@@ -257,7 +347,9 @@ def edge_trace_powers(le: SparseIntegerMatrix, max_len):
     if max_len < 1:
         return []
     n = le.n
-    d, x = _cyclic_reduction(n, le.rows, le.cols, le.values)
+    rows, cols = le.rows, le.cols
+    d, x = _cyclic_reduction(n, 1, rows, cols, np.zeros_like(rows), le.values,
+                             grading_classes(n, rows, cols))
     row_sum = int(np.abs(le.to_numpy()).sum(axis=1).max()) if n else 0
     work = x[:, :, 0].astype(_exact_dtype(n * max(1, row_sum) ** max_len))
     traces = [0] * max_len

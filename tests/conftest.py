@@ -13,9 +13,11 @@ from zeta3.construct import (
 
 
 def pytest_configure(config):
-    # every char_rev and char_rev_factored call compares its result with the
+    # every determinant, dense char_rev or a presented complex's labelled base
+    # operator (exactdet.char_rev_labelled), compares its result with the
     # unreduced dense operator's characteristic polynomial modulo a prime
-    # outside its CRT set (exactdet._self_check)
+    # outside its CRT set (exactdet._self_check): for a presented complex, the
+    # cover's own incidence-rule operator, or the dense companion for P_A
     exactdet.SELF_CHECK = True
 
 

@@ -196,9 +196,10 @@ def test_criterion_9_exact_arithmetic_self_check(state):
     before = exactdet.SELF_CHECK_CALLS
     assert before >= len(state["battery"])  # one P_A per battery complex
     zeta_parts(state["base"])
-    # P_A, P_E and P_B all by char_rev_factored, one self-check each
+    # P_A, P_E and P_B all by char_rev_labelled on the base's own operators
+    # (m = 1, every label 0), one self-check each
     assert exactdet.SELF_CHECK_CALLS == before + 3
     print(
-        f"criterion 9: PASS - char_rev and char_rev_factored dense mod-p self-checks "
+        f"criterion 9: PASS - char_rev_labelled dense mod-p self-checks "
         f"(a prime outside each CRT set) ran on all {exactdet.SELF_CHECK_CALLS} calls in test mode"
     )

@@ -12,14 +12,16 @@ from zeta3.errors import ExactArithmeticError
 from zeta3.exactdet import (
     _lagrange_integer,
     char_rev,
-    char_rev_factored,
     char_rev_interpolated,
+    char_rev_labelled,
     det_cofactor,
     det_integer,
     det_poly_matrix,
 )
-from zeta3.operators import LabelledMatrix
+from zeta3.operators import _weights
 from zeta3.polynomials import PRIME_CAP, IntPoly, _is_probable_prime, primes_with_root
+
+from generator_rules import LabelledMatrix, char_rev_pattern, three_sheets
 
 
 def square_matrix(n, lo=-9, hi=9, seed=0):
@@ -201,7 +203,7 @@ def test_char_rev_graded_entries_beyond_int64(big):
     i, j = next((i, j) for i in range(len(m)) for j in range(len(m)) if m[i][j])
     m[i][j] = big
     m[j if m[j][i] == 0 else i][i] = 0  # keep the grading: no entry back
-    d, x = exactdet._cyclic_reduction(len(m), *dense_arrays(m))
+    d, x = reduce_dense(m)
     assert d == 3 and x.dtype == object
     assert (max(abs(v) for v in x.ravel().tolist()) > 1 << 63) == (big > 1 << 63)
     assert char_rev(m) == char_rev_interpolated(m)
@@ -297,22 +299,22 @@ def random_pattern(r, m, seed, nnz=None, lo=-3, hi=3):
 @pytest.mark.parametrize("r,m,seed", [(1, 1, 0), (3, 1, 1), (4, 2, 2), (3, 5, 3), (5, 4, 4)])
 def test_char_rev_factored_vs_dense_lift(r, m, seed):
     pattern = random_pattern(r, m, seed)
-    assert char_rev_factored(pattern) == char_rev(pattern.lift())
+    assert char_rev_pattern(pattern) == char_rev(pattern.lift())
 
 
 def test_char_rev_factored_wide_weights():
     pattern = random_pattern(4, 3, 9, nnz=12, lo=-60, hi=60)
-    assert char_rev_factored(pattern) == char_rev(pattern.lift())
+    assert char_rev_pattern(pattern) == char_rev(pattern.lift())
 
 
 def test_char_rev_factored_empty_pattern():
-    assert char_rev_factored(LabelledMatrix(3, 2)) == IntPoly.one()
-    assert char_rev_factored(LabelledMatrix(0, 2)) == IntPoly.one()
+    assert char_rev_pattern(LabelledMatrix(3, 2)) == IntPoly.one()
+    assert char_rev_pattern(LabelledMatrix(0, 2)) == IntPoly.one()
 
 
 def test_char_rev_factored_self_check_counted():
     before = exactdet.SELF_CHECK_CALLS
-    char_rev_factored(random_pattern(3, 2, 5))
+    char_rev_pattern(random_pattern(3, 2, 5))
     assert exactdet.SELF_CHECK_CALLS == before + 1
 
 
@@ -320,7 +322,7 @@ def test_char_rev_factored_self_check_rejects_other_operator():
     pattern = random_pattern(3, 2, 6)
     other = pattern.lift().with_increment(0, 1)
     with pytest.raises(ExactArithmeticError):
-        char_rev_factored(pattern, lambda: other)
+        char_rev_pattern(pattern, lambda: other)
 
 
 def add_modulus_to_top(monkeypatch, compute):
@@ -365,15 +367,14 @@ def test_self_check_prime_lies_outside_the_crt_set(monkeypatch, route):
     float_rows = exactdet._FLOAT_MIN_ROWS
     compute = {
         "char_rev": lambda: char_rev(square_matrix(5, seed=14)),
-        "char_rev_factored": lambda: char_rev_factored(random_pattern(3, 2, 5)),
+        "char_rev_factored": lambda: char_rev_pattern(random_pattern(3, 2, 5)),
         "char_rev_float64": lambda: char_rev(square_matrix(float_rows, lo=-1, hi=1, seed=15)),
     }[route]
     calls = []
     spy_kernels(monkeypatch, lambda name, H, p: calls.append((name, H.dtype.name)))
     add_modulus_to_top(monkeypatch, compute)
     calls.clear()
-    name = route.removesuffix("_float64")
-    with pytest.raises(ExactArithmeticError, match=f"{name} self-check failed"):
+    with pytest.raises(ExactArithmeticError, match="char_rev self-check failed"):
         compute()
     engine = "_charpolys_mod" if route == "char_rev_float64" else "_charpolys_power_sums"
     assert set(calls[:-1]) == {(engine, "float64")}
@@ -407,7 +408,7 @@ def test_period3_product_zeroes_cancelled_entries(monkeypatch):
         (1, 1, 2): 1, (2, 3, 0): -1, (3, 0, 2): 1,
     })
     calls = engine_inputs(monkeypatch)
-    assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
+    assert char_rev_pattern(pattern) == char_rev_interpolated(pattern.lift())
     x, = calls
     assert x.shape == (4, 4, m) and x.dtype == np.int64
     assert x[0, 0, 2] == 0 and (0, 0, 2) not in as_dict(x)
@@ -427,16 +428,29 @@ def test_period3_product_zeroes_cancelled_entries(monkeypatch):
     (2, 43, 1 << 20, object),   # int64 weights whose cube outgrows 2**53
     (3, 44, 1 << 70, object),   # weights beyond int64
 ])
-def test_cube_rows_one_block_matches_three_block_build(m, seed, hi, dtype):
-    # char_rev_factored's three sheets are all the pattern's rows: the block
-    # built once equals the three blocks built class by class
+def test_cube_rows_sums_repeated_entries(m, seed, hi, dtype):
+    # a pattern over Z/3 x Z/m given entry by entry, half its entries given a
+    # second time and a quarter a third time, split in two: _cube_rows sums
+    # the entries that repeat a (row, col, label), as the lift does and as
+    # the parallel edges of a base quotient's A1 need
     r = 6
-    pattern = random_pattern(r, m, seed, nnz=4 * r, lo=-hi, hi=hi)
-    arrays = exactdet._entry_arrays(pattern.entries)
-    once = exactdet._cube_rows(r, m, *arrays)
-    thrice = exactdet._cube_rows(r, m, *arrays, [range(r)] * 3)
-    assert once.dtype == thrice.dtype == dtype
-    assert once.shape == (r, r, m) and once.tolist() == thrice.tolist()
+    rng = random.Random(seed)
+    entries = [(rng.randrange(r), rng.randrange(r), rng.randrange(m), rng.randint(-hi, hi))
+               for _ in range(4 * r)]
+    entries += entries[: 2 * r] + [(i, j, h, v - 1) for i, j, h, v in entries[: r]]
+    entries += [(i, j, h, 1) for i, j, h, _v in entries[: r]]
+    pattern = LabelledMatrix(r, m)
+    for entry in entries:
+        pattern.add(*entry)
+    rows, cols, labels, values, classes = three_sheets(r, entries)
+    assert len(set(zip(rows.tolist(), cols.tolist(), labels.tolist()))) < len(rows)
+    x = exactdet._cube_rows(3 * r, m, rows, cols, labels, values, classes)
+    summed = three_sheets(r, [(*key, v) for key, v in pattern.entries.items()])
+    once = exactdet._cube_rows(3 * r, m, *summed[:4], classes)
+    assert x.dtype == once.dtype == dtype
+    assert x.shape == (r, r, m) and x.tolist() == once.tolist()
+    det = char_rev_labelled(3 * r, m, rows, cols, labels, values, classes, pattern.lift)
+    assert det == char_rev(pattern.lift())
 
 
 @pytest.mark.parametrize("m,sizes", [
@@ -470,7 +484,9 @@ def shared_cell_entries(r, m, seed, lo=-5, hi=5):
 
 def labelled_array(r, m, x):
     """The engine's (r, r, m) array of a pattern given as a dict."""
-    return exactdet._labelled_array(r, m, *exactdet._entry_arrays(x))
+    keys = np.array(list(x), dtype=np.int64).reshape(-1, 3)
+    values = np.array(list(x.values()), dtype=np.int64)
+    return exactdet._labelled_array(r, m, *keys.T, values)
 
 
 def cyclic_lift(r, m, x):
@@ -542,7 +558,7 @@ def test_orbit_engine_group_entries_beyond_int64(monkeypatch):
     pattern = random_pattern(3, 3, 16)
     pattern.add(0, 1, 2, 3 * (1 << 63) + 5)
     calls = engine_inputs(monkeypatch)
-    assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
+    assert char_rev_pattern(pattern) == char_rev_interpolated(pattern.lift())
     x, = calls
     assert x.shape == (3, 3, 3) and x.dtype == object
     assert max(abs(v) for v in x.ravel().tolist()) > 1 << 63
@@ -653,7 +669,7 @@ def test_orbit_engine_equal_characters(monkeypatch):
     for i, j, h, v in [(0, 1, 0, 2), (1, 2, 2, -3), (2, 0, 2, 1), (0, 0, 2, -1), (2, 0, 0, 4)]:
         pattern.add(i, j, h, v)
     calls = engine_inputs(monkeypatch)
-    assert char_rev_factored(pattern) == char_rev_interpolated(pattern.lift())
+    assert char_rev_pattern(pattern) == char_rev_interpolated(pattern.lift())
     assert all(h % 2 == 0 for _i, _j, h in as_dict(calls[0]))
     assert exactdet._character_orbits(4) == [[0], [1, 3], [2]]
 
@@ -1007,7 +1023,7 @@ def results_by_chunk(monkeypatch, compute, *more):
 
 
 def test_chunking_invariant_factored(monkeypatch, cover_m3):
-    from zeta3.operators import build_lb_pattern
+    from generator_rules import build_lb_pattern
 
     pattern = build_lb_pattern(cover_m3).negated()
     # the power-sum kernel's working set per 21 x 21 block: 5 stored powers
@@ -1015,7 +1031,7 @@ def test_chunking_invariant_factored(monkeypatch, cover_m3):
     block = exactdet._kernel(21)[1]
     assert block == (5 + 3) * 21 * 21
     (default, split), (single, ones), (whole, one), (sixes, six), (fours, four) = (
-        results_by_chunk(monkeypatch, lambda: char_rev_factored(pattern), 6 * block, 4 * block))
+        results_by_chunk(monkeypatch, lambda: char_rev_pattern(pattern), 6 * block, 4 * block))
     # the period-3 product of the 21 x 21 pattern is again 21 x 21 (rho**2 =
     # 10) over Z/3, whose three characters fall into two Galois orbits: the
     # trivial one (degree 21, a 45-bit bound) takes 2 primes and {1, 2}
@@ -1035,7 +1051,7 @@ def test_chunking_invariant_dense(monkeypatch, graded):
     m = block_cyclic((5, 5, 5), 30, density=0.7, lo=-9, hi=9)
     if not graded:
         m[0][0] = 3
-    assert exactdet._cyclic_reduction(len(m), *dense_arrays(m))[0] == (3 if graded else 1)
+    assert reduce_dense(m)[0] == (3 if graded else 1)
     (default, split), (single, ones), (whole, one) = results_by_chunk(
         monkeypatch, lambda: char_rev(m))
     # each run ends with the self-check's call on the 15 x 15 matrix
@@ -1085,11 +1101,20 @@ def test_row_norm_ceiling_exact_on_squares():
 
 
 def dense_arrays(m):
-    """A dense matrix's nonzero entries as ``_cyclic_reduction`` takes them:
-    rows, columns and weights."""
-    rows, cols, _labels, values = exactdet._entry_arrays(
-        {(i, j, 0): v for i, row in enumerate(m) for j, v in enumerate(row) if v})
-    return rows, cols, values
+    """A dense matrix's nonzero entries: rows, columns and weights, the
+    weights int64, or Python ints when one outgrows it."""
+    cells = [(i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+    rows, cols, values = zip(*cells) if cells else ((), (), ())
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), _weights(list(values))
+
+
+def reduce_dense(m):
+    """``_cyclic_reduction`` of a dense matrix as char_rev takes it: m = 1,
+    every label 0, on the grading of its own pattern."""
+    n = len(m)
+    rows, cols, values = dense_arrays(m)
+    return exactdet._cyclic_reduction(n, 1, rows, cols, np.zeros_like(rows), values,
+                                      exactdet.grading_classes(n, rows, cols))
 
 
 def block_cyclic(sizes, seed, density=0.5, lo=-4, hi=4, isolated=0):
@@ -1116,7 +1141,7 @@ def block_cyclic(sizes, seed, density=0.5, lo=-4, hi=4, isolated=0):
 def test_char_rev_block_cyclic_vs_interpolated(sizes, seed, isolated, hi):
     m = block_cyclic(sizes, seed, lo=-hi, hi=hi, isolated=isolated)
     n = len(m)
-    d, x = exactdet._cyclic_reduction(n, *dense_arrays(m))
+    d, x = reduce_dense(m)
     r = len(x)
     assert d == 3 and x.shape == (r, r, 1) and 3 * r <= n
     assert char_rev(m) == char_rev_interpolated(m)
@@ -1188,7 +1213,7 @@ def test_char_rev_ungraded_matches(seed):
     two_cycle = [row[:] for row in m]
     two_cycle[j][i] = -3
     for mat in (looped, two_cycle):
-        assert exactdet._cyclic_reduction(n, *dense_arrays(mat))[0] == 1
+        assert reduce_dense(mat)[0] == 1
         assert char_rev(mat) == char_rev_interpolated(mat)
 
 

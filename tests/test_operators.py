@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from zeta3.complexes import ComplexDescription, Geometric
+from zeta3 import zeta
+from zeta3.complexes import ComplexDescription, Geometric, Presented
+from zeta3.construct import connected_covers
 from zeta3.exactdet import det_integer
 from zeta3.zeta import vertex_companion
 from zeta3.operators import (
-    LabelledMatrix,
     SparseIntegerMatrix,
     build_a1,
     build_a2,
-    build_companion_pattern,
     build_le,
-    build_le_pattern,
     build_lb,
+)
+
+from generator_rules import (
+    LabelledMatrix,
+    build_companion_pattern,
     build_lb_pattern,
+    build_le_pattern,
 )
 
 
@@ -261,3 +266,79 @@ def test_entry_bounds(small_battery):
     for cx in small_battery:
         for m in (build_le(cx), build_lb(cx)):
             assert all(v >= 1 for v in m.entries.values())
+
+
+# -- the labelled base quotient operators -------------------------------------
+
+
+def labelled_inputs(cx, tag, monkeypatch):
+    """What zeta hands exactdet.char_rev_labelled for determinant ``tag`` of a
+    presented complex, (n, m, rows, cols, labels, values), taking none."""
+    calls = []
+    monkeypatch.setattr(zeta, "char_rev_labelled", lambda *args: calls.append(args))
+    zeta._determinant(cx, tag)
+    (n, m, rows, cols, labels, values, _classes, _operator), = calls
+    return n, m, rows, cols, labels, values
+
+
+def cyclic_lift(n, m, rows, cols, labels, values, place):
+    """The lift over Z/m of a labelled n x n pattern, from h*n + i to
+    (h + label)*n + j (mod mn) for each sheet h, with index k put at
+    place[k]."""
+    assert sorted(place.tolist()) == list(range(m * n))
+    sheet = np.arange(m)[:, None]
+    lifted_rows = (sheet * n + rows).ravel()
+    lifted_cols = ((sheet + labels) % m * n + cols).ravel()
+    return SparseIntegerMatrix.from_arrays(
+        m * n, place[lifted_rows], place[lifted_cols], np.tile(values, m))
+
+
+def placements(cx, tag):
+    """Where index h*n + i of the Z/m lift of base operator ``tag`` sits in
+    the cover's own operator and in the generator-rule lift: the lift of a
+    base simplex on sheet h is the one whose (first) edge leaves sheet h.
+
+    ``abelian_cover`` numbers vertex (t, h) t*m + h, the edge of generator x
+    leaving it (t*m + h)*n + x, and chamber a of triple ti a*|T| + ti, whose
+    slot-r edge leaves sheet a plus the voltages of the slots before r."""
+    pres, volt = cx.provenance.presentation, cx.provenance.voltage
+    m, c, n = volt.m, volt.c, pres.plane.n
+    if tag == "A":
+        # base index b*3 + t is vertex t of companion block b
+        cover = [b * 3 * m + t * m + h for h in range(m) for b in range(3) for t in range(3)]
+        rule = [((t - b) % 3 * m + h) * 3 + b for h in range(m) for b in range(3) for t in range(3)]
+    elif tag == "E":
+        cover = rule = [(t * m + h) * n + x for h in range(m) for t in range(3) for x in range(n)]
+    else:
+        triples = pres.sorted_triples()
+        index = {t: i for i, t in enumerate(triples)}
+        cover, rule = [], []
+        for h in range(m):
+            for ti, (x, y, z) in enumerate(triples):
+                before = (0, c[x], c[x] + c[y])
+                rotated = ((x, y, z), (y, z, x), (z, x, y))
+                for r in range(3):
+                    cover.append(3 * ((h - before[r]) % m * len(triples) + ti) + r)
+                    rule.append((r * m + h) * len(triples) + index[rotated[r]])
+    return np.array(cover), np.array(rule)
+
+
+def test_labelled_base_operators_lift_to_both_rules(reference_battery, cover_m7, presentations3,
+                                                    monkeypatch):
+    # the base quotient's operators labelled by a cover's voltages lift over
+    # Z/m to the cover's own incidence-rule operators and to the generator
+    # rule's, up to one relabelling of rows and columns each; the q=2 and
+    # q=3 bases are the case m = 1
+    p4_m8 = dict(connected_covers(presentations3[4], 8))[2]
+    own = {"A": lambda cx: vertex_companion(build_a1(cx), build_a2(cx), cx.q),
+           "E": build_le, "B": lambda cx: build_lb(cx).negated()}
+    rule = {"A": build_companion_pattern, "E": build_le_pattern,
+            "B": lambda cx: build_lb_pattern(cx).negated()}
+    presented = [cx for cx in reference_battery if isinstance(cx.provenance, Presented)]
+    assert len(presented) == 9
+    for cx in presented + [cover_m7, p4_m8]:
+        for tag in "AEB":
+            n, m, *pattern = labelled_inputs(cx, tag, monkeypatch)
+            to_cover, to_rule = placements(cx, tag)
+            assert cyclic_lift(n, m, *pattern, to_cover) == own[tag](cx), (cx, tag)
+            assert cyclic_lift(n, m, *pattern, to_rule) == rule[tag](cx).lift(), (cx, tag)

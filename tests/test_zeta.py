@@ -4,19 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zeta3 import zeta
+from zeta3 import exactdet, zeta
 from zeta3.complexes import ComplexDescription, Geometric
 from zeta3.errors import ExactArithmeticError
-from zeta3.exactdet import char_rev, char_rev_factored, det_integer, det_poly_matrix
+from zeta3.exactdet import char_rev, det_integer, det_poly_matrix
 from zeta3.operators import (
     SparseIntegerMatrix,
     build_a1,
     build_a2,
-    build_companion_pattern,
     build_lb,
-    build_lb_pattern,
     build_le,
-    build_le_pattern,
 )
 from zeta3.polynomials import IntPoly
 from zeta3.zeta import (
@@ -29,6 +26,14 @@ from zeta3.zeta import (
     vertex_companion,
     walk_count_oracle,
     zeta_parts,
+)
+
+from conftest import geometric_copy
+from generator_rules import (
+    build_companion_pattern,
+    build_lb_pattern,
+    build_le_pattern,
+    char_rev_pattern,
 )
 
 
@@ -165,25 +170,34 @@ def test_identity_through_geometric_lists(base2, cover_m2):
 def test_factored_parts_match_dense(small_battery):
     for cx in small_battery:
         companion = vertex_companion(build_a1(cx), build_a2(cx), cx.q)
-        assert char_rev_factored(build_companion_pattern(cx)) == char_rev(companion)
-        assert char_rev_factored(build_le_pattern(cx)) == char_rev(build_le(cx))
-        assert char_rev_factored(build_lb_pattern(cx).negated()) == char_rev(
+        assert char_rev_pattern(build_companion_pattern(cx)) == char_rev(companion)
+        assert char_rev_pattern(build_le_pattern(cx)) == char_rev(build_le(cx))
+        assert char_rev_pattern(build_lb_pattern(cx).negated()) == char_rev(
             build_lb(cx).negated()
         )
 
 
+def reductions(monkeypatch):
+    """(n, m) of every pattern exactdet reduces to its period-3 product: an
+    n x n pattern over Z/m."""
+    calls = []
+    reduction = exactdet._cyclic_reduction
+    monkeypatch.setattr(exactdet, "_cyclic_reduction",
+                        lambda n, m, *args: calls.append((n, m)) or reduction(n, m, *args))
+    return calls
+
+
 def test_dense_matches_factored_at_full_size(cover_m7, monkeypatch):
     # P_E and P_B of a q=2 m=7 cover (L_B of dimension 441): the presented
-    # complex takes char_rev_factored, the same cover as geometric lists
-    # dense char_rev, and both self-check against the incidence-rule operator
+    # complex reduces its base quotient's operators over Z/7 and never one of
+    # the cover's own size, the same cover as geometric lists takes dense
+    # char_rev, and both self-check against the incidence-rule operator
     # modulo a prime outside their CRT sets.
+    reduced = reductions(monkeypatch)
     presented = zeta_parts(cover_m7)
-    geo = ComplexDescription(
-        q=cover_m7.q, vertices=cover_m7.vertices, edges=cover_m7.edges,
-        chambers=cover_m7.chambers, provenance=Geometric(),
-    )
-    monkeypatch.setattr(zeta, "char_rev_factored", _refuse)
-    parts = zeta_parts(geo)
+    assert reduced == [(21, 7), (63, 7), (9, 7)]
+    monkeypatch.setattr(zeta, "char_rev_labelled", _refuse)
+    parts = zeta_parts(geometric_copy(cover_m7))
     assert parts == presented
     assert verify_identity(parts).holds
 
@@ -205,35 +219,67 @@ def dense_calls(monkeypatch):
     return calls
 
 
-def test_presented_cover_takes_factored_route(cover_m3, dense_calls):
-    # P_A, P_E and P_B all come from their labelled patterns: no dense char_rev
+def test_presented_cover_takes_factored_route(cover_m3, dense_calls, monkeypatch):
+    # P_A, P_E and P_B all come from the base quotient's operators labelled
+    # over Z/3, the base built afresh: no dense char_rev, and no reduction
+    # of an operator of the cover's own size
+    zeta._base_operators.cache_clear()
+    reduced = reductions(monkeypatch)
     assert verify_identity(zeta_parts(cover_m3)).holds
     assert dense_calls == []
+    assert reduced == [(21, 3), (63, 3), (9, 3)]
 
 
 def test_stripped_copy_takes_dense_route(cover_m2, dense_calls, monkeypatch):
-    monkeypatch.setattr(zeta, "char_rev_factored", _refuse)
-    geo = ComplexDescription(
-        q=cover_m2.q, vertices=cover_m2.vertices, edges=cover_m2.edges,
-        chambers=cover_m2.chambers, provenance=Geometric(),
-    )
-    assert verify_identity(zeta_parts(geo)).holds
+    monkeypatch.setattr(zeta, "char_rev_labelled", _refuse)
+    monkeypatch.setattr(zeta, "_base_operators", _refuse)
+    assert verify_identity(zeta_parts(geometric_copy(cover_m2))).holds
     assert dense_calls == [42, 126, 18]
 
 
 def test_self_check_catches_corrupted_pattern(cover_m2, monkeypatch):
-    # move one entry of the L_E pattern to another group label: the twisted
-    # blocks change, the dense operator the self-check compares with does not
-    def corrupted(cx):
-        pattern = build_le_pattern(cx)
-        (i, j, h), v = sorted(pattern.entries.items())[0]
-        pattern.add(i, j, h, -v)
-        pattern.add(i, j, h + 1, v)
-        return pattern
+    # move one entry of the labelled L_E to another group label after the
+    # memo: the twisted blocks change, the cover's own operator the
+    # self-check compares with does not
+    labelled = zeta.char_rev_labelled
 
-    monkeypatch.setattr(zeta, "build_le_pattern", corrupted)
+    def corrupted(n, m, rows, cols, labels, *rest):
+        labels = labels.copy()
+        labels[0] = (labels[0] + 1) % m
+        return labelled(n, m, rows, cols, labels, *rest)
+
+    monkeypatch.setattr(zeta, "char_rev_labelled", corrupted)
     with pytest.raises(ExactArithmeticError, match="self-check failed"):
         zeta_parts(cover_m2)
+
+
+def test_companion_sums_parallel_edges(cover_m2, monkeypatch):
+    # the q=2 base's A1 holds seven parallel edges a cell, which fall on at
+    # most two labels at m = 2: the labelled companion repeats (row, col,
+    # label) entries, 51 of them on at most 21 keys, and the period-3
+    # product sums them
+    calls = []
+    labelled = zeta.char_rev_labelled
+    monkeypatch.setattr(zeta, "char_rev_labelled",
+                        lambda *args: calls.append(args) or labelled(*args))
+    p_a = zeta.zeta_parts(cover_m2).p_a
+    (n, m, rows, cols, labels, *_rest), = [args for args in calls if args[0] == 9]
+    assert (n, m, len(rows)) == (9, 2, 51)
+    assert len(set(zip(rows.tolist(), cols.tolist(), labels.tolist()))) <= 21
+    assert p_a == char_rev(vertex_companion(build_a1(cover_m2), build_a2(cover_m2), 2))
+
+
+def test_memo_leaks_nothing_between_covers(covers_m2, cover_m3):
+    # covers of one presentation with different voltages share its base
+    # operators; interleaved, and again after another presentation's cover,
+    # each gives exactly the parts of its geometric copy
+    zeta._base_operators.cache_clear()
+    dense = [zeta_parts(geometric_copy(cx)) for cx in covers_m2 + [cover_m3]]
+    assert len({(p.p_a, p.p_e, p.p_b) for p in dense[:3]}) == 2
+    order = [0, 1, 2, 3, 2, 1, 0]
+    assert [zeta_parts((covers_m2 + [cover_m3])[k]) for k in order] == [dense[k] for k in order]
+    info = zeta._base_operators.cache_info()
+    assert (info.misses, info.hits) == (2, 3 * len(order) - 2)
 
 
 def test_identity_negative_chi_branch():
