@@ -23,7 +23,12 @@ The routes and their parts:
   its own, under the Hadamard-style bound of |O|*r rows of norm rho, rho**2
   the largest squared row norm of the pattern with its group labels
   collapsed onto their cells.  The kernel work goes as the sum of |O|**2,
-  not m**2; the orbit factors are multiplied exactly.
+  not m**2; the orbit factors are multiplied exactly, by object-array
+  ``np.convolve``.  All of this but X's label rows (the orbits, their
+  bounds and prime prefixes, the block list, its slices and each slice's
+  table of w**(c*h) mod p) depends on (r, m, rho**2) alone and is memoised
+  as a plan (``_engine_plan``), so an X of a size and bound seen before
+  pays only for its blocks, the kernel and the CRT.
   Exact integer arithmetic throughout, carried out residue-wise; where
   floats carry it, they carry integers a double holds exactly.
 * ``_charpolys_power_sums`` and ``_charpolys_mod`` - the two
@@ -47,14 +52,20 @@ The routes and their parts:
   adding labels mod m, on float64 through BLAS while every partial sum stays
   below 2**53 and on Python ints beyond, and returns X as the engine's
   (r, r, m) array, int64 or, when the weights outgrow it, Python ints in an
-  object array.
+  object array.  A caller that labels one pattern many ways holds its
+  ``path_table`` instead: the length-3 paths from V_0 back to it, each with
+  its cell, the product of its weights and its three entries, so that X is
+  one ``np.bincount`` of the paths' label sums (``_path_product``), exact
+  under the same (W d)**3 <= 2**53 bound.
 * ``char_rev_labelled`` - the one route: det(I - u*M) for the lift M over
   Z/m of an n x n pattern whose entries carry labels in Z/m, given as entry
-  arrays (repeated entries sum) with the classes of its grading.  It takes X
-  by ``_cube_rows`` (without a grading, X is the pattern), runs the engine,
+  arrays (repeated entries sum) with the classes of its grading and,
+  optionally, its path table.  It takes X from the path table or by
+  ``_cube_rows`` (without a grading, X is the pattern), runs the engine,
   spreads the coefficients back to u and, under ``SELF_CHECK``, checks the
   result.  No lift is built.  zeta passes a presented complex's base
-  quotient operators, labelled by the voltages of their edges.
+  quotient operators, labelled by the voltages of their edges, with the
+  path tables it keeps per presentation.
 * ``char_rev`` - det(I - u*M) for an integer matrix: ``char_rev_labelled``
   at m = 1, every label 0, on the grading found in M's own pattern.
 * ``_self_check`` - the one self-check (under ``SELF_CHECK``): the unreduced
@@ -65,7 +76,9 @@ The routes and their parts:
   took by another algorithm as well.
 
 The primes (``polynomials.primes_with_root``) and the CRT
-(``polynomials.crt_symmetric``) are shared with the modular gcd.
+(``polynomials.crt_symmetric``) are shared with the modular gcd.  The CRT is
+Garner's algorithm: mixed-radix digits in int64 on whole coefficient
+vectors, then one object-array product into Python ints.
 ``det_poly_matrix`` (a matrix of IntPoly, by evaluation at small integers and
 Lagrange interpolation), ``char_rev_interpolated`` and ``det_cofactor`` are
 independent slow routes kept as test references.
@@ -75,7 +88,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -642,6 +657,61 @@ def _twisted_blocks(flat, top, table, p):
     return _balanced_remainder(stack, pf, out=stack)
 
 
+class _EnginePlan(NamedTuple):
+    """What ``_char_rev_by_characters`` does for an (r, r, m) array X of
+    squared row-norm bound rho**2, apart from X itself: the primes its CRT
+    takes, how many of them each Galois orbit takes, and the slices of the
+    (orbit, prime, character) block list, each as its blocks' (orbit, prime
+    index, prime), their primes as an int64 array and their rows of the
+    table of w**(c*h) mod p."""
+
+    primes: tuple
+    takes: tuple
+    slices: tuple
+
+
+@lru_cache(maxsize=128)
+def _engine_plan(r, m, norm_sq, budget, min_rows):
+    """The ``_EnginePlan`` of an (r, r, m) array whose pattern has squared
+    row-norm bound ``norm_sq``.  It depends on nothing else but the kernels'
+    working-set budget and block-size threshold, ``budget`` and
+    ``min_rows``, which are ``_CHUNK_ENTRIES`` and ``_FLOAT_MIN_ROWS`` at
+    call time: keying on them gives a changed value a plan of its own."""
+    # orbit O takes the shortest prefix of the primes whose product exceeds its bound
+    orbits = _character_orbits(m)
+    bounds = [_coefficient_bound(norm_sq, len(orbit) * r) for orbit in orbits]
+    roots = []
+    moduli = []
+    for p, w in primes_with_root(m, _float_prime_limit(r)):
+        roots.append((p, w))
+        moduli.append(p * moduli[-1] if moduli else p)
+        if moduli[-1] > max(bounds):
+            break
+    takes = [next(t + 1 for t, mod in enumerate(moduli) if mod > bound) for bound in bounds]
+    blocks = [(o, t, c) for o, orbit in enumerate(orbits) for t in range(takes[o]) for c in orbit]
+    prime_of, character = np.array(blocks, dtype=np.int64)[:, 1:].T
+    primes = np.array([p for p, _w in roots], dtype=np.int64)
+    # powers[t, e] = w**e mod p for the t-th (p, w), e < m: w has order m,
+    # so block b takes w**(c*h) from exponent c*h mod m
+    powers = _powers_mod(np.array([w for _p, w in roots], dtype=np.int64),
+                         np.arange(m), primes)
+    exponents = character[:, None] * np.arange(m) % m
+    # as few slices as fit the kernel's working set in the budget, of equal
+    # size, so that no slice holds more blocks than that takes
+    slices = -(-len(blocks) // max(1, budget // _kernel(r)[1]))
+    size = -(-len(blocks) // slices)
+    plan = []
+    for start in range(0, len(blocks), size):
+        at = slice(start, start + size)
+        pb = primes[prime_of[at]]
+        owners = [(o, t, p) for (o, t, _c), p in zip(blocks[at], pb.tolist())]
+        table = powers[prime_of[at, None], exponents[at]]
+        for a in (pb, table):
+            a.flags.writeable = False
+        plan.append((owners, pb, table))
+    return _EnginePlan(tuple(primes.tolist()), tuple(takes), tuple(plan))
+
+
 def _char_rev_by_characters(x):
     """(det(I - u*M) as an IntPoly, the rest of its prime stream), M the
     mr x mr lift of an r x r pattern over Z/m.  The stream is
@@ -662,7 +732,7 @@ def _char_rev_by_characters(x):
     ``_coefficient_bound(rho**2, |O|*r)``, and it is CRT-combined from the
     shortest prefix of the stream whose product exceeds that bound.  The
     kernel work goes as the sum of |O|**2 rather than m**2.  The orbit factors
-    are multiplied exactly, smallest first.
+    are multiplied exactly, one object-array ``np.convolve`` each.
 
     The (orbit, prime, character) blocks form one list, orbit by orbit, and
     go through a batched kernel (``_kernel``: power sums below
@@ -679,12 +749,15 @@ def _char_rev_by_characters(x):
     remainder by the block's prime.
     So memory stays bounded however many primes the bounds need.  Each
     (orbit, prime) product accumulates across slices.
+
+    All of that but X's label rows depends on (r, m, rho**2) alone and is
+    memoised as a plan (``_engine_plan``), so an X of a size and bound seen
+    before pays only for its blocks, the kernel and the CRT.
     """
     r, _, m = x.shape
-    n = m * r
-    stream = primes_with_root(m, _float_prime_limit(r))
-    if n == 0:
-        return IntPoly.one(), stream
+    limit = _float_prime_limit(r)
+    if m * r == 0:
+        return IntPoly.one(), primes_with_root(m, limit)
     if r >= 4096:
         # the kernel's sums stay exact only below this
         raise ValueError("char_rev supports blocks below 4096 rows")
@@ -692,61 +765,33 @@ def _char_rev_by_characters(x):
         # a block entry sums m products of residues below 2**25 in int64
         raise ValueError("char_rev supports groups of order below 8192")
 
-    norm_sq = _block_norm_sq(x)
-    # orbit O takes the shortest prefix of the primes whose product exceeds its bound
-    orbits = _character_orbits(m)
-    bounds = [_coefficient_bound(norm_sq, len(orbit) * r) for orbit in orbits]
-    roots = []
-    moduli = []
-    for p, w in stream:
-        roots.append((p, w))
-        moduli.append(p * moduli[-1] if moduli else p)
-        if moduli[-1] > max(bounds):
-            break
-    takes = [next(t + 1 for t, mod in enumerate(moduli) if mod > bound) for bound in bounds]
-    blocks = [(o, t, c) for o, orbit in enumerate(orbits) for t in range(takes[o]) for c in orbit]
-    prime_of, character = np.array(blocks, dtype=np.int64)[:, 1:].T
-    primes = np.array([p for p, _w in roots], dtype=np.int64)
-    # powers[t, e] = w**e mod p for the t-th (p, w), e < m: w has order m,
-    # so block b takes w**(c*h) from exponent c*h mod m
-    powers = _powers_mod(np.array([w for _p, w in roots], dtype=np.int64),
-                         np.arange(m), primes)
-    exponents = character[:, None] * np.arange(m) % m
-
+    plan = _engine_plan(r, m, _block_norm_sq(x), _CHUNK_ENTRIES, _FLOAT_MIN_ROWS)
     # row h of flat holds label h of every entry, so the block of character c
     # modulo p is the row vector (w**(c*h))_h times flat mod p
     flat = x.reshape(r * r, m).T
     top = None if x.dtype == object else int(np.abs(x).max()) * m
-    per_orbit = [[np.ones(1, dtype=np.int64)] * take for take in takes]
-    # as few slices as fit the kernel's working set in the budget, of equal
-    # size, so that no slice holds more blocks than that takes
-    kernel, entries = _kernel(r)
-    slices = -(-len(blocks) // max(1, _CHUNK_ENTRIES // entries))
-    size = -(-len(blocks) // slices)
-    for start in range(0, len(blocks), size):
-        at = slice(start, start + size)
-        pb = primes[prime_of[at]]
-        table = powers[prime_of[at, None], exponents[at]]
+    per_orbit = [[np.ones(1, dtype=np.int64)] * take for take in plan.takes]
+    kernel = _kernel(r)[0]
+    for owners, pb, table in plan.slices:
         stack = _twisted_blocks(flat, top, table, pb)
         factors = kernel(stack.reshape(len(pb), r, r), pb)
-        for (o, t, _c), p, factor in zip(blocks[at], pb.tolist(), factors):
+        for (o, t, p), factor in zip(owners, factors):
             # each product term is below p**2 < 2**50 and an output
             # coefficient sums at most r + 1 <= 8192 of them, so int64
             # cannot overflow
             per_orbit[o][t] = np.convolve(per_orbit[o][t], factor[::-1]) % p
 
-    primes = primes.tolist()
-    parts = sorted((IntPoly(crt_symmetric(residues, primes[: len(residues)]))
-                    for residues in per_orbit), key=lambda f: f.degree)
-    poly = parts[0]
-    for part in parts[1:]:
-        poly = poly * part
+    product = None
+    for residues in per_orbit:
+        part = np.array(crt_symmetric(residues, plan.primes[: len(residues)]), dtype=object)
+        product = part if product is None else np.convolve(product, part)
+    poly = IntPoly(product.tolist())
 
     # the lift's diagonal holds, m times, the diagonal entries of label 0
     trace = m * sum(np.diagonal(x[:, :, 0]).tolist())
     if poly.cf(0) != 1 or poly.cf(1) != -trace:
         raise ExactArithmeticError("characteristic polynomial consistency check failed")
-    return poly, stream
+    return poly, islice(primes_with_root(m, limit), len(plan.primes), None)
 
 
 def _self_check(poly, n, operator, stream):
@@ -888,35 +933,104 @@ def grading_classes(n, rows, cols):
     return tuple(classes[t:] + classes[:t])
 
 
-def _cyclic_reduction(n, m, rows, cols, labels, values, classes):
+class PathTable(NamedTuple):
+    """The length-3 paths of a graded pattern from its class V_0 back to it
+    (``path_table``): path k runs from V_0's row a to its row b, through the
+    pattern's entries entries[0, k], entries[1, k] and entries[2, k]; cells[k]
+    = a*r + b and weights[k] is the product of the three entries' weights,
+    as a float64.  r = |V_0|.  Every array is read-only."""
+
+    r: int
+    cells: np.ndarray
+    weights: np.ndarray
+    entries: np.ndarray
+
+
+def _steps_on(order, start, ends):
+    """(path, entry) for every entry out of each row ends[path]: ``order``
+    lists the entries by row, those of row i at order[start[i]:start[i + 1]]."""
+    count = (start[1:] - start[:-1])[ends]
+    path = np.repeat(np.arange(len(ends)), count)
+    first = np.repeat(start[ends] - np.cumsum(count) + count, count)
+    return path, order[first + np.arange(len(path))]
+
+
+def path_table(n, rows, cols, values, classes):
+    """The ``PathTable`` of an n x n pattern given as entry arrays, with
+    ``classes`` its Z/3 grading (``grading_classes``), or None when the
+    products of ``_cube_rows`` would leave float64 ((W d)**3 > 2**53, W the
+    largest |weight| and d the most entries of a row) or the weights are
+    Python ints.
+
+    ``_path_product`` takes X = M^3 on V_0 from it for any labels of the
+    entries, as ``_cube_rows`` does from the entries alone, so a pattern
+    whose weights stay and whose labels change pays for its paths once.
+    """
+    d = np.bincount(rows, minlength=1).max()
+    if values.dtype == object or (_top(values) * int(d)) ** 3 > 1 << 53:
+        return None
+    order = np.argsort(rows, kind="stable")
+    start = np.searchsorted(rows[order], np.arange(n + 1))
+    v0 = classes[0]
+    local = np.zeros(n, dtype=np.int64)
+    local[v0] = np.arange(len(v0))
+    first = np.flatnonzero(np.isin(rows, v0))
+    path, second = _steps_on(order, start, cols[first])
+    path2, third = _steps_on(order, start, cols[second])
+    entries = np.stack([first[path][path2], second[path2], third])
+    cells = local[rows[entries[0]]] * len(v0) + local[cols[entries[2]]]
+    weights = values.astype(np.float64)[entries].prod(axis=0)
+    for a in (cells, weights, entries):
+        a.flags.writeable = False
+    return PathTable(len(v0), cells, weights, entries)
+
+
+def _path_product(paths, m, labels):
+    """X = M^3 on V_0 as the engine's (r, r, m) int64 array, M the lift over
+    Z/m of the pattern of ``paths`` (``path_table``) with entry k labelled
+    labels[k]: each path carries the sum of its entries' labels mod m, and
+    X[a, b, h] sums the weights of the paths from a to b of label h, one
+    ``np.bincount``.  Every partial sum is an integer of magnitude at most
+    (W d)**3 <= 2**53, as in ``_cube_rows``, which a double holds exactly."""
+    r = paths.r
+    label = labels[paths.entries].sum(axis=0) % m
+    x = np.bincount(paths.cells * m + label, paths.weights, minlength=r * r * m)
+    return x.astype(np.int64).reshape(r, r, m)
+
+
+def _cyclic_reduction(n, m, rows, cols, labels, values, classes, paths=None):
     """(d, X): det(I - uM) = det(I - u^d X), M the lift over Z/m of the
     labelled pattern of ``_cube_rows`` and X the engine's (r, r, m) array.
 
     With the classes V_0, V_1, V_2 of a Z/3 grading, M maps V_t into V_(t+1)
     by blocks B_t, and Sylvester's identity det(I - AB) = det(I - BA) gives
     det(I - uM) = det(I - u^3 B_0 B_1 B_2); X is that product on V_0, i.e.
-    M^3 restricted to it (``_cube_rows``).  Without a grading (``classes``
-    None), d = 1 and X is the pattern itself.
+    M^3 restricted to it: from the pattern's ``path_table`` when the caller
+    holds one (``_path_product``), else by ``_cube_rows``.  Without a
+    grading (``classes`` None), d = 1 and X is the pattern itself.
     """
     if classes is None:
         return 1, _labelled_array(n, m, rows, cols, labels, values)
+    if paths is not None:
+        return 3, _path_product(paths, m, labels)
     return 3, _cube_rows(n, m, rows, cols, labels, values, classes)
 
 
-def char_rev_labelled(n, m, rows, cols, labels, values, classes, operator):
+def char_rev_labelled(n, m, rows, cols, labels, values, classes, operator, paths=None):
     """det(I - u*M) as an IntPoly, M the mn x mn lift over Z/m of an n x n
     pattern whose entry k goes from rows[k] to cols[k] with label labels[k]
     in Z/m and weight values[k] (int64, or Python ints in an object array);
     entries that repeat a (row, column, label) sum.
 
-    ``classes`` is the pattern's Z/3 grading (``grading_classes``), or None.
-    ``_cyclic_reduction`` takes the pattern to X with det(I - uM) =
-    det(I - u^d X), the engine takes det(I - tX) over the m characters of
-    Z/m, and its coefficients are spread to t = u^d; no lift is built.
-    Under ``SELF_CHECK`` the result is compared with operator(), the
-    unreduced mn x mn M up to a relabelling of its rows and columns.
+    ``classes`` is the pattern's Z/3 grading (``grading_classes``), or None,
+    and ``paths`` its ``path_table``, or None.  ``_cyclic_reduction`` takes
+    the pattern to X with det(I - uM) = det(I - u^d X), the engine takes
+    det(I - tX) over the m characters of Z/m, and its coefficients are
+    spread to t = u^d; no lift is built.  Under ``SELF_CHECK`` the result is
+    compared with operator(), the unreduced mn x mn M up to a relabelling of
+    its rows and columns.
     """
-    d, x = _cyclic_reduction(n, m, rows, cols, labels, values, classes)
+    d, x = _cyclic_reduction(n, m, rows, cols, labels, values, classes, paths)
     reduced, stream = _char_rev_by_characters(x)
     coeffs = [0] * (d * reduced.degree + 1)
     coeffs[::d] = reduced.coeffs

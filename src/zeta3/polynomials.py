@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -493,23 +495,74 @@ def primes_with_root(k, limit=PRIME_CAP):
         t += 1
 
 
+class _GarnerTable(NamedTuple):
+    """The constants of Garner's algorithm for moduli (P, p_1, .., p_k)
+    (``crt_symmetric``): the primes p_i as an int64 column, c_i =
+    N_i**-1 mod p_i and G[i, j] = N_j c_i mod p_i (j < i) as int64 arrays,
+    N_i = P p_1 .. p_(i-1); the weights N_(2t+1) of the digit pairs as
+    Python ints; the modulus N_(k+1) and its half."""
+
+    p: np.ndarray
+    c: np.ndarray
+    g: np.ndarray
+    weights: np.ndarray
+    modulus: int
+    half: int
+
+
+@lru_cache(maxsize=64)
+def _garner_table(moduli):
+    primes = moduli[1:]
+    scale = list(accumulate(moduli[:-1], lambda n, p: n * p))
+    c = [pow(n, -1, p) for n, p in zip(scale, primes)]
+    g = np.zeros((len(primes),) * 2, dtype=np.int64)
+    for i in range(1, len(primes)):
+        g[i, :i] = [n * c[i] % primes[i] for n in scale[:i]]
+    p, c = np.array([primes, c], dtype=np.int64)[:, :, None]
+    modulus = scale[-1] * primes[-1]
+    return _GarnerTable(p, c, g, np.array(scale[::2], dtype=object), modulus, modulus // 2)
+
+
 def crt_symmetric(rows, primes):
     """Combine per-prime coefficient vectors into symmetric-range integers.
 
     ``rows[0]`` may hold any representatives modulo ``primes[0]``, so an
     earlier result can be extended by one more prime as
-    ``crt_symmetric([result, residues], [modulus, p])``.
+    ``crt_symmetric([result, residues], [modulus, p])``; the other primes lie
+    below 2**25 and their rows are integers of int64.
+
+    Garner's algorithm: x = r_0 + N_1 d_1 + .. + N_k d_k, N_i the product of
+    the moduli before p_i, and the digit d_i = (x - r_0 - N_1 d_1 - .. -
+    N_(i-1) d_(i-1)) / N_i mod p_i in [0, p_i).  The digits are taken in
+    int64 on whole coefficient vectors at once, one prime after the other:
+    every product is of two residues below 2**25, and a digit sums fewer
+    than 2**13 of them.  Each pair d_i + p_i d_(i+1) is below 2**50, and one
+    object-array product of the pairs with their weights N_i carries them
+    into Python ints; the constants are memoised per tuple of moduli
+    (``_garner_table``).  Every coefficient is then taken to the symmetric
+    range: above half the modulus, it loses the modulus.
     """
-    acc = [int(c) for c in rows[0]]
-    modulus = primes[0]
-    for residues, p in zip(rows[1:], primes[1:]):
-        inv = pow(modulus % p, p - 2, p)
-        for j, r in enumerate(residues):
-            t = (int(r) - acc[j]) * inv % p
-            acc[j] += modulus * t
-        modulus *= p
-    half = modulus // 2
-    return [c - modulus if c > half else c for c in acc]
+    head = np.asarray(rows[0])
+    if head.dtype != np.int64:
+        head = np.array(rows[0], dtype=object)
+    if len(primes) == 1:
+        modulus, half = primes[0], primes[0] // 2
+        value = head.tolist()
+    else:
+        table = _garner_table(tuple(primes))
+        modulus, half = table.modulus, table.half
+        # digits[i] = (r_i - r_0) c_i mod p_i, less the earlier digits' share
+        digits = np.asarray(rows[1:], dtype=np.int64) - (head % table.p).astype(np.int64)
+        digits %= table.p
+        digits *= table.c
+        digits %= table.p
+        for i in range(1, len(digits)):
+            digits[i] -= table.g[i, :i] @ digits[:i]
+            digits[i] %= table.p[i]
+        pairs = digits[::2].copy()
+        pairs[: len(digits) // 2] += table.p[: len(digits) - 1 : 2] * digits[1::2]
+        value = (table.weights @ pairs.astype(object) + head).tolist()
+    return [c - modulus if c > half else c for c in value]
 
 
 def gcd_polys(f: IntPoly, g: IntPoly):

@@ -15,7 +15,7 @@ P_E(u^2) is det(I - L_E^t u^2): reversed characteristic polynomials are
 transpose-invariant, so the type-two edge operator never needs to be built.
 The check (``verify_identity``) runs in w = u^e, e = 3 for every genuine
 complex, whose three determinants are polynomials in u^3 by the type
-grading below, and e = 1 otherwise: two products of object arrays of Python
+grading below, and e = 1 otherwise: products of object arrays of Python
 ints, exact at any size, and (1 - u^3)^|chi| as |chi| differences.
 
 Every one of these operators raises the vertex type by one step (A1 and the
@@ -38,7 +38,11 @@ characters of Z/m of twisted determinants, taken orbit by orbit: each
 Galois orbit of characters gives an integer factor under its own CRT
 bound, and the factors are multiplied back exactly.  All of that but the
 labels depends on the presentation alone and is built once per
-presentation (``_base_operators``).
+presentation (``_base_operators``), down to each operator's length-3 paths
+(``exactdet.path_table``); the engine's plan depends on X's size, m and
+row-norm bound alone and is memoised too.  A cover seen after its
+presentation pays for its labels, one scatter of its paths' labels into X,
+the kernel and the CRT.
 """
 
 from __future__ import annotations
@@ -51,7 +55,14 @@ import numpy as np
 
 from .complexes import ComplexDescription, Presented
 from .construct import base_quotient
-from .exactdet import _cyclic_reduction, char_rev, char_rev_labelled, grading_classes
+from .exactdet import (
+    PathTable,
+    _cyclic_reduction,
+    char_rev,
+    char_rev_labelled,
+    grading_classes,
+    path_table,
+)
 from .errors import ExactArithmeticError
 from .operators import (
     SparseIntegerMatrix,
@@ -112,8 +123,9 @@ def vertex_companion(a1: SparseIntegerMatrix, a2: SparseIntegerMatrix, q):
 class _BaseOperator(NamedTuple):
     """An operator of a base quotient as char_rev_labelled takes it: entry k
     from rows[k] to cols[k] with weight values[k], parallel entries kept
-    apart, carrying sign[k] * c(generator[k]) in a cover of voltage c; and
-    the classes of its Z/3 grading.  Every array is read-only."""
+    apart, carrying sign[k] * c(generator[k]) in a cover of voltage c; the
+    classes of its Z/3 grading; and its length-3 paths from the smallest
+    class back to it (``exactdet.path_table``).  Every array is read-only."""
 
     n: int
     rows: np.ndarray
@@ -122,6 +134,7 @@ class _BaseOperator(NamedTuple):
     generator: np.ndarray
     sign: np.ndarray
     classes: tuple
+    paths: Optional[PathTable]
 
 
 @lru_cache(maxsize=64)
@@ -130,7 +143,8 @@ def _base_operators(presentation):
     ``_BaseOperator``, keyed "A", "E" and "B".
 
     They depend on the presentation alone, so they are built once per
-    presentation and every cover adds only its labels.  The base numbers
+    presentation, path tables included, and every cover adds only its
+    labels: X is one scatter of its paths' labels.  The base numbers
     the edge of generator x leaving vertex type t as t*n + x
     (``construct.abelian_cover``), so an entry stepping across edge e
     carries generator e mod n.
@@ -143,7 +157,7 @@ def _base_operators(presentation):
         classes = grading_classes(n, rows, cols)
         for a in arrays + classes:
             a.flags.writeable = False
-        return _BaseOperator(n, *arrays, classes)
+        return _BaseOperator(n, *arrays, classes, path_table(n, rows, cols, values, classes))
 
     n0, tail, head, edges = a1_steps(base)
     ones = np.ones(len(edges), dtype=np.int64)
@@ -175,8 +189,11 @@ def _determinant(cx: ComplexDescription, tag):
     """det(I - uM) for M = _OPERATORS[tag](cx), the complex's own operator.
 
     A presented complex takes its base quotient's operator, each entry
-    labelled by the cover's voltage (``_base_operators``), and builds M only
-    for the self-check; any other takes dense char_rev of M.
+    labelled by the cover's voltage (``_base_operators``): what it pays for
+    is its labels, the scatter of its paths' labels into X
+    (``exactdet.path_table``), the engine on X, whose plan is memoised
+    per (r, m, rho**2), and the CRT.  It builds M only for the self-check;
+    any other complex takes dense char_rev of M.
     """
     cx.require_valid()
     operator = partial(_OPERATORS[tag], cx)
@@ -186,7 +203,7 @@ def _determinant(cx: ComplexDescription, tag):
     base = _base_operators(cx.provenance.presentation)[tag]
     labels = base.sign * np.asarray(voltage.c, dtype=np.int64)[base.generator] % voltage.m
     return char_rev_labelled(base.n, voltage.m, base.rows, base.cols, labels, base.values,
-                             base.classes, operator)
+                             base.classes, operator, base.paths)
 
 
 def edge_determinant(cx: ComplexDescription):
@@ -249,22 +266,27 @@ def verify_identity(parts: ZetaParts):
 
     Both sides are polynomials in w = u**e, e = 3 when P_A, P_E and P_B all
     are, as the Z/3 type grading makes them for every genuine complex, and
-    e = 1 otherwise (a corrupted operator).  The check runs in w: E(w) E(w^2)
-    and A(w) B(w) are one ``np.convolve`` each on object arrays of Python
-    ints, whose products and sums numpy's loop takes in Python-int
-    arithmetic, exact at any size; the factor (1 - u^3)^|chi| =
-    (1 - w^(3/e))^|chi| goes onto its side as |chi| lag-(3/e) differences,
-    new[n] = old[n] - old[n - 3/e].  Every coefficient of u not at a
-    multiple of e is zero on both sides, so the first differing coefficient
-    of u is the first differing one of w, at e times its index; a failure's
-    witness and both sides are read from the w arrays spread back to u.
+    e = 1 otherwise (a corrupted operator).  The check runs in w, on object
+    arrays of Python ints, whose products and sums numpy's loop takes in
+    Python-int arithmetic, exact at any size: A(w) B(w) is one
+    ``np.convolve``, and E(w) E(w^2) two of half the size, E's even and odd
+    halves Ee and Eo times E, as E(w) = Ee(w^2) + w Eo(w^2); the factor
+    (1 - u^3)^|chi| = (1 - w^(3/e))^|chi| goes onto its side as |chi|
+    lag-(3/e) differences, new[n] = old[n] - old[n - 3/e].  Every
+    coefficient of u not at a multiple of e is zero on both sides, so the
+    first differing coefficient of u is the first differing one of w, at e
+    times its index; a failure's witness and both sides are read from the w
+    arrays spread back to u.
     """
     polys = (parts.p_a, parts.p_e, parts.p_b)
     e = 1 if any(any(p.coeffs[1::3]) or any(p.coeffs[2::3]) for p in polys) else 3
     a, pe, b = (np.array(p.coeffs[::e] or (0,), dtype=object) for p in polys)
-    pe_square = np.zeros(2 * len(pe) - 1, dtype=object)
-    pe_square[::2] = pe
-    lhs = np.convolve(pe, pe_square)
+    # E(w) E(w^2) is Ee(v) E(v) on the even powers of w, Eo(v) E(v) on the
+    # odd ones, v = w^2
+    lhs = np.zeros(3 * len(pe) - 2, dtype=object)
+    lhs[::2] = np.convolve(pe[::2], pe)
+    if len(pe) > 1:
+        lhs[1::2] = np.convolve(pe[1::2], pe)
     rhs = np.convolve(a, b)
     for _ in range(max(parts.chi, 0)):
         lhs = _times_one_minus(lhs, 3 // e)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zeta3 import zeta
+from zeta3 import exactdet, zeta
 from zeta3.complexes import ComplexDescription, Geometric, Presented
 from zeta3.construct import connected_covers
 from zeta3.exactdet import det_integer
@@ -271,14 +271,20 @@ def test_entry_bounds(small_battery):
 # -- the labelled base quotient operators -------------------------------------
 
 
-def labelled_inputs(cx, tag, monkeypatch):
-    """What zeta hands exactdet.char_rev_labelled for determinant ``tag`` of a
-    presented complex, (n, m, rows, cols, labels, values), taking none."""
+def labelled_call(cx, tag, monkeypatch):
+    """The arguments zeta hands exactdet.char_rev_labelled for determinant
+    ``tag`` of a presented complex, (n, m, rows, cols, labels, values,
+    classes, operator, paths), taking none."""
     calls = []
     monkeypatch.setattr(zeta, "char_rev_labelled", lambda *args: calls.append(args))
     zeta._determinant(cx, tag)
-    (n, m, rows, cols, labels, values, _classes, _operator), = calls
-    return n, m, rows, cols, labels, values
+    (args,) = calls
+    return args
+
+
+def labelled_inputs(cx, tag, monkeypatch):
+    """(n, m, rows, cols, labels, values) of ``labelled_call``."""
+    return labelled_call(cx, tag, monkeypatch)[:6]
 
 
 def cyclic_lift(n, m, rows, cols, labels, values, place):
@@ -342,3 +348,43 @@ def test_labelled_base_operators_lift_to_both_rules(reference_battery, cover_m7,
             to_cover, to_rule = placements(cx, tag)
             assert cyclic_lift(n, m, *pattern, to_cover) == own[tag](cx), (cx, tag)
             assert cyclic_lift(n, m, *pattern, to_rule) == rule[tag](cx).lift(), (cx, tag)
+
+
+def test_path_tables_give_the_period3_product(reference_battery, cover_m7, presentations3,
+                                              monkeypatch):
+    # X of a presented complex comes from its base operator's path table: one
+    # scatter of the paths' labels, equal to _cube_rows' products of the
+    # labelled blocks, int64 and entry for entry, on every cover's labels
+    p4_m8 = dict(connected_covers(presentations3[4], 8))[2]
+    presented = [cx for cx in reference_battery if isinstance(cx.provenance, Presented)]
+    for cx in presented + [cover_m7, p4_m8]:
+        for tag in "AEB":
+            n, m, rows, cols, labels, values, classes, _operator, paths = labelled_call(
+                cx, tag, monkeypatch)
+            assert paths is not None and paths.r == len(classes[0])
+            d, x = exactdet._cyclic_reduction(n, m, rows, cols, labels, values, classes, paths)
+            cube = exactdet._cube_rows(n, m, rows, cols, labels, values, classes)
+            assert d == 3 and x.dtype == cube.dtype == np.int64, (cx, tag)
+            assert x.shape == cube.shape and np.array_equal(x, cube), (cx, tag)
+
+
+def test_path_table_sizes(cover_m7, presentations3):
+    # the length-3 paths from the smallest class back to it, per operator
+    # (companion, L_E, -L_B), on q=2 presentation 17 and q=3 presentation 4:
+    # one entry triple each, never a table over the generators
+    pinned = {cover_m7.provenance.presentation: (1025, 448, 168),
+              presentations3[4]: (5489, 9477, 1404)}
+    for pres, sizes in pinned.items():
+        operators = zeta._base_operators(pres)
+        tables = [operators[tag].paths for tag in "AEB"]
+        assert tuple(len(t.cells) for t in tables) == sizes
+        for table, tag in zip(tables, "AEB"):
+            assert table.entries.shape == (3, len(table.cells))
+            assert table.weights.dtype == np.float64
+            assert not table.entries.flags.writeable
+            # every path starts on the first class, steps along the grading
+            # and returns to the first class
+            op = operators[tag]
+            rows, cols = op.rows[table.entries], op.cols[table.entries]
+            assert np.array_equal(cols[:2], rows[1:])
+            assert np.isin(rows[0], op.classes[0]).all() and np.isin(cols[2], op.classes[0]).all()

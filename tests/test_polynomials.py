@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
@@ -404,3 +406,55 @@ def test_deflation():
     assert IntPoly([1, 1, 0, 2]).deflation() == (IntPoly([1, 1, 0, 2]), 1)
     assert IntPoly([7]).deflation() == (IntPoly([7]), 1)
     assert IntPoly([]).deflation() == (IntPoly([]), 1)
+
+
+def loop_crt(rows, primes):
+    """crt_symmetric before Garner's algorithm: one Python loop per prime
+    and coefficient, each step lifting the running value by the product of
+    the moduli before it."""
+    acc = [int(c) for c in rows[0]]
+    modulus = primes[0]
+    for residues, p in zip(rows[1:], primes[1:]):
+        inv = pow(modulus % p, p - 2, p)
+        for j, r in enumerate(residues):
+            t = (int(r) - acc[j]) * inv % p
+            acc[j] += modulus * t
+        modulus *= p
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in acc]
+
+
+@pytest.mark.parametrize("count", [1, 2, 12, 30])
+@pytest.mark.parametrize("seed", range(3))
+def test_crt_symmetric_matches_the_loop(count, seed):
+    # residues as the determinant engine hands them (int64 arrays in [0, p))
+    # and as lists of Python ints, at the engine's primes and at the cap
+    rng = np.random.default_rng(seed)
+    limit = (1 << 24, polynomials.PRIME_CAP)[seed % 2]
+    primes = [p for (p, _w), _ in zip(polynomials.primes_with_root(1, limit), range(count))]
+    rows = [rng.integers(0, p, 40 + seed) for p in primes]
+    # every corner of the range: 0, p - 1 and the symmetric boundary
+    for row, p in zip(rows, primes):
+        row[:3] = 0, p - 1, p // 2
+    got = polynomials.crt_symmetric(rows, primes)
+    assert got == loop_crt(rows, primes)
+    assert all(type(c) is int for c in got)
+    assert polynomials.crt_symmetric([r.tolist() for r in rows], primes) == got
+    modulus = math.prod(primes)
+    assert all(-modulus // 2 <= c <= modulus // 2 for c in got)
+
+
+@pytest.mark.parametrize("count", [2, 12])
+def test_crt_symmetric_extends_a_result(count):
+    # the modular gcd's incremental form: a symmetric result modulo a
+    # Python-int product of primes, extended by one prime at a time
+    rng = np.random.default_rng(count)
+    primes = [p for (p, _w), _ in zip(polynomials.primes_with_root(1), range(count + 3))]
+    rows = [rng.integers(0, p, 25) for p in primes]
+    result, modulus = polynomials.crt_symmetric(rows[:count], primes[:count]), math.prod(primes[:count])
+    assert modulus >= 1 << 63 or count == 2
+    for row, p in zip(rows[count:], primes[count:]):
+        step = polynomials.crt_symmetric([result, row.tolist()], [modulus, p])
+        assert step == loop_crt([result, row], [modulus, p])
+        result, modulus = step, modulus * p
+    assert result == loop_crt(rows, primes) == polynomials.crt_symmetric(rows, primes)

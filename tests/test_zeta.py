@@ -271,15 +271,23 @@ def test_companion_sums_parallel_edges(cover_m2, monkeypatch):
 
 def test_memo_leaks_nothing_between_covers(covers_m2, cover_m3):
     # covers of one presentation with different voltages share its base
-    # operators; interleaved, and again after another presentation's cover,
-    # each gives exactly the parts of its geometric copy
-    zeta._base_operators.cache_clear()
-    dense = [zeta_parts(geometric_copy(cx)) for cx in covers_m2 + [cover_m3]]
+    # operators and their path tables, and covers whose X has one size and
+    # bound share an engine plan; interleaved, covers of two presentations
+    # at m = 2 and 3, with nothing cleared, each gives exactly the parts of
+    # its geometric copy
+    covers = covers_m2 + [cover_m3]
+    assert covers_m2[0].provenance.presentation != cover_m3.provenance.presentation
+    dense = [zeta_parts(geometric_copy(cx)) for cx in covers]
     assert len({(p.p_a, p.p_e, p.p_b) for p in dense[:3]}) == 2
-    order = [0, 1, 2, 3, 2, 1, 0]
-    assert [zeta_parts((covers_m2 + [cover_m3])[k]) for k in order] == [dense[k] for k in order]
-    info = zeta._base_operators.cache_info()
-    assert (info.misses, info.hits) == (2, 3 * len(order) - 2)
+    operators = zeta._base_operators.cache_info()
+    plans = exactdet._engine_plan.cache_info()
+    order = [0, 3, 1, 2, 3, 2, 1, 0]
+    assert [zeta_parts(covers[k]) for k in order] == [dense[k] for k in order]
+    after = zeta._base_operators.cache_info()
+    assert after.misses - operators.misses <= 2
+    assert after.hits + after.misses - operators.hits - operators.misses == 3 * len(order)
+    # at most one plan for each of the four covers' three determinants
+    assert exactdet._engine_plan.cache_info().hits - plans.hits >= 3 * len(order) - 12
 
 
 def test_identity_negative_chi_branch():
