@@ -542,13 +542,13 @@ def crt_symmetric(rows, primes):
     (``_garner_table``).  Every coefficient is then taken to the symmetric
     range: above half the modulus, it loses the modulus.
     """
-    head = np.asarray(rows[0])
-    if head.dtype != np.int64:
-        head = np.array(rows[0], dtype=object)
     if len(primes) == 1:
         modulus, half = primes[0], primes[0] // 2
-        value = head.tolist()
+        value = map(int, rows[0])
     else:
+        head = np.asarray(rows[0])
+        if head.dtype != np.int64:
+            head = head.astype(object)
         table = _garner_table(tuple(primes))
         modulus, half = table.modulus, table.half
         # digits[i] = (r_i - r_0) c_i mod p_i, less the earlier digits' share
