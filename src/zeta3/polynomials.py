@@ -500,14 +500,13 @@ class _GarnerTable(NamedTuple):
     (``crt_symmetric``): the primes p_i as an int64 column, c_i =
     N_i**-1 mod p_i and G[i, j] = N_j c_i mod p_i (j < i) as int64 arrays,
     N_i = P p_1 .. p_(i-1); the weights N_(2t+1) of the digit pairs as
-    Python ints; the modulus N_(k+1) and its half."""
+    Python ints; and the modulus N_(k+1)."""
 
     p: np.ndarray
     c: np.ndarray
     g: np.ndarray
     weights: np.ndarray
     modulus: int
-    half: int
 
 
 @lru_cache(maxsize=64)
@@ -519,8 +518,7 @@ def _garner_table(moduli):
     for i in range(1, len(primes)):
         g[i, :i] = [n * c[i] % primes[i] for n in scale[:i]]
     p, c = np.array([primes, c], dtype=np.int64)[:, :, None]
-    modulus = scale[-1] * primes[-1]
-    return _GarnerTable(p, c, g, np.array(scale[::2], dtype=object), modulus, modulus // 2)
+    return _GarnerTable(p, c, g, np.array(scale[::2], dtype=object), scale[-1] * primes[-1])
 
 
 def crt_symmetric(rows, primes):
@@ -543,14 +541,14 @@ def crt_symmetric(rows, primes):
     range: above half the modulus, it loses the modulus.
     """
     if len(primes) == 1:
-        modulus, half = primes[0], primes[0] // 2
+        modulus = primes[0]
         value = map(int, rows[0])
     else:
         head = np.asarray(rows[0])
         if head.dtype != np.int64:
             head = head.astype(object)
         table = _garner_table(tuple(primes))
-        modulus, half = table.modulus, table.half
+        modulus = table.modulus
         # digits[i] = (r_i - r_0) c_i mod p_i, less the earlier digits' share
         digits = np.asarray(rows[1:], dtype=np.int64) - (head % table.p).astype(np.int64)
         digits %= table.p
@@ -562,6 +560,7 @@ def crt_symmetric(rows, primes):
         pairs = digits[::2].copy()
         pairs[: len(digits) // 2] += table.p[: len(digits) - 1 : 2] * digits[1::2]
         value = (table.weights @ pairs.astype(object) + head).tolist()
+    half = modulus // 2
     return [c - modulus if c > half else c for c in value]
 
 
