@@ -15,8 +15,8 @@ The routes and their parts:
   prime (``_twisted_blocks``).  While top * max(p) < 2**53, top = m
   max|X|, that is one float64 BLAS product and one balanced remainder, every
   partial sum an integer a double holds exactly; beyond it, and for X of
-  Python ints, an int64 product and remainder, X reduced mod each prime
-  first only where that product could overflow.  The characters fall into
+  Python ints, one int64 product per prime of X reduced mod that prime,
+  then one remainder.  The characters fall into
   Galois orbits {chi^t : t a unit mod m}, the classes of gcd(c, m) of the
   characters chi_c (``_character_orbits``), and each orbit's product is an
   integer polynomial of degree at most |O|*r: it is recombined by CRT on
@@ -44,30 +44,29 @@ The routes and their parts:
   with one matmul and one remainder.  The engine makes one list of the
   (orbit, prime, character) blocks and hands it over in slices whose
   working set (``_kernel``) fits ``_CHUNK_ENTRIES`` entries.
-* ``_cube_rows`` - the one period-3 product.  Every operator of the paper
-  raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X = M^3
-  on one class of the Z/3 grading (``grading_classes``, a breadth-first
-  search over the pattern's entry arrays, ``_type_grading``).  It multiplies
-  the pattern's three blocks between the classes as Z/m-labelled arrays,
-  adding labels mod m, on float64 through BLAS while every partial sum stays
-  below 2**53 and on Python ints beyond, and returns X as the engine's
-  (r, r, m) array, int64 or, when the weights outgrow it, Python ints in an
-  object array.  A caller that labels one pattern many ways holds its
-  ``path_table`` instead: the length-3 paths from V_0 back to it, each with
-  its cell, the product of its weights and its three entries, so that X is
-  one ``np.bincount`` of the paths' label sums (``_path_product``), exact
-  under the same (W d)**3 <= 2**53 bound.
-* ``char_rev_labelled`` - the one route: det(I - u*M) for the lift M over
-  Z/m of an n x n pattern whose entries carry labels in Z/m, given as entry
-  arrays (repeated entries sum) with the classes of its grading and,
-  optionally, its path table.  It takes X from the path table or by
-  ``_cube_rows`` (without a grading, X is the pattern), runs the engine,
-  spreads the coefficients back to u and, under ``SELF_CHECK``, checks the
-  result.  No lift is built.  zeta passes a presented complex's base
-  quotient operators, labelled by the voltages of their edges, with the
-  path tables it keeps per presentation.
-* ``char_rev`` - det(I - u*M) for an integer matrix: ``char_rev_labelled``
-  at m = 1, every label 0, on the grading found in M's own pattern.
+* The period-3 product, one per kind of input.  Every operator of the
+  paper raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X =
+  M^3 on one class V_0 of the Z/3 grading (``grading_classes``, a
+  breadth-first search over the pattern's entry arrays, ``_type_grading``).
+  A labelled pattern takes its ``path_table``: the length-3 paths from V_0
+  back to it, each with its cell, the product of its weights and its three
+  entries, so that X is one scatter of the paths' label sums
+  (``_path_product``).  A dense matrix takes ``_cube_rows``: its three
+  blocks between the classes and two plain block products.  Both run in
+  float64 while (W d)**3 <= 2**53 (``_exact_float``), every partial sum an
+  integer a double holds, and on Python ints beyond, and give X as the
+  engine's (r, r, m) array, int64 or Python ints in an object array.
+* ``char_rev_labelled`` - det(I - u*M) for the lift M over Z/m of an n x n
+  pattern whose entries carry labels in Z/m, given as entry arrays
+  (repeated entries sum) with the classes of its grading and its path
+  table, built when the caller holds none.  It takes X from the path table
+  (without a grading, X is the pattern), runs the engine, spreads the
+  coefficients back to u and, under ``SELF_CHECK``, checks the result
+  (``_char_rev_reduced``).  No lift is built.  zeta passes a presented
+  complex's base quotient operators, labelled by the voltages of their
+  edges, with the path tables it keeps per presentation.
+* ``char_rev`` - det(I - u*M) for an integer matrix: the case m = 1, every
+  label 0, on the grading found in M's own pattern, X by ``_cube_rows``.
 * ``_self_check`` - the one self-check (under ``SELF_CHECK``): the unreduced
   dense operator's characteristic polynomial modulo a prime the engine's CRT
   did not take, by the Hessenberg kernel on an int64 stack (residues in
@@ -587,19 +586,6 @@ def _kernel(r):
     return _charpolys_mod, r * r
 
 
-def _int64_labels(flat, top, p):
-    """The engine's labels (``flat``, one row per label h in Z/m) as the
-    int64 factor of the product with the powers of w modulo p.  ``top`` is m
-    times the largest |entry| for an int64 ``flat`` (None for Python ints):
-    while top * (p - 1) < 2**63, a block entry, a sum of m products of an
-    entry and a residue in [0, p), cannot overflow, and ``flat`` goes in as it
-    is; otherwise it is reduced mod p first, so each product stays below
-    p**2 < 2**50 and m < 8192 of them sum within int64."""
-    if top is not None and top * (p - 1) < 1 << 63:
-        return flat
-    return np.remainder(flat, p).astype(np.int64, copy=False)
-
-
 def _powers_mod(w, e, p):
     """w[t] ** e mod p[t] for every t and every exponent of the vector e, as
     a (len(w), len(e)) int64 array, by binary powering: residues below
@@ -633,27 +619,19 @@ def _twisted_blocks(flat, top, table, p):
     below p**2 + p otherwise, p < 2**25), and the residue has magnitude at
     most (p + 1)/2.
 
-    Beyond that bound, and for Python ints (``top`` None), the product runs
-    in int64, then one remainder by each block's prime: one product builds
-    the slice while ``_int64_labels`` lets ``flat`` go in unreduced at the
-    slice's largest prime, and so at every prime of it; otherwise each prime
-    takes its own product with ``flat`` reduced as ``_int64_labels`` says.
+    Beyond that bound, and for Python ints (``top`` None), each prime q of
+    the slice takes its blocks' rows of the table times ``flat`` mod q in
+    int64, then mod q: an entry sums m < 8192 products below q**2 < 2**50.
     """
     pf = p[:, None].astype(np.float64)
     if top is not None and top * int(p.max()) < 1 << 53:
         stack = table.astype(np.float64) @ flat.astype(np.float64)
-        return _balanced_remainder(stack, pf, out=stack)
-    labels = _int64_labels(flat, top, int(p.max()))
-    if labels is flat:
-        values = table @ flat
     else:
-        values = np.empty((len(p), flat.shape[1]), dtype=np.int64)
+        # residues in [0, q) are exact doubles
+        stack = np.empty((len(p), flat.shape[1]))
         for q in np.unique(p).tolist():
             at = p == q
-            values[at] = table[at] @ _int64_labels(flat, top, q)
-    np.remainder(values, p[:, None], out=values)
-    # residues in [0, p) are exact doubles; balanced, |v| <= (p - 1)/2
-    stack = values.astype(np.float64)
+            stack[at] = table[at] @ (flat % q).astype(np.int64) % q
     return _balanced_remainder(stack, pf, out=stack)
 
 
@@ -865,60 +843,44 @@ def _labelled_array(n, m, rows, cols, labels, values):
     return x
 
 
-def _group_product(a, b):
-    """c[i, h, j] = sum over k and h1 + h2 = h (mod m) of a[i, h1, k] * b[k, h2, j]:
-    the product of two Z/m-labelled matrices, each entry's labels along an axis."""
-    ra, m, rk = a.shape
-    rb = b.shape[2]
-    flat_b = b.reshape(rk, m * rb)
-    c = np.zeros((ra, m, rb), dtype=a.dtype)
-    for h1 in range(m):
-        product = (a[:, h1, :] @ flat_b).reshape(ra, m, rb)
-        c[:, h1:] += product[:, : m - h1]
-        c[:, :h1] += product[:, m - h1 :]
-    return c
-
-
-def _cube_rows(n, m, rows, cols, labels, values, classes):
-    """X = M^3 on the rows of one class, as the engine's (r, r, m) labelled
-    array (``_char_rev_by_characters``): X[a, b, h] the entry from the
-    class's row a to deck h of its row b.
-
-    M is the lift over the deck group Z/m of an n x n pattern, given as its
-    entry arrays: entry k from row rows[k] to column cols[k] with label
-    labels[k] in Z/m and weight values[k], entries that repeat a (row,
-    column, label) summing.  ``classes`` = (V_0, V_1, V_2) is a Z/3 grading
-    of the pattern (``grading_classes``), every entry from a row of V_t going
-    to a column of V_(t+1); so X = B_0 B_1 B_2 on V_0, B_t the pattern's rows
-    of V_t and columns of V_(t+1), each built from the entries alone.  The
-    products are of Z/m-labelled matrices (``_group_product``): labels add
-    mod m along each path.  A dense matrix is the case m = 1, every label 0.
-
-    The products run on float64 through BLAS when (W d)**3 <= 2**53, W the
-    largest |weight| and d the most entries of a row: W d bounds every row's
-    absolute sum, so every partial sum of the first product is at most
-    (W d)**2 and of the second at most (W d)**3, integers a double holds
-    exactly.  Larger weights take Python ints in object arrays, exact at any
-    size.
-    """
+def _exact_float(rows, values):
+    """Whether (W d)**3 <= 2**53, W the largest |weight| and d the most
+    entries of a row: W d bounds every row's absolute sum, so every partial
+    sum of a product of two or three of the pattern's blocks, or of a
+    length-3 path's weight, is an integer of magnitude at most (W d)**3,
+    which a double holds exactly."""
     d = np.bincount(rows, minlength=1).max()
-    exact_float = (_top(values) * int(d)) ** 3 <= 1 << 53
+    return (_top(values) * int(d)) ** 3 <= 1 << 53
+
+
+def _cube_rows(n, rows, cols, values, classes):
+    """X = M^3 on the rows of one class, as the engine's (r, r, 1) array
+    (``_char_rev_by_characters``), M an n x n integer matrix given as its
+    entry arrays: entry k from row rows[k] to column cols[k] with weight
+    values[k], entries that repeat a (row, column) summing.
+
+    ``classes`` = (V_0, V_1, V_2) is a Z/3 grading of M's pattern
+    (``grading_classes``), every entry from a row of V_t going to a column
+    of V_(t+1); so X = B_0 B_1 B_2 on V_0, B_t the rows of V_t and columns
+    of V_(t+1).  The products run on float64 through BLAS under
+    ``_exact_float``'s bound, on Python ints in object arrays beyond it.
+    """
+    exact_float = _exact_float(rows, values)
     dtype = np.float64 if exact_float else object
     weights = values.astype(dtype)
     local = np.zeros(n, dtype=np.int64)
-    for members in classes:
+    side = np.zeros(n, dtype=np.int64)
+    for t, members in enumerate(classes):
         local[members] = np.arange(len(members))
-    # each block's layout: (row, label, column)
+        side[members] = t
     blocks = []
     for t in range(3):
-        source = np.zeros(n, dtype=bool)
-        source[classes[t]] = True
-        sel = source[rows]
-        block = np.zeros((len(classes[t]), m, len(classes[(t + 1) % 3])), dtype=dtype)
-        np.add.at(block, (local[rows[sel]], labels[sel], local[cols[sel]]), weights[sel])
+        sel = side[rows] == t
+        block = np.zeros((len(classes[t]), len(classes[(t + 1) % 3])), dtype=dtype)
+        np.add.at(block, (local[rows[sel]], local[cols[sel]]), weights[sel])
         blocks.append(block)
-    cube = _group_product(_group_product(blocks[0], blocks[1]), blocks[2]).transpose(0, 2, 1)
-    return cube.astype(np.int64 if exact_float else object, order="C")
+    cube = blocks[0] @ blocks[1] @ blocks[2]
+    return cube.astype(np.int64 if exact_float else object)[:, :, None]
 
 
 def grading_classes(n, rows, cols):
@@ -938,7 +900,8 @@ class PathTable(NamedTuple):
     (``path_table``): path k runs from V_0's row a to its row b, through the
     pattern's entries entries[0, k], entries[1, k] and entries[2, k]; cells[k]
     = a*r + b and weights[k] is the product of the three entries' weights,
-    as a float64.  r = |V_0|.  Every array is read-only."""
+    as a float64 under ``_exact_float``'s bound and a Python int beyond it.
+    r = |V_0|.  Every array is read-only."""
 
     r: int
     cells: np.ndarray
@@ -957,18 +920,12 @@ def _steps_on(order, start, ends):
 
 def path_table(n, rows, cols, values, classes):
     """The ``PathTable`` of an n x n pattern given as entry arrays, with
-    ``classes`` its Z/3 grading (``grading_classes``), or None when the
-    products of ``_cube_rows`` would leave float64 ((W d)**3 > 2**53, W the
-    largest |weight| and d the most entries of a row) or the weights are
-    Python ints.
+    ``classes`` its Z/3 grading (``grading_classes``).
 
     ``_path_product`` takes X = M^3 on V_0 from it for any labels of the
-    entries, as ``_cube_rows`` does from the entries alone, so a pattern
-    whose weights stay and whose labels change pays for its paths once.
+    entries, so a pattern whose weights stay and whose labels change pays
+    for its paths once.
     """
-    d = np.bincount(rows, minlength=1).max()
-    if values.dtype == object or (_top(values) * int(d)) ** 3 > 1 << 53:
-        return None
     order = np.argsort(rows, kind="stable")
     start = np.searchsorted(rows[order], np.arange(n + 1))
     v0 = classes[0]
@@ -979,58 +936,56 @@ def path_table(n, rows, cols, values, classes):
     path2, third = _steps_on(order, start, cols[second])
     entries = np.stack([first[path][path2], second[path2], third])
     cells = local[rows[entries[0]]] * len(v0) + local[cols[entries[2]]]
-    weights = values.astype(np.float64)[entries].prod(axis=0)
+    dtype = np.float64 if _exact_float(rows, values) else object
+    weights = values.astype(dtype)[entries].prod(axis=0)
     for a in (cells, weights, entries):
         a.flags.writeable = False
     return PathTable(len(v0), cells, weights, entries)
 
 
 def _path_product(paths, m, labels):
-    """X = M^3 on V_0 as the engine's (r, r, m) int64 array, M the lift over
-    Z/m of the pattern of ``paths`` (``path_table``) with entry k labelled
+    """X = M^3 on V_0 as the engine's (r, r, m) array, M the lift over Z/m
+    of the pattern of ``paths`` (``path_table``) with entry k labelled
     labels[k]: each path carries the sum of its entries' labels mod m, and
-    X[a, b, h] sums the weights of the paths from a to b of label h, one
-    ``np.bincount``.  Every partial sum is an integer of magnitude at most
-    (W d)**3 <= 2**53, as in ``_cube_rows``, which a double holds exactly."""
+    X[a, b, h] sums the weights of the paths from a to b of label h.  Float64
+    weights take one ``np.bincount``, every partial sum an integer of
+    magnitude at most (W d)**3 <= 2**53 (``_exact_float``), and give int64;
+    Python-int weights are summed into an object array."""
     r = paths.r
-    label = labels[paths.entries].sum(axis=0) % m
-    x = np.bincount(paths.cells * m + label, paths.weights, minlength=r * r * m)
-    return x.astype(np.int64).reshape(r, r, m)
+    at = paths.cells * m + labels[paths.entries].sum(axis=0) % m
+    if paths.weights.dtype == object:
+        x = np.zeros(r * r * m, dtype=object)
+        np.add.at(x, at, paths.weights)
+    else:
+        x = np.bincount(at, paths.weights, minlength=r * r * m).astype(np.int64)
+    return x.reshape(r, r, m)
 
 
 def _cyclic_reduction(n, m, rows, cols, labels, values, classes, paths=None):
     """(d, X): det(I - uM) = det(I - u^d X), M the lift over Z/m of the
-    labelled pattern of ``_cube_rows`` and X the engine's (r, r, m) array.
+    labelled pattern of ``char_rev_labelled`` and X the engine's (r, r, m)
+    array.
 
     With the classes V_0, V_1, V_2 of a Z/3 grading, M maps V_t into V_(t+1)
     by blocks B_t, and Sylvester's identity det(I - AB) = det(I - BA) gives
     det(I - uM) = det(I - u^3 B_0 B_1 B_2); X is that product on V_0, i.e.
-    M^3 restricted to it: from the pattern's ``path_table`` when the caller
-    holds one (``_path_product``), else by ``_cube_rows``.  Without a
-    grading (``classes`` None), d = 1 and X is the pattern itself.
+    M^3 restricted to it: from the pattern's ``path_table``
+    (``_path_product``), or, without one, for a dense matrix (m = 1, every
+    label 0), by ``_cube_rows``.  Without a grading (``classes`` None),
+    d = 1 and X is the pattern itself.
     """
     if classes is None:
         return 1, _labelled_array(n, m, rows, cols, labels, values)
-    if paths is not None:
-        return 3, _path_product(paths, m, labels)
-    return 3, _cube_rows(n, m, rows, cols, labels, values, classes)
+    if paths is None:
+        return 3, _cube_rows(n, rows, cols, values, classes)
+    return 3, _path_product(paths, m, labels)
 
 
-def char_rev_labelled(n, m, rows, cols, labels, values, classes, operator, paths=None):
-    """det(I - u*M) as an IntPoly, M the mn x mn lift over Z/m of an n x n
-    pattern whose entry k goes from rows[k] to cols[k] with label labels[k]
-    in Z/m and weight values[k] (int64, or Python ints in an object array);
-    entries that repeat a (row, column, label) sum.
-
-    ``classes`` is the pattern's Z/3 grading (``grading_classes``), or None,
-    and ``paths`` its ``path_table``, or None.  ``_cyclic_reduction`` takes
-    the pattern to X with det(I - uM) = det(I - u^d X), the engine takes
-    det(I - tX) over the m characters of Z/m, and its coefficients are
-    spread to t = u^d; no lift is built.  Under ``SELF_CHECK`` the result is
-    compared with operator(), the unreduced mn x mn M up to a relabelling of
-    its rows and columns.
-    """
-    d, x = _cyclic_reduction(n, m, rows, cols, labels, values, classes, paths)
+def _char_rev_reduced(n, m, d, x, operator):
+    """det(I - u*M) from det(I - u^d X) (``_cyclic_reduction``): the engine
+    on X, its coefficients spread to u^d and, under ``SELF_CHECK``, the
+    result compared with operator(), the unreduced mn x mn M up to a
+    relabelling of its rows and columns."""
     reduced, stream = _char_rev_by_characters(x)
     coeffs = [0] * (d * reduced.degree + 1)
     coeffs[::d] = reduced.coeffs
@@ -1040,9 +995,27 @@ def char_rev_labelled(n, m, rows, cols, labels, values, classes, operator, paths
     return poly
 
 
+def char_rev_labelled(n, m, rows, cols, labels, values, classes, operator, paths=None):
+    """det(I - u*M) as an IntPoly, M the mn x mn lift over Z/m of an n x n
+    pattern whose entry k goes from rows[k] to cols[k] with label labels[k]
+    in Z/m and weight values[k] (int64, or Python ints in an object array);
+    entries that repeat a (row, column, label) sum.
+
+    ``classes`` is the pattern's Z/3 grading (``grading_classes``), or None,
+    and ``paths`` its ``path_table``, built here when the caller holds none.
+    ``_cyclic_reduction`` takes the pattern to X with det(I - uM) =
+    det(I - u^d X) and ``_char_rev_reduced`` the rest; no lift is built.
+    """
+    if classes is not None and paths is None:
+        paths = path_table(n, rows, cols, values, classes)
+    d, x = _cyclic_reduction(n, m, rows, cols, labels, values, classes, paths)
+    return _char_rev_reduced(n, m, d, x, operator)
+
+
 def char_rev(M):
     """det(I - u*M) as an IntPoly, for a square integer matrix: the case m = 1
-    of ``char_rev_labelled``, every label 0.
+    of ``char_rev_labelled``, every label 0, with no path table: X is two
+    plain block products (``_cube_rows``).
 
     The grading is the one in M's own nonzero pattern (vertex type, edge tail
     type, chamber rotation), so X is the period-3 product on its smallest
@@ -1060,8 +1033,8 @@ def char_rev(M):
         if _top(values) < 1 << 62:
             values = values.astype(np.int64)
     labels = np.zeros(len(rows), dtype=np.int64)
-    return char_rev_labelled(n, 1, rows, cols, labels, values,
-                             grading_classes(n, rows, cols), lambda: M)
+    d, x = _cyclic_reduction(n, 1, rows, cols, labels, values, grading_classes(n, rows, cols))
+    return _char_rev_reduced(n, 1, d, x, lambda: M)
 
 
 def char_rev_interpolated(M):

@@ -496,11 +496,11 @@ def primes_with_root(k, limit=PRIME_CAP):
 
 
 class _GarnerTable(NamedTuple):
-    """The constants of Garner's algorithm for moduli (P, p_1, .., p_k)
-    (``crt_symmetric``): the primes p_i as an int64 column, c_i =
-    N_i**-1 mod p_i and G[i, j] = N_j c_i mod p_i (j < i) as int64 arrays,
-    N_i = P p_1 .. p_(i-1); the weights N_(2t+1) of the digit pairs as
-    Python ints; and the modulus N_(k+1)."""
+    """The constants of Garner's algorithm for primes (p_0, p_1, .., p_k)
+    (``crt_symmetric``): p_1 .. p_k as an int64 column, c_i = N_i**-1 mod
+    p_i and G[i, j] = N_j c_i mod p_i (j < i) as int64 arrays, N_i = p_0 p_1
+    .. p_(i-1); the weights N_(2t+1) of the digit pairs as Python ints; and
+    the modulus N_(k+1)."""
 
     p: np.ndarray
     c: np.ndarray
@@ -524,19 +524,17 @@ def _garner_table(moduli):
 def crt_symmetric(rows, primes):
     """Combine per-prime coefficient vectors into symmetric-range integers.
 
-    ``rows[0]`` may hold any representatives modulo ``primes[0]``, so an
-    earlier result can be extended by one more prime as
-    ``crt_symmetric([result, residues], [modulus, p])``; the other primes lie
-    below 2**25 and their rows are integers of int64.
+    Row i holds residues in [0, p_i) modulo ``primes[i]``, a prime below
+    2**25, as int64 or Python ints.
 
     Garner's algorithm: x = r_0 + N_1 d_1 + .. + N_k d_k, N_i the product of
-    the moduli before p_i, and the digit d_i = (x - r_0 - N_1 d_1 - .. -
+    the primes before p_i, and the digit d_i = (x - r_0 - N_1 d_1 - .. -
     N_(i-1) d_(i-1)) / N_i mod p_i in [0, p_i).  The digits are taken in
     int64 on whole coefficient vectors at once, one prime after the other:
     every product is of two residues below 2**25, and a digit sums fewer
     than 2**13 of them.  Each pair d_i + p_i d_(i+1) is below 2**50, and one
     object-array product of the pairs with their weights N_i carries them
-    into Python ints; the constants are memoised per tuple of moduli
+    into Python ints; the constants are memoised per tuple of primes
     (``_garner_table``).  Every coefficient is then taken to the symmetric
     range: above half the modulus, it loses the modulus.
     """
@@ -544,16 +542,11 @@ def crt_symmetric(rows, primes):
         modulus = primes[0]
         value = map(int, rows[0])
     else:
-        head = np.asarray(rows[0])
-        if head.dtype != np.int64:
-            head = head.astype(object)
+        head = np.asarray(rows[0], dtype=np.int64)
         table = _garner_table(tuple(primes))
         modulus = table.modulus
         # digits[i] = (r_i - r_0) c_i mod p_i, less the earlier digits' share
-        digits = np.asarray(rows[1:], dtype=np.int64) - (head % table.p).astype(np.int64)
-        digits %= table.p
-        digits *= table.c
-        digits %= table.p
+        digits = (np.asarray(rows[1:], dtype=np.int64) - head) * table.c % table.p
         for i in range(1, len(digits)):
             digits[i] -= table.g[i, :i] @ digits[:i]
             digits[i] %= table.p[i]
@@ -595,7 +588,7 @@ def _gcd_cofactors(f: IntPoly, g: IntPoly):
         return one, f, g
     lc_gcd = math.gcd(fp.leading, gp.leading)
 
-    best_deg = None  # lifted: the CRT of the images at this degree, modulo modulus
+    best_deg = None  # the images at this degree and their primes
     for p, _w in primes_with_root(1):
         if fp.leading % p == 0 or gp.leading % p == 0:
             continue
@@ -607,11 +600,10 @@ def _gcd_cofactors(f: IntPoly, g: IntPoly):
             continue
         image = [c * lc_gcd % p for c in gcd_p]
         if best_deg is None or d < best_deg:  # the earlier primes were unlucky
-            best_deg, lifted, modulus = d, crt_symmetric([image], [p]), p
-        else:
-            lifted = crt_symmetric([lifted, image], [modulus, p])
-            modulus *= p
-        cand = primitive_part(_poly(lifted))
+            best_deg, images, moduli = d, [], []
+        images.append(image)
+        moduli.append(p)
+        cand = primitive_part(_poly(crt_symmetric(images, moduli)))
         if cand.is_zero():
             continue
         try:

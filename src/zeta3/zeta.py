@@ -20,27 +20,27 @@ ints, exact at any size, and (1 - u^3)^|chi| as |chi| differences.
 
 Every one of these operators raises the vertex type by one step (A1 and the
 companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
-each determinant is det(I - u^3 X), X the period-3 product, and every one
-takes exactdet.char_rev_labelled.  P_A is the determinant of the
-3*N0 x 3*N0 block companion of the vertex pencil (vertex_companion).  A
-complex given by explicit lists, and injected operators, take dense
-char_rev of the four operators: the route at m = 1 with every label 0, on
-the grading it finds in the operator's own pattern (an operator without one
-takes the unreduced route).  A presented complex is its base quotient, the
-3-vertex complex of its presentation, with voltages on the base's edges:
-each entry of the base's incidence-rule operators steps across one edge
-(``operators.a1_steps``, ``le_steps``, ``lb_steps``) and carries that
-edge's voltage c(x) in the deck group Z/m, A2's entries in the companion
--c(x) and its identity blocks 0.  The lift of each labelled operator is
-the cover's operator up to the order of rows and columns, so X is the lift
-of a small pattern over Z/m, and its determinant is a product over the m
-characters of Z/m of twisted determinants, taken orbit by orbit: each
-Galois orbit of characters gives an integer factor under its own CRT
-bound, and the factors are multiplied back exactly.  All of that but the
-labels depends on the presentation alone and is built once per
-presentation (``_base_operators``), down to each operator's length-3 paths
-(``exactdet.path_table``); the engine's plan depends on X's size, m and
-row-norm bound alone and is memoised too.  A cover seen after its
+each determinant is det(I - u^3 X), X the period-3 product.  P_A is the
+determinant of the 3*N0 x 3*N0 block companion of the vertex pencil
+(vertex_companion).  A complex given by explicit lists, and injected
+operators, take dense char_rev of the four operators: the case m = 1 with
+every label 0, on the grading it finds in the operator's own pattern, X by
+two plain block products (an operator without a grading takes the
+unreduced route).  A presented complex takes exactdet.char_rev_labelled: it
+is its base quotient, the 3-vertex complex of its presentation, with
+voltages on the base's edges: each entry of the base's incidence-rule
+operators steps across one edge (``operators.a1_steps``, ``le_steps``,
+``lb_steps``) and carries that edge's voltage c(x) in the deck group Z/m,
+A2's entries in the companion -c(x) and its identity blocks 0.  The lift of
+each labelled operator is the cover's operator up to the order of rows and
+columns, so X is the lift of a small pattern over Z/m, and its determinant
+is a product over the m characters of Z/m of twisted determinants, taken
+orbit by orbit: each Galois orbit of characters gives an integer factor
+under its own CRT bound, and the factors are multiplied back exactly.  All
+of that but the labels depends on the presentation alone and is built once
+per presentation (``_base_operators``), down to each operator's length-3
+paths (``exactdet.path_table``); the engine's plan depends on X's size, m
+and row-norm bound alone and is memoised too.  A cover seen after its
 presentation pays for its labels, one scatter of its paths' labels into X,
 the kernel and the CRT.
 """
@@ -134,7 +134,7 @@ class _BaseOperator(NamedTuple):
     generator: np.ndarray
     sign: np.ndarray
     classes: tuple
-    paths: Optional[PathTable]
+    paths: PathTable
 
 
 @lru_cache(maxsize=64)

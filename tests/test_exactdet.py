@@ -430,9 +430,12 @@ def test_period3_product_zeroes_cancelled_entries(monkeypatch):
 ])
 def test_cube_rows_sums_repeated_entries(m, seed, hi, dtype):
     # a pattern over Z/3 x Z/m given entry by entry, half its entries given a
-    # second time and a quarter a third time, split in two: _cube_rows sums
-    # the entries that repeat a (row, col, label), as the lift does and as
-    # the parallel edges of a base quotient's A1 need
+    # second time and a quarter a third time, split in two: the period-3
+    # product from the path table (float64 weights under the bound, Python
+    # ints beyond) sums the entries that repeat a (row, col, label), as the
+    # lift does and as the parallel edges of a base quotient's A1 need; the
+    # dense product of the unlabelled pattern sums repeated (row, col)s, and
+    # is X with its labels collapsed
     r = 6
     rng = random.Random(seed)
     entries = [(rng.randrange(r), rng.randrange(r), rng.randrange(m), rng.randint(-hi, hi))
@@ -444,11 +447,16 @@ def test_cube_rows_sums_repeated_entries(m, seed, hi, dtype):
         pattern.add(*entry)
     rows, cols, labels, values, classes = three_sheets(r, entries)
     assert len(set(zip(rows.tolist(), cols.tolist(), labels.tolist()))) < len(rows)
-    x = exactdet._cube_rows(3 * r, m, rows, cols, labels, values, classes)
-    summed = three_sheets(r, [(*key, v) for key, v in pattern.entries.items()])
-    once = exactdet._cube_rows(3 * r, m, *summed[:4], classes)
+    x = exactdet._path_product(exactdet.path_table(3 * r, rows, cols, values, classes),
+                               m, labels)
+    s_rows, s_cols, s_labels, s_values, _classes = three_sheets(
+        r, [(*key, v) for key, v in pattern.entries.items()])
+    once = exactdet._path_product(exactdet.path_table(3 * r, s_rows, s_cols, s_values, classes),
+                                  m, s_labels)
     assert x.dtype == once.dtype == dtype
     assert x.shape == (r, r, m) and x.tolist() == once.tolist()
+    dense = exactdet._cube_rows(3 * r, rows, cols, values, classes)
+    assert dense.dtype == dtype and dense[:, :, 0].tolist() == x.sum(axis=2).tolist()
     det = char_rev_labelled(3 * r, m, rows, cols, labels, values, classes, pattern.lift)
     assert det == char_rev(pattern.lift())
 
@@ -564,22 +572,6 @@ def test_orbit_engine_group_entries_beyond_int64(monkeypatch):
     assert max(abs(v) for v in x.ravel().tolist()) > 1 << 63
 
 
-def test_int64_labels_reduce_only_beyond_the_bound():
-    # the labels go into the int64 product with the powers of w unreduced
-    # while m times their largest |entry| times p - 1 stays below 2**63
-    p, m = MIXED_PRIMES[0], 3
-    most = ((1 << 63) - 1) // (p - 1)
-    flat = np.array([[most // m, -(most // m)], [5, 0], [-1, 2]], dtype=np.int64)
-    top = most // m * m
-    assert top * (p - 1) < 1 << 63 <= (top + m) * (p - 1)
-    assert exactdet._int64_labels(flat, top, p) is flat
-    reduced = exactdet._int64_labels(flat + np.array([[1, -1], [0, 0], [0, 0]]), top + m, p)
-    assert reduced.dtype == np.int64
-    assert reduced.tolist() == [[(most // m + 1) % p, -(most // m + 1) % p], [5, 0], [p - 1, 2]]
-    # Python ints are always reduced
-    assert exactdet._int64_labels(flat.astype(object), None, p).tolist() == (flat % p).tolist()
-
-
 @pytest.mark.parametrize("m", [1, 2, 7, 8191])
 def test_powers_mod_matches_pow(m):
     roots = list(islice(primes_with_root(m), 3))
@@ -593,29 +585,21 @@ def test_powers_mod_matches_pow(m):
 
 
 @pytest.mark.parametrize("beyond", [False, True])
-def test_orbit_engine_entries_at_and_beyond_the_label_bound(monkeypatch, beyond):
-    # int64 entries as large as the first prime's bound allows, and one more:
-    # the slice's largest prime decides.  At the bound, one unreduced product
-    # builds every block of the slice; beyond it, each prime takes its own
-    # product, with the labels reduced at the first prime only
+def test_orbit_engine_entries_at_and_beyond_the_label_bound(beyond):
+    # int64 entries as large as an unreduced int64 product with the first
+    # prime's powers of w allows, and one more: far beyond the float64
+    # bound, so every prime takes its own int64 product of the entries
+    # reduced mod that prime
     r, m = 2, 3
     p, _w = next(primes_with_root(m, exactdet._float_prime_limit(r)))
     big = ((1 << 63) - 1) // ((p - 1) * m) + beyond
     x = {(0, 1, 2): big, (1, 0, 1): -big, (1, 1, 0): 3, (0, 0, 2): 1}
-    calls = []
-    labels = exactdet._int64_labels
-    monkeypatch.setattr(exactdet, "_int64_labels",
-                        lambda flat, top, q: calls.append((q, labels(flat, top, q) is not flat))
-                        or labels(flat, top, q))
     engine, _stream = exactdet._char_rev_by_characters(labelled_array(r, m, x))
-    assert calls[0] == (p, beyond)
-    assert {q for q, reduced in calls if reduced} == ({p} if beyond else set())
-    assert len(calls) > 2 if beyond else len(calls) == 1
     assert engine == char_rev_interpolated(cyclic_lift(r, m, x))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 8191])
-def test_twisted_blocks_float_route_matches_int64_route(monkeypatch, m):
+def test_twisted_blocks_float_route_matches_int64_route(m):
     # a block entry sums m terms, an entry times a residue below p, so its
     # partial sums stay below top * max(p), top m times the largest |entry|:
     # one float64 product while that is below 2**53, the int64 product from
@@ -633,10 +617,6 @@ def test_twisted_blocks_float_route_matches_int64_route(monkeypatch, m):
     if m == 1:
         assert table.tolist() == [[1]] * len(p)
     most = ((1 << 53) - 1) // (int(p.max()) * m)
-    calls = []
-    labels = exactdet._int64_labels
-    monkeypatch.setattr(exactdet, "_int64_labels",
-                        lambda flat, top, q: calls.append(q) or labels(flat, top, q))
     rng = np.random.default_rng(m)
     for extra in (0, 1):
         flat = rng.integers(-most, most + 1, size=(m, r * r))
@@ -645,9 +625,7 @@ def test_twisted_blocks_float_route_matches_int64_route(monkeypatch, m):
         assert (top * int(p.max()) < 1 << 53) is not extra
         expected = (table.astype(object) @ flat.astype(object)) % p.astype(object)[:, None]
         for x, x_top in ((flat, top), (flat.astype(object), None)):
-            calls.clear()
             stack = exactdet._twisted_blocks(x, x_top, table, p)
-            assert bool(calls) is bool(extra or x_top is None)
             assert stack.dtype == np.float64 and stack.shape == (len(p), r * r)
             assert (np.abs(stack) <= (p[:, None] + 1) // 2).all()
             residues = np.remainder(stack.astype(np.int64), p[:, None])

@@ -353,18 +353,21 @@ def test_labelled_base_operators_lift_to_both_rules(reference_battery, cover_m7,
 def test_path_tables_give_the_period3_product(reference_battery, cover_m7, presentations3,
                                               monkeypatch):
     # X of a presented complex comes from its base operator's path table: one
-    # scatter of the paths' labels, equal to _cube_rows' products of the
-    # labelled blocks, int64 and entry for entry, on every cover's labels
+    # scatter of the paths' labels, equal to the dense period-3 product of
+    # the lift from V_0 on sheet 0 to V_0 on each sheet h, int64 and entry
+    # for entry, on every cover's labels
     p4_m8 = dict(connected_covers(presentations3[4], 8))[2]
     presented = [cx for cx in reference_battery if isinstance(cx.provenance, Presented)]
     for cx in presented + [cover_m7, p4_m8]:
         for tag in "AEB":
             n, m, rows, cols, labels, values, classes, _operator, paths = labelled_call(
                 cx, tag, monkeypatch)
-            assert paths is not None and paths.r == len(classes[0])
+            assert paths.r == len(classes[0])
             d, x = exactdet._cyclic_reduction(n, m, rows, cols, labels, values, classes, paths)
-            cube = exactdet._cube_rows(n, m, rows, cols, labels, values, classes)
-            assert d == 3 and x.dtype == cube.dtype == np.int64, (cx, tag)
+            lifted = cyclic_lift(n, m, rows, cols, labels, values, np.arange(m * n)).to_numpy()
+            v0 = classes[0]
+            cube = (lifted @ lifted @ lifted)[v0][:, np.arange(m) * n + v0[:, None]]
+            assert d == 3 and x.dtype == np.int64, (cx, tag)
             assert x.shape == cube.shape and np.array_equal(x, cube), (cx, tag)
 
 

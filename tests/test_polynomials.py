@@ -230,6 +230,25 @@ def test_gcd_wide_common_factor(monkeypatch):
     assert len(set(added)) >= 3
 
 
+def test_gcd_restarts_after_an_unlucky_prime(monkeypatch):
+    # 5 and 5 + p agree modulo the gcd's first prime p, whose image is then
+    # (x - 3)(x - 5), of degree 2: the next prime's image, of degree 1,
+    # starts the lift afresh, without p's image
+    first, second = (p for (p, _w), _ in zip(polynomials.primes_with_root(1), range(2)))
+    f = IntPoly([-3, 1]) * IntPoly([-5, 1])
+    g = IntPoly([-3, 1]) * IntPoly([-5 - first, 1])
+    crt = polynomials.crt_symmetric
+    lifted = []
+
+    def recorded(rows, primes):
+        lifted.append(list(primes))
+        return crt(rows, primes)
+
+    monkeypatch.setattr(polynomials, "crt_symmetric", recorded)
+    assert gcd_polys(f, g) == IntPoly([-3, 1])
+    assert lifted == [[first], [second]]
+
+
 @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_squarefree_recombines(f, g, k):
@@ -442,19 +461,3 @@ def test_crt_symmetric_matches_the_loop(count, seed):
     assert polynomials.crt_symmetric([r.tolist() for r in rows], primes) == got
     modulus = math.prod(primes)
     assert all(-modulus // 2 <= c <= modulus // 2 for c in got)
-
-
-@pytest.mark.parametrize("count", [2, 12])
-def test_crt_symmetric_extends_a_result(count):
-    # the modular gcd's incremental form: a symmetric result modulo a
-    # Python-int product of primes, extended by one prime at a time
-    rng = np.random.default_rng(count)
-    primes = [p for (p, _w), _ in zip(polynomials.primes_with_root(1), range(count + 3))]
-    rows = [rng.integers(0, p, 25) for p in primes]
-    result, modulus = polynomials.crt_symmetric(rows[:count], primes[:count]), math.prod(primes[:count])
-    assert modulus >= 1 << 63 or count == 2
-    for row, p in zip(rows[count:], primes[count:]):
-        step = polynomials.crt_symmetric([result, row.tolist()], [modulus, p])
-        assert step == loop_crt([result, row], [modulus, p])
-        result, modulus = step, modulus * p
-    assert result == loop_crt(rows, primes) == polynomials.crt_symmetric(rows, primes)

@@ -237,6 +237,28 @@ def test_stripped_copy_takes_dense_route(cover_m2, dense_calls, monkeypatch):
     assert dense_calls == [42, 126, 18]
 
 
+def test_each_kind_of_input_takes_its_own_period3_product(cover_m3, monkeypatch):
+    # a presented cover's X comes from its base operators' path tables, built
+    # afresh here, and never from _cube_rows; its geometric copy's dense
+    # char_rev takes _cube_rows and builds no path table
+    cubes, tables = [], []
+    cube_rows, path_table = exactdet._cube_rows, exactdet.path_table
+    monkeypatch.setattr(exactdet, "_cube_rows", lambda n, *a: cubes.append(n) or cube_rows(n, *a))
+
+    def recorded(n, *args):
+        tables.append(n)
+        return path_table(n, *args)
+
+    monkeypatch.setattr(exactdet, "path_table", recorded)
+    monkeypatch.setattr(zeta, "path_table", recorded)
+    zeta._base_operators.cache_clear()
+    presented = zeta_parts(cover_m3)
+    assert cubes == [] and sorted(tables) == [9, 21, 63]
+    tables.clear()
+    assert zeta_parts(geometric_copy(cover_m3)) == presented
+    assert tables == [] and sorted(cubes) == [27, 63, 189]
+
+
 def test_self_check_catches_corrupted_pattern(cover_m2, monkeypatch):
     # move one entry of the labelled L_E to another group label after the
     # memo: the twisted blocks change, the cover's own operator the
