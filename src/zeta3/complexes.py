@@ -155,6 +155,7 @@ class ComplexDescription:
         self._report = None
         self._index = None
         self._incidence = None
+        self._symmetry = None
 
     def __eq__(self, other):
         if not isinstance(other, ComplexDescription):
@@ -330,6 +331,17 @@ class ComplexDescription:
             edge_places=np.argsort(chamber_edges.ravel(), kind="stable").reshape(-1, q + 1),
         )
         return self._incidence
+
+    def free_symmetry(self):
+        """The free cyclic automorphism of largest order that
+        ``symmetry.find_free_symmetry`` finds on the complex, or None; the
+        search runs once, valid complexes only."""
+        if self._symmetry is None:
+            # symmetry builds on this module's complexes
+            from .symmetry import find_free_symmetry
+
+            self._symmetry = (find_free_symmetry(self),)
+        return self._symmetry[0]
 
     # -- counts and directed chambers -------------------------------------
 

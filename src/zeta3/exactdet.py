@@ -64,9 +64,13 @@ The routes and their parts:
   coefficients back to u and, under ``SELF_CHECK``, checks the result
   (``_char_rev_reduced``).  No lift is built.  zeta passes a presented
   complex's base quotient operators, labelled by the voltages of their
-  edges, with the path tables it keeps per presentation.
+  edges, with the path tables it keeps per presentation, and a complex of
+  explicit lists its own operators over the orbits of the free cyclic
+  symmetry it finds (``symmetry.quotient_pattern``).
 * ``char_rev`` - det(I - u*M) for an integer matrix: the case m = 1, every
-  label 0, on the grading found in M's own pattern, X by ``_cube_rows``.
+  label 0, on the grading found in M's own pattern, X by ``_cube_rows``:
+  injected operators, and a complex of explicit lists with no free
+  symmetry.
 * ``_self_check`` - the one self-check (under ``SELF_CHECK``): the unreduced
   dense operator's characteristic polynomial modulo a prime the engine's CRT
   did not take, by the Hessenberg kernel on an int64 stack (residues in
@@ -94,7 +98,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExactArithmeticError
-from .polynomials import PRIME_CAP, IntPoly, crt_symmetric, primes_with_root
+from .polynomials import PRIME_CAP, IntPoly, _poly, crt_symmetric, primes_with_root
 
 # When enabled (the test suite turns it on), every char_rev_labelled call
 # (char_rev's included) compares each coefficient of its result with the
@@ -763,7 +767,8 @@ def _char_rev_by_characters(x):
     for residues in per_orbit:
         part = np.array(crt_symmetric(residues, plan.primes[: len(residues)]), dtype=object)
         product = part if product is None else np.convolve(product, part)
-    poly = IntPoly(product.tolist())
+    # the CRT gives Python ints, and object-array products keep them so
+    poly = _poly(product.tolist())
 
     # the lift's diagonal holds, m times, the diagonal entries of label 0
     trace = m * sum(np.diagonal(x[:, :, 0]).tolist())
@@ -989,7 +994,7 @@ def _char_rev_reduced(n, m, d, x, operator):
     reduced, stream = _char_rev_by_characters(x)
     coeffs = [0] * (d * reduced.degree + 1)
     coeffs[::d] = reduced.coeffs
-    poly = IntPoly(coeffs)
+    poly = _poly(coeffs)
     if SELF_CHECK and n:
         _self_check(poly, m * n, operator, stream)
     return poly

@@ -22,11 +22,17 @@ Every one of these operators raises the vertex type by one step (A1 and the
 companion by vertex type, L_E by tail type, L_B by rotation r -> r+1), so
 each determinant is det(I - u^3 X), X the period-3 product.  P_A is the
 determinant of the 3*N0 x 3*N0 block companion of the vertex pencil
-(vertex_companion).  A complex given by explicit lists, and injected
-operators, take dense char_rev of the four operators: the case m = 1 with
+(vertex_companion).  Injected operators, and a complex given by explicit
+lists on which ``ComplexDescription.free_symmetry`` finds no free cyclic
+symmetry, take dense char_rev of the four operators: the case m = 1 with
 every label 0, on the grading it finds in the operator's own pattern, X by
 two plain block products (an operator without a grading takes the
-unreduced route).  A presented complex takes exactdet.char_rev_labelled: it
+unreduced route).  A complex given by explicit lists with a free
+automorphism g of order m is the Z/m cover of its orbit complex: each
+operator is the lift of its pattern over g's orbits, each entry labelled by
+the sheet of its column (``symmetry.quotient_pattern``), and takes
+exactdet.char_rev_labelled as below.  A presented complex takes
+exactdet.char_rev_labelled: it
 is its base quotient, the 3-vertex complex of its presentation, with
 voltages on the base's edges: each entry of the base's incidence-rule
 operators steps across one edge (``operators.a1_steps``, ``le_steps``,
@@ -75,6 +81,7 @@ from .operators import (
     le_steps,
 )
 from .polynomials import IntPoly
+from .symmetry import quotient_pattern
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,14 @@ _OPERATORS = {
     "B": lambda cx: build_lb(cx).negated(),
 }
 
+# the permutation a symmetry of the complex makes of each operator's indices:
+# the companion's three vertex blocks, L_E's edges, L_B's places 3c + r
+_ACTIONS = {
+    "A": lambda g: np.concatenate([g.vertices + k * len(g.vertices) for k in range(3)]),
+    "E": lambda g: g.edges,
+    "B": lambda g: (3 * g.chambers[:, None] + np.arange(3)).ravel(),
+}
+
 
 def _determinant(cx: ComplexDescription, tag):
     """det(I - uM) for M = _OPERATORS[tag](cx), the complex's own operator.
@@ -192,13 +207,22 @@ def _determinant(cx: ComplexDescription, tag):
     labelled by the cover's voltage (``_base_operators``): what it pays for
     is its labels, the scatter of its paths' labels into X
     (``exactdet.path_table``), the engine on X, whose plan is memoised
-    per (r, m, rho**2), and the CRT.  It builds M only for the self-check;
-    any other complex takes dense char_rev of M.
+    per (r, m, rho**2), and the CRT.  It builds M only for the self-check.
+    Any other complex builds M and takes the free cyclic symmetry g of
+    largest order its search finds (``ComplexDescription.free_symmetry``):
+    M over the orbits of g, each entry labelled by the sheet of its column
+    (``symmetry.quotient_pattern``), through the same route.  Without one it
+    takes dense char_rev of M.
     """
     cx.require_valid()
     operator = partial(_OPERATORS[tag], cx)
     if not isinstance(cx.provenance, Presented):
-        return char_rev(operator())
+        own = operator()
+        symmetry = cx.free_symmetry()
+        if symmetry is None:
+            return char_rev(own)
+        return char_rev_labelled(*quotient_pattern(own, _ACTIONS[tag](symmetry), symmetry.m),
+                                 lambda: own)
     voltage = cx.provenance.voltage
     base = _base_operators(cx.provenance.presentation)[tag]
     labels = base.sign * np.asarray(voltage.c, dtype=np.int64)[base.generator] % voltage.m
@@ -215,8 +239,9 @@ def zeta_parts(cx: ComplexDescription, operators=None):
     """Build (P_A, P_E, P_B) for a valid complex.
 
     The complex's determinants take ``_determinant``: a presented complex
-    its base quotient's operators labelled by its voltages, any other dense
-    char_rev of its own operators.  ``operators``, prebuilt (A1, A2, LE, LB)
+    its base quotient's operators labelled by its voltages, any other its
+    own operators over the orbits of its free symmetry, or dense char_rev
+    of them when it has none.  ``operators``, prebuilt (A1, A2, LE, LB)
     injected to corrupt an entry, take dense char_rev.  A presented complex
     builds its own operators only under ``exactdet.SELF_CHECK``, which
     compares each determinant with them (the dense companion for P_A).

@@ -10,11 +10,14 @@ from zeta3.construct import (
     iter_triangle_presentations,
     projective_plane,
 )
+from zeta3.operators import build_a1, build_a2, build_lb, build_le
+from zeta3.zeta import zeta_parts
 
 
 def pytest_configure(config):
-    # every determinant, dense char_rev or a presented complex's labelled base
-    # operator (exactdet.char_rev_labelled), compares its result with the
+    # every determinant, dense char_rev or a labelled pattern
+    # (exactdet.char_rev_labelled: a presented complex's base operator, or a
+    # geometric complex's operator over its free symmetry), compares its result with the
     # unreduced dense operator's characteristic polynomial modulo a prime
     # outside its CRT set (exactdet._self_check): for a presented complex, the
     # cover's own incidence-rule operator, or the dense companion for P_A
@@ -116,6 +119,12 @@ def geometric_copy(cx):
                               chambers=cx.chambers, provenance=Geometric())
 
 
+def dense_parts(cx):
+    """``zeta_parts`` of the complex's own incidence-rule operators, injected:
+    the dense char_rev route, whatever the complex's provenance."""
+    return zeta_parts(cx, operators=(build_a1(cx), build_a2(cx), build_le(cx), build_lb(cx)))
+
+
 @pytest.fixture(scope="session")
 def rich2(plane2):
     """The base of q=2 presentation 2 (``zeta3 gen --presentation-index 2``)."""
@@ -130,6 +139,17 @@ def rewired2(base2):
     chambers = [list(c) for c in base2.chambers]
     chambers[0][1], chambers[3][1] = chambers[3][1], chambers[0][1]
     return ComplexDescription(q=2, vertices=base2.vertices, edges=base2.edges,
+                              chambers=chambers, provenance=Geometric())
+
+
+@pytest.fixture(scope="session")
+def rewired_m2(cover_m2):
+    """The geometric copy of ``cover_m2`` with the middle edges of chambers 0
+    and 1, parallel edges, swapped: it passes validation, and has no free
+    symmetry."""
+    chambers = [list(c) for c in cover_m2.chambers]
+    chambers[0][2], chambers[1][2] = chambers[1][2], chambers[0][2]
+    return ComplexDescription(q=2, vertices=cover_m2.vertices, edges=cover_m2.edges,
                               chambers=chambers, provenance=Geometric())
 
 

@@ -5,6 +5,7 @@ from zeta3 import exactdet, zeta
 from zeta3.complexes import ComplexDescription, Geometric, Presented
 from zeta3.construct import connected_covers
 from zeta3.exactdet import det_integer
+from zeta3.symmetry import quotient_pattern
 from zeta3.zeta import vertex_companion
 from zeta3.operators import (
     SparseIntegerMatrix,
@@ -14,6 +15,7 @@ from zeta3.operators import (
     build_lb,
 )
 
+from conftest import geometric_copy
 from generator_rules import (
     LabelledMatrix,
     build_companion_pattern,
@@ -391,3 +393,38 @@ def test_path_table_sizes(cover_m7, presentations3):
             rows, cols = op.rows[table.entries], op.cols[table.entries]
             assert np.array_equal(cols[:2], rows[1:])
             assert np.isin(rows[0], op.classes[0]).all() and np.isin(cols[2], op.classes[0]).all()
+
+
+def test_quotient_patterns_lift_to_own_operators(reference_battery, cover_m7, presentations3,
+                                                 monkeypatch):
+    # a geometric copy's operator over the orbits of its free symmetry g
+    # lifts over Z/m to the operator itself, index h*n + i at g^h of orbit
+    # i's least member
+    p4_m8 = dict(connected_covers(presentations3[4], 8))[2]
+    copies = [cx for cx in reference_battery if not isinstance(cx.provenance, Presented)]
+    copies += [geometric_copy(cx) for cx in (cover_m7, p4_m8)]
+    lifted = 0
+    for cx in copies:
+        symmetry = cx.free_symmetry()
+        if symmetry is None:
+            continue
+        for tag in "AEB":
+            operator = zeta._OPERATORS[tag](cx)
+            g = zeta._ACTIONS[tag](symmetry)
+            n, m, *pattern, _classes = quotient_pattern(operator, g, symmetry.m)
+            orbits = {}
+            for i in range(len(g)):
+                j, orbit = int(g[i]), [i]
+                while j != i:
+                    orbit.append(j)
+                    j = int(g[j])
+                orbits.setdefault(min(orbit), orbit)
+            place = np.empty(m * n, dtype=np.int64)
+            for k, least in enumerate(sorted(orbits)):
+                member = least
+                for h in range(m):
+                    place[h * n + k] = member
+                    member = int(g[member])
+            assert cyclic_lift(n, m, *pattern, place) == operator, (cx, tag)
+        lifted += 1
+    assert lifted == 8

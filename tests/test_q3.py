@@ -70,10 +70,10 @@ def test_factored_parts_match_dense(base3, p4_m2_covers):
 
 
 def test_dense_chamber_determinant_in_one_kernel_call(monkeypatch, p4_m2_covers):
-    # the geometric copy of the first cover takes the dense route: P_B's X
-    # (104 rows) takes the float64 kernel, whose primes lie below 2**24, and
-    # needs 13 of them, which go through the kernel in one call; the
-    # self-check's call holds the 312-row L_B, on the int64 kernel
+    # dense char_rev of the geometric copy's -L_B: its X (104 rows) takes the
+    # float64 kernel, whose primes lie below 2**24, and needs 13 of them,
+    # which go through the kernel in one call; the self-check's call holds
+    # the 312-row L_B, on the int64 kernel
     cx = p4_m2_covers[0]
     geometric = ComplexDescription(q=cx.q, vertices=cx.vertices, edges=cx.edges,
                                    chambers=cx.chambers, provenance=Geometric())
@@ -86,7 +86,7 @@ def test_dense_chamber_determinant_in_one_kernel_call(monkeypatch, p4_m2_covers)
         return kernel(H, p)
 
     monkeypatch.setattr(exactdet, "_charpolys_mod", counted)
-    assert zeta_parts(geometric) == factored
+    assert char_rev(build_lb(geometric).negated()) == factored.p_b
     assert [s for s in shapes if s[0][1] > 100] == [((13, 104, 104), "float64"),
                                                     ((1, 312, 312), "int64")]
 

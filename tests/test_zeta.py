@@ -28,7 +28,7 @@ from zeta3.zeta import (
     zeta_parts,
 )
 
-from conftest import geometric_copy
+from conftest import dense_parts, geometric_copy
 from generator_rules import (
     build_companion_pattern,
     build_lb_pattern,
@@ -155,9 +155,10 @@ def test_mutation_off_diagonal(base2):
     assert not verify_identity(parts).holds
 
 
-def test_identity_through_geometric_lists(base2, cover_m2):
-    # strip provenance: operators then come from the incidence rules alone
-    for cx in (base2, cover_m2):
+def test_identity_through_geometric_lists(base2, cover_m2, p4_m2_covers):
+    # strip provenance: operators then come from the incidence rules alone;
+    # the q=3 cover's parts equal its dense ones too
+    for cx in (base2, cover_m2, p4_m2_covers[0]):
         geo = ComplexDescription(
             q=cx.q, vertices=cx.vertices, edges=cx.edges, chambers=cx.chambers,
             provenance=Geometric(),
@@ -165,6 +166,7 @@ def test_identity_through_geometric_lists(base2, cover_m2):
         parts = zeta_parts(geo)
         assert parts == zeta_parts(cx)
         assert verify_identity(parts).holds
+    assert dense_parts(geo) == parts
 
 
 def test_factored_parts_match_dense(small_battery):
@@ -190,14 +192,18 @@ def reductions(monkeypatch):
 def test_dense_matches_factored_at_full_size(cover_m7, monkeypatch):
     # P_E and P_B of a q=2 m=7 cover (L_B of dimension 441): the presented
     # complex reduces its base quotient's operators over Z/7 and never one of
-    # the cover's own size, the same cover as geometric lists takes dense
-    # char_rev, and both self-check against the incidence-rule operator
-    # modulo a prime outside their CRT sets.
+    # the cover's own size, its geometric copy its own operators over the
+    # orbits of the Z/7 symmetry its search finds, and the copy's operators
+    # injected take dense char_rev; all self-check against the
+    # incidence-rule operator modulo a prime outside their CRT sets.
     reduced = reductions(monkeypatch)
     presented = zeta_parts(cover_m7)
     assert reduced == [(21, 7), (63, 7), (9, 7)]
+    geometric = geometric_copy(cover_m7)
+    assert zeta_parts(geometric) == presented
+    assert reduced[3:] == [(21, 7), (63, 7), (9, 7)]
     monkeypatch.setattr(zeta, "char_rev_labelled", _refuse)
-    parts = zeta_parts(geometric_copy(cover_m7))
+    parts = dense_parts(geometric)
     assert parts == presented
     assert verify_identity(parts).holds
 
@@ -230,17 +236,30 @@ def test_presented_cover_takes_factored_route(cover_m3, dense_calls, monkeypatch
     assert reduced == [(21, 3), (63, 3), (9, 3)]
 
 
-def test_stripped_copy_takes_dense_route(cover_m2, dense_calls, monkeypatch):
+def test_stripped_copy_takes_quotient_route(cover_m2, dense_calls, monkeypatch):
+    # the geometric copy finds its Z/2 symmetry and reduces its own operators
+    # over its orbits: no dense char_rev, and no base quotient
+    monkeypatch.setattr(zeta, "_base_operators", _refuse)
+    reduced = reductions(monkeypatch)
+    assert verify_identity(zeta_parts(geometric_copy(cover_m2))).holds
+    assert dense_calls == []
+    assert reduced == [(21, 2), (63, 2), (9, 2)]
+
+
+def test_copy_without_free_symmetry_takes_dense_route(rewired_m2, dense_calls, monkeypatch):
     monkeypatch.setattr(zeta, "char_rev_labelled", _refuse)
     monkeypatch.setattr(zeta, "_base_operators", _refuse)
-    assert verify_identity(zeta_parts(geometric_copy(cover_m2))).holds
+    assert rewired_m2.free_symmetry() is None
+    zeta_parts(rewired_m2)
     assert dense_calls == [42, 126, 18]
 
 
 def test_each_kind_of_input_takes_its_own_period3_product(cover_m3, monkeypatch):
     # a presented cover's X comes from its base operators' path tables, built
-    # afresh here, and never from _cube_rows; its geometric copy's dense
-    # char_rev takes _cube_rows and builds no path table
+    # afresh here, and never from _cube_rows; its geometric copy's from the
+    # path tables of its quotient patterns, of the base's sizes; dense
+    # char_rev of the copy's injected operators takes _cube_rows and builds
+    # no path table
     cubes, tables = [], []
     cube_rows, path_table = exactdet._cube_rows, exactdet.path_table
     monkeypatch.setattr(exactdet, "_cube_rows", lambda n, *a: cubes.append(n) or cube_rows(n, *a))
@@ -255,7 +274,11 @@ def test_each_kind_of_input_takes_its_own_period3_product(cover_m3, monkeypatch)
     presented = zeta_parts(cover_m3)
     assert cubes == [] and sorted(tables) == [9, 21, 63]
     tables.clear()
-    assert zeta_parts(geometric_copy(cover_m3)) == presented
+    geometric = geometric_copy(cover_m3)
+    assert zeta_parts(geometric) == presented
+    assert cubes == [] and sorted(tables) == [9, 21, 63]
+    tables.clear()
+    assert dense_parts(geometric) == presented
     assert tables == [] and sorted(cubes) == [27, 63, 189]
 
 
@@ -296,10 +319,11 @@ def test_memo_leaks_nothing_between_covers(covers_m2, cover_m3):
     # operators and their path tables, and covers whose X has one size and
     # bound share an engine plan; interleaved, covers of two presentations
     # at m = 2 and 3, with nothing cleared, each gives exactly the parts of
-    # its geometric copy
+    # its geometric copy, which equal the copy's dense parts
     covers = covers_m2 + [cover_m3]
     assert covers_m2[0].provenance.presentation != cover_m3.provenance.presentation
     dense = [zeta_parts(geometric_copy(cx)) for cx in covers]
+    assert dense_parts(geometric_copy(covers[0])) == dense[0]
     assert len({(p.p_a, p.p_e, p.p_b) for p in dense[:3]}) == 2
     operators = zeta._base_operators.cache_info()
     plans = exactdet._engine_plan.cache_info()
