@@ -37,13 +37,18 @@ The routes and their parts:
   balanced residues, primes below ``_float_prime_limit(r)``, so that every
   product and partial sum is an integer of magnitude at most 2**53, which a
   double holds exactly.  Blocks below ``_FLOAT_MIN_ROWS`` rows take power
-  sums: tr(X**k) for k <= r from about 2 sqrt(r) products, then Newton's
-  identities in int64.  Larger blocks take the Hessenberg reduction and the
-  standard recurrence, whose row operations are delayed: up to nb =
+  sums: baby powers X**1 .. X**s and giant powers Y**1 .. Y**t, Y =
+  (X**s)^T, about 2 sqrt(r) products, and every trace tr(X**(a*s+b)), a >=
+  1, from one batched product of the two flattened stacks; then Newton's
+  identities in int64.  A cross trace sums r**2 products of residues, so
+  these primes obey ((p + 1)/2)**2 r**2 <= 2**53 - 2**25 (21.8 bits at
+  r = 52).  Larger blocks take the Hessenberg reduction and the standard
+  recurrence, whose row operations are delayed: up to nb =
   ``_block_steps(r)`` of them stay pending as a product F R and are applied
-  with one matmul and one remainder.  The engine makes one list of the
-  (orbit, prime, character) blocks and hands it over in slices whose
-  working set (``_kernel``) fits ``_CHUNK_ENTRIES`` entries.
+  with one matmul and one remainder; its sums have at most r + 1 terms, so
+  its primes stay below 2**((55 - bitlen r) // 2).  The engine makes one
+  list of the (orbit, prime, character) blocks and hands it over in slices
+  whose working set (``_kernel``) fits ``_CHUNK_ENTRIES`` entries.
 * The period-3 product, one per kind of input.  Every operator of the
   paper raises the vertex type by one, so det(I - uM) = det(I - u^3 X), X =
   M^3 on one class V_0 of the Z/3 grading (``grading_classes``, a
@@ -257,17 +262,38 @@ def _block_steps(r):
 
 # blocks of at least this many rows take the float64 Hessenberg kernel
 # (``_charpolys_mod``), smaller ones the power-sum kernel
-# (``_charpolys_power_sums``): below the measured crossover, where the
-# working-set budget leaves the power-sum kernel so few blocks a call that
-# its interpreter time outweighs the Hessenberg kernel's r pivot steps
+# (``_charpolys_power_sums``).  Measured on a 2-vCPU x86-64 machine, one BLAS
+# thread, min of 7 x 20 calls, power sums against Hessenberg on one stack of
+# B blocks, primes below the power-sum limit: r = 52 1.07/4.16 ms (B = 7) and
+# 1.89/5.81 (B = 13); r = 64 1.76/5.68 and 5.43/8.31; r = 80 3.34/7.88 and
+# 8.28/10.19; r = 104 10.18/11.06 and 20.56/16.85.  Through the engine, one
+# random {-1, 0, 1} X of r rows, each kernel on its own primes and slices:
+# r = 64 3.2/6.8 ms, 80 7.4/9.8, 88 10.4-11.2/11.4-11.9, 92 15.1-15.2/
+# 12.8-12.9, 104 28.0/17.4.  So the crossover lies near r = 90, where the
+# working-set budget leaves the power-sum kernel one block a call; no block
+# of the paper's operators has 64 to 89 rows (7 to 52 and 104 and up)
 _FLOAT_MIN_ROWS = 64
 
 
 def _float_prime_limit(r):
-    """min(PRIME_CAP, 2**((55 - bitlen r) // 2)): the engine's float64
-    kernels take primes below this for r x r blocks (``_charpolys_mod``).
+    """The engine's float64 kernels take primes below this for r x r blocks,
+    by the kernel ``_kernel(r)`` runs:
+
+    * power sums (r < ``_FLOAT_MIN_ROWS``): min(PRIME_CAP, 2 isqrt((2**53 -
+      2**25) // r**2)).  A prime p below it has balanced residues of
+      magnitude at most h = (p + 1)/2 <= isqrt((2**53 - 2**25) // r**2), so
+      a cross trace's r**2 products of two residues sum to at most h**2 r**2
+      <= 2**53 - 2**25, which leaves its remainder the margin h <= 2**24
+      (``_charpolys_power_sums``).  r <= 5 keeps PRIME_CAP, r = 52 takes
+      primes below 3650240 (21.8 bits).
+    * Hessenberg (from ``_FLOAT_MIN_ROWS`` rows): min(PRIME_CAP,
+      2**((55 - bitlen r) // 2)), so that a sum of r + 1 products of two
+      residues stays within 2**53 (``_charpolys_mod``).
+
     The cap keeps every prime of the engine's stream within the int64
     kernel's range, so the self-check can take the next one."""
+    if r < _FLOAT_MIN_ROWS:
+        return min(PRIME_CAP, 2 * isqrt(((1 << 53) - (1 << 25)) // max(1, r * r)))
     return min(PRIME_CAP, 1 << ((55 - r.bit_length()) // 2))
 
 
@@ -445,6 +471,14 @@ def _negated_inverses(p, r):
     return table
 
 
+def _giant_steps(r):
+    """t = ceil(r/s) - 1, at least 0, s = ``_baby_steps(r)``: the giant powers
+    Y**1 .. Y**t, Y = (X**s)^T, that ``_charpolys_power_sums`` stores for
+    r x r slices, so that a*s + b, 0 <= a <= t and 1 <= b <= s, covers
+    1 .. r."""
+    return max(0, -(-r // _baby_steps(r)) - 1)
+
+
 def _charpolys_power_sums(H, p):
     """``_charpolys_mod`` for the blocks below ``_FLOAT_MIN_ROWS`` rows, by
     power sums and Newton's identities.
@@ -459,54 +493,63 @@ def _charpolys_power_sums(H, p):
     follow from the power sums p_k = tr(X**k), k <= r, by Newton's identities
     k c_k = -sum_(i=1..k) p_i c_(k-i), which divide by k <= r < p; and
     det(xI - X) = sum_k c_k x**(r-k).  The power sums come from s =
-    ``_baby_steps(r)`` stored powers X**1 .. X**s and giant powers formed one
-    at a time: p_(a*s+b) = tr(X**(a*s) X**b) is the sum over rows i of the
-    dot product of row i of X**b with row i of Y**a, Y = (X**s)^T.  That
-    takes s - 1 products for the stored powers and about r/s for the giant
-    ones, about 2 sqrt(r) products of r x r slices in place of r Hessenberg
-    steps, and one batch of dot products per giant power.
+    ``_baby_steps(r)`` baby powers X**1 .. X**s, an (s, B, r, r) stack, and
+    t = ``_giant_steps(r)`` giant powers Y**1 .. Y**t, Y = (X**s)^T, a
+    (t, B, r, r) stack.  p_1 .. p_s are the traces of the baby powers, and
+    p_(a*s+b) = tr(X**(a*s) X**b), a >= 1, is the sum over all (i, j) of
+    Y**a[i, j] X**b[i, j]: the dot product of the two powers flattened.  So
+    every one of them comes out of one batched product of the flattened
+    stacks, (B, s, r**2) times (B, r**2, t), then one remainder.  That takes
+    s - 1 products for the baby powers and t - 1 for the giant ones, about
+    2 sqrt(r) products of r x r slices in place of r Hessenberg steps, and
+    one product for every cross trace.
 
-    The float64 arithmetic is exact by ``_charpolys_mod``'s argument: every
-    entry of a product and every dot product sums r products of balanced
-    residues, each partial sum at most r ((p + 1)/2)**2 <= 2**53, and is
-    reduced before it is used; a trace adds r reduced dot products, or r
-    diagonal residues.  Newton's identities run in int64 on residues in
-    [0, p): a sum of k <= r products, each below p**2 < 2**(55 - bitlen r),
-    stays below 2**55, and -1/k mod p comes from a per-prime table
-    (``_negated_inverses``).
+    The float64 arithmetic is exact: with p below ``_float_prime_limit(r)``
+    every residue has magnitude at most h = (p + 1)/2, h**2 r**2 <= 2**53 -
+    2**25 and h <= 2**24, so a cross trace, which sums r**2 products of two
+    residues, and an entry of a power, which sums r of them, is an integer of
+    magnitude at most 2**53 - 2**25 with every partial sum, in whatever
+    order BLAS adds; a double holds each exactly.  Each is reduced by
+    x - p*rint(x/p) (``_balanced_remainder``) before it is used: rint(x/p)
+    lies within 1/2 + 1/p of x/p, so the residue is an integer of magnitude
+    at most h, p*rint(x/p) one of magnitude at most |x| + h < 2**53, both
+    exact.  A trace of a baby power adds r residues.  Newton's identities
+    run in int64 on residues in [0, p): a sum of k <= r products, each below
+    p**2 <= 2**55 / r**2, stays below 2**55, and -1/k mod p comes from a
+    per-prime table (``_negated_inverses``).
 
-    Working set: H, the s stored powers and two more buffers of H's size,
-    (s + 3) B r**2 floats.
+    Working set: the two stacks of powers, H (the remainders' scratch) and
+    the primes as a full stack of H's shape, (s + t + 2) B r**2 floats.
     """
     B, r, _ = H.shape
     if r >= int(p.min()):
         raise ValueError("Newton's identities need primes above the block size")
-    p2 = p.astype(np.float64)[:, None, None]
-    s = _baby_steps(r)
-    powers = np.empty((B, s, r, r))
-    powers[:, 0] = H
+    s, t = _baby_steps(r), _giant_steps(r)
+    # the remainders of powers run faster on a full stack of primes than
+    # broadcast from a (B, 1, 1) column
+    column = p.astype(np.float64)[:, None]
+    pf = np.empty_like(H)
+    pf[...] = column[:, :, None]
+    baby = np.empty((s, B, r, r))
+    baby[0] = H
     for b in range(1, s):
-        np.matmul(powers[:, b - 1], powers[:, 0], out=powers[:, b])
-        _balanced_remainder(powers[:, b], p2, out=powers[:, b], tmp=H)
-    # sums[:, k] = p_k; the traces of the stored powers give p_1 .. p_min(s, r)
+        np.matmul(baby[b - 1], baby[0], out=baby[b])
+        _balanced_remainder(baby[b], pf, out=baby[b], tmp=H)
+    # sums[:, k] = p_k; the traces of the baby powers give p_1 .. p_min(s, r)
     sums = np.zeros((B, r + 1))
-    sums[:, 1 : s + 1] = np.trace(powers, axis1=2, axis2=3)[:, :r]
-    # rows[:, i, b] is row i of X**(b + 1)
-    rows = powers.transpose(0, 2, 1, 3)
-    # Y = (X**s)^T; Y**a, a >= 2, alternates between H and one more buffer,
-    # the other of the two serving the remainder
-    y = np.ascontiguousarray(powers[:, s - 1].transpose(0, 2, 1))
-    spare = (H, np.empty_like(H))
-    giant = y
-    for a in range(1, -(-r // s)):
-        if a > 1:
-            giant = np.matmul(giant, y, out=spare[a % 2])
-            _balanced_remainder(giant, p2, out=giant, tmp=spare[1 - a % 2])
-        n = min(s, r - a * s)
-        dots = np.matmul(rows[:, :, :n], giant[:, :, :, None])[:, :, :, 0]
-        _balanced_remainder(dots, p2, out=dots)
-        sums[:, a * s + 1 : a * s + n + 1] = dots.sum(axis=1)
-    _balanced_remainder(sums, p2[:, :, 0], out=sums)
+    sums[:, 1 : s + 1] = np.trace(baby, axis1=2, axis2=3).T[:, :r]
+    if t:
+        giant = np.empty((t, B, r, r))
+        giant[0] = baby[s - 1].transpose(0, 2, 1)
+        for a in range(1, t):
+            np.matmul(giant[a - 1], giant[0], out=giant[a])
+            _balanced_remainder(giant[a], pf, out=giant[a], tmp=H)
+        # cross[:, b - 1, a - 1] = p_(a*s+b), unreduced: the remainder of
+        # every power sum below reduces it
+        cross = np.matmul(baby.reshape(s, B, r * r).transpose(1, 0, 2),
+                          giant.reshape(t, B, r * r).transpose(1, 2, 0))
+        sums[:, s + 1 :] = cross.transpose(0, 2, 1).reshape(B, t * s)[:, : r - s]
+    _balanced_remainder(sums, column, out=sums)
     power_sums = np.remainder(sums.astype(np.int64), p[:, None])
     inverses = np.stack([_negated_inverses(q, r) for q in p.tolist()])
     c = np.zeros((B, r + 1), dtype=np.int64)
@@ -570,23 +613,31 @@ def _block_norm_sq(x):
     return int((cells * cells).sum(axis=1).max())
 
 
-# the kernels' working-set budget: entries (1.125 MiB of float64) per call of
+# the kernels' working-set budget: entries (2.5 MiB of float64) per call of
 # ``_charpolys_power_sums`` or ``_charpolys_mod`` (``_kernel``).  The working
 # set grows with it, while a call's interpreter time goes with r alone, so the
-# budget takes all 13 primes of a one-orbit 104-row X (dense P_B of a q=3 m=2
-# cover, Hessenberg kernel) in one call
-_CHUNK_ENTRIES = 9 << 14
+# budget takes the 14 blocks of a q=3 m=2 cover's P_B over Z/2 (52 rows, power
+# sums) in two calls of 7, the 68 of a q=2 m=7 P_B (21 rows) in two of 34, and
+# all 13 primes of a one-orbit 104-row X (dense P_B of a q=3 m=2 cover,
+# Hessenberg kernel) in one call.  Measured against it, in-process on a 2-vCPU
+# x86-64 machine with one BLAS thread (medians of 15 rounds' minima):
+# 9 * 2**14 (five calls at 52 rows) was 13-17% slower on the q=3 cover's
+# `zeta3 verify`, 9 * 2**16 (one call of 68 blocks at 21 rows, past the 2 MiB
+# L2 cache) 26-27% slower on the q=2 m=7 cover's `zeta_parts`, and 5 * 2**17
+# (one call of 14 blocks at 52 rows) 21-22% slower on the q=3 cover
+_CHUNK_ENTRIES = 5 << 16
 
 
 def _kernel(r):
     """(kernel, working set per block in entries): the characteristic-
     polynomial kernel the engine runs on r x r blocks.  Below
-    ``_FLOAT_MIN_ROWS`` rows the power-sum kernel, whose s + 3 buffers of the
-    stack's size make (s + 3) r**2 entries a block, s = ``_baby_steps(r)``;
-    from there the float64 Hessenberg kernel, whose stack is its working set
-    up to the flush buffer (a quarter of the budget at most)."""
+    ``_FLOAT_MIN_ROWS`` rows the power-sum kernel, whose s baby and t giant
+    powers, the stack itself and its primes make (s + t + 2) r**2 entries a
+    block, s = ``_baby_steps(r)`` and t = ``_giant_steps(r)``; from there the
+    float64 Hessenberg kernel, whose stack is its working set up to the flush
+    buffer (a quarter of the budget at most)."""
     if r < _FLOAT_MIN_ROWS:
-        return _charpolys_power_sums, (_baby_steps(r) + 3) * r * r
+        return _charpolys_power_sums, (_baby_steps(r) + _giant_steps(r) + 2) * r * r
     return _charpolys_mod, r * r
 
 

@@ -711,8 +711,11 @@ def assert_kernel_matches(blocks, primes, reference=True):
     return dtypes
 
 
-# the engine's largest prime and small ones, where zero pivots are common
-MIXED_PRIMES = [next(p for p, _w in primes_with_root(1)), 101, 7, 5, 3]
+# the largest prime the float64 kernels take for every block size below 10
+# (``test_small_blocks_run_on_both_stacks``) and small ones, where zero pivots
+# are common
+MIXED_PRIMES = [next(p for p, _w in primes_with_root(1, exactdet._float_prime_limit(9))),
+                101, 7, 5, 3]
 
 
 def random_block(r, p, rng, density):
@@ -880,28 +883,37 @@ def test_charpolys_mod_float64_extreme_residues(r):
 
 def test_float_prime_limit_within_the_int64_kernel():
     # the engine's stream is the float64 kernels', capped at PRIME_CAP, so
-    # the self-check's int64 kernel can take its next prime
-    assert [exactdet._float_prime_limit(r) for r in (1, 7, 8, 31, 32, 63, 64)] == (
-        [PRIME_CAP] * 4 + [1 << 24] * 3)
+    # the self-check's int64 kernel can take its next prime: below
+    # _FLOAT_MIN_ROWS rows 2 isqrt((2**53 - 2**25) // r**2), the power-sum
+    # kernel's cross traces, from there 2**((55 - bitlen r) // 2)
+    assert [exactdet._float_prime_limit(r) for r in (1, 5, 6, 7, 8, 31, 32, 63, 64)] == [
+        PRIME_CAP, PRIME_CAP, 31635420, 27116074, 23726566, 6122984, 5931640, 3012896, 1 << 24]
+    for r in range(1, exactdet._FLOAT_MIN_ROWS):
+        limit = exactdet._float_prime_limit(r)
+        # a residue of a prime below the limit has magnitude at most limit/2
+        assert (limit // 2) ** 2 * r * r + limit // 2 < 1 << 53
 
 
 def power_sum_stacks(r, p, rng):
-    """Four r x r blocks modulo p, residues in [0, p): every entry +-(p-1)/2
-    (the largest balanced residues), random residues, a nilpotent block
-    (strictly upper triangular) and 7*I."""
+    """Six r x r blocks modulo p, residues in [0, p): every entry +-(p-1)/2
+    (the largest balanced residues) with random signs, random residues, a
+    nilpotent block (strictly upper triangular), 7*I, and every entry
+    +(p-1)/2 or every entry -(p-1)/2, whose powers are constant blocks, so
+    that every term of a cross trace has one sign."""
     half = (p - 1) // 2
     extreme = [[half if rng.random() < 0.5 else p - half for _ in range(r)] for _ in range(r)]
     uniform = random_block(r, p, rng, 1.0)
     nilpotent = [[rng.randrange(p) if j > i else 0 for j in range(r)] for i in range(r)]
     scalar = [[7 if i == j else 0 for j in range(r)] for i in range(r)]
-    return [extreme, uniform, nilpotent, scalar]
+    return [extreme, uniform, nilpotent, scalar, [[half] * r] * r, [[p - half] * r] * r]
 
 
 @pytest.mark.parametrize("r", range(1, exactdet._FLOAT_MIN_ROWS))
 def test_power_sums_vs_hessenberg(r):
     # every block size the engine gives the power-sum kernel, at the largest
     # prime of its stream for that size, where the float64 sums come nearest
-    # their bound: the int64 Hessenberg kernel gives the same residues
+    # their bound (a cross trace sums r**2 products of two residues): the
+    # int64 Hessenberg kernel gives the same residues
     p, = float_primes(r, 1)
     rng = random.Random(r)
     blocks = power_sum_stacks(r, p, rng)
@@ -1004,10 +1016,10 @@ def test_chunking_invariant_factored(monkeypatch, cover_m3):
     from generator_rules import build_lb_pattern
 
     pattern = build_lb_pattern(cover_m3).negated()
-    # the power-sum kernel's working set per 21 x 21 block: 5 stored powers
-    # and three more buffers of the block's size
+    # the power-sum kernel's working set per 21 x 21 block: 5 baby powers, 4
+    # giant powers, the block and its primes
     block = exactdet._kernel(21)[1]
-    assert block == (5 + 3) * 21 * 21
+    assert block == (5 + 4 + 2) * 21 * 21
     (default, split), (single, ones), (whole, one), (sixes, six), (fours, four) = (
         results_by_chunk(monkeypatch, lambda: char_rev_pattern(pattern), 6 * block, 4 * block))
     # the period-3 product of the 21 x 21 pattern is again 21 x 21 (rho**2 =
